@@ -16,7 +16,7 @@ from .errors import (
     SlotMismatchError,
     TransposeInapplicableError,
 )
-from .fincat import FinCategory, FunctorTable, NatTransTable, ProductCategory
+from .fincat import FinCategory, FunctorTable, NatTransTable
 from .kan import mult_cell, strengthen, strengthen_cell, theta_cell, unit_cell
 from .monad import apply_functor, interchange, interchange_perm, unit_naturality_square
 from .multimap import ComposeMap, TableMap, UnitMap, unit_map
@@ -39,7 +39,6 @@ __all__ = [
     "NotInvertibleError",
     "Presheaf",
     "PresheafMorphism",
-    "ProductCategory",
     "RelmonadError",
     "SlotMismatchError",
     "TableMap",

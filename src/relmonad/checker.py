@@ -752,11 +752,8 @@ def _enumerate_cocones(f, p, q, budget):
     cocones = []
     for combo in itertools.product(*per_node):
         good = True
-        for ai in el.morphisms:
-            if el.is_identity(ai):
-                continue
+        for ai, (m, _) in enumerate(el.el_arrows):
             s, t = el.src(ai), el.tgt(ai)
-            m = el.el_arrows[ai][0]
             leg = f.morphism_at((el.el_objs[s][0],), 0, m)
             if leg.then(combo[t]).components != combo[s].components:
                 good = False

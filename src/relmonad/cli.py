@@ -30,6 +30,7 @@ from .checker import (
 from .errors import BudgetExceededError, FormatError
 from .kan import strengthen
 from .monad import apply_functor
+from .presheaf import element_budget
 
 REPORT_HEADER = "relmonad-report 1"
 
@@ -280,10 +281,19 @@ def build_parser():
     return p
 
 
+def _check_budget():
+    """Every colimit reads RELMONAD_BUDGET; refuse a bad value before any runs."""
+    try:
+        element_budget()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_budget()
         return args.fn(args)
     except UsageError as e:
         print(f"relmonad: {e}", file=sys.stderr)

@@ -3,7 +3,7 @@
 Objects and morphisms are dense integer ids.  A category is given by source
 and target arrays, an identity id per object, and a total composition table
 on exactly the composable pairs.  Everything is immutable after construction
-and all derived orderings (hom lists, product enumeration) are deterministic
+and all derived orderings (hom lists, slot enumeration) are deterministic
 functions of the tables, which the rest of the package relies on for
 bit-identical reruns.
 """
@@ -163,61 +163,6 @@ def opposite_category(c: FinCategory) -> FinCategory:
     """
     comp = {(f, g): gf for (g, f), gf in c.comp.items()}
     return FinCategory(f"{c.name}^op", c.n_objects, c.mor_tgt, c.mor_src, c.identity, comp)
-
-
-class ProductCategory(FinCategory):
-    """Product of finitely many categories, objects/morphisms in lex order.
-
-    The lex enumeration makes flattening associative on the nose: the tables
-    of product([A, B, C]) and product([product([A, B]), C]) agree bit for bit
-    once the latter's paired indices are read as flat triples.
-    """
-
-    def __init__(self, factors, name=None):
-        self.factors = tuple(factors)
-        obj_tuples = list(itertools.product(*(f.objects for f in self.factors)))
-        mor_tuples = list(itertools.product(*(f.morphisms for f in self.factors)))
-        self._obj_index = {t: i for i, t in enumerate(obj_tuples)}
-        self._mor_index = {t: i for i, t in enumerate(mor_tuples)}
-        self._obj_tuples = obj_tuples
-        self._mor_tuples = mor_tuples
-        src = [self._obj_index[tuple(f.src(m) for f, m in zip(self.factors, ms))] for ms in mor_tuples]
-        tgt = [self._obj_index[tuple(f.tgt(m) for f, m in zip(self.factors, ms))] for ms in mor_tuples]
-        ident = [
-            self._mor_index[tuple(f.id_of(a) for f, a in zip(self.factors, os))]
-            for os in obj_tuples
-        ]
-        comp = {}
-        for gi, gs in enumerate(mor_tuples):
-            for fi, fs in enumerate(mor_tuples):
-                if all(f.tgt(fm) == f.src(gm) for f, gm, fm in zip(self.factors, gs, fs)):
-                    comp[(gi, fi)] = self._mor_index[
-                        tuple(f.compose(gm, fm) for f, gm, fm in zip(self.factors, gs, fs))
-                    ]
-        super().__init__(
-            name or "(" + " x ".join(f.name for f in self.factors) + ")",
-            len(obj_tuples),
-            src,
-            tgt,
-            ident,
-            comp,
-        )
-
-    def obj_tuple(self, i):
-        return self._obj_tuples[i]
-
-    def obj_index(self, t):
-        return self._obj_index[tuple(t)]
-
-    def mor_tuple(self, i):
-        return self._mor_tuples[i]
-
-    def mor_index(self, t):
-        return self._mor_index[tuple(t)]
-
-
-def product_category(factors, name=None) -> ProductCategory:
-    return ProductCategory(factors, name)
 
 
 class FunctorTable:

@@ -13,7 +13,7 @@ bijection between them, which the checker compares against the swap cell
 table for table.
 """
 
-from .presheaf import FinSet, Presheaf, category_of_elements
+from .presheaf import Graph, category_of_elements, pointwise_colimit
 from .kan import strengthen
 
 __all__ = ["FlatExtension", "flat_double_extension", "gamma_tables"]
@@ -31,105 +31,40 @@ class FlatExtension:
 
 
 def flat_double_extension(f, j, k, args) -> FlatExtension:
-    p, q = args[j], args[k]
-    elp, elq = category_of_elements(p), category_of_elements(q)
-    np_, nq = len(elp.el_objs), len(elq.el_objs)
+    """f extended in slots j and k at once, as one pointwise colimit.
 
-    vals = {}
-    for i1, (x, _) in enumerate(elp.el_objs):
+    The shape is the generating graph of El(p) x El(q), nodes (i1, i2) in lex
+    order: an edge for every El(p) arrow at every El(q) node, and one for
+    every El(q) arrow at every El(p) node.
+    """
+    elp, elq = category_of_elements(args[j]), category_of_elements(args[k])
+    nq = elq.n_objects
+
+    def at(x, w):
+        a = list(args)
+        a[j], a[k] = x, w
+        return tuple(a)
+
+    vals = [f.evaluate(at(x, w)) for x, _ in elp.el_objs for w, _ in elq.el_objs]
+    src, tgt, maps = [], [], {}
+    for ai, (m, _) in enumerate(elp.el_arrows):
+        s1, t1 = elp.src(ai), elp.tgt(ai)
         for i2, (w, _) in enumerate(elq.el_objs):
-            a = list(args)
-            a[j], a[k] = x, w
-            vals[(i1, i2)] = f.evaluate(tuple(a))
-
-    per_object = []
-    for y in f.cod.objects:
-        offsets = {}
-        total = 0
-        for i1 in range(np_):
-            for i2 in range(nq):
-                offsets[(i1, i2)] = total
-                total += len(vals[(i1, i2)].at[y])
-
-        parent = list(range(total))
-
-        def find(i):
-            root = i
-            while parent[root] != root:
-                root = parent[root]
-            while parent[i] != root:
-                parent[i], i = root, parent[i]
-            return root
-
-        def union(a_, b_):
-            ra, rb = find(a_), find(b_)
-            if ra != rb:
-                lo, hi = (ra, rb) if ra < rb else (rb, ra)
-                parent[hi] = lo
-
-        for ai in elp.morphisms:
-            if elp.is_identity(ai):
-                continue
-            s1, t1 = elp.src(ai), elp.tgt(ai)
-            m = elp.el_arrows[ai][0]
-            for i2, (w, _) in enumerate(elq.el_objs):
-                a = list(args)
-                a[j], a[k] = elp.el_objs[s1][0], w
-                row = f.morphism_at(tuple(a), j, m).components[y]
-                for t, image in enumerate(row):
-                    union(offsets[(s1, i2)] + t, offsets[(t1, i2)] + image)
-        for ai in elq.morphisms:
-            if elq.is_identity(ai):
-                continue
+            maps[len(src)] = f.morphism_at(at(elp.el_objs[s1][0], w), j, m)
+            src.append(s1 * nq + i2)
+            tgt.append(t1 * nq + i2)
+    for i1, (x, _) in enumerate(elp.el_objs):
+        for ai, (m, _) in enumerate(elq.el_arrows):
             s2, t2 = elq.src(ai), elq.tgt(ai)
-            m = elq.el_arrows[ai][0]
-            for i1, (x, _) in enumerate(elp.el_objs):
-                a = list(args)
-                a[j], a[k] = x, elq.el_objs[s2][0]
-                row = f.morphism_at(tuple(a), k, m).components[y]
-                for t, image in enumerate(row):
-                    union(offsets[(i1, s2)] + t, offsets[(i1, t2)] + image)
-
-        roots = sorted({find(i) for i in range(total)})
-        class_of = {r: c for c, r in enumerate(roots)}
-        coproj = {}
-        for i1 in range(np_):
-            for i2 in range(nq):
-                n = len(vals[(i1, i2)].at[y])
-                coproj[(i1, i2)] = tuple(
-                    class_of[find(offsets[(i1, i2)] + t)] for t in range(n)
-                )
-        reps = []
-        for r in roots:
-            found = None
-            for i1 in range(np_):
-                for i2 in range(nq):
-                    n = len(vals[(i1, i2)].at[y])
-                    off = offsets[(i1, i2)]
-                    if off <= r < off + n:
-                        found = (i1, i2, r - off)
-                        break
-                if found:
-                    break
-            reps.append(found)
-        per_object.append((coproj, tuple(reps), len(roots)))
-
-    at = [FinSet(f"fl{i}" for i in range(per_object[y][2])) for y in f.cod.objects]
-    act = []
-    for u in f.cod.morphisms:
-        a_, b_ = f.cod.src(u), f.cod.tgt(u)
-        row = []
-        for i1, i2, t in per_object[b_][1]:
-            image = vals[(i1, i2)].act[u][t]
-            row.append(per_object[a_][0][(i1, i2)][image])
-        act.append(tuple(row))
-    pres = Presheaf(f.cod, at, act)
-    return FlatExtension(
-        pres,
-        {key: tuple(per_object[y][0][key] for y in f.cod.objects)
-         for key in per_object[0][0]} if per_object else {},
-        tuple(per_object[y][1] for y in f.cod.objects),
-    )
+            maps[len(src)] = f.morphism_at(at(x, elq.el_objs[s2][0]), k, m)
+            src.append(i1 * nq + s2)
+            tgt.append(i1 * nq + t2)
+    presheaf, colims = pointwise_colimit(Graph(len(vals), src, tgt), vals, maps, f.cod)
+    coproj = {
+        divmod(n, nq): tuple(r.coprojections[n] for r in colims) for n in range(len(vals))
+    }
+    reps = tuple(tuple(divmod(n, nq) + (t,) for n, t in r.reps) for r in colims)
+    return FlatExtension(presheaf, coproj, reps)
 
 
 def gamma_tables(f, j, k, args):

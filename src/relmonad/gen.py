@@ -16,8 +16,11 @@ from .fincat import FinCategory, FunctorTable, NatTransTable, validate_functor
 from .multimap import TableMap
 from .presheaf import (
     FinSet,
+    Graph,
     Presheaf,
+    classifying_morphism,
     coproduct_presheaves,
+    pointwise_colimit,
     representable,
 )
 
@@ -149,54 +152,18 @@ def gen_category(rng: random.Random, cfg: GenConfig) -> FinCategory:
 def presheaf_quotient(p: Presheaf, pairs) -> Presheaf:
     """Quotient by the congruence generated by (object, elem, elem) pairs.
 
-    Identifications propagate along every action map until stable, then
-    each object keeps least-index class representatives.
+    This is the pointwise coequalizer of each pair's two classifying maps
+    y_x => p, with p as shape node 0, so every class keeps its least-index
+    member of p as representative.
     """
-    classes = [list(range(len(s))) for s in p.at]
-
-    def find(x, i):
-        root = i
-        while classes[x][root] != root:
-            root = classes[x][root]
-        while classes[x][i] != root:
-            classes[x][i], i = root, classes[x][i]
-        return root
-
-    def union(x, a, b):
-        ra, rb = find(x, a), find(x, b)
-        if ra == rb:
-            return False
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        classes[x][hi] = lo
-        return True
-
-    dirty = False
-    for x, a, b in pairs:
-        dirty |= union(x, a, b)
-    while dirty:
-        dirty = False
-        for m in p.base.morphisms:
-            a, b = p.base.src(m), p.base.tgt(m)
-            row = p.act[m]
-            seen = {}
-            for e in range(len(p.at[b])):
-                r = find(b, e)
-                if r in seen:
-                    dirty |= union(a, row[seen[r]], row[e])
-                else:
-                    seen[r] = e
-
-    reps, class_of = [], []
-    for x in p.base.objects:
-        roots = sorted({find(x, e) for e in range(len(p.at[x]))})
-        class_of.append({r: c for c, r in enumerate(roots)})
-        reps.append(roots)
-    at = [FinSet(f"c{c}" for c in range(len(reps[x]))) for x in p.base.objects]
-    act = []
-    for m in p.base.morphisms:
-        a, b = p.base.src(m), p.base.tgt(m)
-        act.append(tuple(class_of[a][find(a, p.act[m][r])] for r in reps[b]))
-    return Presheaf(p.base, at, act)
+    ps, maps = [p], {}
+    for k, (x, a, b) in enumerate(pairs):
+        maps[2 * k] = classifying_morphism(p, x, a)
+        maps[2 * k + 1] = classifying_morphism(p, x, b)
+        ps.append(maps[2 * k].src)  # y_x, shape node k + 1
+    shape = Graph(len(ps), [1 + m // 2 for m in maps], [0] * len(maps))
+    q, _ = pointwise_colimit(shape, ps, maps, p.base)
+    return Presheaf(p.base, [FinSet(f"c{c}" for c in range(len(s))) for s in q.at], q.act)
 
 
 def gen_presheaf(rng: random.Random, c: FinCategory, max_values: int = 24) -> Presheaf:

@@ -3,7 +3,7 @@
 strengthen(f, j) turns a fin slot into a psh slot by a colimit over the
 category of elements of the argument: the value at a presheaf p is the
 colimit, taken objectwise in the codomain, of f's values over El(p).  All
-quotients go through colimit_finset, so representatives are canonical and
+quotients go through pointwise_colimit, so representatives are canonical and
 reruns are bit-identical.
 
 The cells defined here are the generators of everything the checker verifies:
@@ -26,11 +26,10 @@ from dataclasses import dataclass
 from .errors import SlotMismatchError
 from .fincat import FinCategory
 from .presheaf import (
-    FinSetDiagram,
     Presheaf,
     PresheafMorphism,
     category_of_elements,
-    colimit_finset,
+    pointwise_colimit,
 )
 from .multimap import (
     ComposeMap,
@@ -85,26 +84,16 @@ class StrengthenMap(MultiMap):
             if x not in inner_vals:
                 inner_vals[x] = self.inner.evaluate(args[:j] + (x,) + args[j + 1 :])
         arrow_mor = {}
-        for ai, (m, _) in enumerate(el.el_arrows):
+        for m, _ in el.el_arrows:
             if m not in arrow_mor:
                 arrow_mor[m] = self.inner.morphism_at(args, j, m)
-        colims = []
-        for y in self.cod.objects:
-            sets = tuple(inner_vals[x].at[y] for x, _ in el.el_objs)
-            maps = {
-                ai: arrow_mor[m].components[y] for ai, (m, _) in enumerate(el.el_arrows)
-            }
-            colims.append(colimit_finset(FinSetDiagram(el, sets, maps)))
-        at = [c.set for c in colims]
-        act = []
-        for u in self.cod.morphisms:
-            a, b = self.cod.src(u), self.cod.tgt(u)
-            row = []
-            for node, t in colims[b].reps:
-                x = el.el_objs[node][0]
-                row.append(colims[a].coprojections[node][inner_vals[x].act[u][t]])
-            act.append(tuple(row))
-        data = ExtensionData(Presheaf(self.cod, at, act), el, tuple(colims), inner_vals)
+        presheaf, colims = pointwise_colimit(
+            el,
+            [inner_vals[x] for x, _ in el.el_objs],
+            {ai: arrow_mor[m] for ai, (m, _) in enumerate(el.el_arrows)},
+            self.cod,
+        )
+        data = ExtensionData(presheaf, el, colims, inner_vals)
         self._data_memo[key] = data
         return data
 

@@ -1,32 +1,43 @@
 """Presheaves of finite sets, colimits by union-find, categories of elements.
 
 A presheaf on a FinCategory assigns a finite labelled set to every object and
-a contravariant action to every morphism.  Colimits of finite-set diagrams are
-computed by a union-find pass whose canonical class representative is the
-least (diagram-object index, element index) pair; every construction that
-quotients anything funnels through that single routine, which is what makes
-nominally-isomorphic evaluations come out bit-identical.
+a contravariant action to every morphism.  Colimits are taken over a graph of
+generating arrows and computed by a union-find pass whose canonical class
+representative is the least (diagram-node index, element index) pair; every
+construction that quotients anything funnels through pointwise_colimit and
+that single pass, which is what makes nominally-isomorphic evaluations come
+out bit-identical.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, SlotMismatchError
-from .fincat import FinCategory, FunctorTable, ValidationFailure, ValidationReport
+from .fincat import FinCategory, ValidationFailure, ValidationReport
 
 DEFAULT_BUDGET = 10**5
 
 
 def element_budget() -> int:
-    """Cap on elements entering a single colimit; RELMONAD_BUDGET overrides."""
+    """Cap on elements entering a single colimit; RELMONAD_BUDGET overrides.
+
+    Raises ValueError unless RELMONAD_BUDGET is unset, empty or a positive
+    integer.
+    """
     raw = os.environ.get("RELMONAD_BUDGET", "")
-    try:
-        return int(raw)
-    except ValueError:
+    if not raw:
         return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"RELMONAD_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 class MergeCounter:
@@ -188,13 +199,12 @@ def validate_presheaf_morphism(phi: PresheafMorphism) -> ValidationReport:
 
 def representable(c: FinCategory, a: int) -> Presheaf:
     """hom(-, a), with morphism ids as element labels."""
-    at = [FinSet(f"m{m}" for m in c.hom(x, a)) for x in c.objects]
-    index = [{m: i for i, m in enumerate(c.hom(x, a))} for x in c.objects]
-    act = []
-    for m in c.morphisms:
-        x, y = c.src(m), c.tgt(m)
-        act.append(tuple(index[x][c.compose(h, m)] for h in c.hom(y, a)))
-    return Presheaf(c, at, act)
+    homs = [c.hom(x, a) for x in c.objects]
+    index = [{m: i for i, m in enumerate(h)} for h in homs]
+    act = [
+        tuple(index[c.src(m)][c.comp[(h, m)]] for h in homs[c.tgt(m)]) for m in c.morphisms
+    ]
+    return Presheaf(c, [FinSet(f"m{m}" for m in h) for h in homs], act)
 
 
 def yoneda_action(c: FinCategory, f: int) -> PresheafMorphism:
@@ -219,36 +229,38 @@ def classifying_morphism(p: Presheaf, x: int, e: int) -> PresheafMorphism:
 # -- colimits ----------------------------------------------------------------
 
 
+class Graph:
+    """A finite directed graph: a colimit's shape, given by its generating arrows.
+
+    A colimit only needs arrows that generate the shape category; identities
+    and composites merge nothing the generators do not.  FinCategory has the
+    same surface, so a category also serves as its own (redundant) shape.
+    """
+
+    def __init__(self, n_objects, mor_src, mor_tgt):
+        self.n_objects = n_objects
+        self.mor_src = tuple(mor_src)
+        self.mor_tgt = tuple(mor_tgt)
+        self.n_morphisms = len(self.mor_src)
+
+    def src(self, m):
+        return self.mor_src[m]
+
+    def tgt(self, m):
+        return self.mor_tgt[m]
+
+
 @dataclass
 class FinSetDiagram:
-    """Covariant diagram of finite sets: maps[m] sends D(src m) to D(tgt m)."""
+    """Diagram of finite sets: maps[m] sends D(src m) to D(tgt m).
 
-    shape: FinCategory
+    maps may leave out any shape arrow, identities in particular; the
+    colimit is taken over the arrows it names.
+    """
+
+    shape: Graph
     sets: tuple[FinSet, ...]
     maps: dict
-
-    def validate(self) -> ValidationReport:
-        fails = []
-        for m in self.shape.morphisms:
-            row = self.maps[m]
-            if len(row) != len(self.sets[self.shape.src(m)]) or any(
-                not (0 <= v < len(self.sets[self.shape.tgt(m)])) for v in row
-            ):
-                fails.append(ValidationFailure("diagram-typing", f"map[{m}]"))
-        if fails:
-            return ValidationReport(tuple(fails))
-        for a in self.shape.objects:
-            if tuple(self.maps[self.shape.id_of(a)]) != tuple(range(len(self.sets[a]))):
-                fails.append(ValidationFailure("diagram-identity", f"at {a}"))
-        for f in self.shape.morphisms:
-            for g in self.shape.morphisms:
-                if self.shape.tgt(f) != self.shape.src(g):
-                    continue
-                gf = self.shape.compose(g, f)
-                comp = tuple(self.maps[g][self.maps[f][e]] for e in range(len(self.sets[self.shape.src(f)])))
-                if comp != tuple(self.maps[gf]):
-                    fails.append(ValidationFailure("non-functorial-diagram", f"g={g} f={f}"))
-        return ValidationReport(tuple(fails))
 
 
 @dataclass
@@ -284,9 +296,8 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
         return root
 
     merges = 0
-    for m in d.shape.morphisms:
+    for m, row in d.maps.items():
         a, b = d.shape.src(m), d.shape.tgt(m)
-        row = d.maps[m]
         for e in range(sizes[a]):
             ra, rb = find(offsets[a] + e), find(offsets[b] + row[e])
             if ra != rb:
@@ -303,7 +314,7 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
         copr.append(tuple(class_of_root[find(offsets[a] + e)] for e in range(sizes[a])))
     reps = []
     for r in roots:
-        a = max(i for i, off in enumerate(offsets) if off <= r)
+        a = bisect.bisect_right(offsets, r) - 1  # last set starting at or before r
         reps.append((a, r - offsets[a]))
     out = FinSet(f"q{k}" for k in range(len(roots)))
     return ColimitResult(out, tuple(copr), tuple(reps), merges)
@@ -344,77 +355,56 @@ def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
     return total, injections
 
 
-def pointwise_colimit(shape: FinCategory, ps, maps) -> tuple[Presheaf, tuple]:
-    """Colimit of a diagram of presheaves, computed objectwise.
+def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory) -> tuple[Presheaf, tuple]:
+    """Colimit of a diagram of presheaves on base, computed objectwise.
 
-    ps: presheaf per shape object; maps: PresheafMorphism per shape morphism.
-    Returns the colimit presheaf and the coprojection morphisms.
+    This is the one route to a quotient.  ps: a presheaf per shape node;
+    maps: a PresheafMorphism per shape arrow, keyed by arrow (identities
+    may be left out).  base is given because ps may be empty.  Returns the
+    colimit presheaf and the ColimitResult at each base object.
     """
-    base = ps[0].base
-    results = []
-    for x in base.objects:
-        d = FinSetDiagram(
+    results = tuple(
+        colimit_finset(FinSetDiagram(
             shape,
             tuple(p.at[x] for p in ps),
-            {m: maps[m].components[x] for m in shape.morphisms},
-        )
-        results.append(colimit_finset(d))
-    at = [r.set for r in results]
+            {m: phi.components[x] for m, phi in maps.items()},
+        ))
+        for x in base.objects
+    )
     act = []
     for m in base.morphisms:
         a, b = base.src(m), base.tgt(m)
-        row = []
-        for i, t in results[b].reps:
-            row.append(results[a].coprojections[i][ps[i].act[m][t]])
-        act.append(tuple(row))
-    colim = Presheaf(base, at, act)
-    coprs = tuple(
-        PresheafMorphism(ps[i], colim, [results[x].coprojections[i] for x in base.objects])
-        for i in range(len(ps))
-    )
-    return colim, coprs
+        copr = results[a].coprojections
+        act.append(tuple(copr[i][ps[i].act[m][t]] for i, t in results[b].reps))
+    return Presheaf(base, [r.set for r in results], act), results
 
 
 # -- category of elements ----------------------------------------------------
 
 
-class ElementsCategory(FinCategory):
-    """Category of elements of a presheaf.
+class ElementsCategory(Graph):
+    """Category of elements of a presheaf, given by its generating arrows.
 
-    Objects are (object, element) pairs in lex order; there is an arrow
-    (x, e) -> (x', e') for every base morphism m : x -> x' with act(m)(e') = e.
+    Nodes are (object, element) pairs in lex order; there is an arrow
+    (x, e) -> (x', e') for every non-identity base morphism m : x -> x'
+    with act(m)(e') = e, listed by (m, e') in lex order.  A colimit over
+    El(p) needs only these arrows, never their composition.
     """
 
     def __init__(self, p: Presheaf):
-        self.presheaf = p
         c = p.base
-        objs = [(x, e) for x in c.objects for e in range(len(p.at[x]))]
-        self.el_objs = tuple(objs)
-        self.el_index = {t: i for i, t in enumerate(objs)}
-        arrows = []  # (m, e') in lex order
-        for m in c.morphisms:
-            for e2 in range(len(p.at[c.tgt(m)])):
-                arrows.append((m, e2))
-        self.el_arrows = tuple(arrows)
-        self.arrow_index = {t: i for i, t in enumerate(arrows)}
-        src = [self.el_index[(c.src(m), p.act[m][e2])] for m, e2 in arrows]
-        tgt = [self.el_index[(c.tgt(m), e2)] for m, e2 in arrows]
-        ident = [self.arrow_index[(c.id_of(x), e)] for x, e in objs]
-        comp = {}
-        for gi, (m2, e3) in enumerate(arrows):
-            for fi, (m1, e2) in enumerate(arrows):
-                if c.tgt(m1) == c.src(m2) and e2 == p.act[m2][e3]:
-                    comp[(gi, fi)] = self.arrow_index[(c.compose(m2, m1), e3)]
-        super().__init__(f"El({c.name})", len(objs), src, tgt, ident, comp)
-
-    @property
-    def projection(self) -> FunctorTable:
-        return FunctorTable.unary(
-            self,
-            self.presheaf.base,
-            [x for x, _ in self.el_objs],
-            [m for m, _ in self.el_arrows],
-            name="pr",
+        self.el_objs = tuple((x, e) for x in c.objects for e in range(len(p.at[x])))
+        self.el_index = {t: i for i, t in enumerate(self.el_objs)}
+        self.el_arrows = tuple(
+            (m, e2)
+            for m in c.morphisms
+            if not c.is_identity(m)
+            for e2 in range(len(p.at[c.tgt(m)]))
+        )
+        super().__init__(
+            len(self.el_objs),
+            [self.el_index[(c.src(m), p.act[m][e2])] for m, e2 in self.el_arrows],
+            [self.el_index[(c.tgt(m), e2)] for m, e2 in self.el_arrows],
         )
 
 
@@ -482,18 +472,6 @@ def sample_presheaves(c: FinCategory):
     for a, b in pairs:
         s, _ = coproduct_presheaves([representable(c, a), representable(c, b)])
         family.append(s)
-    # span morphisms: ids 0,1,2 on objects 0,1,2; 3: 0->1; 4: 0->2
-    span = FinCategory(
-        "span",
-        3,
-        [0, 1, 2, 0, 0],
-        [0, 1, 2, 1, 2],
-        [0, 1, 2],
-        {
-            (0, 0): 0, (1, 1): 1, (2, 2): 2,
-            (3, 0): 3, (4, 0): 4, (1, 3): 3, (2, 4): 4,
-        },
-    )
     m = next((m for m in c.morphisms if not c.is_identity(m)), None)
     if m is None:
         mid = left = right = representable(c, 0)
@@ -502,16 +480,7 @@ def sample_presheaves(c: FinCategory):
         mid = representable(c, c.src(m))
         left = right = representable(c, c.tgt(m))
         l = r = yoneda_action(c, m)
-    colim, _ = pointwise_colimit(
-        span,
-        [mid, left, right],
-        {
-            0: PresheafMorphism.identity(mid),
-            1: PresheafMorphism.identity(left),
-            2: PresheafMorphism.identity(right),
-            3: l,
-            4: r,
-        },
-    )
+    span = Graph(3, [0, 0], [1, 2])
+    colim, _ = pointwise_colimit(span, [mid, left, right], {0: l, 1: r}, c)
     family.append(colim)
     return family

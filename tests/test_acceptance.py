@@ -6,12 +6,15 @@ cached results, so this file alone demonstrates the contract.
 """
 
 import filecmp
+import hashlib
 import time
 
 from relmonad import cli
 from relmonad.checker import CheckConfig, run_suite
 
 LIMIT = 300.0  # wall-clock ceiling per criterion, seconds
+# sha256 of the `verify --seed 42 --format machine` report
+SEED_42_DIGEST = "fa3ecb7c6922f4f36e17a75bff801aae660736527d7a44d75cc13ff4232982a5"
 
 
 def _line(n, ok, detail):
@@ -126,6 +129,8 @@ def test_criterion_10_deterministic_reports(tmp_path):
     rc2 = cli.main(["verify", "--seed", "42", "--format", "machine", "--out", b])
     dt = time.time() - t0
     same = filecmp.cmp(a, b, shallow=False)
-    ok = rc1 == rc2 == 0 and same and dt <= LIMIT
+    with open(a, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    ok = rc1 == rc2 == 0 and same and digest == SEED_42_DIGEST and dt <= LIMIT
     _line(10, ok, f"two full machine-format runs at seed 42 are byte-identical "
-                  f"(exit {rc1}/{rc2}) in {dt:.1f}s")
+                  f"(exit {rc1}/{rc2}, sha256 {digest[:12]}) in {dt:.1f}s")

@@ -49,6 +49,15 @@ def test_verify_unknown_law_exits_two(capsys):
     assert "unknown law or group" in err
 
 
+@pytest.mark.parametrize("budget", ["abc", "-1"])
+def test_bad_budget_exits_two(budget, capsys, monkeypatch):
+    monkeypatch.setenv("RELMONAD_BUDGET", budget)
+    rc, out, err = run(["verify", "--laws", "yoneda-count", "--instances", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("relmonad: RELMONAD_BUDGET must be a positive integer")
+
+
 def test_verify_inject_fails_with_witness(capsys, tmp_path):
     rc, out, _ = run(
         ["verify", "--laws", "interchange-oracle", "--inject", "gamma-identity",

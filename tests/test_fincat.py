@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from relmonad.errors import SlotMismatchError
@@ -7,7 +9,6 @@ from relmonad.fincat import (
     NatTransTable,
     compose_functor,
     opposite_category,
-    product_category,
     validate_category,
     validate_functor,
     validate_nat_trans,
@@ -77,24 +78,6 @@ def test_opposite_reverses_hom(arrow):
     assert op.hom(0, 1) == ()
 
 
-def test_product_counts_and_laws(arrow, z2):
-    p = product_category([arrow, z2])
-    assert p.n_objects == 2 and p.n_morphisms == 6
-    assert validate_category(p).ok
-    # lex order: object (1, 0) comes second
-    assert p.obj_tuple(1) == (1, 0)
-    assert p.obj_index((0, 0)) == 0
-
-
-def test_product_flattening_is_strict(arrow, z2, lz3):
-    flat = product_category([arrow, z2, lz3])
-    nested = product_category([product_category([arrow, z2]), lz3])
-    assert flat.n_morphisms == nested.n_morphisms
-    assert flat.mor_src == nested.mor_src
-    assert flat.mor_tgt == nested.mor_tgt
-    assert sorted(flat.comp.items()) == sorted(nested.comp.items())
-
-
 def test_functor_identity_and_validation(arrow, square):
     f = FunctorTable.unary(arrow, square, [0, 1], [0, 1, 4], name="corner")
     assert validate_functor(f).ok
@@ -128,10 +111,9 @@ def test_compose_functor_substitutes(arrow, square):
 
 
 def test_binary_functor_from_product(arrow, z2):
-    p = product_category([arrow, z2])
     # project to the first factor, as a 2-slot table
-    obj_map = {t: t[0] for t in (p.obj_tuple(i) for i in p.objects)}
-    mor_map = {t: t[0] for t in (p.mor_tuple(i) for i in p.morphisms)}
+    obj_map = {t: t[0] for t in itertools.product(arrow.objects, z2.objects)}
+    mor_map = {t: t[0] for t in itertools.product(arrow.morphisms, z2.morphisms)}
     pr = FunctorTable((arrow, z2), arrow, obj_map, mor_map, name="pr0")
     assert validate_functor(pr).ok
 

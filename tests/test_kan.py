@@ -40,7 +40,7 @@ def el_components(el):
             i = parent[i]
         return i
 
-    for m in el.morphisms:
+    for m in range(el.n_morphisms):
         a, b = find(el.src(m)), find(el.tgt(m))
         if a != b:
             parent[max(a, b)] = min(a, b)

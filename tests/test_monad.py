@@ -1,17 +1,17 @@
 """Structure cells: functor lifting, comparison cells, interchange.
 
 The interchange cell is checked against the flat two-variable extension
-oracle, which computes the same bijection by a single union-find pass and
-never touches the cell machinery.
+(relmonad.fubini), which computes the same bijection by a single colimit
+over El(p) x El(q) and never touches the cell machinery.
 """
 
 import itertools
 
 import pytest
 from conftest import hom_sum_map
-from oracle_fubini import gamma_oracle
 
 from relmonad.fincat import FunctorTable, NatTransTable, compose_functor
+from relmonad.fubini import gamma_tables
 from relmonad.kan import strengthen
 from relmonad.monad import (
     apply_functor,
@@ -73,7 +73,7 @@ def test_interchange_matches_oracle_binary(arrow, sum2_arrow):
         phi = cell.component((p, q))
         assert phi.is_bijection()
         assert validate_presheaf_morphism(phi).ok
-        assert tuple(phi.components) == tuple(gamma_oracle(sum2_arrow, 0, 1, (p, q)))
+        assert tuple(phi.components) == tuple(gamma_tables(sum2_arrow, 0, 1, (p, q)))
 
 
 def test_interchange_matches_oracle_three_slots(arrow):
@@ -89,7 +89,7 @@ def test_interchange_matches_oracle_three_slots(arrow):
             args[j], args[k], args[other] = p, q, x
             args = tuple(args)
             phi = cell.component(args)
-            assert tuple(phi.components) == tuple(gamma_oracle(sum3, j, k, args))
+            assert tuple(phi.components) == tuple(gamma_tables(sum3, j, k, args))
 
 
 def test_interchange_inverse_is_reverse_order(arrow, sum2_arrow):

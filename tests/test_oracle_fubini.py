@@ -6,8 +6,7 @@ walking arrow: its value at (x, w) is y_x + y_w, so the flat extension at
 representative rule the exact class order and action tables are forced.
 """
 
-from oracle_fubini import flat_double_extension
-
+from relmonad.fubini import flat_double_extension
 from relmonad.multimap import unit_map
 from relmonad.presheaf import validate_presheaf
 
@@ -43,7 +42,7 @@ def _components(el):
             i = parent[i]
         return i
 
-    for m in el.morphisms:
+    for m in range(el.n_morphisms):
         a, b = find(el.src(m)), find(el.tgt(m))
         if a != b:
             parent[max(a, b)] = min(a, b)
