@@ -73,6 +73,7 @@ from .multimap import (
 from .presheaf import (
     PresheafMorphism,
     category_of_elements,
+    element_budget,
     enumerate_nat_trans,
     representable,
     sample_presheaves,
@@ -695,27 +696,15 @@ def _law_interchange_extensions(rng, cfg, hooks):
     return _add_checked(v2, v1.checked)
 
 
-def _gen_triple_map(rng, cfg):
-    g = _cfg_gen(cfg)
-    cap = min(cfg.max_values, max(8, cfg.max_values // 2))
-
-    def draw():
-        cats = tuple(gen_category(rng, g) for _ in range(3))
-        cod = gen_category(rng, g)
-        return gen_multimap(rng, cats, cod, cap, n_generators=1)
-
-    return _retry_gen(draw)
-
-
 def _law_interchange_hexagon(rng, cfg, hooks):
-    f = _gen_triple_map(rng, cfg)
+    f = _gen_wide_map(rng, cfg, 1)[0]
     left = interchange_perm(f, (0, 1, 2), (2, 1, 0), "left")
     right = interchange_perm(f, (0, 1, 2), (2, 1, 0), "right")
     return _compare(left, right, cfg)
 
 
 def _law_braiding_words(rng, cfg, hooks):
-    f = _gen_triple_map(rng, cfg)
+    f = _gen_wide_map(rng, cfg, 1)[0]
     checked = 0
     for sigma in itertools.permutations((0, 1, 2)):
         left = interchange_perm(f, (0, 1, 2), sigma, "left")
@@ -1007,6 +996,7 @@ def run_single(law, index, cfg, hooks=None):
     fn, _ = LAW_FAMILIES[law]
     seed = derive_seed(cfg.seed, law, index)
     rng = random.Random(seed)
+    element_budget()  # a bad RELMONAD_BUDGET is the caller's error, not a verdict
     try:
         verdict = fn(rng, cfg, hooks)
         return LawOutcome(

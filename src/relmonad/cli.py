@@ -41,9 +41,13 @@ class UsageError(Exception):
 
 # -- report rendering ------------------------------------------------------------
 
-def _instance_line(o):
+def _machine_lines(o):
+    """The instance line, plus a witness line for a failure that has one."""
     status = "ok" if o.ok else "FAIL"
-    return f"instance {o.law} {o.index} {status} checked {o.checked} policy {o.policy} seed {o.seed}"
+    lines = [f"instance {o.law} {o.index} {status} checked {o.checked} policy {o.policy} seed {o.seed}"]
+    if not o.ok and o.witness:
+        lines.append(f"witness {o.law} {o.index} {o.witness}")
+    return lines
 
 
 def render_machine(report):
@@ -60,9 +64,7 @@ def render_machine(report):
         f" inject {cfg.inject or '-'}",
     ]
     for o in report.outcomes:
-        lines.append(_instance_line(o))
-        if not o.ok and o.witness:
-            lines.append(f"witness {o.law} {o.index} {o.witness}")
+        lines += _machine_lines(o)
     passed = sum(1 for o in report.outcomes if o.ok)
     lines.append(f"summary pass {passed} fail {len(report.outcomes) - passed}")
     return "\n".join(lines) + "\n"
@@ -106,6 +108,8 @@ def _split_laws(raw):
 
 
 def cmd_verify(args):
+    if args.instances < 0:
+        raise UsageError(f"--instances must be 0 or more, got {args.instances}")
     cfg = CheckConfig(
         seed=args.seed,
         instances=args.instances,
@@ -132,15 +136,12 @@ def cmd_verify(args):
 def cmd_replay(args):
     outcomes = []
     for path in args.files:
-        with open(path, encoding="utf-8") as fh:
-            law, index, cfg = textio.read_replay(fh.read())
+        law, index, cfg = _read_file(path, lambda text, name: textio.read_replay(text))
         outcomes.append(run_single(law, index, cfg))
     lines = []
     for o in outcomes:
         if args.format == "machine":
-            lines.append(_instance_line(o))
-            if not o.ok and o.witness:
-                lines.append(f"witness {o.law} {o.index} {o.witness}")
+            lines += _machine_lines(o)
         else:
             status = "ok" if o.ok else f"FAIL: {o.witness}"
             lines.append(f"{o.law}[{o.index}] seed {o.seed}: {status}")

@@ -59,6 +59,7 @@ class FinCategory:
             hom.setdefault((self.mor_src[m], self.mor_tgt[m]), []).append(m)
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._key = None
+        self.unit = None  # UnitMap, built by multimap.unit_map; not in content_key
 
     # -- accessors ---------------------------------------------------------
 

@@ -158,9 +158,10 @@ def presheaf_quotient(p: Presheaf, pairs) -> Presheaf:
     """
     ps, maps = [p], {}
     for k, (x, a, b) in enumerate(pairs):
-        maps[2 * k] = classifying_morphism(p, x, a)
-        maps[2 * k + 1] = classifying_morphism(p, x, b)
-        ps.append(maps[2 * k].src)  # y_x, shape node k + 1
+        yx = representable(p.base, x)
+        ps.append(yx)  # shape node k + 1
+        maps[2 * k] = classifying_morphism(p, x, a, yx)
+        maps[2 * k + 1] = classifying_morphism(p, x, b, yx)
     shape = Graph(len(ps), [1 + m // 2 for m in maps], [0] * len(maps))
     q, _ = pointwise_colimit(shape, ps, maps, p.base)
     return Presheaf(p.base, [FinSet(f"c{c}" for c in range(len(s))) for s in q.at], q.act)

@@ -29,6 +29,7 @@ from .presheaf import (
     Presheaf,
     PresheafMorphism,
     category_of_elements,
+    classifying_morphism,
     pointwise_colimit,
 )
 from .multimap import (
@@ -72,10 +73,10 @@ class StrengthenMap(MultiMap):
 
     def data(self, args) -> ExtensionData:
         args = tuple(args)
-        key = self.arg_key(args)
-        hit = self._data_memo.get(key)
+        hit = self._data_memo.get(args)
         if hit is not None:
             return hit
+        self.check_arity(args)
         j = self.j
         p = args[j]
         el = category_of_elements(p)
@@ -94,7 +95,7 @@ class StrengthenMap(MultiMap):
             self.cod,
         )
         data = ExtensionData(presheaf, el, colims, inner_vals)
-        self._data_memo[key] = data
+        self._data_memo[args] = data
         return data
 
     def _value(self, args):
@@ -136,11 +137,10 @@ class StrengthenMap(MultiMap):
 
 
 def strengthen(f: MultiMap, j: int) -> StrengthenMap:
-    """Interned per (map, slot): repeated requests reuse the same node."""
-    cache = f.__dict__.setdefault("_ext_cache", {})
-    if j not in cache:
-        cache[j] = StrengthenMap(f, j)
-    return cache[j]
+    """Interned per (map, slot) on f: repeated requests reuse the same node."""
+    if j not in f.extensions:
+        f.extensions[j] = StrengthenMap(f, j)
+    return f.extensions[j]
 
 
 # -- generating cells ---------------------------------------------------------
@@ -171,32 +171,23 @@ def counit_cell(h: MultiMap, j: int) -> TwoCell:
     """strengthen(h o_j unit, j) => h: evaluate along classifying morphisms."""
     if h.slots[j].kind != "psh":
         raise SlotMismatchError(f"{h.name}: slot {j} is not a psh slot")
-    cat = h.slots[j].cat
-    u = unit_map(cat)
+    u = unit_map(h.slots[j].cat)
     src = strengthen(ComposeMap(h, j, u), j)
+    classify = {}  # (p, x, e) -> classifying map out of u's y_x
 
     def fn(args):
         p = args[j]
         data = src.data(args)
-        cache = p.__dict__.setdefault("_classify_cache", {})
         comps = []
         hv = h.evaluate(args)
         for y in h.cod.objects:
             row = []
             for node, t in data.colims[y].reps:
                 x, e = data.el.el_objs[node]
-                if (x, e) not in cache:
-                    yx = u.evaluate((x,))
-                    chi = PresheafMorphism(
-                        yx,
-                        p,
-                        [
-                            tuple(p.act[mm][e] for mm in cat.hom(w, x))
-                            for w in cat.objects
-                        ],
-                    )
-                    cache[(x, e)] = chi
-                psi = h.morphism_at(args[:j] + (u.evaluate((x,)),) + args[j + 1 :], j, cache[(x, e)])
+                chi = classify.get((p, x, e))
+                if chi is None:
+                    chi = classify[(p, x, e)] = classifying_morphism(p, x, e, u.evaluate((x,)))
+                psi = h.morphism_at(args[:j] + (chi.src,) + args[j + 1 :], j, chi)
                 row.append(psi.components[y][t])
             comps.append(tuple(row))
         return PresheafMorphism(data.presheaf, hv, comps)

@@ -29,12 +29,13 @@ from dataclasses import dataclass
 from .errors import NotInvertibleError, SlotMismatchError, TransposeInapplicableError
 from .fincat import FinCategory, FunctorTable, NatTransTable, ValidationFailure, ValidationReport
 from .presheaf import (
-    FinSet,
     Presheaf,
     PresheafMorphism,
+    representable,
     sample_presheaves,
     validate_presheaf,
     validate_presheaf_morphism,
+    yoneda_action,
 )
 
 
@@ -47,9 +48,10 @@ class Slot:
 class MultiMap:
     """Base class: memoized evaluation at objects and one-slot morphisms.
 
-    Subclasses implement _value(args) and _mor_at(args, j, m).  Memoization
-    returns the same Presheaf / PresheafMorphism instance per key, which keeps
-    uid-based memo keys stable all the way up a tree of maps.
+    Subclasses implement _value(args) and _mor_at(args, j, m).  Memos are
+    keyed by the arguments themselves, presheaves and their morphisms hashing
+    by identity; returning the same instance per key keeps those keys warm
+    all the way up a tree of maps.
     """
 
     def __init__(self, slots, cod: FinCategory, name: str):
@@ -58,6 +60,7 @@ class MultiMap:
         self.name = name
         self._val_memo = {}
         self._mor_memo = {}
+        self.extensions = {}  # slot -> StrengthenMap, filled by kan.strengthen
 
     @property
     def arity(self) -> int:
@@ -76,26 +79,19 @@ class MultiMap:
         """Psh slots in which this map is a pointwise extension along the unit."""
         return frozenset()
 
-    def arg_key(self, args):
+    def check_arity(self, args):
         if len(args) != self.arity:
             raise SlotMismatchError(
                 f"{self.name}: got {len(args)} arguments for arity {self.arity}"
             )
-        key = []
-        for s, a in zip(self.slots, args):
-            if s.kind == "fin":
-                key.append(a)
-            else:
-                key.append(("p", a.uid))
-        return tuple(key)
 
     def evaluate(self, args) -> Presheaf:
         args = tuple(args)
-        key = self.arg_key(args)
-        hit = self._val_memo.get(key)
+        hit = self._val_memo.get(args)
         if hit is None:
+            self.check_arity(args)
             hit = self._value(args)
-            self._val_memo[key] = hit
+            self._val_memo[args] = hit
         return hit
 
     def morphism_at(self, args, j, m) -> PresheafMorphism:
@@ -106,15 +102,12 @@ class MultiMap:
         """
         args = tuple(args)
         slot = self.slots[j]
-        if slot.kind == "fin":
-            args = args[:j] + (slot.cat.src(m),) + args[j + 1 :]
-            mkey = m
-        else:
-            args = args[:j] + (m.src,) + args[j + 1 :]
-            mkey = ("p", m.uid)
-        key = (self.arg_key(args), j, mkey)
+        src = slot.cat.src(m) if slot.kind == "fin" else m.src
+        args = args[:j] + (src,) + args[j + 1 :]
+        key = (args, j, m)
         hit = self._mor_memo.get(key)
         if hit is None:
+            self.check_arity(args)
             hit = self._mor_at(args, j, m)
             self._mor_memo[key] = hit
         return hit
@@ -163,36 +156,16 @@ class UnitMap(MultiMap):
     def __init__(self, cat: FinCategory):
         super().__init__([Slot("fin", cat)], cat, f"unit_{cat.name}")
         self.cat = cat
-        # hom-position index per (object, target): morphism id -> slot in hom list
-        self._pos = {}
-        for x in cat.objects:
-            for b in cat.objects:
-                for i, h in enumerate(cat.hom(x, b)):
-                    self._pos[(x, b, h)] = i
 
     def _value(self, args):
-        (a,) = args
-        c = self.cat
-        at = [FinSet(f"m{h}" for h in c.hom(x, a)) for x in c.objects]
-        act = []
-        for m in c.morphisms:
-            x, y = c.src(m), c.tgt(m)
-            act.append(tuple(self._pos[(x, a, c.compose(h, m))] for h in c.hom(y, a)))
-        return Presheaf(c, at, act)
+        return representable(self.cat, args[0])
 
     def _mor_at(self, args, j, m):
-        c = self.cat
-        a, b = c.src(m), c.tgt(m)
-        pa, pb = self.evaluate((a,)), self.evaluate((b,))
-        comps = [
-            tuple(self._pos[(x, b, c.compose(m, h))] for h in c.hom(x, a))
-            for x in c.objects
-        ]
-        return PresheafMorphism(pa, pb, comps)
+        return yoneda_action(self.cat, m, self.evaluate(args), self.evaluate((self.cat.tgt(m),)))
 
     def element_of_identity(self, a) -> int:
         """Index of id_a inside the value at (a,), at object a."""
-        return self._pos[(a, a, self.cat.id_of(a))]
+        return self.cat.hom(a, a).index(self.cat.id_of(a))
 
 
 class IdentityMap(MultiMap):
@@ -212,23 +185,15 @@ class IdentityMap(MultiMap):
         return m
 
 
-_unit_cache: dict = {}
-_identity_cache: dict = {}
-
-
 def unit_map(cat: FinCategory) -> UnitMap:
-    """Interned UnitMap per category, so memo keys stay warm across cells."""
-    key = cat.content_key()
-    if key not in _unit_cache:
-        _unit_cache[key] = UnitMap(cat)
-    return _unit_cache[key]
+    """The UnitMap kept on cat, so memo keys stay warm across cells."""
+    if cat.unit is None:
+        cat.unit = UnitMap(cat)
+    return cat.unit
 
 
 def identity_map(cat: FinCategory) -> IdentityMap:
-    key = cat.content_key()
-    if key not in _identity_cache:
-        _identity_cache[key] = IdentityMap(cat)
-    return _identity_cache[key]
+    return IdentityMap(cat)
 
 
 class ComposeMap(MultiMap):
@@ -417,11 +382,11 @@ class TwoCell:
 
     def component(self, args) -> PresheafMorphism:
         args = tuple(args)
-        key = self.src.arg_key(args)
-        hit = self._memo.get(key)
+        hit = self._memo.get(args)
         if hit is None:
+            self.src.check_arity(args)
             hit = self._fn(args)
-            self._memo[key] = hit
+            self._memo[args] = hit
         return hit
 
     def __repr__(self):

@@ -67,18 +67,18 @@ class FinSet:
         return f"FinSet({list(self.labels)!r})"
 
 
-_uid = itertools.count()
-
-
 class Presheaf:
-    """at[x] is a FinSet per object; act[m] maps at(tgt m) -> at(src m)."""
+    """at[x] is a FinSet per object; act[m] maps at(tgt m) -> at(src m).
+
+    No __eq__ or __hash__: it hashes by identity, so memos key on the instance.
+    """
 
     def __init__(self, base: FinCategory, at, act):
         self.base = base
         self.at = tuple(at)
         self.act = tuple(tuple(a) for a in act)
-        self.uid = next(_uid)  # cheap memo key; equal content can differ in uid
         self._key = None
+        self._elements = None  # ElementsCategory, built by category_of_elements
 
     def value(self, x) -> FinSet:
         return self.at[x]
@@ -128,13 +128,12 @@ def validate_presheaf(p: Presheaf) -> ValidationReport:
 
 
 class PresheafMorphism:
-    """Natural transformation between presheaves on the same base."""
+    """Natural transformation between presheaves on the same base; hashes by identity."""
 
     def __init__(self, src: Presheaf, dst: Presheaf, components):
         self.src = src
         self.dst = dst
         self.components = tuple(tuple(c) for c in components)
-        self.uid = next(_uid)  # shared counter with Presheaf; used as memo key
 
     def at(self, x):
         return self.components[x]
@@ -207,10 +206,14 @@ def representable(c: FinCategory, a: int) -> Presheaf:
     return Presheaf(c, [FinSet(f"m{m}" for m in h) for h in homs], act)
 
 
-def yoneda_action(c: FinCategory, f: int) -> PresheafMorphism:
-    """The map of representables hom(-, src f) -> hom(-, tgt f) given by postcomposition."""
+def yoneda_action(c: FinCategory, f: int, ya: Presheaf = None, yb: Presheaf = None) -> PresheafMorphism:
+    """The map hom(-, src f) -> hom(-, tgt f) given by postcomposition.
+
+    ya and yb may supply those two representables.
+    """
     a, b = c.src(f), c.tgt(f)
-    ya, yb = representable(c, a), representable(c, b)
+    ya = representable(c, a) if ya is None else ya
+    yb = representable(c, b) if yb is None else yb
     index_b = [{m: i for i, m in enumerate(c.hom(x, b))} for x in c.objects]
     comps = [
         tuple(index_b[x][c.compose(f, h)] for h in c.hom(x, a)) for x in c.objects
@@ -218,10 +221,10 @@ def yoneda_action(c: FinCategory, f: int) -> PresheafMorphism:
     return PresheafMorphism(ya, yb, comps)
 
 
-def classifying_morphism(p: Presheaf, x: int, e: int) -> PresheafMorphism:
-    """The unique map hom(-, x) -> p sending the identity of x to element e."""
+def classifying_morphism(p: Presheaf, x: int, e: int, yx: Presheaf = None) -> PresheafMorphism:
+    """The unique map hom(-, x) -> p sending id_x to e; yx may supply hom(-, x)."""
     c = p.base
-    yx = representable(c, x)
+    yx = representable(c, x) if yx is None else yx
     comps = [tuple(p.act[m][e] for m in c.hom(w, x)) for w in c.objects]
     return PresheafMorphism(yx, p, comps)
 
@@ -409,11 +412,9 @@ class ElementsCategory(Graph):
 
 
 def category_of_elements(p: Presheaf) -> ElementsCategory:
-    cached = getattr(p, "_elements", None)
-    if cached is None:
-        cached = ElementsCategory(p)
-        p._elements = cached
-    return cached
+    if p._elements is None:
+        p._elements = ElementsCategory(p)
+    return p._elements
 
 
 # -- enumeration of natural transformations -----------------------------------
@@ -479,7 +480,7 @@ def sample_presheaves(c: FinCategory):
     else:
         mid = representable(c, c.src(m))
         left = right = representable(c, c.tgt(m))
-        l = r = yoneda_action(c, m)
+        l = r = yoneda_action(c, m, mid, left)
     span = Graph(3, [0, 0], [1, 2])
     colim, _ = pointwise_colimit(span, [mid, left, right], {0: l, 1: r}, c)
     family.append(colim)

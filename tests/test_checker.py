@@ -7,6 +7,8 @@ runs use each family's own default instance count because the catches
 live at specific derived seeds.
 """
 
+import gc
+
 import pytest
 
 from relmonad.checker import (
@@ -18,7 +20,10 @@ from relmonad.checker import (
     run_suite,
     run_single,
 )
+from relmonad.errors import SlotMismatchError
 from relmonad.gen import derive_seed
+from relmonad.multimap import identity_cell, unit_map
+from relmonad.presheaf import Presheaf, PresheafMorphism
 
 
 def test_registry_order_matches_families():
@@ -152,3 +157,27 @@ def test_outcome_seeds_follow_derivation():
         derive_seed(6, "yoneda-count", 0),
         derive_seed(6, "yoneda-count", 1),
     ]
+
+
+def _live_presheaf_objects():
+    gc.collect()
+    return sum(isinstance(o, (Presheaf, PresheafMorphism)) for o in gc.get_objects())
+
+
+def test_finished_run_leaves_no_presheaves_alive():
+    before = _live_presheaf_objects()
+    run_suite(CheckConfig(seed=3, instances=5))
+    assert _live_presheaf_objects() <= before
+
+
+def test_wrong_arity_raises_slot_mismatch(arrow, sum1_arrow):
+    with pytest.raises(SlotMismatchError):
+        unit_map(arrow).evaluate((0, 1))
+    with pytest.raises(SlotMismatchError):
+        identity_cell(sum1_arrow).component(())
+
+
+def test_bad_budget_reaches_library_caller(monkeypatch):
+    monkeypatch.setenv("RELMONAD_BUDGET", "abc")
+    with pytest.raises(ValueError, match="RELMONAD_BUDGET"):
+        run_suite(CheckConfig(seed=1, instances=1, laws=("extension-unit",)))

@@ -49,6 +49,13 @@ def test_verify_unknown_law_exits_two(capsys):
     assert "unknown law or group" in err
 
 
+def test_verify_negative_instances_exits_two(capsys):
+    rc, out, err = run(["verify", "--instances", "-3"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("relmonad: --instances")
+
+
 @pytest.mark.parametrize("budget", ["abc", "-1"])
 def test_bad_budget_exits_two(budget, capsys, monkeypatch):
     monkeypatch.setenv("RELMONAD_BUDGET", budget)
@@ -127,6 +134,22 @@ def test_replay_version_skew(capsys, tmp_path):
     f.write_text("relmonad-replay 2\nlaw yoneda-count\nindex 0\nseed 1\n")
     rc, _, err = run(["replay", str(f)], capsys)
     assert rc == 2
+
+
+def test_replay_unknown_injector_exits_two(capsys, tmp_path):
+    f = tmp_path / "bogus.replay"
+    f.write_text("relmonad-replay 1\nlaw yoneda-count\nindex 0\nseed 1\ninject bogus\n")
+    rc, out, err = run(["replay", str(f)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("relmonad: parse error: unknown injector")
+
+
+def test_replay_missing_file_exits_two(capsys, tmp_path):
+    rc, out, err = run(["replay", str(tmp_path / "nope.replay")], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("relmonad: ")
 
 
 # -- compute -----------------------------------------------------------------------

@@ -243,6 +243,8 @@ def test_replay_rejections():
         textio.read_replay(good + "budget 12\n")
     with pytest.raises(FormatError, match="unknown policy"):
         textio.read_replay(good.replace("policy transpose", "policy magic"))
+    with pytest.raises(FormatError, match="unknown injector"):
+        textio.read_replay(good + "inject bogus\n")
 
 
 def test_unwritable_label():
