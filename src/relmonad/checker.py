@@ -108,6 +108,16 @@ class CheckConfig:
     policy: str = "transpose"
     inject: str = ""
 
+    def __post_init__(self):
+        """Refuse caps the generators cannot draw from; ValueError names the
+        field as the CLI option and the replay key spell it."""
+        for name, least in (("instances", 0), ("max_objects", 1),
+                            ("max_edges", 0), ("max_values", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(
+                    f"{name.replace('_', '-')} must be {least} or more, got {value}")
+
 
 @dataclass
 class LawOutcome:

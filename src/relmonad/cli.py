@@ -108,18 +108,19 @@ def _split_laws(raw):
 
 
 def cmd_verify(args):
-    if args.instances < 0:
-        raise UsageError(f"--instances must be 0 or more, got {args.instances}")
-    cfg = CheckConfig(
-        seed=args.seed,
-        instances=args.instances,
-        max_objects=args.max_objects,
-        max_edges=args.max_edges,
-        max_values=args.max_values,
-        laws=_split_laws(args.laws),
-        policy=args.policy,
-        inject=args.inject,
-    )
+    try:
+        cfg = CheckConfig(
+            seed=args.seed,
+            instances=args.instances,
+            max_objects=args.max_objects,
+            max_edges=args.max_edges,
+            max_values=args.max_values,
+            laws=_split_laws(args.laws),
+            policy=args.policy,
+            inject=args.inject,
+        )
+    except ValueError as e:
+        raise UsageError(f"--{e}") from None
     report = run_suite(cfg)
     render = render_machine if args.format == "machine" else render_text
     _emit(render(report), args.out)

@@ -11,7 +11,6 @@ out bit-identical.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import os
 from dataclasses import dataclass
@@ -280,47 +279,60 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
     Classes are ordered, and represented, by their least member in the global
     enumeration that concatenates the sets in shape-object order.  This is the
     canonicalization every higher construction inherits.
+
+    The union pass keeps parent[i] <= i for every element: a union attaches
+    the larger root under the smaller, and path halving only moves a pointer
+    further down.  So every root is its class's least member, and one
+    ascending pass numbers the classes: a root opens the next class, and any
+    other element joins the class of parent[i], which it has already passed.
     """
     sizes = [len(s) for s in d.sets]
-    offsets = list(itertools.accumulate([0] + sizes))[:-1]
     total = sum(sizes)
     cap = element_budget() if budget is None else budget
     if total > cap:
         raise BudgetExceededError(f"colimit over {total} elements exceeds budget {cap}")
+    offsets = []
+    start = 0
+    for n in sizes:
+        offsets.append(start)
+        start += n
 
     parent = list(range(total))
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
+    mor_src, mor_tgt = d.shape.mor_src, d.shape.mor_tgt
     merges = 0
     for m, row in d.maps.items():
-        a, b = d.shape.src(m), d.shape.tgt(m)
+        a = mor_src[m]
+        off_a, off_b = offsets[a], offsets[mor_tgt[m]]
         for e in range(sizes[a]):
-            ra, rb = find(offsets[a] + e), find(offsets[b] + row[e])
-            if ra != rb:
-                # attach the larger root, so the root stays the least member
-                lo, hi = (ra, rb) if ra < rb else (rb, ra)
-                parent[hi] = lo
+            i = off_a + e
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            j = off_b + row[e]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i != j:
+                if i < j:
+                    parent[j] = i
+                else:
+                    parent[i] = j
                 merges += 1
     merge_counter.value += merges
 
-    roots = sorted({find(i) for i in range(total)})
-    class_of_root = {r: k for k, r in enumerate(roots)}
-    copr = []
-    for a in range(len(sizes)):
-        copr.append(tuple(class_of_root[find(offsets[a] + e)] for e in range(sizes[a])))
+    cls = []
     reps = []
-    for r in roots:
-        a = bisect.bisect_right(offsets, r) - 1  # last set starting at or before r
-        reps.append((a, r - offsets[a]))
-    out = FinSet(f"q{k}" for k in range(len(roots)))
-    return ColimitResult(out, tuple(copr), tuple(reps), merges)
+    i = 0
+    for a, n in enumerate(sizes):
+        for e in range(n):
+            p = parent[i]
+            if p == i:
+                cls.append(len(reps))
+                reps.append((a, e))
+            else:
+                cls.append(cls[p])
+            i += 1
+    copr = tuple(tuple(cls[o:o + n]) for o, n in zip(offsets, sizes))
+    out = FinSet(f"q{k}" for k in range(len(reps)))
+    return ColimitResult(out, copr, tuple(reps), merges)
 
 
 def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
@@ -364,14 +376,18 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory) -> tuple[Preshe
     This is the one route to a quotient.  ps: a presheaf per shape node;
     maps: a PresheafMorphism per shape arrow, keyed by arrow (identities
     may be left out).  base is given because ps may be empty.  Returns the
-    colimit presheaf and the ColimitResult at each base object.
+    colimit presheaf and the ColimitResult at each base object.  The
+    budget is read once and bounds each object's colimit on its own.
     """
+    budget = element_budget()
+    ats = [p.at for p in ps]
+    comps = [(m, phi.components) for m, phi in maps.items()]
     results = tuple(
         colimit_finset(FinSetDiagram(
             shape,
-            tuple(p.at[x] for p in ps),
-            {m: phi.components[x] for m, phi in maps.items()},
-        ))
+            tuple(at[x] for at in ats),
+            {m: c[x] for m, c in comps},
+        ), budget)
         for x in base.objects
     )
     act = []

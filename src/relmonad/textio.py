@@ -427,6 +427,10 @@ def read_functor(text, name="parsed"):
         table = obj_map if key == "on" else mor_map
         if len(args) != len(slot_cats):
             _fail(lineno, f"{key} tuple has arity {len(args)}, expected {len(slot_cats)}")
+        for j, (c, a) in enumerate(zip(slot_cats, args)):
+            if not 0 <= a < (c.n_objects if key == "on" else c.n_morphisms):
+                what = "object" if key == "on" else "morphism"
+                _fail(lineno, f"{key} {_tuple_str(args)} names an unknown {what} of slot {j}")
         if args in table:
             _fail(lineno, f"duplicate {key} line for {args}")
         table[args] = val
@@ -681,14 +685,17 @@ def read_replay(text):
         raise FormatError(f"unknown policy {seen['policy']!r}")
     if "inject" in seen and seen["inject"] not in INJECTORS:
         raise FormatError(f"unknown injector {seen['inject']!r}")
-    cfg = CheckConfig(
-        seed=seen["seed"],
-        max_objects=seen.get("max-objects", 3),
-        max_edges=seen.get("max-edges", 3),
-        max_values=seen.get("max-values", 24),
-        policy=seen.get("policy", "transpose"),
-        inject=seen.get("inject", ""),
-    )
+    try:
+        cfg = CheckConfig(
+            seed=seen["seed"],
+            max_objects=seen.get("max-objects", 3),
+            max_edges=seen.get("max-edges", 3),
+            max_values=seen.get("max-values", 24),
+            policy=seen.get("policy", "transpose"),
+            inject=seen.get("inject", ""),
+        )
+    except ValueError as e:
+        raise FormatError(str(e)) from None
     return seen["law"], seen["index"], cfg
 
 

@@ -181,3 +181,12 @@ def test_bad_budget_reaches_library_caller(monkeypatch):
     monkeypatch.setenv("RELMONAD_BUDGET", "abc")
     with pytest.raises(ValueError, match="RELMONAD_BUDGET"):
         run_suite(CheckConfig(seed=1, instances=1, laws=("extension-unit",)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("instances", -1), ("max_objects", 0), ("max_edges", -1), ("max_values", 0),
+])
+def test_config_refuses_caps_the_generators_cannot_draw(field, value):
+    with pytest.raises(ValueError, match=field.replace("_", "-")):
+        CheckConfig(**{field: value})
+    CheckConfig(**{field: value + 1})  # the floor itself is accepted

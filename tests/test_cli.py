@@ -56,6 +56,19 @@ def test_verify_negative_instances_exits_two(capsys):
     assert err.startswith("relmonad: --instances")
 
 
+@pytest.mark.parametrize("flag, value, law", [
+    ("--max-objects", "0", "yoneda-count"),
+    ("--max-edges", "-1", "extension-unit"),
+    ("--max-values", "0", "extension-unit"),
+])
+def test_verify_bad_generator_cap_exits_two(flag, value, law, capsys):
+    rc, out, err = run(["verify", flag, value, "--laws", law, "--instances", "2",
+                        "--format", "machine"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"relmonad: {flag} must be ")
+
+
 @pytest.mark.parametrize("budget", ["abc", "-1"])
 def test_bad_budget_exits_two(budget, capsys, monkeypatch):
     monkeypatch.setenv("RELMONAD_BUDGET", budget)

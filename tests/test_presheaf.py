@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from relmonad.fincat import FinCategory, validate_category
 from relmonad.presheaf import (
     FinSet,
     FinSetDiagram,
+    Graph,
     Presheaf,
     PresheafMorphism,
     category_of_elements,
@@ -160,6 +163,79 @@ def test_colimit_partitions_random_spans(vals):
     assert generated.reps == r.reps
     assert generated.coprojections == r.coprojections
     assert generated.merges == r.merges
+
+
+@st.composite
+def finset_diagrams(draw):
+    """Random diagrams of finite sets: empty nodes, self-loops, parallel
+    arrows, shape arrows with no map, and maps keyed in shuffled order."""
+    sizes = draw(st.lists(st.integers(0, 4), max_size=5))
+    n = len(sizes)
+    node = st.integers(0, n - 1) if n else st.nothing()
+    arrows = draw(st.lists(st.tuples(node, node), max_size=8)) if n else []
+    maps = {}
+    for m, (a, b) in enumerate(arrows):
+        if (sizes[a] and not sizes[b]) or draw(st.integers(0, 4)) == 0:
+            continue  # no map exists, or this arrow is left out
+        maps[m] = tuple(draw(st.integers(0, sizes[b] - 1)) for _ in range(sizes[a]))
+    order = draw(st.permutations(sorted(maps)))
+    shape = Graph(n, [a for a, _ in arrows], [b for _, b in arrows])
+    sets = tuple(FinSet(f"{a}.{e}" for e in range(k)) for a, k in enumerate(sizes))
+    return FinSetDiagram(shape, sets, {m: maps[m] for m in order})
+
+
+def reference_colimit(d):
+    """Connected components of the element graph by breadth-first search,
+    numbered in the order of their least member."""
+    nodes = [(a, e) for a, s in enumerate(d.sets) for e in range(len(s))]
+    adj = {v: [] for v in nodes}
+    for m, row in d.maps.items():
+        a, b = d.shape.mor_src[m], d.shape.mor_tgt[m]
+        for e, t in enumerate(row):
+            adj[(a, e)].append((b, t))
+            adj[(b, t)].append((a, e))
+    cls, reps = {}, []
+    for v in nodes:  # ascending, so the first member met is the least
+        if v in cls:
+            continue
+        cls[v] = len(reps)
+        reps.append(v)
+        queue = deque([v])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w not in cls:
+                    cls[w] = cls[v]
+                    queue.append(w)
+    copr = tuple(tuple(cls[(a, e)] for e in range(len(s))) for a, s in enumerate(d.sets))
+    return tuple(reps), copr
+
+
+@settings(max_examples=200, deadline=None)
+@given(finset_diagrams())
+def test_colimit_matches_component_reference(d):
+    before = merge_counter.value
+    r = colimit_finset(d)
+    reps, copr = reference_colimit(d)
+    assert r.reps == reps
+    assert r.coprojections == copr
+    assert r.set.labels == tuple(f"q{k}" for k in range(len(reps)))
+    assert r.merges == sum(len(s) for s in d.sets) - len(reps)
+    assert merge_counter.value - before == r.merges
+
+
+def test_pointwise_colimit_budget_bounds_each_object(arrow, monkeypatch):
+    # two copies of y0 + y1 + y1 glued along the identity: the colimit at
+    # object 0 takes 6 elements and the one at object 1 takes 4, so the
+    # budget bounds each object's colimit, never their sum of 10
+    s, _ = coproduct_presheaves([representable(arrow, a) for a in (0, 1, 1)])
+    assert tuple(len(x) for x in s.at) == (3, 2)
+    args = (Graph(2, [0], [1]), [s, s], {0: PresheafMorphism.identity(s)}, arrow)
+    monkeypatch.setenv("RELMONAD_BUDGET", "8")
+    colim, _ = pointwise_colimit(*args)
+    assert tuple(len(x) for x in colim.at) == (3, 2)
+    monkeypatch.setenv("RELMONAD_BUDGET", "5")
+    with pytest.raises(BudgetExceededError, match="6 elements exceeds budget 5"):
+        pointwise_colimit(*args)
 
 
 def test_category_of_elements(arrow):

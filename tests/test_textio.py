@@ -212,7 +212,15 @@ def test_functor_rejections(arrow, z2):
     F = gen_functor(random.Random(0), (arrow,), z2)
     text = textio.write_functor(F)
     with pytest.raises(FormatError, match="missing on line"):
+        textio.read_functor("".join(l for l in text.splitlines(True) if not l.startswith("on (0)")))
+    with pytest.raises(FormatError, match=r"on \(7\) names an unknown object of slot 0"):
         textio.read_functor(text.replace("on (0)", "on (7)", 1))
+    # a send line naming a morphism its slot category lacks: here the slot's
+    # only non-identity arrow, whose mor line is gone
+    no_arrow = "".join(l for l in text.splitlines(True) if l != "mor 2 : 0 -> 1\n")
+    assert no_arrow.count("mor 2 : 0 -> 1") == 0 and "send (2)" in no_arrow
+    with pytest.raises(FormatError, match=r"send \(2\) names an unknown morphism of slot 0"):
+        textio.read_functor(no_arrow)
     with pytest.raises(FormatError, match="duplicate on line"):
         first_on = next(l for l in text.splitlines() if l.startswith("on "))
         textio.read_functor(text + first_on + "\n")
@@ -245,9 +253,65 @@ def test_replay_rejections():
         textio.read_replay(good.replace("policy transpose", "policy magic"))
     with pytest.raises(FormatError, match="unknown injector"):
         textio.read_replay(good + "inject bogus\n")
+    with pytest.raises(FormatError, match="max-objects must be 1 or more"):
+        textio.read_replay(good.replace("max-objects 3", "max-objects 0"))
 
 
 def test_unwritable_label():
     p = Presheaf(walking_arrow(), [FinSet(['has"quote']), FinSet([])], [(0,), (), ()])
     with pytest.raises(FormatError, match="cannot be written"):
         textio.write_presheaf(p)
+
+
+# -- seeded one-line mutations -----------------------------------------------------
+
+
+def _mutate(rng, text):
+    """Delete, duplicate, truncate or renumber one digit of one line."""
+    lines = text.splitlines()
+    k = rng.randrange(len(lines))
+    line = lines[k]
+    op = rng.choice(("delete", "duplicate", "truncate", "renumber"))
+    digits = [i for i, ch in enumerate(line) if ch.isdigit()]
+    if op == "delete":
+        lines[k:k + 1] = []
+    elif op == "duplicate":
+        lines.insert(k, line)
+    elif op == "truncate" or not digits:
+        lines[k] = line[:rng.randrange(len(line))]
+    else:
+        i = rng.choice(digits)
+        lines[k] = line[:i] + rng.choice("0123456789") + line[i + 1:]
+    return "\n".join(lines) + "\n"
+
+
+def _written_artifacts():
+    rng = random.Random(5)
+    arrow, square, z2 = walking_arrow(), square_poset(), two_group()
+    cats = [arrow, square, z2, gen_category(rng, GenConfig(3, 3))]
+    out = [(textio.read_category, textio.write_category(c)) for c in cats]
+    out += [(textio.read_presheaf, textio.write_presheaf(gen_presheaf(rng, c, 8))) for c in cats]
+    out += [(textio.read_functor, textio.write_functor(gen_functor(rng, (a,), b)))
+            for a, b in ((arrow, square), (square, arrow), (arrow, z2))]
+    out.append((textio.read_functor, textio.write_functor(gen_functor(rng, (arrow, z2), arrow))))
+    out += [(textio.read_multimap, textio.write_multimap(m))
+            for m in (hom_sum_map(z2, 2), hom_sum_map(arrow, 1), gen_multimap(rng, (arrow,), z2, 8))]
+    out.append((textio.read_replay, textio.write_replay(
+        "extension-unit", 3, CheckConfig(seed=9, inject="theta-corrupt"))))
+    return out
+
+
+def test_one_line_mutations_read_or_raise_format_error():
+    # every reader either accepts a mutated file or refuses it with FormatError;
+    # an IndexError, KeyError or the like is a hole in its validation
+    rng = random.Random(2024)
+    artifacts = _written_artifacts()
+    for n in range(3000):
+        reader, text = artifacts[n % len(artifacts)]
+        mutated = _mutate(rng, text)
+        try:
+            reader(mutated)
+        except FormatError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{reader.__name__} raised {exc!r} on mutation {n}:\n{mutated}")
