@@ -222,10 +222,10 @@ def cmd_explain(args):
         laws = expand_laws(tuple(args.laws))
     except KeyError as e:
         raise UsageError(f"unknown law or group {e.args[0]!r}") from None
-    groups = {law: g for g, members in LAW_GROUPS.items() for law in members}
     lines = []
     for law in laws:
-        lines.append(f"{law}  [{groups[law]}, default instances {LAW_FAMILIES[law][1]}]")
+        _, instances, group = LAW_FAMILIES[law]
+        lines.append(f"{law}  [{group}, default instances {instances}]")
         lines.append(textwrap.fill(law_description(law), width=78, initial_indent="  ", subsequent_indent="  "))
         lines.append("")
     _emit("\n".join(lines), args.out)

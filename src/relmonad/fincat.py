@@ -34,11 +34,6 @@ class ValidationReport:
     def first(self) -> ValidationFailure | None:
         return self.failures[0] if self.failures else None
 
-    def raise_if_failed(self) -> None:
-        if self.failures:
-            f = self.failures[0]
-            raise SlotMismatchError(f"{f.law}: {f.witness}")
-
 
 class FinCategory:
     """A finite category as dense integer tables.
@@ -155,15 +150,6 @@ def validate_category(c: FinCategory) -> ValidationReport:
                         )
                     )
     return ValidationReport(tuple(fails))
-
-
-def opposite_category(c: FinCategory) -> FinCategory:
-    """Same object and morphism ids, sources and targets swapped.
-
-    Applying it twice gives back bit-identical tables.
-    """
-    comp = {(f, g): gf for (g, f), gf in c.comp.items()}
-    return FinCategory(f"{c.name}^op", c.n_objects, c.mor_tgt, c.mor_src, c.identity, comp)
 
 
 class FunctorTable:

@@ -12,7 +12,13 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .fincat import FinCategory, FunctorTable, NatTransTable, validate_functor
+from .fincat import (
+    FinCategory,
+    FunctorTable,
+    NatTransTable,
+    validate_functor,
+    validate_nat_trans,
+)
 from .multimap import TableMap
 from .presheaf import (
     FinSet,
@@ -46,7 +52,6 @@ def derive_seed(seed: int, law: str, index: int) -> int:
 
 @dataclass
 class GenConfig:
-    seed: int = 0
     max_objects: int = 3
     max_edges: int = 3
     max_values: int = 24
@@ -218,7 +223,9 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
                 out.append((gi,) + combo)
         return out
 
-    sets, cod_act, slot_act = {}, {}, {}
+    # fibers[args, y] maps each element to its index; iterating it walks
+    # the fiber in order
+    sets, fibers, cod_act, slot_act = {}, {}, {}, {}
     grids = list(itertools.product(*(s.objects for s in slot_cats)))
     for args in grids:
         for y in cod.objects:
@@ -226,19 +233,15 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
             if len(elems) > max_values:
                 raise BudgetExceededError("generated fiber too large")
             sets[args + (y,)] = FinSet(str(e) for e in elems)
-
-    def position(args, y, elem):
-        return fiber(args, y).index(elem)
+            fibers[args, y] = {e: i for i, e in enumerate(elems)}
 
     for args in grids:
         for u in cod.morphisms:
             a, b = cod.src(u), cod.tgt(u)
-            row = []
-            for e in fiber(args, b):
-                gi = e[0]
-                new = e[:-1] + (cod.compose(e[-1], u),)
-                row.append(position(args, a, new))
-            cod_act[args + (u,)] = tuple(row)
+            pos = fibers[args, a]
+            cod_act[args + (u,)] = tuple(
+                pos[e[:-1] + (cod.compose(e[-1], u),)] for e in fibers[args, b]
+            )
         for j in range(n):
             cj = slot_cats[j]
             for m in cj.morphisms:
@@ -246,11 +249,12 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
                     continue
                 tgt_args = args[:j] + (cj.tgt(m),) + args[j + 1:]
                 for y in cod.objects:
+                    pos = fibers[tgt_args, y]
                     row = []
-                    for e in fiber(args, y):
+                    for e in fibers[args, y]:
                         new = list(e)
                         new[1 + j] = cj.compose(m, e[1 + j])
-                        row.append(position(tgt_args, y, tuple(new)))
+                        row.append(pos[tuple(new)])
                     slot_act[(j,) + args[:j] + (m,) + args[j + 1:] + (y,)] = tuple(row)
 
     return TableMap(slot_cats, cod, sets, cod_act, slot_act, name="gen")
@@ -307,9 +311,7 @@ def gen_functor(rng: random.Random, slot_cats, dst: FinCategory,
 
 def enumerate_functor_nats(f: FunctorTable, g: FunctorTable, budget: int = 10 ** 5):
     """All natural transformations between parallel functor tables."""
-    slots = f.slots
-    prod_objs = list(itertools.product(*(s.objects for s in slots)))
-    prod_mors = list(itertools.product(*(s.morphisms for s in slots)))
+    prod_objs = list(itertools.product(*(s.objects for s in f.slots)))
     dst = f.dst
     per_obj = []
     space = 1
@@ -321,21 +323,10 @@ def enumerate_functor_nats(f: FunctorTable, g: FunctorTable, budget: int = 10 **
         if space > budget:
             raise BudgetExceededError("transformation space too large")
         per_obj.append(row)
-
-    def mor_src(mt):
-        return tuple(s.src(m) for s, m in zip(slots, mt))
-
-    def mor_tgt(mt):
-        return tuple(s.tgt(m) for s, m in zip(slots, mt))
-
     found = []
     for combo in itertools.product(*per_obj):
         comp = dict(zip(prod_objs, combo))
-        if all(
-            dst.compose(comp[mor_tgt(mt)], f.apply_mor(mt))
-            == dst.compose(g.apply_mor(mt), comp[mor_src(mt)])
-            for mt in prod_mors
-        ):
+        if validate_nat_trans(NatTransTable(f, g, comp)).ok:
             found.append(comp)
     return found
 

@@ -45,9 +45,6 @@ class MergeCounter:
     def __init__(self):
         self.value = 0
 
-    def reset(self):
-        self.value = 0
-
 
 merge_counter = MergeCounter()
 
@@ -78,12 +75,6 @@ class Presheaf:
         self.act = tuple(tuple(a) for a in act)
         self._key = None
         self._elements = None  # ElementsCategory, built by category_of_elements
-
-    def value(self, x) -> FinSet:
-        return self.at[x]
-
-    def action(self, m):
-        return self.act[m]
 
     def content_key(self):
         if self._key is None:

@@ -17,7 +17,7 @@ syntax, totality, or law problem, so a parsed artifact is usable as-is.
 import itertools
 import re
 
-from .checker import CheckConfig, INJECTORS, LAW_FAMILIES
+from .checker import CheckConfig, LAW_FAMILIES
 from .errors import FormatError
 from .fincat import FinCategory, FunctorTable, validate_category, validate_functor
 from .multimap import TableMap, validate_multimap
@@ -681,10 +681,6 @@ def read_replay(text):
             raise FormatError(f"replay file is missing a {req} line")
     if seen["law"] not in LAW_FAMILIES:
         raise FormatError(f"unknown law {seen['law']!r}")
-    if seen.get("policy", "transpose") not in ("transpose", "sample"):
-        raise FormatError(f"unknown policy {seen['policy']!r}")
-    if "inject" in seen and seen["inject"] not in INJECTORS:
-        raise FormatError(f"unknown injector {seen['inject']!r}")
     try:
         cfg = CheckConfig(
             seed=seen["seed"],

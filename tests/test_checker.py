@@ -8,9 +8,11 @@ live at specific derived seeds.
 """
 
 import gc
+import hashlib
 
 import pytest
 
+from relmonad import cli
 from relmonad.checker import (
     INJECTORS,
     LAW_FAMILIES,
@@ -128,6 +130,16 @@ CATCHES = [
     ("contravariance-broken", "instance-valid"),
 ]
 
+# sha256 of the machine-report lines of those failing outcomes at seed 42
+FAIL_DIGESTS = {
+    "theta-corrupt": "9c70b43cb9fb3a5fdf4bcb2caec9e1997355e73b38af45048c7cf60f0a5999d6",
+    "that-corrupt": "5b401b2b58956858f79f7de7f0e3c3ad307fb91655001558d9eb578e5a048bb3",
+    "gamma-identity": "a7282b18688b9e8849d86987ebf4477d2ded33d343b21d567df6ce81693dc6fb",
+    "t-order-scramble": "077a4c1900944b42582e514035c9954173eade4ddc323f7fb53ce2e6a911657d",
+    "naturality-broken": "50f181826a97fda593fbda63a5f75b3853bafd23f6e3f26affb1d94deb67dda1",
+    "contravariance-broken": "e37c568460df29f0e5a7af452ba2c5f5ef477b970966400667bdb830689a6007",
+}
+
 
 def test_catch_table_covers_every_injector():
     assert {name for name, _ in CATCHES} == set(INJECTORS)
@@ -141,6 +153,8 @@ def test_injector_is_caught(inject, law):
     assert fails, f"{inject} slipped past {law}"
     assert all(o.witness for o in fails)
     assert all("\n" not in o.witness and len(o.witness) <= 200 for o in fails)
+    lines = "".join(line + "\n" for o in fails for line in cli._machine_lines(o))
+    assert hashlib.sha256(lines.encode()).hexdigest() == FAIL_DIGESTS[inject]
 
 
 @pytest.mark.parametrize("inject,law", CATCHES)
@@ -190,3 +204,12 @@ def test_config_refuses_caps_the_generators_cannot_draw(field, value):
     with pytest.raises(ValueError, match=field.replace("_", "-")):
         CheckConfig(**{field: value})
     CheckConfig(**{field: value + 1})  # the floor itself is accepted
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("policy", "magic", "unknown policy 'magic'"),
+    ("inject", "bogus", "unknown injector 'bogus'"),
+])
+def test_config_refuses_a_policy_or_injector_the_checker_lacks(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        CheckConfig(**{field: value})

@@ -8,7 +8,6 @@ from relmonad.fincat import (
     FunctorTable,
     NatTransTable,
     compose_functor,
-    opposite_category,
     validate_category,
     validate_functor,
     validate_nat_trans,
@@ -59,23 +58,6 @@ def test_validation_catches_bad_identity(arrow):
         FinCategory("i", 2, arrow.mor_src, arrow.mor_tgt, [0, 2], arrow.comp)
     )
     assert any(f.law == "bad-identity" for f in report.failures)
-
-
-def test_opposite_is_involutive(arrow, square, lz3):
-    for c in (arrow, square, lz3):
-        op = opposite_category(c)
-        assert validate_category(op).ok
-        back = opposite_category(op)
-        assert back.content_key() == (
-            c.n_objects, c.mor_src, c.mor_tgt, c.identity,
-            tuple(sorted(c.comp.items())),
-        )
-
-
-def test_opposite_reverses_hom(arrow):
-    op = opposite_category(arrow)
-    assert op.hom(1, 0) == (2,)
-    assert op.hom(0, 1) == ()
 
 
 def test_functor_identity_and_validation(arrow, square):
