@@ -20,7 +20,7 @@ from .fincat import FinCategory, FunctorTable, NatTransTable
 from .kan import mult_cell, strengthen, strengthen_cell, theta_cell, unit_cell
 from .monad import apply_functor, interchange, interchange_perm, unit_naturality_square
 from .multimap import ComposeMap, TableMap, UnitMap, unit_map
-from .presheaf import FinSet, Presheaf, PresheafMorphism, enumerate_nat_trans
+from .presheaf import Presheaf, PresheafMorphism, enumerate_nat_trans
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "CheckReport",
     "ComposeMap",
     "FinCategory",
-    "FinSet",
     "FormatError",
     "FunctorTable",
     "LAW_GROUPS",

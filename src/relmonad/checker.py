@@ -303,19 +303,12 @@ def _gen_wide_map(rng, cfg, parity):
     return _retry_gen(draw)
 
 
-def _compare(a, b, cfg):
-    try:
-        return two_cell_equal(a, b, policy=cfg.policy)
-    except TransposeInapplicableError:
-        return two_cell_equal(a, b, policy="sample")
-
-
 def _compare_all(cfg, *pairs):
     """Compare each (lhs, rhs) pair in order: the first unequal verdict, or
     the last verdict, with `checked` summed over the pairs compared."""
     checked = 0
     for lhs, rhs in pairs:
-        v = _compare(lhs, rhs, cfg)
+        v = two_cell_equal(lhs, rhs, cfg.policy)
         checked += v.checked
         if not v.equal:
             break
@@ -414,24 +407,25 @@ def _nat_pair(rng, x, y):
 
 # -- law registry and implementations -------------------------------------------
 
-LAW_FAMILIES = {}  # law -> (function, default instances, group), in definition order
+LAW_FAMILIES = {}  # law -> (function, default instances, group, description), in definition order
 LAW_GROUPS = {}  # coarse selection names accepted wherever a law name is
 
 
-def _law(name, group, instances):
-    """Register the decorated function as law `name` in `group`.  Its
-    one-line docstring is the description `explain` prints."""
+def _law(name, group, instances, description):
+    """Register the decorated function as law `name` in `group`, with the
+    one-line description `explain` prints (an argument, not a docstring,
+    so that it survives `python -OO`)."""
     def register(fn):
-        LAW_FAMILIES[name] = (fn, instances, group)
+        LAW_FAMILIES[name] = (fn, instances, group, description)
         LAW_GROUPS[group] = LAW_GROUPS.get(group, ()) + (name,)
         return fn
 
     return register
 
 
-@_law("extension-associative", "extension", 22)
+@_law("extension-associative", "extension", 22,
+      "Two ways of absorbing a doubly composed map into an extension agree.")
 def _law_extension_associative(rng, cfg, hooks):
-    """Two ways of absorbing a doubly composed map into an extension agree."""
     x, y, f = _kleisli(rng, cfg)
     _, z, g = _kleisli(rng, cfg, src=y)
     _, w, h = _kleisli(rng, cfg, src=z)
@@ -446,12 +440,12 @@ def _law_extension_associative(rng, cfg, hooks):
         mult(h, 0, ComposeMap(strengthen(g, 0), 0, f), 0),
         whisker_outer(strengthen(h, 0), 0, mult(g, 0, f, 0)),
     )
-    return _compare(route_a, route_b, cfg)
+    return two_cell_equal(route_a, route_b, cfg.policy)
 
 
-@_law("extension-unit", "extension", 22)
+@_law("extension-unit", "extension", 22,
+      "Extending, absorbing the unit, then collapsing the extended unit is the identity.")
 def _law_extension_unit(rng, cfg, hooks):
-    """Extending, absorbing the unit, then collapsing the extended unit is the identity."""
     x, y, f = _kleisli(rng, cfg)
     ext = strengthen(f, 0)
     chain = vcomp(
@@ -459,12 +453,12 @@ def _law_extension_unit(rng, cfg, hooks):
         hooks["mult"](f, 0, unit_map(x), 0),
         whisker_outer(ext, 0, hooks["theta"](x)),
     )
-    return _compare(chain, identity_cell(ext), cfg)
+    return two_cell_equal(chain, identity_cell(ext), cfg.policy)
 
 
-@_law("collapse-after-extension", "extension", 22)
+@_law("collapse-after-extension", "extension", 22,
+      "Collapsing the extended unit after absorption equals extending the collapse.")
 def _law_collapse_after_extension(rng, cfg, hooks):
-    """Collapsing the extended unit after absorption equals extending the collapse."""
     x, y, f = _kleisli(rng, cfg)
     th = hooks["theta"](y)
     lhs = vcomp(
@@ -472,21 +466,21 @@ def _law_collapse_after_extension(rng, cfg, hooks):
         whisker_inner(th, 0, strengthen(f, 0)),
     )
     rhs = strengthen_cell(whisker_inner(th, 0, f), 0)
-    return _compare(lhs, rhs, cfg)
+    return two_cell_equal(lhs, rhs, cfg.policy)
 
 
-@_law("collapse-on-unit", "extension", 22)
+@_law("collapse-on-unit", "extension", 22,
+      "Restricting the collapse cell to the unit undoes the unit's own restriction cell.")
 def _law_collapse_on_unit(rng, cfg, hooks):
-    """Restricting the collapse cell to the unit undoes the unit's own restriction cell."""
     x = gen_category(rng, _cfg_gen(cfg))
     u = unit_map(x)
     chain = vcomp(unit_cell(u, 0), whisker_inner(hooks["theta"](x), 0, u))
-    return _compare(chain, identity_cell(u), cfg)
+    return two_cell_equal(chain, identity_cell(u), cfg.policy)
 
 
-@_law("extension-absorbs-unit", "extension", 22)
+@_law("extension-absorbs-unit", "extension", 22,
+      "Absorption restricted along the unit reduces to the restriction cells alone.")
 def _law_extension_absorbs_unit(rng, cfg, hooks):
-    """Absorption restricted along the unit reduces to the restriction cells alone."""
     x, y, f = _kleisli(rng, cfg)
     _, z, g = _kleisli(rng, cfg, src=y)
     k = ComposeMap(strengthen(g, 0), 0, f)
@@ -495,12 +489,12 @@ def _law_extension_absorbs_unit(rng, cfg, hooks):
         whisker_inner(hooks["mult"](g, 0, f, 0), 0, unit_map(x)),
         whisker_outer(strengthen(g, 0), 0, inverse_cell(unit_cell(f, 0))),
     )
-    return _compare(chain, identity_cell(k), cfg)
+    return two_cell_equal(chain, identity_cell(k), cfg.policy)
 
 
-@_law("strength-unit-triangles", "strength", 27)
+@_law("strength-unit-triangles", "strength", 27,
+      "Both triangle identities for extension at a slot against restriction at that slot.")
 def _law_strength_unit_triangles(rng, cfg, hooks):
-    """Both triangle identities for extension at a slot against restriction at that slot."""
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j = rng.randrange(f.arity)
     ext = strengthen(f, j)
@@ -513,9 +507,9 @@ def _law_strength_unit_triangles(rng, cfg, hooks):
     return _compare_all(cfg, (tri1, identity_cell(ext)), (tri2, identity_cell(h_unit)))
 
 
-@_law("strength-substitution", "strength", 27)
+@_law("strength-substitution", "strength", 27,
+      "Extension at one slot leaves substitution at any other slot untouched, table for table.")
 def _law_strength_substitution(rng, cfg, hooks):
-    """Extension at one slot leaves substitution at any other slot untouched, table for table."""
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j, k = rng.sample(range(f.arity), 2)
     _, _, g = _kleisli(rng, cfg, dst=cats[k])
@@ -539,20 +533,20 @@ def _law_strength_substitution(rng, cfg, hooks):
     return CellComparison(True, "table", checked, None)
 
 
-@_law("strength-extension-transpose", "strength", 27)
+@_law("strength-extension-transpose", "strength", 27,
+      "The absorption cell restricts along the unit to the whiskered restriction cell.")
 def _law_strength_extension_transpose(rng, cfg, hooks):
-    """The absorption cell restricts along the unit to the whiskered restriction cell."""
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j = rng.randrange(f.arity)
     _, _, g = _kleisli(rng, cfg, dst=cats[j])
     lhs = transpose(hooks["mult"](f, j, g, 0))
     rhs = whisker_outer(strengthen(f, j), j, unit_cell(g, 0))
-    return _compare(lhs, rhs, cfg)
+    return two_cell_equal(lhs, rhs, cfg.policy)
 
 
-@_law("strength-cells-functorial", "strength", 27)
+@_law("strength-cells-functorial", "strength", 27,
+      "Extending cells at a slot preserves identities and vertical composition.")
 def _law_strength_cells_functorial(rng, cfg, hooks):
-    """Extending cells at a slot preserves identities and vertical composition."""
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j = rng.randrange(f.arity)
     j2 = (j + 1) % f.arity
@@ -568,9 +562,9 @@ def _law_strength_cells_functorial(rng, cfg, hooks):
     )
 
 
-@_law("lift-identity", "lift", 17)
+@_law("lift-identity", "lift", 17,
+      "Lifting an identity functor collapses to the identity map, compatibly with composition cells.")
 def _law_lift_identity(rng, cfg, hooks):
-    """Lifting an identity functor collapses to the identity map, compatibly with composition cells."""
     g = _cfg_gen(cfg)
     x, y = gen_category(rng, g), gen_category(rng, g)
     f = gen_functor(rng, (x,), y)
@@ -603,9 +597,9 @@ def _law_lift_identity(rng, cfg, hooks):
     return CellComparison(True, v.policy, checked, None)
 
 
-@_law("lift-composition", "lift", 17)
+@_law("lift-composition", "lift", 17,
+      "Lifted composition cells associate, stay invertible, and extensions fold innermost first.")
 def _law_lift_composition(rng, cfg, hooks):
-    """Lifted composition cells associate, stay invertible, and extensions fold innermost first."""
     g = _cfg_gen(cfg)
     lift = hooks["apply_functor"]
     x, y, z = (gen_category(rng, g) for _ in range(3))
@@ -620,7 +614,7 @@ def _law_lift_composition(rng, cfg, hooks):
         functor_comp_cell(f1, 0, compose_functor(f2, 0, f3)),
         whisker_outer(lift(f1), 0, functor_comp_cell(f2, 0, f3)),
     )
-    v = _compare(lhs, rhs, cfg)
+    v = two_cell_equal(lhs, rhs, cfg.policy)
     if not v.equal:
         return v
     # binary leg: the comparison stays invertible, and the lift applies
@@ -644,9 +638,9 @@ def _law_lift_composition(rng, cfg, hooks):
     return CellComparison(True, v.policy, checked, None)
 
 
-@_law("lift-naturality", "lift", 17)
+@_law("lift-naturality", "lift", 17,
+      "Lifting transformations preserves identities and vertical composition.")
 def _law_lift_naturality(rng, cfg, hooks):
-    """Lifting transformations preserves identities and vertical composition."""
     g = _cfg_gen(cfg)
     x, y = gen_category(rng, g), gen_category(rng, g)
     fa, fb, psi1, psi2 = _nat_pair(rng, x, y)
@@ -676,9 +670,9 @@ def _interchange_tuples(f, j, k, cap):
             yield tuple(args)
 
 
-@_law("interchange-oracle", "interchange", 14)
+@_law("interchange-oracle", "interchange", 14,
+      "Interchange tables match the flat double-extension computation on every sampled tuple.")
 def _law_interchange_oracle(rng, cfg, hooks):
-    """Interchange tables match the flat double-extension computation on every sampled tuple."""
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j, k = sorted(rng.sample(range(f.arity), 2))
     gamma = hooks["interchange"](f, j, k)
@@ -697,9 +691,9 @@ def _law_interchange_oracle(rng, cfg, hooks):
     return CellComparison(True, "table", checked, None)
 
 
-@_law("interchange-units", "interchange", 14)
+@_law("interchange-units", "interchange", 14,
+      "Interchange restricted along the unit in either slot reduces to restriction cells.")
 def _law_interchange_units(rng, cfg, hooks):
-    """Interchange restricted along the unit in either slot reduces to restriction cells."""
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j, k = sorted(rng.sample(range(f.arity), 2))
     gamma = hooks["interchange"](f, j, k)
@@ -732,9 +726,9 @@ def _interchange_extension_routes(f, j, k, h, hooks):
     return route1, route2
 
 
-@_law("interchange-extensions", "interchange", 14)
+@_law("interchange-extensions", "interchange", 14,
+      "Interchange commutes with absorbing a substitution in either slot.")
 def _law_interchange_extensions(rng, cfg, hooks):
-    """Interchange commutes with absorbing a substitution in either slot."""
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j, k = sorted(rng.sample(range(f.arity), 2))
     _, _, h = _kleisli(rng, cfg, dst=cats[j])
@@ -746,36 +740,34 @@ def _law_interchange_extensions(rng, cfg, hooks):
     )
 
 
-@_law("interchange-hexagon", "interchange", 14)
+@_law("interchange-hexagon", "interchange", 14,
+      "Both factorisations of the three-slot reversal into adjacent swaps agree.")
 def _law_interchange_hexagon(rng, cfg, hooks):
-    """Both factorisations of the three-slot reversal into adjacent swaps agree."""
     f = _gen_wide_map(rng, cfg, 1)[0]
     left = interchange_perm(f, (0, 1, 2), (2, 1, 0), "left")
     right = interchange_perm(f, (0, 1, 2), (2, 1, 0), "right")
-    return _compare(left, right, cfg)
+    return two_cell_equal(left, right, cfg.policy)
 
 
-@_law("braiding-words", "interchange", 12)
+@_law("braiding-words", "interchange", 12,
+      "For every permutation of three slots, any two swap words give the same cell.")
 def _law_braiding_words(rng, cfg, hooks):
-    """For every permutation of three slots, any two swap words give the same cell."""
     f = _gen_wide_map(rng, cfg, 1)[0]
     checked = 0
     for sigma in itertools.permutations((0, 1, 2)):
         left = interchange_perm(f, (0, 1, 2), sigma, "left")
         right = interchange_perm(f, (0, 1, 2), sigma, "right")
-        v = _compare(left, right, cfg)
+        v = two_cell_equal(left, right, cfg.policy)
         checked += v.checked
         if not v.equal:
-            v.checked = checked
-            v.witness = f"word mismatch for {sigma}: {v.witness}"
-            return v
+            return replace(v, checked=checked, witness=f"word mismatch for {sigma}: {v.witness}")
         back = interchange_perm(f, sigma, (0, 1, 2), "left")
-        v2 = _compare(vcomp(left, back), identity_cell(left.src), cfg)
+        v2 = two_cell_equal(vcomp(left, back), identity_cell(left.src), cfg.policy)
         checked += v2.checked
         if not v2.equal:
-            v2.checked = checked
-            v2.witness = f"round trip not identity for {sigma}: {v2.witness}"
-            return v2
+            return replace(
+                v2, checked=checked, witness=f"round trip not identity for {sigma}: {v2.witness}"
+            )
     return CellComparison(True, cfg.policy, checked, None)
 
 
@@ -806,9 +798,9 @@ def _enumerate_cocones(f, p, q, budget):
     return cocones
 
 
-@_law("extension-universal", "kan", 10)
+@_law("extension-universal", "kan", 10,
+      "Restriction along the unit is invertible and mediating maps biject with cocones.")
 def _law_extension_universal(rng, cfg, hooks):
-    """Restriction along the unit is invertible and mediating maps biject with cocones."""
     g = _cfg_gen(cfg)
     x = gen_category(rng, g)
     y = gen_category(rng, g)
@@ -855,13 +847,13 @@ def _law_extension_universal(rng, cfg, hooks):
                 False, "count", checked, "restricting to the legs is not injective"
             )
     roundtrip = transpose(untranspose(unit_cell(f, 0), 0, ext))
-    v = _compare(roundtrip, unit_cell(f, 0), cfg)
+    v = two_cell_equal(roundtrip, unit_cell(f, 0), cfg.policy)
     return replace(v, checked=checked + v.checked)
 
 
-@_law("square-unit-compat", "squares", 9)
+@_law("square-unit-compat", "squares", 9,
+      "An extended square restricted along all units is the square it extends.")
 def _law_square_unit_compat(rng, cfg, hooks):
-    """An extended square restricted along all units is the square it extends."""
     n = 1 + rng.randrange(2)
     h, f, fprime, gs, alpha, xs = _square_instance(rng, cfg, hooks, n)
     lift = hooks["apply_functor"]
@@ -878,12 +870,12 @@ def _law_square_unit_compat(rng, cfg, hooks):
         alpha,
         whisker_outer_many(lift(fprime), {r: unit_cell(gs[r], 0) for r in range(n)}),
     )
-    return _compare(lhs, rhs, cfg)
+    return two_cell_equal(lhs, rhs, cfg.policy)
 
 
-@_law("square-extension-compat", "squares", 9)
+@_law("square-extension-compat", "squares", 9,
+      "Extending a pasted square equals pasting the extended squares.")
 def _law_square_extension_compat(rng, cfg, hooks):
-    """Extending a pasted square equals pasting the extended squares."""
     # upper square beta over a functor graph, lower square alpha over the
     # unit into beta's source functor; extending their paste must equal
     # pasting their extensions
@@ -914,12 +906,12 @@ def _law_square_extension_compat(rng, cfg, hooks):
         whisker_outer(strengthen(k, 0), 0, alpha_ext),
         whisker_inner(beta_ext, 0, strengthen(gs[0], 0)),
     )
-    return _compare(lhs, rhs, cfg)
+    return two_cell_equal(lhs, rhs, cfg.policy)
 
 
-@_law("square-collapse-compat", "squares", 9)
+@_law("square-collapse-compat", "squares", 9,
+      "The extended identity square is conjugation by the collapse cell.")
 def _law_square_collapse_compat(rng, cfg, hooks):
-    """The extended identity square is conjugation by the collapse cell."""
     x = gen_category(rng, _cfg_gen(cfg))
     lift = hooks["apply_functor"]
     one = FunctorTable.identity(x)
@@ -936,12 +928,12 @@ def _law_square_collapse_compat(rng, cfg, hooks):
         whisker_inner(th, 0, t1),
         whisker_outer(t1, 0, inverse_cell(th)),
     )
-    return _compare(beta, rhs, cfg)
+    return two_cell_equal(beta, rhs, cfg.policy)
 
 
-@_law("yoneda-count", "counting", 10)
+@_law("yoneda-count", "counting", 10,
+      "Transformations between representables biject with morphisms.")
 def _law_yoneda_count(rng, cfg, hooks):
-    """Transformations between representables biject with morphisms."""
     c = gen_category(rng, _cfg_gen(cfg))
     checked = 0
     for a in c.objects:
@@ -956,9 +948,9 @@ def _law_yoneda_count(rng, cfg, hooks):
     return CellComparison(True, "count", checked, None)
 
 
-@_law("instance-valid", "validity", 12)
+@_law("instance-valid", "validity", 12,
+      "Generated categories, maps, functors, and squares satisfy their defining equations.")
 def _law_instance_valid(rng, cfg, hooks):
-    """Generated categories, maps, functors, and squares satisfy their defining equations."""
     g = _cfg_gen(cfg)
     c = gen_category(rng, g)
     d = gen_category(rng, g)
@@ -1058,4 +1050,4 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
 
 
 def law_description(law):
-    return LAW_FAMILIES[law][0].__doc__
+    return LAW_FAMILIES[law][3]

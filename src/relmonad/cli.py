@@ -21,7 +21,6 @@ from .checker import (
     INJECTORS,
     LAW_FAMILIES,
     LAW_GROUPS,
-    LAW_ORDER,
     expand_laws,
     law_description,
     run_single,
@@ -224,7 +223,7 @@ def cmd_explain(args):
         raise UsageError(f"unknown law or group {e.args[0]!r}") from None
     lines = []
     for law in laws:
-        _, instances, group = LAW_FAMILIES[law]
+        instances, group = LAW_FAMILIES[law][1:3]
         lines.append(f"{law}  [{group}, default instances {instances}]")
         lines.append(textwrap.fill(law_description(law), width=78, initial_indent="  ", subsequent_indent="  "))
         lines.append("")

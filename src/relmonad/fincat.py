@@ -55,6 +55,7 @@ class FinCategory:
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._key = None
         self.unit = None  # UnitMap, built by multimap.unit_map; not in content_key
+        self.representables = {}  # object -> Presheaf, filled by presheaf.representable
 
     # -- accessors ---------------------------------------------------------
 
@@ -190,11 +191,6 @@ class FunctorTable:
     @staticmethod
     def identity(c):
         return FunctorTable.unary(c, c, list(c.objects), list(c.morphisms), name=f"1_{c.name}")
-
-    @staticmethod
-    def point(dst, obj, name="pt"):
-        """Arity-0 functor: a chosen object of dst."""
-        return FunctorTable((), dst, {(): obj}, {(): dst.id_of(obj)}, name)
 
     def content_key(self):
         return (

@@ -21,7 +21,6 @@ from .fincat import (
 )
 from .multimap import TableMap
 from .presheaf import (
-    FinSet,
     Graph,
     Presheaf,
     classifying_morphism,
@@ -163,13 +162,12 @@ def presheaf_quotient(p: Presheaf, pairs) -> Presheaf:
     """
     ps, maps = [p], {}
     for k, (x, a, b) in enumerate(pairs):
-        yx = representable(p.base, x)
-        ps.append(yx)  # shape node k + 1
-        maps[2 * k] = classifying_morphism(p, x, a, yx)
-        maps[2 * k + 1] = classifying_morphism(p, x, b, yx)
+        ps.append(representable(p.base, x))  # shape node k + 1
+        maps[2 * k] = classifying_morphism(p, x, a)
+        maps[2 * k + 1] = classifying_morphism(p, x, b)
     shape = Graph(len(ps), [1 + m // 2 for m in maps], [0] * len(maps))
     q, _ = pointwise_colimit(shape, ps, maps, p.base)
-    return Presheaf(p.base, [FinSet(f"c{c}" for c in range(len(s))) for s in q.at], q.act)
+    return Presheaf(p.base, [[f"c{c}" for c in range(len(s))] for s in q.at], q.act)
 
 
 def gen_presheaf(rng: random.Random, c: FinCategory, max_values: int = 24) -> Presheaf:
@@ -232,7 +230,7 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
             elems = fiber(args, y)
             if len(elems) > max_values:
                 raise BudgetExceededError("generated fiber too large")
-            sets[args + (y,)] = FinSet(str(e) for e in elems)
+            sets[args + (y,)] = tuple(str(e) for e in elems)
             fibers[args, y] = {e: i for i, e in enumerate(elems)}
 
     for args in grids:

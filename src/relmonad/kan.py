@@ -186,7 +186,7 @@ def counit_cell(h: MultiMap, j: int) -> TwoCell:
                 x, e = data.el.el_objs[node]
                 chi = classify.get((p, x, e))
                 if chi is None:
-                    chi = classify[(p, x, e)] = classifying_morphism(p, x, e, u.evaluate((x,)))
+                    chi = classify[(p, x, e)] = classifying_morphism(p, x, e)
                 psi = h.morphism_at(args[:j] + (chi.src,) + args[j + 1 :], j, chi)
                 row.append(psi.components[y][t])
             comps.append(tuple(row))

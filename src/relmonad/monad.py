@@ -19,7 +19,6 @@ Conventions that the composites below rely on:
 
 from .fincat import FunctorTable, compose_functor
 from .kan import (
-    counit_cell,
     mult_cell,
     strengthen,
     strengthen_cell,

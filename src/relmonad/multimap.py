@@ -125,10 +125,10 @@ class MultiMap:
 class TableMap(MultiMap):
     """A map given by explicit tables; every slot is 'fin'.
 
-    sets[(b1,...,bn, y)] is the value FinSet; cod_act[(b1,...,bn, m)] is the
-    contravariant action of the codomain morphism m; slot_act[(j, args-with-m
-    -at-slot-j, y)] is the covariant action of slot morphism m at codomain
-    object y.
+    sets[(b1,...,bn, y)] is the value's tuple of labels; cod_act[(b1,...,bn,
+    m)] is the contravariant action of the codomain morphism m; slot_act[(j,
+    args-with-m-at-slot-j, y)] is the covariant action of slot morphism m at
+    codomain object y.
     """
 
     def __init__(self, slot_cats, cod, sets, cod_act, slot_act, name="F"):
@@ -161,7 +161,7 @@ class UnitMap(MultiMap):
         return representable(self.cat, args[0])
 
     def _mor_at(self, args, j, m):
-        return yoneda_action(self.cat, m, self.evaluate(args), self.evaluate((self.cat.tgt(m),)))
+        return yoneda_action(self.cat, m)
 
     def element_of_identity(self, a) -> int:
         """Index of id_a inside the value at (a,), at object a."""

@@ -49,37 +49,21 @@ class MergeCounter:
 merge_counter = MergeCounter()
 
 
-class FinSet:
-    def __init__(self, labels):
-        self.labels = tuple(labels)
-
-    def __len__(self):
-        return len(self.labels)
-
-    def content_key(self):
-        return self.labels
-
-    def __repr__(self):
-        return f"FinSet({list(self.labels)!r})"
-
-
 class Presheaf:
-    """at[x] is a FinSet per object; act[m] maps at(tgt m) -> at(src m).
+    """at[x] is the tuple of element labels at object x; act[m] maps
+    at(tgt m) -> at(src m) by element index.
 
     No __eq__ or __hash__: it hashes by identity, so memos key on the instance.
     """
 
     def __init__(self, base: FinCategory, at, act):
         self.base = base
-        self.at = tuple(at)
+        self.at = tuple(tuple(s) for s in at)
         self.act = tuple(tuple(a) for a in act)
-        self._key = None
         self._elements = None  # ElementsCategory, built by category_of_elements
 
     def content_key(self):
-        if self._key is None:
-            self._key = (tuple(s.labels for s in self.at), self.act)
-        return self._key
+        return (self.at, self.act)
 
     def __repr__(self):
         sizes = tuple(len(s) for s in self.at)
@@ -124,9 +108,6 @@ class PresheafMorphism:
         self.src = src
         self.dst = dst
         self.components = tuple(tuple(c) for c in components)
-
-    def at(self, x):
-        return self.components[x]
 
     def then(self, other: "PresheafMorphism") -> "PresheafMorphism":
         """self followed by other."""
@@ -187,36 +168,37 @@ def validate_presheaf_morphism(phi: PresheafMorphism) -> ValidationReport:
 
 
 def representable(c: FinCategory, a: int) -> Presheaf:
-    """hom(-, a), with morphism ids as element labels."""
-    homs = [c.hom(x, a) for x in c.objects]
-    index = [{m: i for i, m in enumerate(h)} for h in homs]
-    act = [
-        tuple(index[c.src(m)][c.comp[(h, m)]] for h in homs[c.tgt(m)]) for m in c.morphisms
-    ]
-    return Presheaf(c, [FinSet(f"m{m}" for m in h) for h in homs], act)
+    """hom(-, a), with morphism ids as element labels.
 
-
-def yoneda_action(c: FinCategory, f: int, ya: Presheaf = None, yb: Presheaf = None) -> PresheafMorphism:
-    """The map hom(-, src f) -> hom(-, tgt f) given by postcomposition.
-
-    ya and yb may supply those two representables.
+    Built once per (category, object) and kept in c.representables.
     """
+    y = c.representables.get(a)
+    if y is None:
+        homs = [c.hom(x, a) for x in c.objects]
+        index = [{m: i for i, m in enumerate(h)} for h in homs]
+        act = [
+            tuple(index[c.src(m)][c.comp[(h, m)]] for h in homs[c.tgt(m)])
+            for m in c.morphisms
+        ]
+        y = c.representables[a] = Presheaf(c, [[f"m{m}" for m in h] for h in homs], act)
+    return y
+
+
+def yoneda_action(c: FinCategory, f: int) -> PresheafMorphism:
+    """The map hom(-, src f) -> hom(-, tgt f) given by postcomposition."""
     a, b = c.src(f), c.tgt(f)
-    ya = representable(c, a) if ya is None else ya
-    yb = representable(c, b) if yb is None else yb
     index_b = [{m: i for i, m in enumerate(c.hom(x, b))} for x in c.objects]
     comps = [
         tuple(index_b[x][c.compose(f, h)] for h in c.hom(x, a)) for x in c.objects
     ]
-    return PresheafMorphism(ya, yb, comps)
+    return PresheafMorphism(representable(c, a), representable(c, b), comps)
 
 
-def classifying_morphism(p: Presheaf, x: int, e: int, yx: Presheaf = None) -> PresheafMorphism:
-    """The unique map hom(-, x) -> p sending id_x to e; yx may supply hom(-, x)."""
+def classifying_morphism(p: Presheaf, x: int, e: int) -> PresheafMorphism:
+    """The unique map hom(-, x) -> p sending id_x to e."""
     c = p.base
-    yx = representable(c, x) if yx is None else yx
     comps = [tuple(p.act[m][e] for m in c.hom(w, x)) for w in c.objects]
-    return PresheafMorphism(yx, p, comps)
+    return PresheafMorphism(representable(c, x), p, comps)
 
 
 # -- colimits ----------------------------------------------------------------
@@ -252,13 +234,13 @@ class FinSetDiagram:
     """
 
     shape: Graph
-    sets: tuple[FinSet, ...]
+    sets: tuple  # per shape node: a tuple of labels
     maps: dict
 
 
 @dataclass
 class ColimitResult:
-    set: FinSet
+    set: tuple  # labels of the classes
     coprojections: tuple  # per shape object: element -> class index
     reps: tuple  # per class: (shape object index, element index)
     merges: int
@@ -322,7 +304,7 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
                 cls.append(cls[p])
             i += 1
     copr = tuple(tuple(cls[o:o + n]) for o, n in zip(offsets, sizes))
-    out = FinSet(f"q{k}" for k in range(len(reps)))
+    out = tuple(f"q{k}" for k in range(len(reps)))
     return ColimitResult(out, copr, tuple(reps), merges)
 
 
@@ -339,8 +321,8 @@ def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
         off = []
         for i, p in enumerate(ps):
             off.append(len(labels))
-            labels.extend(f"{i}:{l}" for l in p.at[x].labels)
-        at.append(FinSet(labels))
+            labels.extend(f"{i}:{l}" for l in p.at[x])
+        at.append(labels)
         offs.append(off)
     act = []
     for m in base.morphisms:
@@ -487,7 +469,7 @@ def sample_presheaves(c: FinCategory):
     else:
         mid = representable(c, c.src(m))
         left = right = representable(c, c.tgt(m))
-        l = r = yoneda_action(c, m, mid, left)
+        l = r = yoneda_action(c, m)
     span = Graph(3, [0, 0], [1, 2])
     colim, _ = pointwise_colimit(span, [mid, left, right], {0: l, 1: r}, c)
     family.append(colim)

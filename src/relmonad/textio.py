@@ -21,7 +21,7 @@ from .checker import CheckConfig, LAW_FAMILIES
 from .errors import FormatError
 from .fincat import FinCategory, FunctorTable, validate_category, validate_functor
 from .multimap import TableMap, validate_multimap
-from .presheaf import FinSet, Presheaf, validate_presheaf
+from .presheaf import Presheaf, validate_presheaf
 
 __all__ = [
     "read_category",
@@ -305,14 +305,14 @@ def _finish_presheaf(base, at, act, lineno):
         labels = at[o]
         if len(set(labels)) != len(labels):
             _fail(lineno, f"duplicate label at object {o}")
-        sets.append(FinSet(labels))
+        sets.append(labels)
         index.append({lab: i for i, lab in enumerate(labels)})
     rows = []
     used = set()
     for m in base.morphisms:
         a, b = base.src(m), base.tgt(m)
         row = []
-        for lab in sets[b].labels:
+        for lab in sets[b]:
             if (m, lab) in act:
                 used.add((m, lab))
                 out = act[(m, lab)]
@@ -339,15 +339,15 @@ def _finish_presheaf(base, at, act, lineno):
 def write_presheaf(p):
     out = _category_lines(p.base)
     for o in p.base.objects:
-        labs = ", ".join(_quote(l) for l in p.at[o].labels)
+        labs = ", ".join(_quote(l) for l in p.at[o])
         out.append(f"at {o} = {{{labs}}}")
     for m in p.base.morphisms:
         if p.base.is_identity(m):
             continue
         a, b = p.base.src(m), p.base.tgt(m)
-        for i, lab in enumerate(p.at[b].labels):
+        for i, lab in enumerate(p.at[b]):
             out.append(
-                f"act {m} : {_quote(lab)} -> {_quote(p.at[a].labels[p.act[m][i]])}"
+                f"act {m} : {_quote(lab)} -> {_quote(p.at[a][p.act[m][i]])}"
             )
     return "\n".join(out) + "\n"
 
@@ -539,7 +539,7 @@ def _finish_multimap(slot_cats, cod, at, cod_pairs, slot_pairs, lineno, name):
             labels = at.pop((args, y))
             if len(set(labels)) != len(labels):
                 _fail(lineno, f"duplicate label at ({y}; {args})")
-            sets[args + (y,)] = FinSet(labels)
+            sets[args + (y,)] = tuple(labels)
             index[args + (y,)] = {lab: i for i, lab in enumerate(labels)}
     if at:
         (args, y) = next(iter(at))
@@ -548,7 +548,7 @@ def _finish_multimap(slot_cats, cod, at, cod_pairs, slot_pairs, lineno, name):
     def fill_row(pairs, key, src_key, dst_key, is_id, what):
         given = pairs.pop(key, {})
         row = []
-        for lab in sets[src_key].labels:
+        for lab in sets[src_key]:
             if lab in given:
                 out = given.pop(lab)
                 if out not in index[dst_key]:
@@ -615,14 +615,14 @@ def write_multimap(m):
 
     for args in grids:
         for y in cod.objects:
-            labs = ", ".join(_quote(l) for l in m.sets[args + (y,)].labels)
+            labs = ", ".join(_quote(l) for l in m.sets[args + (y,)])
             out.append(f"at ({y}; {tup(args)}) = {{{labs}}}")
     for args in grids:
         for u in cod.morphisms:
             if cod.is_identity(u):
                 continue
-            src_labels = m.sets[args + (cod.tgt(u),)].labels
-            dst_labels = m.sets[args + (cod.src(u),)].labels
+            src_labels = m.sets[args + (cod.tgt(u),)]
+            dst_labels = m.sets[args + (cod.src(u),)]
             for i, lab in enumerate(src_labels):
                 sent = dst_labels[m.cod_act[args + (u,)][i]]
                 out.append(f"act ({u}; {tup(args)}) : {_quote(lab)} -> {_quote(sent)}")
@@ -634,8 +634,8 @@ def write_multimap(m):
             src_args = marked[:j] + (c.src(mm),) + marked[j + 1 :]
             dst_args = marked[:j] + (c.tgt(mm),) + marked[j + 1 :]
             for y in cod.objects:
-                src_labels = m.sets[src_args + (y,)].labels
-                dst_labels = m.sets[dst_args + (y,)].labels
+                src_labels = m.sets[src_args + (y,)]
+                dst_labels = m.sets[dst_args + (y,)]
                 row = m.slot_act[(j,) + marked + (y,)]
                 for i, lab in enumerate(src_labels):
                     out.append(

@@ -4,7 +4,6 @@ import pytest
 
 from relmonad.fincat import FinCategory
 from relmonad.multimap import TableMap
-from relmonad.presheaf import FinSet
 
 
 def walking_arrow() -> FinCategory:
@@ -78,7 +77,7 @@ def hom_sum_map(c: FinCategory, n_slots: int, name="sum") -> TableMap:
     slot_act = {}
     for bs in itertools.product(c.objects, repeat=n_slots):
         for y in c.objects:
-            sets[bs + (y,)] = FinSet(f"{i}:m{h}" for i, h in elems(bs, y))
+            sets[bs + (y,)] = tuple(f"{i}:m{h}" for i, h in elems(bs, y))
         for u in c.morphisms:
             yy, y2 = c.src(u), c.tgt(u)
             ix = index(bs, yy)
@@ -140,4 +139,5 @@ def plus0_arrow(arrow, sum2_arrow):
     from relmonad.fincat import FunctorTable
     from relmonad.multimap import compose_at
 
-    return compose_at(sum2_arrow, 1, FunctorTable.point(arrow, 0, name="pt0"))
+    pt0 = FunctorTable((), arrow, {(): 0}, {(): arrow.id_of(0)}, name="pt0")
+    return compose_at(sum2_arrow, 1, pt0)

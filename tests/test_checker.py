@@ -12,12 +12,13 @@ import hashlib
 
 import pytest
 
-from relmonad import cli
+from relmonad import cli, monad
 from relmonad.checker import (
     INJECTORS,
     LAW_FAMILIES,
     LAW_ORDER,
     CheckConfig,
+    _corrupt_cell,
     law_description,
     run_suite,
     run_single,
@@ -162,6 +163,24 @@ def test_injection_does_not_leak_between_runs(inject, law):
     # a fresh config without the injector must be clean again
     rep = run_suite(CheckConfig(seed=42, laws=(law,), instances=2))
     assert rep.ok
+
+
+def test_braiding_words_mismatch_is_a_failure(monkeypatch):
+    # corrupt one adjacent swap only: the two words for a permutation then
+    # disagree, and the law must report that as a FAIL, not raise
+    honest = monad.interchange
+
+    def one_bad_swap(g, j, k):
+        cell = honest(g, j, k)
+        return _corrupt_cell(cell) if (j, k) == (2, 0) else cell
+
+    monkeypatch.setattr(monad, "interchange", one_bad_swap)
+    rep = run_suite(CheckConfig(seed=42, instances=3, laws=("braiding-words",)))
+    fails = [o for o in rep.outcomes if not o.ok]
+    assert fails
+    for o in fails:
+        assert o.policy == "transpose" and o.checked > 0
+        assert o.witness.startswith(("word mismatch for", "round trip not identity for"))
 
 
 def test_outcome_seeds_follow_derivation():

@@ -1,6 +1,10 @@
 """CLI behavior: exit codes, report formats, determinism, replay."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +236,23 @@ def test_explain_group(capsys):
     rc, out, _ = run(["explain", "squares"], capsys)
     assert rc == 0
     assert "square-unit-compat" in out and "extension-associative" not in out
+
+
+def test_explain_survives_stripped_docstrings():
+    # python -OO strips docstrings; explain must print the same text without them
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def explain(*flags):
+        proc = subprocess.run([sys.executable, *flags, "-m", "relmonad.cli", "explain"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return proc.stdout
+
+    plain = explain()
+    assert all(law in plain for law in LAW_ORDER)
+    assert explain("-OO") == plain
 
 
 def test_explain_unknown(capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from relmonad.errors import BudgetExceededError
 from relmonad.fincat import FinCategory, validate_category
 from relmonad.presheaf import (
-    FinSet,
     FinSetDiagram,
     Graph,
     Presheaf,
@@ -32,9 +31,20 @@ def test_representable_sizes_on_arrow(arrow):
     y1 = representable(arrow, 1)
     assert tuple(len(s) for s in y0.at) == (1, 0)
     assert tuple(len(s) for s in y1.at) == (1, 1)
-    assert y1.at[0].labels == ("m2",)
+    assert y1.at[0] == ("m2",)
     assert y1.act[2] == (0,)  # precompose id1 with a
     assert validate_presheaf(y0).ok and validate_presheaf(y1).ok
+
+
+def test_representable_built_once_per_category(arrow):
+    y0, y1 = representable(arrow, 0), representable(arrow, 1)
+    assert representable(arrow, 1) is y1
+    act = yoneda_action(arrow, 2)
+    assert act.src is y0 and act.dst is y1
+    assert classifying_morphism(y1, 0, 0).src is y0
+    copy = FinCategory("arrow", 2, arrow.mor_src, arrow.mor_tgt, arrow.identity, arrow.comp)
+    assert representable(copy, 1) is not y1  # the memo lives on each instance
+    assert representable(copy, 1).content_key() == y1.content_key()
 
 
 def test_representables_validate_everywhere(arrow, z2, lz3, square):
@@ -85,7 +95,7 @@ def test_coproduct_sizes_and_labels(arrow):
     y0, y1 = representable(arrow, 0), representable(arrow, 1)
     s, (i0, i1) = coproduct_presheaves([y0, y1])
     assert tuple(len(x) for x in s.at) == (2, 1)
-    assert s.at[0].labels == ("0:m0", "1:m2")
+    assert s.at[0] == ("0:m0", "1:m2")
     assert validate_presheaf(s).ok
     assert validate_presheaf_morphism(i0).ok and validate_presheaf_morphism(i1).ok
 
@@ -117,16 +127,16 @@ def test_pushout_of_arrow_codomain(arrow):
 
 def test_colimit_reps_are_least(arrow):
     shape = FinCategory("pair", 2, [0, 1], [0, 1], [0, 1], {(0, 0): 0, (1, 1): 1})
-    d = FinSetDiagram(shape, (FinSet("ab"), FinSet("cd")), {0: (0, 1), 1: (0, 1)})
+    d = FinSetDiagram(shape, (tuple("ab"), tuple("cd")), {0: (0, 1), 1: (0, 1)})
     r = colimit_finset(d)
     assert r.reps == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert r.merges == 0
-    assert r.set.labels == ("q0", "q1", "q2", "q3")
+    assert r.set == ("q0", "q1", "q2", "q3")
 
 
 def test_colimit_budget(arrow):
     shape = FinCategory("one", 1, [0], [0], [0], {(0, 0): 0})
-    d = FinSetDiagram(shape, (FinSet(f"x{i}" for i in range(10)),), {0: tuple(range(10))})
+    d = FinSetDiagram(shape, (tuple(f"x{i}" for i in range(10)),), {0: tuple(range(10))})
     with pytest.raises(BudgetExceededError):
         colimit_finset(d, budget=5)
 
@@ -147,7 +157,7 @@ def test_colimit_partitions_random_spans(vals):
         "span", 3, [0, 1, 2, 0, 0], [0, 1, 2, 1, 2], [0, 1, 2],
         {(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 0): 3, (4, 0): 4, (1, 3): 3, (2, 4): 4},
     )
-    sets = tuple(FinSet(f"e{i}{j}" for j in range(3)) for i in range(3))
+    sets = tuple(tuple(f"e{i}{j}" for j in range(3)) for i in range(3))
     legs = {3: vals[:3], 4: vals[3:]}
     d = FinSetDiagram(shape, sets, {0: (0, 1, 2), 1: (0, 1, 2), 2: (0, 1, 2), **legs})
     before = merge_counter.value
@@ -180,7 +190,7 @@ def finset_diagrams(draw):
         maps[m] = tuple(draw(st.integers(0, sizes[b] - 1)) for _ in range(sizes[a]))
     order = draw(st.permutations(sorted(maps)))
     shape = Graph(n, [a for a, _ in arrows], [b for _, b in arrows])
-    sets = tuple(FinSet(f"{a}.{e}" for e in range(k)) for a, k in enumerate(sizes))
+    sets = tuple(tuple(f"{a}.{e}" for e in range(k)) for a, k in enumerate(sizes))
     return FinSetDiagram(shape, sets, {m: maps[m] for m in order})
 
 
@@ -218,7 +228,7 @@ def test_colimit_matches_component_reference(d):
     reps, copr = reference_colimit(d)
     assert r.reps == reps
     assert r.coprojections == copr
-    assert r.set.labels == tuple(f"q{k}" for k in range(len(reps)))
+    assert r.set == tuple(f"q{k}" for k in range(len(reps)))
     assert r.merges == sum(len(s) for s in d.sets) - len(reps)
     assert merge_counter.value - before == r.merges
 
@@ -241,13 +251,14 @@ def test_pointwise_colimit_budget_bounds_each_object(arrow, monkeypatch):
 def test_category_of_elements(arrow):
     # y1 on the walking arrow a : 0 -> 1 has one element a at 0 and one, id1,
     # at 1; the only non-identity arrow of El(y1) is a : (0, a) -> (1, id1)
-    el = category_of_elements(representable(arrow, 1))
+    y1 = representable(arrow, 1)
+    el = category_of_elements(y1)
     assert el.el_objs == ((0, 0), (1, 0))
     assert el.el_index == {(0, 0): 0, (1, 0): 1}
     assert el.el_arrows == ((2, 0),)
     assert (el.n_objects, el.n_morphisms) == (2, 1)
     assert (el.src(0), el.tgt(0)) == (0, 1)
-    assert category_of_elements(representable(arrow, 1)) is not el  # distinct presheaf instances
+    assert category_of_elements(Presheaf(arrow, y1.at, y1.act)) is not el  # distinct instances
 
 
 def test_category_of_elements_cached(arrow):

@@ -1,0 +1,36 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "relmonad"
+
+
+def _unread_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read and name not in exported)
+
+
+def test_every_import_is_read():
+    # __init__.py imports only to re-export, so it is left out
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+        for line, name in _unread_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not unread, f"imported but never read: {unread}"

@@ -9,7 +9,7 @@ from relmonad.checker import CheckConfig
 from relmonad.errors import FormatError
 from relmonad.fincat import FunctorTable
 from relmonad.gen import GenConfig, gen_category, gen_functor, gen_multimap, gen_presheaf
-from relmonad.presheaf import FinSet, Presheaf
+from relmonad.presheaf import Presheaf
 
 from conftest import hom_sum_map, square_poset, two_group, walking_arrow
 
@@ -52,7 +52,7 @@ def test_multimap_round_trip(z2, arrow):
     again = textio.read_multimap(textio.write_multimap(m))
     assert again.sets.keys() == m.sets.keys()
     for k in m.sets:
-        assert again.sets[k].labels == m.sets[k].labels
+        assert again.sets[k] == m.sets[k]
     assert norm_rows(again.cod_act) == norm_rows(m.cod_act)
     assert norm_rows(again.slot_act) == norm_rows(m.slot_act)
 
@@ -77,7 +77,7 @@ def test_generated_multimap_and_functor_round_trips():
 
 
 def test_point_functor_round_trip(square):
-    pt = FunctorTable.point(square, 2)
+    pt = FunctorTable((), square, {(): 2}, {(): square.id_of(2)}, name="pt")
     assert textio.read_functor(textio.write_functor(pt)).content_key() == pt.content_key()
 
 
@@ -85,7 +85,7 @@ def test_labels_with_separators_survive(arrow):
     # generated labels look like "(0, (1, 0))"; make sure quoting protects them
     p = Presheaf(
         arrow,
-        [FinSet(["(0, (1, 0))", "a b"]), FinSet(["x,y"])],
+        [("(0, (1, 0))", "a b"), ("x,y",)],
         [(0, 1), (0,), (0,)],
     )
     assert textio.read_presheaf(textio.write_presheaf(p)).content_key() == p.content_key()
@@ -166,7 +166,7 @@ id 0 = 0
 def test_presheaf_rejections(arrow):
     base = textio.write_category(arrow)
     p = textio.write_presheaf(
-        Presheaf(arrow, [FinSet(["a", "b"]), FinSet(["x"])], [(0, 1), (0,), (1,)])
+        Presheaf(arrow, [("a", "b"), ("x",)], [(0, 1), (0,), (1,)])
     )
     with pytest.raises(FormatError, match="duplicate at line"):
         textio.read_presheaf(p + 'at 0 = {"a"}\n')
@@ -183,7 +183,7 @@ def test_presheaf_rejections(arrow):
     with pytest.raises(FormatError, match="category lines must precede"):
         textio.read_presheaf(p + "obj 2\n")
     # a malformed action table that parses but breaks functoriality is refused
-    q = Presheaf(two_group(), [FinSet(["a", "b"])], [(0, 1), (0, 1)])
+    q = Presheaf(two_group(), [("a", "b")], [(0, 1), (0, 1)])
     bad_act = textio.write_presheaf(q).replace('act 1 : "a" -> "a"', 'act 1 : "a" -> "b"')
     bad_act = bad_act.replace('act 1 : "b" -> "b"', 'act 1 : "b" -> "b"')
     with pytest.raises(FormatError, match="presheaf law broken"):
@@ -258,7 +258,7 @@ def test_replay_rejections():
 
 
 def test_unwritable_label():
-    p = Presheaf(walking_arrow(), [FinSet(['has"quote']), FinSet([])], [(0,), (), ()])
+    p = Presheaf(walking_arrow(), [('has"quote',), ()], [(0,), (), ()])
     with pytest.raises(FormatError, match="cannot be written"):
         textio.write_presheaf(p)
 
