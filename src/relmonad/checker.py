@@ -109,13 +109,17 @@ class CheckConfig:
     inject: str = ""
 
     def __post_init__(self):
-        """Refuse a policy or injector the checker does not have, and caps the
-        generators cannot draw from; ValueError names the field as the CLI
-        option and the replay key spell it."""
+        """Refuse a policy, injector, law or group the checker does not have,
+        and caps the generators cannot draw from; ValueError names the field as
+        the CLI option and the replay key spell it."""
         if self.policy not in ("transpose", "sample"):
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.inject and self.inject not in INJECTORS:
             raise ValueError(f"unknown injector {self.inject!r}")
+        try:
+            expand_laws(self.laws)
+        except KeyError as e:
+            raise ValueError(f"unknown law or group {e.args[0]!r}") from None
         for name, least in (("instances", 0), ("max_objects", 1),
                             ("max_edges", 0), ("max_values", 1)):
             value = getattr(self, name)

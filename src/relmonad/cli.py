@@ -87,10 +87,17 @@ def render_text(report):
     return "\n".join(lines) + "\n"
 
 
+def _write_file(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(str(e)) from None
+
+
 def _emit(text, out):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(out, text)
     else:
         sys.stdout.write(text)
 
@@ -124,12 +131,14 @@ def cmd_verify(args):
     render = render_machine if args.format == "machine" else render_text
     _emit(render(report), args.out)
     if args.replay_dir:
-        os.makedirs(args.replay_dir, exist_ok=True)
+        try:
+            os.makedirs(args.replay_dir, exist_ok=True)
+        except OSError as e:
+            raise UsageError(str(e)) from None
         for o in report.outcomes:
             if not o.ok:
                 path = os.path.join(args.replay_dir, f"{o.law}-{o.index}.replay")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(textio.write_replay(o.law, o.index, cfg))
+                _write_file(path, textio.write_replay(o.law, o.index, cfg))
     return 0 if report.ok else 1
 
 

@@ -88,12 +88,30 @@ class StrengthenMap(MultiMap):
         for m, _ in el.el_arrows:
             if m not in arrow_mor:
                 arrow_mor[m] = self.inner.morphism_at(args, j, m)
-        presheaf, colims = pointwise_colimit(
-            el,
-            [inner_vals[x] for x, _ in el.el_objs],
-            {ai: arrow_mor[m] for ai, (m, _) in enumerate(el.el_arrows)},
-            self.cod,
+        # Distinct map objects often meet content-equal inputs, so the colimit
+        # is memoized on the codomain by its whole input, by content.  El(p)
+        # depends only on the slot category and p.act (the identity rows fix
+        # each fiber's size), and p.act fixes the order in which inner_vals
+        # and arrow_mor are filled.  pointwise_colimit reads only the sizes and
+        # actions of the node presheaves and the components of the arrow maps,
+        # and labels its classes q0, q1, ...; so labels stay out of the key.
+        # p.base stays in: equal act tuples on two categories can still give
+        # El(p) different shapes.
+        key = (
+            p.base,
+            p.act,
+            tuple(v.act for v in inner_vals.values()),
+            tuple(phi.components for phi in arrow_mor.values()),
         )
+        colimit = self.cod.colimits.get(key)
+        if colimit is None:
+            colimit = self.cod.colimits[key] = pointwise_colimit(
+                el,
+                [inner_vals[x] for x, _ in el.el_objs],
+                {ai: arrow_mor[m] for ai, (m, _) in enumerate(el.el_arrows)},
+                self.cod,
+            )
+        presheaf, colims = colimit
         data = ExtensionData(presheaf, el, colims, inner_vals)
         self._data_memo[args] = data
         return data

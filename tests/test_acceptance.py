@@ -15,6 +15,9 @@ from relmonad.checker import CheckConfig, run_suite
 LIMIT = 300.0  # wall-clock ceiling per criterion, seconds
 # sha256 of the `verify --seed 42 --format machine` report
 SEED_42_DIGEST = "fa3ecb7c6922f4f36e17a75bff801aae660736527d7a44d75cc13ff4232982a5"
+# sha256 of `verify --seed 42 --format machine --policy sample --instances 3`:
+# the one pinned run that evaluates extensions at coproducts and a pushout
+SAMPLE_42_DIGEST = "e11c2fecd454160a80ad4b7f073f05916d5bad59ed5a2353f4c39d7d67ee5710"
 
 
 def _line(n, ok, detail):
@@ -134,3 +137,13 @@ def test_criterion_10_deterministic_reports(tmp_path):
     ok = rc1 == rc2 == 0 and same and digest == SEED_42_DIGEST and dt <= LIMIT
     _line(10, ok, f"two full machine-format runs at seed 42 are byte-identical "
                   f"(exit {rc1}/{rc2}, sha256 {digest[:12]}) in {dt:.1f}s")
+
+
+def test_sample_policy_report_is_pinned(tmp_path):
+    out = str(tmp_path / "sample.txt")
+    rc = cli.main(["verify", "--seed", "42", "--format", "machine", "--policy", "sample",
+                   "--instances", "3", "--out", out])
+    with open(out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert rc == 0
+    assert digest == SAMPLE_42_DIGEST

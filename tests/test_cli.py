@@ -108,6 +108,21 @@ def test_verify_out_file(capsys, tmp_path):
     assert "summary: 10 pass, 0 fail" in dest.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--laws", "yoneda-count", "--instances", "1", "--out", "{missing}"],
+    ["verify", "--laws", "yoneda-count", "--instances", "1", "--replay-dir", "{file}"],
+    ["explain", "--out", "{missing}"],
+], ids=["verify-out", "verify-replay-dir", "explain-out"])
+def test_failed_write_exits_two(argv, capsys, tmp_path):
+    existing = tmp_path / "a-file"
+    existing.write_text("")
+    paths = {"missing": str(tmp_path / "no-dir" / "out.txt"), "file": str(existing)}
+    rc, _, err = run([a.format(**paths) for a in argv], capsys)
+    assert rc == 2
+    assert err.startswith("relmonad: ")
+    assert "Traceback" not in err
+
+
 def test_verify_group_selection_order(capsys):
     rc, out, _ = run(
         ["verify", "--laws", "strength", "--seed", "5", "--format", "machine",

@@ -3,6 +3,7 @@ import pytest
 from conftest import hom_sum_map
 
 from relmonad.errors import SlotMismatchError, TransposeInapplicableError
+from relmonad.fincat import FinCategory
 from relmonad.kan import (
     StrengthenMap,
     counit_cell,
@@ -16,6 +17,7 @@ from relmonad.kan import (
 )
 from relmonad.multimap import (
     ComposeMap,
+    TableMap,
     identity_cell,
     identity_map,
     inverse_cell,
@@ -26,6 +28,11 @@ from relmonad.multimap import (
     whisker_outer,
 )
 from relmonad.presheaf import (
+    Presheaf,
+    category_of_elements,
+    merge_counter,
+    pointwise_colimit,
+    representable,
     sample_presheaves,
     validate_presheaf,
     validate_presheaf_morphism,
@@ -187,3 +194,63 @@ def test_strengthen_compose_normalization(arrow, plus0_arrow, sum2_arrow):
             va = a.evaluate((p, x))
             vb = b.evaluate((p, x))
             assert va.content_key() == vb.content_key()
+
+
+# -- the colimit memo on the codomain category ----------------------------------
+
+
+def uncached_extension(f, p):
+    """strengthen(f, 0) at p for a unary map f, straight from pointwise_colimit."""
+    c, el = p.base, category_of_elements(p)
+    return pointwise_colimit(
+        el,
+        [f.evaluate((x,)) for x, _ in el.el_objs],
+        {ai: f.morphism_at((c.src(m),), 0, m) for ai, (m, _) in enumerate(el.el_arrows)},
+        f.cod,
+    )
+
+
+def assert_matches_uncached(ext, p):
+    data = ext.data((p,))
+    presheaf, colims = uncached_extension(ext.inner, p)
+    assert data.presheaf.content_key() == presheaf.content_key()
+    assert data.colims == colims
+
+
+def test_content_equal_maps_share_one_colimit(arrow, sum1_arrow):
+    twin = TableMap([arrow], arrow, sum1_arrow.sets, sum1_arrow.cod_act,
+                    sum1_arrow.slot_act, name="twin")
+    p = representable(arrow, 1)
+    before = merge_counter.value
+    first = strengthen(sum1_arrow, 0).evaluate((p,))
+    merged = merge_counter.value
+    assert merged > before
+    assert strengthen(twin, 0).evaluate((p,)) is first
+    assert merge_counter.value == merged
+
+
+def test_equal_actions_on_reversed_arrows_stay_apart():
+    # 0 -> 1 and 1 -> 0: one act tuple is a presheaf on both, with El shapes
+    # that quotient differently, over the same codomain
+    point = FinCategory("pt", 1, [0], [0], [0], {(0, 0): 0})
+    act = ((0, 1), (0, 1), (0, 0))
+    for src, tgt in ((0, 1), (1, 0)):
+        c = FinCategory("c", 2, [0, 1, src], [0, 1, tgt], [0, 1],
+                        {(0, 0): 0, (1, 1): 1, (2, src): 2, (tgt, 2): 2})
+        const = TableMap(
+            [c], point,
+            {(x, 0): ("u",) for x in c.objects},
+            {(x, 0): (0,) for x in c.objects},
+            {(0, m, 0): (0,) for m in c.morphisms},
+        )
+        assert_matches_uncached(strengthen(const, 0), Presheaf(c, [("a", "b")] * 2, act))
+    assert len(point.colimits) == 2
+
+
+def test_labels_stay_out_of_the_colimit_key(arrow, sum1_arrow):
+    ext = strengthen(sum1_arrow, 0)
+    p = sample_presheaves(arrow)[3]
+    q = Presheaf(arrow, [[f"other{l}" for l in at] for at in p.at], p.act)
+    assert ext.evaluate((q,)) is ext.evaluate((p,))
+    assert len(arrow.colimits) == 1
+    assert_matches_uncached(ext, q)
