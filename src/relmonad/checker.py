@@ -248,8 +248,7 @@ INJECTORS = {
 # -- shared instance builders ---------------------------------------------------
 
 def _cfg_gen(cfg):
-    return GenConfig(max_objects=cfg.max_objects, max_edges=cfg.max_edges,
-                     max_values=cfg.max_values)
+    return GenConfig(max_objects=cfg.max_objects, max_edges=cfg.max_edges)
 
 
 def _kleisli(rng, cfg, src=None, dst=None):

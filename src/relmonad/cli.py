@@ -127,14 +127,19 @@ def cmd_verify(args):
         )
     except ValueError as e:
         raise UsageError(f"--{e}") from None
-    report = run_suite(cfg)
-    render = render_machine if args.format == "machine" else render_text
-    _emit(render(report), args.out)
+    # an unwritable destination exits 2 before any law runs, not after the
+    # report is lost or printed under the wrong exit code
+    if args.out:
+        _write_file(args.out, "")
     if args.replay_dir:
         try:
             os.makedirs(args.replay_dir, exist_ok=True)
         except OSError as e:
             raise UsageError(str(e)) from None
+    report = run_suite(cfg)
+    render = render_machine if args.format == "machine" else render_text
+    _emit(render(report), args.out)
+    if args.replay_dir:
         for o in report.outcomes:
             if not o.ok:
                 path = os.path.join(args.replay_dir, f"{o.law}-{o.index}.replay")

@@ -56,7 +56,7 @@ class FinCategory:
         self._key = None
         self.unit = None  # UnitMap, built by multimap.unit_map; not in content_key
         self.representables = {}  # object -> Presheaf, filled by presheaf.representable
-        self.colimits = {}  # extension input -> (Presheaf, colims), filled by kan
+        self.colimits = {}  # extension input -> kan.ExtensionData, filled by kan
 
     # -- accessors ---------------------------------------------------------
 

@@ -53,7 +53,6 @@ def derive_seed(seed: int, law: str, index: int) -> int:
 class GenConfig:
     max_objects: int = 3
     max_edges: int = 3
-    max_values: int = 24
 
 
 # -- categories ----------------------------------------------------------------

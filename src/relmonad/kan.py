@@ -47,12 +47,20 @@ from .multimap import (
 
 @dataclass
 class ExtensionData:
-    """Everything one evaluation of a strengthened map retains."""
+    """One extension's value, kept once per input content in cod.colimits."""
 
-    presheaf: Presheaf
     el: object  # ElementsCategory of the plugged argument
+    presheaf: Presheaf
     colims: tuple  # ColimitResult per codomain object
-    inner_vals: dict  # base object of the slot -> inner Presheaf
+
+
+def _cocone_map(data: ExtensionData, dst: Presheaf, leg) -> PresheafMorphism:
+    """The map out of an extension's value fixed by a cocone into dst: each
+    class goes where leg(y, node, t) sends its representative."""
+    return PresheafMorphism(data.presheaf, dst, [
+        [leg(y, node, t) for node, t in colim.reps]
+        for y, colim in enumerate(data.colims)
+    ])
 
 
 class StrengthenMap(MultiMap):
@@ -80,15 +88,13 @@ class StrengthenMap(MultiMap):
         j = self.j
         p = args[j]
         el = category_of_elements(p)
-        inner_vals = {}
-        for x, _ in el.el_objs:
-            if x not in inner_vals:
-                inner_vals[x] = self.inner.evaluate(args[:j] + (x,) + args[j + 1 :])
+        inner_vals = {x: self.inner.evaluate(args[:j] + (x,) + args[j + 1 :])
+                      for x in p.base.objects if p.at[x]}
         arrow_mor = {}
         for m, _ in el.el_arrows:
             if m not in arrow_mor:
                 arrow_mor[m] = self.inner.morphism_at(args, j, m)
-        # Distinct map objects often meet content-equal inputs, so the colimit
+        # Distinct map objects often meet content-equal inputs, so the record
         # is memoized on the codomain by its whole input, by content.  El(p)
         # depends only on the slot category and p.act (the identity rows fix
         # each fiber's size), and p.act fixes the order in which inner_vals
@@ -103,16 +109,14 @@ class StrengthenMap(MultiMap):
             tuple(v.act for v in inner_vals.values()),
             tuple(phi.components for phi in arrow_mor.values()),
         )
-        colimit = self.cod.colimits.get(key)
-        if colimit is None:
-            colimit = self.cod.colimits[key] = pointwise_colimit(
+        data = self.cod.colimits.get(key)
+        if data is None:
+            data = self.cod.colimits[key] = ExtensionData(el, *pointwise_colimit(
                 el,
                 [inner_vals[x] for x, _ in el.el_objs],
                 {ai: arrow_mor[m] for ai, (m, _) in enumerate(el.el_arrows)},
                 self.cod,
-            )
-        presheaf, colims = colimit
-        data = ExtensionData(presheaf, el, colims, inner_vals)
+            ))
         self._data_memo[args] = data
         return data
 
@@ -121,37 +125,29 @@ class StrengthenMap(MultiMap):
 
     def _mor_at(self, args, k, m):
         j = self.j
-        src_data = self.data(args)
+        src = self.data(args)
         if k == j:
             # action on a presheaf morphism phi: relabel El nodes along phi
-            phi = m
-            dst_data = self.data(args[:j] + (phi.dst,) + args[j + 1 :])
-            comps = []
-            for y in self.cod.objects:
-                row = []
-                for node, t in src_data.colims[y].reps:
-                    x, e = src_data.el.el_objs[node]
-                    node2 = dst_data.el.el_index[(x, phi.components[x][e])]
-                    row.append(dst_data.colims[y].coprojections[node2][t])
-                comps.append(tuple(row))
-            return PresheafMorphism(src_data.presheaf, dst_data.presheaf, comps)
+            dst = self.data(args[:j] + (m.dst,) + args[j + 1 :])
+
+            def leg(y, node, t):
+                x, e = src.el.el_objs[node]
+                node2 = dst.el.el_index[(x, m.components[x][e])]
+                return dst.colims[y].coprojections[node2][t]
+
+            return _cocone_map(src, dst.presheaf, leg)
         # action in another slot: apply inner's action over each El node
         slot = self.slots[k]
         tgt_k = slot.cat.tgt(m) if slot.kind == "fin" else m.dst
-        dst_data = self.data(args[:k] + (tgt_k,) + args[k + 1 :])
-        step = {}
-        for x in src_data.inner_vals:
-            step[x] = self.inner.morphism_at(args[:j] + (x,) + args[j + 1 :], k, m)
-        comps = []
-        for y in self.cod.objects:
-            row = []
-            for node, t in src_data.colims[y].reps:
-                x = src_data.el.el_objs[node][0]
-                row.append(
-                    dst_data.colims[y].coprojections[node][step[x].components[y][t]]
-                )
-            comps.append(tuple(row))
-        return PresheafMorphism(src_data.presheaf, dst_data.presheaf, comps)
+        dst = self.data(args[:k] + (tgt_k,) + args[k + 1 :])
+        step = {x: self.inner.morphism_at(args[:j] + (x,) + args[j + 1 :], k, m)
+                for x in args[j].base.objects if args[j].at[x]}
+
+        def leg(y, node, t):
+            x = src.el.el_objs[node][0]
+            return dst.colims[y].coprojections[node][step[x].components[y][t]]
+
+        return _cocone_map(src, dst.presheaf, leg)
 
 
 def strengthen(f: MultiMap, j: int) -> StrengthenMap:
@@ -175,12 +171,8 @@ def unit_cell(f: MultiMap, j: int) -> TwoCell:
         p = u.evaluate((x,))
         data = ext.data(args[:j] + (p,) + args[j + 1 :])
         node = data.el.el_index[(x, u.element_of_identity(x))]
-        src_val = f.evaluate(args)
-        comps = [
-            tuple(data.colims[y].coprojections[node][t] for t in range(len(src_val.at[y])))
-            for y in f.cod.objects
-        ]
-        return PresheafMorphism(src_val, data.presheaf, comps)
+        return PresheafMorphism(f.evaluate(args), data.presheaf,
+                                [colim.coprojections[node] for colim in data.colims])
 
     return TwoCell(f, dst, fn, name=f"u~[{f.name};{j}]")
 
@@ -196,19 +188,16 @@ def counit_cell(h: MultiMap, j: int) -> TwoCell:
     def fn(args):
         p = args[j]
         data = src.data(args)
-        comps = []
-        hv = h.evaluate(args)
-        for y in h.cod.objects:
-            row = []
-            for node, t in data.colims[y].reps:
-                x, e = data.el.el_objs[node]
-                chi = classify.get((p, x, e))
-                if chi is None:
-                    chi = classify[(p, x, e)] = classifying_morphism(p, x, e)
-                psi = h.morphism_at(args[:j] + (chi.src,) + args[j + 1 :], j, chi)
-                row.append(psi.components[y][t])
-            comps.append(tuple(row))
-        return PresheafMorphism(data.presheaf, hv, comps)
+
+        def leg(y, node, t):
+            x, e = data.el.el_objs[node]
+            chi = classify.get((p, x, e))
+            if chi is None:
+                chi = classify[(p, x, e)] = classifying_morphism(p, x, e)
+            psi = h.morphism_at(args[:j] + (chi.src,) + args[j + 1 :], j, chi)
+            return psi.components[y][t]
+
+        return _cocone_map(data, h.evaluate(args), leg)
 
     return TwoCell(src, h, fn, name=f"sg[{h.name};{j}]")
 
@@ -216,7 +205,8 @@ def counit_cell(h: MultiMap, j: int) -> TwoCell:
 def theta_cell(cat: FinCategory) -> TwoCell:
     """strengthen(unit, 0) => identity: collapse hom-indexed classes by acting.
 
-    This is the counit at the identity map, written out directly.
+    This is the counit at the identity map, written out directly: the counit
+    would build a classifying map and look up its action for every class.
     """
     u = unit_map(cat)
     src = strengthen(u, 0)
@@ -225,15 +215,12 @@ def theta_cell(cat: FinCategory) -> TwoCell:
     def fn(args):
         (p,) = args
         data = src.data((p,))
-        comps = []
-        for y in cat.objects:
-            row = []
-            for node, t in data.colims[y].reps:
-                x, e = data.el.el_objs[node]
-                hmor = cat.hom(y, x)[t]
-                row.append(p.act[hmor][e])
-            comps.append(tuple(row))
-        return PresheafMorphism(data.presheaf, p, comps)
+
+        def leg(y, node, t):
+            x, e = data.el.el_objs[node]
+            return p.act[cat.hom(y, x)[t]][e]
+
+        return _cocone_map(data, p, leg)
 
     return TwoCell(src, dst, fn, name=f"th[{cat.name}]")
 
@@ -246,15 +233,13 @@ def strengthen_cell(cell: TwoCell, j: int) -> TwoCell:
     def fn(args):
         sdata = src.data(args)
         ddata = dst.data(args)
-        comps = []
-        for y in src.cod.objects:
-            row = []
-            for node, t in sdata.colims[y].reps:
-                x = sdata.el.el_objs[node][0]
-                phi = cell.component(args[:j] + (x,) + args[j + 1 :])
-                row.append(ddata.colims[y].coprojections[node][phi.components[y][t]])
-            comps.append(tuple(row))
-        return PresheafMorphism(sdata.presheaf, ddata.presheaf, comps)
+
+        def leg(y, node, t):
+            x = sdata.el.el_objs[node][0]
+            phi = cell.component(args[:j] + (x,) + args[j + 1 :])
+            return ddata.colims[y].coprojections[node][phi.components[y][t]]
+
+        return _cocone_map(sdata, ddata.presheaf, leg)
 
     return TwoCell(src, dst, fn, name=f"ext{j}[{cell.name}]")
 

@@ -70,9 +70,9 @@ def apply_functor(f: FunctorTable, cod=None) -> MultiMap:
     return m
 
 
-def functor_on_nat(psi, cod=None) -> TwoCell:
+def functor_on_nat(psi) -> TwoCell:
     """Lift a natural transformation to a cell between lifted functors."""
-    c = cod or psi.dst.dst
+    c = psi.dst.dst
     cell = whisker_outer_fin(unit_map(c), 0, psi)
     for r in range(psi.src.arity):
         cell = strengthen_cell(cell, r)
@@ -131,7 +131,7 @@ def functor_comp_cell(f: FunctorTable, i: int, g: FunctorTable) -> TwoCell:
     return retree(vcomp(*steps), src, dst, name=f"comp^[{f.name};{i};{g.name}]")
 
 
-def unit_naturality_square(f: FunctorTable, cod=None) -> TwoCell:
+def unit_naturality_square(f: FunctorTable) -> TwoCell:
     """Invertible cell  base(f)  =>  lift(f) o (units).
 
     Witnesses that the unit is natural up to isomorphism: mapping first and
@@ -139,7 +139,7 @@ def unit_naturality_square(f: FunctorTable, cod=None) -> TwoCell:
     representables.  One restriction cell per slot, whiskered by the units
     already in place.
     """
-    y = cod or f.dst
+    y = f.dst
     a = base_map(f, y)
     steps = []
     cur = a

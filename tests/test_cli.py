@@ -113,12 +113,17 @@ def test_verify_out_file(capsys, tmp_path):
     ["verify", "--laws", "yoneda-count", "--instances", "1", "--replay-dir", "{file}"],
     ["explain", "--out", "{missing}"],
 ], ids=["verify-out", "verify-replay-dir", "explain-out"])
-def test_failed_write_exits_two(argv, capsys, tmp_path):
+def test_failed_write_exits_two(argv, capsys, tmp_path, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("a law ran before the destinations were checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
     existing = tmp_path / "a-file"
     existing.write_text("")
     paths = {"missing": str(tmp_path / "no-dir" / "out.txt"), "file": str(existing)}
-    rc, _, err = run([a.format(**paths) for a in argv], capsys)
+    rc, out, err = run([a.format(**paths) for a in argv], capsys)
     assert rc == 2
+    assert out == ""
     assert err.startswith("relmonad: ")
     assert "Traceback" not in err
 

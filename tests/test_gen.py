@@ -81,7 +81,7 @@ def test_generated_presheaves_validate():
     for s in range(30):
         rng = random.Random(s)
         c = gen_category(rng, cfg)
-        p = gen_presheaf(rng, c, cfg.max_values)
+        p = gen_presheaf(rng, c)
         assert validate_presheaf(p).ok, (s, c.name)
 
 
@@ -104,12 +104,11 @@ def test_quotient_is_presheaf_on_group():
 
 
 def test_generated_multimaps_validate():
-    cfg = GenConfig()
     for s in range(8):
         rng = random.Random(s)
         c = builtin_category(rng.choice(["arrow", "square"]))
         d = builtin_category(rng.choice(["arrow", "z2"]))
-        m = gen_multimap(rng, (c,), d, cfg.max_values)
+        m = gen_multimap(rng, (c,), d)
         assert validate_multimap(m).ok, s
 
 
@@ -161,8 +160,8 @@ def test_generation_reproducible():
     for _ in range(2):
         rng = random.Random(seed)
         c = gen_category(rng, cfg)
-        p = gen_presheaf(rng, c, cfg.max_values)
-        m = gen_multimap(rng, (c,), c, cfg.max_values)
+        p = gen_presheaf(rng, c)
+        m = gen_multimap(rng, (c,), c)
         keys = (c.content_key(), p.content_key())
         tables = tuple(
             m.evaluate((x,)).content_key() for x in c.objects

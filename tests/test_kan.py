@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import hom_sum_map
@@ -29,7 +31,9 @@ from relmonad.multimap import (
 )
 from relmonad.presheaf import (
     Presheaf,
+    PresheafMorphism,
     category_of_elements,
+    enumerate_nat_trans,
     merge_counter,
     pointwise_colimit,
     representable,
@@ -80,6 +84,29 @@ def test_extension_action_is_natural(arrow, plus0_arrow):
     for phi in enumerate_nat_trans(p, q):
         big = ext.morphism_at((p,), 0, phi)
         assert validate_presheaf_morphism(big).ok
+
+
+def test_extension_actions_are_functorial(arrow, sum2_arrow):
+    ext = strengthen(sum2_arrow, 0)
+    samples = sample_presheaves(arrow)
+    composable = [(m2, m1) for m1 in arrow.morphisms for m2 in arrow.morphisms
+                  if arrow.src(m2) == arrow.tgt(m1)]
+    for p in samples:
+        for x in arrow.objects:
+            ident = ext.morphism_at((p, x), 0, PresheafMorphism.identity(p))
+            assert ident.components == PresheafMorphism.identity(ext.evaluate((p, x))).components
+            for q, r in itertools.product(samples, repeat=2):
+                for phi in enumerate_nat_trans(p, q):
+                    for psi in enumerate_nat_trans(q, r):
+                        both = ext.morphism_at((p, x), 0, phi.then(psi))
+                        steps = ext.morphism_at((p, x), 0, phi).then(
+                            ext.morphism_at((q, x), 0, psi))
+                        assert both.components == steps.components
+        for m2, m1 in composable:
+            a, b = arrow.src(m1), arrow.tgt(m1)
+            both = ext.morphism_at((p, a), 1, arrow.compose(m2, m1))
+            steps = ext.morphism_at((p, a), 1, m1).then(ext.morphism_at((p, b), 1, m2))
+            assert both.components == steps.components
 
 
 def test_unit_cell_components_are_invertible(arrow, plus0_arrow):
@@ -227,6 +254,7 @@ def test_content_equal_maps_share_one_colimit(arrow, sum1_arrow):
     assert merged > before
     assert strengthen(twin, 0).evaluate((p,)) is first
     assert merge_counter.value == merged
+    assert strengthen(twin, 0).data((p,)) is strengthen(sum1_arrow, 0).data((p,))
 
 
 def test_equal_actions_on_reversed_arrows_stay_apart():
