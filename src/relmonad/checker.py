@@ -55,9 +55,9 @@ from .multimap import (
     CellComparison,
     ComposeFinMap,
     ComposeMap,
+    IdentityMap,
     TwoCell,
     identity_cell,
-    identity_map,
     inverse_cell,
     plug_many,
     retree,
@@ -195,8 +195,8 @@ def _identity_tables_cell(cell):
     return TwoCell(cell.src, cell.dst, fn, name=cell.name)
 
 
-def _apply_functor_descending(f, cod=None):
-    m = base_map(f, cod)
+def _apply_functor_descending(f):
+    m = base_map(f)
     for r in range(f.arity - 1, -1, -1):
         m = strengthen(m, r)
     return m
@@ -573,8 +573,8 @@ def _law_lift_identity(rng, cfg, hooks):
     f = gen_functor(rng, (x,), y)
     lift = hooks["apply_functor"]
     tf = lift(f)
-    th_y = retree(hooks["theta"](y), lift(FunctorTable.identity(y)), identity_map(y))
-    th_x = retree(hooks["theta"](x), lift(FunctorTable.identity(x)), identity_map(x))
+    th_y = retree(hooks["theta"](y), lift(FunctorTable.identity(y)), IdentityMap(y))
+    th_x = retree(hooks["theta"](x), lift(FunctorTable.identity(x)), IdentityMap(x))
     left = vcomp(
         functor_comp_cell(FunctorTable.identity(y), 0, f),
         whisker_inner(th_y, 0, tf),
@@ -926,7 +926,7 @@ def _law_square_collapse_compat(rng, cfg, hooks):
         ComposeMap(t1, 0, u),
     )
     beta = extend_square(alpha, u, one, one, [u])
-    th = retree(hooks["theta"](x), strengthen(u, 0), identity_map(x))
+    th = retree(hooks["theta"](x), strengthen(u, 0), IdentityMap(x))
     rhs = vcomp(
         whisker_inner(th, 0, t1),
         whisker_outer(t1, 0, inverse_cell(th)),

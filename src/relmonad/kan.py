@@ -34,10 +34,10 @@ from .presheaf import (
 )
 from .multimap import (
     ComposeMap,
+    IdentityMap,
     MultiMap,
     Slot,
     TwoCell,
-    identity_map,
     unit_map,
     vcomp,
     whisker_inner,
@@ -210,7 +210,7 @@ def theta_cell(cat: FinCategory) -> TwoCell:
     """
     u = unit_map(cat)
     src = strengthen(u, 0)
-    dst = identity_map(cat)
+    dst = IdentityMap(cat)
 
     def fn(args):
         (p,) = args

@@ -52,19 +52,19 @@ __all__ = [
 ]
 
 
-def base_map(f: FunctorTable, cod=None) -> MultiMap:
+def base_map(f: FunctorTable) -> MultiMap:
     """The map sending objects x1..xn to the representable at f(x1..xn)."""
-    return ComposeFinMap(unit_map(cod or f.dst), 0, f)
+    return ComposeFinMap(unit_map(f.dst), 0, f)
 
 
-def apply_functor(f: FunctorTable, cod=None) -> MultiMap:
+def apply_functor(f: FunctorTable) -> MultiMap:
     """Lift a functor between index categories to a map on presheaves.
 
     Extend the representable-valued base map at every slot, ascending.
     The result takes one presheaf per source factor and returns a presheaf
     on the target.
     """
-    m = base_map(f, cod)
+    m = base_map(f)
     for r in range(f.arity):
         m = strengthen(m, r)
     return m
@@ -78,8 +78,8 @@ def functor_on_nat(psi) -> TwoCell:
         cell = strengthen_cell(cell, r)
     return retree(
         cell,
-        apply_functor(psi.src, c),
-        apply_functor(psi.dst, c),
+        apply_functor(psi.src),
+        apply_functor(psi.dst),
         name=f"lift[{cell.name}]",
     )
 
@@ -104,11 +104,10 @@ def functor_comp_cell(f: FunctorTable, i: int, g: FunctorTable) -> TwoCell:
     the inner base map, then one extension-vs-substitution interchange per
     inner slot walks its extension across the outer map.
     """
-    y, x = f.dst, f.slots[i]
     n, m = f.arity, g.arity
     total = n + m - 1
 
-    a = base_map(f, y)
+    a = base_map(f)
     for r in range(i):
         a = strengthen(a, r)
     # restriction of the outer chain at slot i, under the inner functor:
@@ -118,7 +117,7 @@ def functor_comp_cell(f: FunctorTable, i: int, g: FunctorTable) -> TwoCell:
         cell = strengthen_cell(cell, s)
     steps = [cell]
 
-    b = base_map(g, x)
+    b = base_map(g)
     for r in range(m):
         step = mult_cell(a, i, b, r)
         for s in range(i + r + 1, total):
@@ -126,8 +125,8 @@ def functor_comp_cell(f: FunctorTable, i: int, g: FunctorTable) -> TwoCell:
         steps.append(step)
         b = strengthen(b, r)
 
-    src = apply_functor(compose_functor(f, i, g), y)
-    dst = ComposeMap(apply_functor(f, y), i, apply_functor(g, x))
+    src = apply_functor(compose_functor(f, i, g))
+    dst = ComposeMap(apply_functor(f), i, apply_functor(g))
     return retree(vcomp(*steps), src, dst, name=f"comp^[{f.name};{i};{g.name}]")
 
 
@@ -139,8 +138,7 @@ def unit_naturality_square(f: FunctorTable) -> TwoCell:
     representables.  One restriction cell per slot, whiskered by the units
     already in place.
     """
-    y = f.dst
-    a = base_map(f, y)
+    a = base_map(f)
     steps = []
     cur = a
     for r in range(f.arity):
@@ -151,7 +149,7 @@ def unit_naturality_square(f: FunctorTable) -> TwoCell:
         cur = strengthen(cur, r)
     if not steps:
         return identity_cell(a)
-    dst = apply_functor(f, y)
+    dst = apply_functor(f)
     for s in range(f.arity):
         dst = ComposeMap(dst, s, unit_map(f.slots[s]))
     return retree(vcomp(*steps), a, dst, name=f"i~[{f.name}]")
@@ -242,13 +240,11 @@ def extend_square(alpha: TwoCell, h: MultiMap, f: FunctorTable, fprime: FunctorT
     every slot; then convert each slot's doubled extension into the
     extension of the matching g, outermost slot first.
     """
-    xprime = h.slots[0].cat
-    y = h.cod
     n = f.arity
     steps = []
 
     # phase 1: pull lift(f)'s extensions outside ext(h), outermost first
-    bs = [base_map(f, xprime)]
+    bs = [base_map(f)]
     for r in range(n):
         bs.append(strengthen(bs[-1], r))
     for r in range(n - 1, -1, -1):
@@ -271,7 +267,7 @@ def extend_square(alpha: TwoCell, h: MultiMap, f: FunctorTable, fprime: FunctorT
 
     # phase 4: absorb each slot's outer extension into the plugged g,
     # outermost slot first; earlier conversions are whiskered over
-    chains = [base_map(fprime, y)]
+    chains = [base_map(fprime)]
     for r in range(n):
         chains.append(strengthen(chains[-1], r))
     for r in range(n - 1, -1, -1):
@@ -286,8 +282,8 @@ def extend_square(alpha: TwoCell, h: MultiMap, f: FunctorTable, fprime: FunctorT
             step = whisker_inner(step, i, strengthen(gs[i], 0))
         steps.append(step)
 
-    src = ComposeMap(strengthen(h, 0), 0, apply_functor(f, xprime))
-    dst = apply_functor(fprime, y)
+    src = ComposeMap(strengthen(h, 0), 0, apply_functor(f))
+    dst = apply_functor(fprime)
     for i in range(n):
         dst = ComposeMap(dst, i, strengthen(gs[i], 0))
     return retree(vcomp(*steps), src, dst, name=f"ext2[{alpha.name}]")

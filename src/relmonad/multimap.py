@@ -192,10 +192,6 @@ def unit_map(cat: FinCategory) -> UnitMap:
     return cat.unit
 
 
-def identity_map(cat: FinCategory) -> IdentityMap:
-    return IdentityMap(cat)
-
-
 class ComposeMap(MultiMap):
     """Plug map g into psh slot j of map f."""
 

@@ -59,6 +59,28 @@ def _int(tok, lineno, what):
         _fail(lineno, f"{what} must be an integer, got {tok!r}")
 
 
+def _ints(body, lineno, what):
+    return tuple(_int(t.strip(), lineno, what) for t in body.split(",") if t.strip())
+
+
+def _put(table, key, value, lineno, what):
+    """Each key may be given by one line only."""
+    if key in table:
+        _fail(lineno, f"duplicate {what}")
+    table[key] = value
+
+
+def _checked(artifact, validate, lineno, kind):
+    rep = validate(artifact)
+    if not rep.ok:
+        _fail(lineno, f"{kind} law broken: {rep.first.law} at {rep.first.witness}")
+    return artifact
+
+
+def _text(lines):
+    return "\n".join(lines) + "\n"
+
+
 # -- label scanning -------------------------------------------------------------
 
 def _scan_label(s, pos, lineno):
@@ -116,62 +138,95 @@ def _quote(label):
     return f'"{label}"'
 
 
+def _braced(labels):
+    return "{" + ", ".join(_quote(lab) for lab in labels) + "}"
+
+
 def _parse_tuple(s, lineno, what):
     s = s.strip()
     if not (s.startswith("(") and s.endswith(")")):
         _fail(lineno, f"{what} must be parenthesized")
-    body = s[1:-1].strip()
-    if not body:
-        return ()
-    return tuple(_int(t.strip(), lineno, what) for t in body.split(",") if t.strip())
+    return _ints(s[1:-1], lineno, what)
+
+
+def _tuple_str(ids):
+    return "(" + ", ".join(str(i) for i in ids) + ")"
+
+
+def _indexed(key):
+    """'(<y>; <b1>, ...)' for a map's fiber or row key (b1, ..., y)."""
+    return f"({key[-1]}; {', '.join(str(b) for b in key[:-1])})"
+
+
+# -- action rows -------------------------------------------------------------------
+
+def _fill_row(given, labels, index, is_id, lineno, what, side="target"):
+    """One action row from its `a -> b` lines, given as {a: b}: for each
+    label of `labels`, the position in `index` of the label it is sent to.
+
+    A row that acts by an identity may leave lines out.  `side` names the
+    fiber `labels` lies in, for the message about an a outside it.
+    """
+    row = []
+    for lab in labels:
+        if lab in given:
+            out = given[lab]
+            if out not in index:
+                _fail(lineno, f"{what} sends {lab!r} to unknown label {out!r}")
+            row.append(index[out])
+        elif is_id:
+            row.append(index[lab])
+        else:
+            _fail(lineno, f"missing {what} at {lab!r}")
+    extra = sorted(given.keys() - set(labels))
+    if extra:
+        _fail(lineno, f"{what} names {extra[0]!r}, which is not in the {side} fiber")
+    return tuple(row)
+
+
+def _fiber_index(labels, lineno, where):
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        _fail(lineno, f"duplicate label at {where}")
+    return index
+
+
+def _act_lines(head, labels, dst_labels, row):
+    return [f"{head} : {_quote(a)} -> {_quote(dst_labels[i])}" for a, i in zip(labels, row)]
 
 
 # -- categories -----------------------------------------------------------------
 
+_CAT_LINES = {  # key -> (pattern, usage)
+    "obj": (r"(\S+)", "obj <id>"),
+    "mor": (r"(\S+)\s*:\s*(\S+)\s*->\s*(\S+)", "mor <id> : <src> -> <tgt>"),
+    "id": (r"(\S+)\s*=\s*(\S+)", "id <obj> = <mor>"),
+    "comp": (r"(\S+)\s+(\S+)\s*=\s*(\S+)", "comp <g> <f> = <gf>"),
+}
+
+
 class _CatDraft:
     def __init__(self):
-        self.objs = []
+        self.objs = {}  # obj -> None, a dict so _put can guard it
         self.mors = {}  # id -> (src, tgt)
         self.ids = {}  # obj -> mor
         self.comp = {}  # (g, f) -> gf
 
 
 def _cat_line(draft, lineno, key, rest):
+    pattern, usage = _CAT_LINES[key]
+    m = re.fullmatch(pattern, rest)
+    if not m:
+        _fail(lineno, f"expected '{usage}'")
+    a, *more = (_int(t, lineno, f"each number of a {key} line") for t in m.groups())
     if key == "obj":
-        o = _int(rest.strip(), lineno, "object id")
-        if o in draft.objs:
-            _fail(lineno, f"duplicate object {o}")
-        draft.objs.append(o)
+        _put(draft.objs, a, None, lineno, f"object {a}")
     elif key == "mor":
-        m = re.fullmatch(r"(\S+)\s*:\s*(\S+)\s*->\s*(\S+)", rest.strip())
-        if not m:
-            _fail(lineno, "expected 'mor <id> : <src> -> <tgt>'")
-        mid = _int(m.group(1), lineno, "morphism id")
-        if mid in draft.mors:
-            _fail(lineno, f"duplicate morphism {mid}")
-        draft.mors[mid] = (
-            _int(m.group(2), lineno, "source"),
-            _int(m.group(3), lineno, "target"),
-        )
+        _put(draft.mors, a, tuple(more), lineno, f"morphism {a}")
     elif key == "id":
-        m = re.fullmatch(r"(\S+)\s*=\s*(\S+)", rest.strip())
-        if not m:
-            _fail(lineno, "expected 'id <obj> = <mor>'")
-        o = _int(m.group(1), lineno, "object id")
-        if o in draft.ids:
-            _fail(lineno, f"duplicate identity for object {o}")
-        draft.ids[o] = _int(m.group(2), lineno, "morphism id")
-    elif key == "comp":
-        m = re.fullmatch(r"(\S+)\s+(\S+)\s*=\s*(\S+)", rest.strip())
-        if not m:
-            _fail(lineno, "expected 'comp <g> <f> = <gf>'")
-        g = _int(m.group(1), lineno, "morphism id")
-        f = _int(m.group(2), lineno, "morphism id")
-        if (g, f) in draft.comp:
-            _fail(lineno, f"duplicate composition ({g}, {f})")
-        draft.comp[(g, f)] = _int(m.group(3), lineno, "morphism id")
+        _put(draft.ids, a, more[0], lineno, f"identity for object {a}")
     else:
-        raise AssertionError(key)
+        _put(draft.comp, (a, more[0]), more[1], lineno, f"composition ({a}, {more[0]})")
 
 
 def _finish_category(draft, lineno, name):
@@ -216,24 +271,61 @@ def _finish_category(draft, lineno, name):
             if tgt[f] == src[g] and (g, f) not in comp:
                 _fail(lineno, f"missing composition ({g}, {f})")
     c = FinCategory(name, n, src, tgt, identity, comp)
-    rep = validate_category(c)
-    if not rep.ok:
-        _fail(lineno, f"category law broken: {rep.first.law} at {rep.first.witness}")
-    return c
+    return _checked(c, validate_category, lineno, "category")
 
 
-def read_category(text, name="cat"):
-    draft = _CatDraft()
-    last = 0
+def _read_sections(text, payload_keys, headed, name=None):
+    """A file's category sections and payload lines, read in one pass.
+
+    A headed file (functor, map) opens each category with `slotcat <j>` or
+    `codcat`; a headless one (category, presheaf) is one category, called
+    `name`, whose lines precede the payload.  A section is finished, so
+    validated, when a header, a payload line or the end of the file closes
+    it.  Returns (the slot categories by index then the target, or the
+    headless category; payload lines as (lineno, key, rest); the last line
+    number).
+    """
+    sections, payload = {}, []
+    head, label, draft = None, name, (None if headed else _CatDraft())
+    lineno = 0
+
+    def close():
+        if draft is not None:
+            sections[head] = _finish_category(draft, lineno, label)
+
     for lineno, line in _lines(text):
-        last = lineno
         key = line.split(None, 1)[0]
-        if key not in ("obj", "mor", "id", "comp"):
-            _fail(lineno, f"unknown line {key!r} in a category file")
-        _cat_line(draft, lineno, key, line[len(key):])
-    if not draft.objs:
-        raise FormatError("empty category file")
-    return _finish_category(draft, last, name)
+        if "[" in key and key.split("[", 1)[0] in payload_keys:
+            key = key.split("[", 1)[0]  # 'act[0]' written without a space
+        rest = line[len(key):].strip()
+        if key in _CAT_LINES:
+            if draft is None:
+                _fail(lineno, "category line outside a slotcat/codcat block" if headed
+                      else f"category lines must precede {'/'.join(payload_keys)} lines")
+            _cat_line(draft, lineno, key, rest)
+        elif headed and key in ("slotcat", "codcat"):
+            close()
+            if key == "codcat" and rest:
+                _fail(lineno, "codcat takes no argument")
+            head = _int(rest, lineno, "slot index") if key == "slotcat" else "target"
+            if head in sections:
+                _fail(lineno, f"duplicate {line}")
+            label, draft = (f"slot {head}" if key == "slotcat" else head), _CatDraft()
+        elif key in payload_keys:
+            close()
+            draft = None
+            payload.append((lineno, key, rest))
+        else:
+            _fail(lineno, f"unknown line {key!r}")
+    close()
+    if not headed:
+        return (sections[None],), payload, lineno
+    if "target" not in sections:
+        raise FormatError("missing codcat block")
+    n = len(sections) - 1
+    if sorted(h for h in sections if h != "target") != list(range(n)):
+        raise FormatError("slotcat indices must be 0..n-1")
+    return tuple(sections[h] for h in [*range(n), "target"]), payload, lineno
 
 
 def _category_lines(c):
@@ -247,402 +339,199 @@ def _category_lines(c):
     return out
 
 
+def _blocks_lines(slot_cats, cod):
+    out = []
+    for j, c in enumerate(slot_cats):
+        out += [f"slotcat {j}", *_category_lines(c)]
+    return out + ["codcat", *_category_lines(cod)]
+
+
+def read_category(text, name="cat"):
+    (c,), _, _ = _read_sections(text, (), False, name)
+    if not c.n_objects:
+        raise FormatError("empty category file")
+    return c
+
+
 def write_category(c):
-    return "\n".join(_category_lines(c)) + "\n"
+    return _text(_category_lines(c))
 
 
 # -- presheaves -------------------------------------------------------------------
 
 def read_presheaf(text, name="parsed"):
-    cat_draft = _CatDraft()
-    at = {}
-    act = {}
-    cat_done = False
-    last = 0
-    base = None
-    for lineno, line in _lines(text):
-        last = lineno
-        key = line.split(None, 1)[0]
-        rest = line[len(key):]
-        if key in ("obj", "mor", "id", "comp"):
-            if cat_done:
-                _fail(lineno, "category lines must precede at/act lines")
-            _cat_line(cat_draft, lineno, key, rest)
-            continue
-        if not cat_done:
-            base = _finish_category(cat_draft, lineno, name)
-            cat_done = True
+    (base,), payload, last = _read_sections(text, ("at", "act"), False, name)
+    if not payload:
+        raise FormatError("presheaf file has no at lines")
+    at, act = {}, {}
+    for lineno, key, rest in payload:
         if key == "at":
-            m = re.fullmatch(r"(\S+)\s*=\s*(\{.*\})", rest.strip())
+            m = re.fullmatch(r"(\S+)\s*=\s*(\{.*\})", rest)
             if not m:
                 _fail(lineno, "expected 'at <obj> = {...}'")
             o = _int(m.group(1), lineno, "object id")
-            if o in at:
-                _fail(lineno, f"duplicate at line for object {o}")
-            at[o] = _scan_labels_braced(m.group(2), lineno)
-        elif key == "act":
-            m = re.fullmatch(r"(\S+)\s*:\s*(.+)", rest.strip())
+            _put(at, o, _scan_labels_braced(m.group(2), lineno), lineno, f"at line for object {o}")
+        else:
+            m = re.fullmatch(r"(\S+)\s*:\s*(.+)", rest)
             if not m:
                 _fail(lineno, "expected 'act <mor> : <label> -> <label>'")
             mor = _int(m.group(1), lineno, "morphism id")
             a, b = _scan_arrow_pair(m.group(2), lineno)
-            if (mor, a) in act:
-                _fail(lineno, f"duplicate act line for morphism {mor} at {a!r}")
-            act[(mor, a)] = b
-        else:
-            _fail(lineno, f"unknown line {key!r} in a presheaf file")
-    if base is None:
-        raise FormatError("presheaf file has no at lines")
-    return _finish_presheaf(base, at, act, last)
-
-
-def _finish_presheaf(base, at, act, lineno):
+            _put(act.setdefault(mor, {}), a, b, lineno, f"act line for morphism {mor} at {a!r}")
     if sorted(at) != list(base.objects):
-        _fail(lineno, "every object needs exactly one at line")
-    sets = []
-    index = []
-    for o in base.objects:
-        labels = at[o]
-        if len(set(labels)) != len(labels):
-            _fail(lineno, f"duplicate label at object {o}")
-        sets.append(labels)
-        index.append({lab: i for i, lab in enumerate(labels)})
-    rows = []
-    used = set()
-    for m in base.morphisms:
-        a, b = base.src(m), base.tgt(m)
-        row = []
-        for lab in sets[b]:
-            if (m, lab) in act:
-                used.add((m, lab))
-                out = act[(m, lab)]
-                if out not in index[a]:
-                    _fail(lineno, f"act {m} sends {lab!r} to unknown label {out!r}")
-                row.append(index[a][out])
-            elif base.is_identity(m):
-                row.append(index[a][lab])
-            else:
-                _fail(lineno, f"missing act line for morphism {m} at {lab!r}")
-        rows.append(tuple(row))
-    for m, lab in act:
-        if not (0 <= m < base.n_morphisms):
-            _fail(lineno, f"act references unknown morphism {m}")
-        if (m, lab) not in used:
-            _fail(lineno, f"act {m} names {lab!r} which is not in the target fiber")
-    p = Presheaf(base, sets, rows)
-    rep = validate_presheaf(p)
-    if not rep.ok:
-        _fail(lineno, f"presheaf law broken: {rep.first.law} at {rep.first.witness}")
-    return p
+        _fail(last, "every object needs exactly one at line")
+    index = [_fiber_index(at[o], last, f"object {o}") for o in base.objects]
+    rows = [
+        _fill_row(act.pop(m, {}), at[base.tgt(m)], index[base.src(m)],
+                  base.is_identity(m), last, f"act line for morphism {m}")
+        for m in base.morphisms
+    ]
+    if act:
+        _fail(last, f"act line for unknown morphism {min(act)}")
+    p = Presheaf(base, [at[o] for o in base.objects], rows)
+    return _checked(p, validate_presheaf, last, "presheaf")
 
 
 def write_presheaf(p):
-    out = _category_lines(p.base)
-    for o in p.base.objects:
-        labs = ", ".join(_quote(l) for l in p.at[o])
-        out.append(f"at {o} = {{{labs}}}")
-    for m in p.base.morphisms:
-        if p.base.is_identity(m):
-            continue
-        a, b = p.base.src(m), p.base.tgt(m)
-        for i, lab in enumerate(p.at[b]):
-            out.append(
-                f"act {m} : {_quote(lab)} -> {_quote(p.at[a][p.act[m][i]])}"
-            )
-    return "\n".join(out) + "\n"
-
-
-# -- category blocks shared by functor and map files ------------------------------
-
-def _read_blocks(text, extra_keys):
-    """Category blocks plus trailing payload lines.
-
-    Returns (slot categories in index order, codomain category, payload)
-    where payload is a list of (lineno, key, rest).
-    """
-    blocks = {}
-    current = None  # ("slot", j) | ("cod",)
-    draft = None
-    payload = []
-    last = 0
-
-    def close(lineno):
-        if current is not None:
-            label = f"slot {current[1]}" if current[0] == "slot" else "target"
-            blocks[current] = _finish_category(draft, lineno, label)
-
-    for lineno, line in _lines(text):
-        last = lineno
-        key = line.split(None, 1)[0]
-        if "[" in key and key.split("[", 1)[0] in extra_keys:
-            key = key.split("[", 1)[0]  # 'act[0]' written without a space
-        rest = line[len(key):]
-        if key == "slotcat":
-            close(lineno)
-            j = _int(rest.strip(), lineno, "slot index")
-            if ("slot", j) in blocks:
-                _fail(lineno, f"duplicate slotcat {j}")
-            current, draft = ("slot", j), _CatDraft()
-        elif key == "codcat":
-            close(lineno)
-            if ("cod",) in blocks or rest.strip():
-                _fail(lineno, "codcat takes no argument and appears once")
-            current, draft = ("cod",), _CatDraft()
-        elif key in ("obj", "mor", "id", "comp"):
-            if current is None:
-                _fail(lineno, "category line outside a slotcat/codcat block")
-            _cat_line(draft, lineno, key, rest)
-        elif key in extra_keys:
-            close(last)
-            current = None
-            payload.append((lineno, key, rest))
-        else:
-            _fail(lineno, f"unknown line {key!r}")
-    close(last)
-    if ("cod",) not in blocks:
-        raise FormatError("missing codcat block")
-    slots = sorted(j for kind, *rest in blocks for j in rest if kind == "slot")
-    if slots != list(range(len(slots))):
-        raise FormatError("slotcat indices must be 0..n-1")
-    return (
-        tuple(blocks[("slot", j)] for j in slots),
-        blocks[("cod",)],
-        payload,
-    )
+    c = p.base
+    out = _category_lines(c) + [f"at {o} = {_braced(p.at[o])}" for o in c.objects]
+    for m in c.morphisms:
+        if not c.is_identity(m):
+            out += _act_lines(f"act {m}", p.at[c.tgt(m)], p.at[c.src(m)], p.act[m])
+    return _text(out)
 
 
 # -- functors ---------------------------------------------------------------------
 
 def read_functor(text, name="parsed"):
-    slot_cats, cod, payload = _read_blocks(text, ("on", "send"))
-    obj_map, mor_map = {}, {}
-    last = 0
+    cats, payload, last = _read_sections(text, ("on", "send"), True)
+    slot_cats, cod = cats[:-1], cats[-1]
+    kinds = {"on": "object", "send": "morphism"}
+    tables = {"on": {}, "send": {}}
+
+    def ids(c, key):
+        return c.objects if key == "on" else c.morphisms
+
     for lineno, key, rest in payload:
-        last = lineno
-        m = re.fullmatch(r"(\(.*?\))\s*=\s*(\S+)", rest.strip())
+        m = re.fullmatch(r"(\(.*?\))\s*=\s*(\S+)", rest)
         if not m:
             _fail(lineno, f"expected '{key} (<ids>) = <id>'")
         args = _parse_tuple(m.group(1), lineno, f"{key} tuple")
-        val = _int(m.group(2), lineno, "image id")
-        table = obj_map if key == "on" else mor_map
         if len(args) != len(slot_cats):
             _fail(lineno, f"{key} tuple has arity {len(args)}, expected {len(slot_cats)}")
         for j, (c, a) in enumerate(zip(slot_cats, args)):
-            if not 0 <= a < (c.n_objects if key == "on" else c.n_morphisms):
-                what = "object" if key == "on" else "morphism"
-                _fail(lineno, f"{key} {_tuple_str(args)} names an unknown {what} of slot {j}")
-        if args in table:
-            _fail(lineno, f"duplicate {key} line for {args}")
-        table[args] = val
-    for objs in itertools.product(*(c.objects for c in slot_cats)):
-        if objs not in obj_map:
-            _fail(last, f"missing on line for {objs}")
-        if not (0 <= obj_map[objs] < cod.n_objects):
-            _fail(last, f"on {objs} names an unknown object")
-    for mors in itertools.product(*(c.morphisms for c in slot_cats)):
-        if mors not in mor_map:
-            _fail(last, f"missing send line for {mors}")
-        if not (0 <= mor_map[mors] < cod.n_morphisms):
-            _fail(last, f"send {mors} names an unknown morphism")
-    F = FunctorTable(slot_cats, cod, obj_map, mor_map, name)
-    rep = validate_functor(F)
-    if not rep.ok:
-        _fail(last, f"functor law broken: {rep.first.law} at {rep.first.witness}")
-    return F
-
-
-def _tuple_str(ids):
-    return "(" + ", ".join(str(i) for i in ids) + ")"
+            if a not in ids(c, key):
+                what = f"{kinds[key]} of slot {j}"
+                _fail(lineno, f"{key} {_tuple_str(args)} names an unknown {what}")
+        _put(tables[key], args, _int(m.group(2), lineno, "image id"), lineno,
+             f"{key} line for {args}")
+    for key, table in tables.items():
+        for args in itertools.product(*(ids(c, key) for c in slot_cats)):
+            if args not in table:
+                _fail(last, f"missing {key} line for {args}")
+            if table[args] not in ids(cod, key):
+                _fail(last, f"{key} {args} names an unknown {kinds[key]}")
+    F = FunctorTable(slot_cats, cod, tables["on"], tables["send"], name)
+    return _checked(F, validate_functor, last, "functor")
 
 
 def write_functor(F):
-    out = []
-    for j, c in enumerate(F.slots):
-        out.append(f"slotcat {j}")
-        out += _category_lines(c)
-    out.append("codcat")
-    out += _category_lines(F.dst)
-    for objs in sorted(F.obj_map):
-        out.append(f"on {_tuple_str(objs)} = {F.obj_map[objs]}")
-    for mors in sorted(F.mor_map):
-        out.append(f"send {_tuple_str(mors)} = {F.mor_map[mors]}")
-    return "\n".join(out) + "\n"
+    out = _blocks_lines(F.slots, F.dst)
+    out += [f"on {_tuple_str(t)} = {F.obj_map[t]}" for t in sorted(F.obj_map)]
+    out += [f"send {_tuple_str(t)} = {F.mor_map[t]}" for t in sorted(F.mor_map)]
+    return _text(out)
 
 
 # -- multi-slot maps ----------------------------------------------------------------
 
 def _parse_indexed(rest, lineno, tail_sep, what):
-    """'(<y>; <b1>,...) <tail_sep> ...' -> ((y, args), remainder)."""
-    m = re.fullmatch(r"\(\s*(\S+)\s*;(.*?)\)\s*" + tail_sep + r"\s*(.+)", rest.strip())
+    """'(<y>; <b1>,...) <tail_sep> <tail>' -> ((b1, ..., y), tail)."""
+    m = re.fullmatch(r"\(\s*(\S+)\s*;(.*?)\)\s*" + tail_sep + r"\s*(.+)", rest)
     if not m:
-        _fail(lineno, f"expected '{what} (<y>; <b1>,...) {tail_sep.strip()} ...'")
+        _fail(lineno, f"expected '{what} (<y>; <b1>,...) {tail_sep} ...'")
     y = _int(m.group(1), lineno, "codomain id")
-    body = m.group(2).strip()
-    args = tuple(
-        _int(t.strip(), lineno, "slot id") for t in body.split(",") if t.strip()
-    )
-    return y, args, m.group(3)
+    return _ints(m.group(2), lineno, "slot id") + (y,), m.group(3)
+
+
+def _fiber_keys(cats, cod):
+    grids = itertools.product(*(c.objects for c in cats))
+    return [args + (y,) for args in grids for y in cod.objects]
+
+
+def _map_rows(cats, cod, cod_act, slot_act):
+    """Every action row of an all-fin map, target actions first.
+
+    Yields (line head, row table, row key, source fiber, target fiber,
+    whether the row acts by an identity); fibers are keyed args + (y,).
+    """
+    for args in itertools.product(*(c.objects for c in cats)):
+        for u in cod.morphisms:
+            yield (f"act {_indexed(args + (u,))}", cod_act, args + (u,),
+                   args + (cod.tgt(u),), args + (cod.src(u),), cod.is_identity(u))
+    for j, c in enumerate(cats):
+        others = [s.objects for s in cats]
+        others[j] = c.morphisms
+        for marked in itertools.product(*others):
+            m = marked[j]
+            src = marked[:j] + (c.src(m),) + marked[j + 1 :]
+            dst = marked[:j] + (c.tgt(m),) + marked[j + 1 :]
+            for y in cod.objects:
+                yield (f"act[{j}] {_indexed(marked + (y,))}", slot_act, (j,) + marked + (y,),
+                       src + (y,), dst + (y,), c.is_identity(m))
 
 
 def read_multimap(text, name="parsed"):
-    slot_cats, cod, payload = _read_blocks(text, ("at", "act"))
+    cats, payload, last = _read_sections(text, ("at", "act"), True)
+    slot_cats, cod = cats[:-1], cats[-1]
     n = len(slot_cats)
-    at = {}
-    cod_act = {}
-    slot_act = {}
-    last = 0
-    for lineno, key, rest in payload:
-        last = lineno
-        rest = rest.strip()
-        if key == "at":
-            y, args, tail = _parse_indexed(rest, lineno, "=", "at")
-            if len(args) != n:
-                _fail(lineno, f"at tuple has arity {len(args)}, expected {n}")
-            if (args, y) in at:
-                _fail(lineno, f"duplicate at line for ({y}; {args})")
-            at[(args, y)] = _scan_labels_braced(tail, lineno)
-        elif rest.startswith("["):
+    at, pairs = {}, {}  # fiber key -> labels; line head -> {a: b}
+    for lineno, kind, rest in payload:
+        if kind == "act" and rest.startswith("["):
             m = re.fullmatch(r"\[(\S+)\]\s*(.*)", rest)
             if not m:
                 _fail(lineno, "expected 'act[<j>] (<y>; ...) : ...'")
             j = _int(m.group(1), lineno, "slot index")
-            if not (0 <= j < n):
-                _fail(lineno, f"slot index {j} out of range")
-            y, marked, tail = _parse_indexed(m.group(2), lineno, ":", "act[j]")
-            if len(marked) != n:
-                _fail(lineno, f"act tuple has arity {len(marked)}, expected {n}")
-            a, b = _scan_arrow_pair(tail, lineno)
-            slot_act.setdefault((j, marked, y), {})
-            if a in slot_act[(j, marked, y)]:
-                _fail(lineno, f"duplicate act[{j}] line at {a!r}")
-            slot_act[(j, marked, y)][a] = b
+            if not 0 <= j < n:
+                _fail(lineno, f"act[{j}] line names slot {j} of a {n}-slot map")
+            kind, rest = f"act[{j}]", m.group(2)
+        key, tail = _parse_indexed(rest, lineno, "=" if kind == "at" else ":", kind)
+        if len(key) != n + 1:
+            _fail(lineno, f"{kind} tuple has arity {len(key) - 1}, expected {n}")
+        head = f"{kind} {_indexed(key)}"
+        if kind == "at":
+            _put(at, key, _scan_labels_braced(tail, lineno), lineno, f"{head} line")
         else:
-            u, args, tail = _parse_indexed(rest, lineno, ":", "act")
-            if len(args) != n:
-                _fail(lineno, f"act tuple has arity {len(args)}, expected {n}")
             a, b = _scan_arrow_pair(tail, lineno)
-            cod_act.setdefault((args, u), {})
-            if a in cod_act[(args, u)]:
-                _fail(lineno, f"duplicate act line for ({u}; {args}) at {a!r}")
-            cod_act[(args, u)][a] = b
-    return _finish_multimap(slot_cats, cod, at, cod_act, slot_act, last, name)
-
-
-def _finish_multimap(slot_cats, cod, at, cod_pairs, slot_pairs, lineno, name):
-    n = len(slot_cats)
-    grids = list(itertools.product(*(c.objects for c in slot_cats)))
+            _put(pairs.setdefault(head, {}), a, b, lineno, f"{head} line at {a!r}")
     sets, index = {}, {}
-    for args in grids:
-        for y in cod.objects:
-            if (args, y) not in at:
-                _fail(lineno, f"missing at line for ({y}; {args})")
-            labels = at.pop((args, y))
-            if len(set(labels)) != len(labels):
-                _fail(lineno, f"duplicate label at ({y}; {args})")
-            sets[args + (y,)] = tuple(labels)
-            index[args + (y,)] = {lab: i for i, lab in enumerate(labels)}
+    for key in _fiber_keys(slot_cats, cod):
+        if key not in at:
+            _fail(last, f"missing at line for {_indexed(key)}")
+        sets[key] = tuple(at.pop(key))
+        index[key] = _fiber_index(sets[key], last, _indexed(key))
     if at:
-        (args, y) = next(iter(at))
-        _fail(lineno, f"at line for unknown tuple ({y}; {args})")
-
-    def fill_row(pairs, key, src_key, dst_key, is_id, what):
-        given = pairs.pop(key, {})
-        row = []
-        for lab in sets[src_key]:
-            if lab in given:
-                out = given.pop(lab)
-                if out not in index[dst_key]:
-                    _fail(lineno, f"{what} sends {lab!r} to unknown label {out!r}")
-                row.append(index[dst_key][out])
-            elif is_id:
-                row.append(index[dst_key][lab])
-            else:
-                _fail(lineno, f"missing {what} line at {lab!r}")
-        if given:
-            _fail(lineno, f"{what} names labels outside its fiber: {sorted(given)}")
-        return tuple(row)
-
-    cod_act = {}
-    for args in grids:
-        for u in cod.morphisms:
-            cod_act[args + (u,)] = fill_row(
-                cod_pairs, (args, u),
-                args + (cod.tgt(u),), args + (cod.src(u),),
-                cod.is_identity(u), f"act ({u}; {args})",
-            )
-    if cod_pairs:
-        (args, u) = next(iter(cod_pairs))
-        _fail(lineno, f"act line for unknown pair ({u}; {args})")
-    slot_act = {}
-    for j, c in enumerate(slot_cats):
-        others = [list(s.objects) for s in slot_cats]
-        others[j] = list(c.morphisms)
-        for marked in itertools.product(*others):
-            m = marked[j]
-            src_args = marked[:j] + (c.src(m),) + marked[j + 1 :]
-            dst_args = marked[:j] + (c.tgt(m),) + marked[j + 1 :]
-            for y in cod.objects:
-                slot_act[(j,) + marked + (y,)] = fill_row(
-                    slot_pairs, (j, marked, y),
-                    src_args + (y,), dst_args + (y,),
-                    c.is_identity(m), f"act[{j}] ({y}; {marked})",
-                )
-    if slot_pairs:
-        (j, marked, y) = next(iter(slot_pairs))
-        _fail(lineno, f"act[{j}] line for unknown tuple ({y}; {marked})")
+        _fail(last, f"at line for unknown tuple {_indexed(next(iter(at)))}")
+    cod_act, slot_act = {}, {}
+    for head, table, key, src, dst, is_id in _map_rows(slot_cats, cod, cod_act, slot_act):
+        side = "target" if table is cod_act else "source"
+        table[key] = _fill_row(pairs.pop(head, {}), sets[src], index[dst], is_id, last,
+                               f"{head} line", side)
+    if pairs:
+        _fail(last, f"{next(iter(pairs))} line names an unknown tuple")
     m = TableMap(slot_cats, cod, sets, cod_act, slot_act, name=name)
-    rep = validate_multimap(m)
-    if not rep.ok:
-        _fail(lineno, f"map law broken: {rep.first.law} at {rep.first.witness}")
-    return m
+    return _checked(m, validate_multimap, last, "map")
 
 
 def write_multimap(m):
     if any(s.kind != "fin" for s in m.slots):
         raise FormatError("only all-fin maps can be written")
     cats = [s.cat for s in m.slots]
-    cod = m.cod
-    out = []
-    for j, c in enumerate(cats):
-        out.append(f"slotcat {j}")
-        out += _category_lines(c)
-    out.append("codcat")
-    out += _category_lines(cod)
-    grids = list(itertools.product(*(c.objects for c in cats)))
-
-    def tup(args):
-        return ", ".join(str(a) for a in args)
-
-    for args in grids:
-        for y in cod.objects:
-            labs = ", ".join(_quote(l) for l in m.sets[args + (y,)])
-            out.append(f"at ({y}; {tup(args)}) = {{{labs}}}")
-    for args in grids:
-        for u in cod.morphisms:
-            if cod.is_identity(u):
-                continue
-            src_labels = m.sets[args + (cod.tgt(u),)]
-            dst_labels = m.sets[args + (cod.src(u),)]
-            for i, lab in enumerate(src_labels):
-                sent = dst_labels[m.cod_act[args + (u,)][i]]
-                out.append(f"act ({u}; {tup(args)}) : {_quote(lab)} -> {_quote(sent)}")
-    for j, c in enumerate(cats):
-        others = [list(s.cat.objects) for s in m.slots]
-        others[j] = [mm for mm in c.morphisms if not c.is_identity(mm)]
-        for marked in itertools.product(*others):
-            mm = marked[j]
-            src_args = marked[:j] + (c.src(mm),) + marked[j + 1 :]
-            dst_args = marked[:j] + (c.tgt(mm),) + marked[j + 1 :]
-            for y in cod.objects:
-                src_labels = m.sets[src_args + (y,)]
-                dst_labels = m.sets[dst_args + (y,)]
-                row = m.slot_act[(j,) + marked + (y,)]
-                for i, lab in enumerate(src_labels):
-                    out.append(
-                        f"act[{j}] ({y}; {tup(marked)}) : "
-                        f"{_quote(lab)} -> {_quote(dst_labels[row[i]])}"
-                    )
-    return "\n".join(out) + "\n"
+    out = _blocks_lines(cats, m.cod)
+    out += [f"at {_indexed(key)} = {_braced(m.sets[key])}" for key in _fiber_keys(cats, m.cod)]
+    for head, table, key, src, dst, is_id in _map_rows(cats, m.cod, m.cod_act, m.slot_act):
+        if not is_id:
+            out += _act_lines(head, m.sets[src], m.sets[dst], table[key])
+    return _text(out)
 
 
 # -- replay files -------------------------------------------------------------------
@@ -670,12 +559,8 @@ def read_replay(text):
         if len(parts) != 2 or parts[0] not in _REPLAY_KEYS:
             _fail(lineno, f"unknown replay line {line!r}")
         key, raw = parts
-        if key in seen:
-            _fail(lineno, f"duplicate {key} line")
-        if _REPLAY_KEYS[key] is int:
-            seen[key] = _int(raw.strip(), lineno, key)
-        else:
-            seen[key] = raw.strip()
+        value = _int(raw.strip(), lineno, key) if _REPLAY_KEYS[key] is int else raw.strip()
+        _put(seen, key, value, lineno, f"{key} line")
     for req in ("law", "index", "seed"):
         if req not in seen:
             raise FormatError(f"replay file is missing a {req} line")
@@ -708,4 +593,4 @@ def write_replay(law, index, cfg):
     ]
     if cfg.inject:
         out.append(f"inject {cfg.inject}")
-    return "\n".join(out) + "\n"
+    return _text(out)

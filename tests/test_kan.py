@@ -19,9 +19,9 @@ from relmonad.kan import (
 )
 from relmonad.multimap import (
     ComposeMap,
+    IdentityMap,
     TableMap,
     identity_cell,
-    identity_map,
     inverse_cell,
     two_cell_equal,
     unit_map,
@@ -128,7 +128,7 @@ def test_theta_is_invertible_and_natural(arrow, square):
 
 def test_theta_equals_counit_at_identity(arrow):
     th = theta_cell(arrow)
-    sg = counit_cell(identity_map(arrow), 0)
+    sg = counit_cell(IdentityMap(arrow), 0)
     cmp = two_cell_equal(th, sg)
     assert cmp.equal and cmp.policy == "transpose"
 

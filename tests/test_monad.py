@@ -28,7 +28,6 @@ from relmonad.multimap import (
     ComposeFinMap,
     ComposeMap,
     identity_cell,
-    identity_map,
     inverse_cell,
     plug_many,
     retree,

@@ -4,11 +4,11 @@ from relmonad.errors import SlotMismatchError
 from relmonad.fincat import FunctorTable, NatTransTable
 from relmonad.multimap import (
     ComposeFinMap,
+    IdentityMap,
     TableMap,
     TwoCell,
     compose_at,
     identity_cell,
-    identity_map,
     inverse_cell,
     two_cell_equal,
     unit_map,
@@ -50,7 +50,7 @@ def test_unit_map_interned(arrow):
 
 
 def test_identity_map_passes_through(arrow):
-    one = identity_map(arrow)
+    one = IdentityMap(arrow)
     p = representable(arrow, 1)
     assert one.evaluate((p,)) is p
 
@@ -87,7 +87,7 @@ def test_compose_fin_slot_mismatch(arrow, square, sum1_arrow):
 def test_two_cell_requires_parallel(arrow, sum1_arrow):
     # a fin-slot map and a psh-slot map are never parallel
     with pytest.raises(SlotMismatchError):
-        TwoCell(sum1_arrow, identity_map(arrow), lambda args: None)
+        TwoCell(sum1_arrow, IdentityMap(arrow), lambda args: None)
 
 
 def test_identity_cell_and_equality(arrow, sum1_arrow):

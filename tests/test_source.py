@@ -34,3 +34,22 @@ def test_every_import_is_read():
         for line, name in _unread_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert not unread, f"imported but never read: {unread}"
+
+
+def test_every_private_helper_is_read():
+    # catches a helper that a consolidation leaves behind; decorated ones are
+    # left out, since the decorator is what reads them
+    defined, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.decorator_list
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = sorted(where for name, where in defined.items() if name not in read)
+    assert defined and not unread, f"private helpers defined but never read: {unread}"

@@ -1,12 +1,13 @@
 """Text format round trips and rejection of malformed files."""
 
+import hashlib
 import random
 
 import pytest
 
 from relmonad import textio
 from relmonad.checker import CheckConfig
-from relmonad.errors import FormatError
+from relmonad.errors import BudgetExceededError, FormatError
 from relmonad.fincat import FunctorTable
 from relmonad.gen import GenConfig, gen_category, gen_functor, gen_multimap, gen_presheaf
 from relmonad.presheaf import Presheaf
@@ -208,6 +209,33 @@ def test_multimap_rejections(z2):
         textio.read_multimap("obj 0\n" + text)
 
 
+def test_multimap_row_refusals(z2):
+    # each refusal made while filling an action row names the kind of line
+    text = textio.write_multimap(hom_sum_map(z2, 1))
+    act_line = 'act (1; 0) : "0:m0" -> "0:m1"\n'
+    slot_line = 'act[0] (0; 1) : "0:m0" -> "0:m1"\n'
+    assert act_line in text and slot_line in text
+    refusals = [
+        (text + 'act (1; 0) : "zz" -> "0:m0"\n',
+         r"act \(1; 0\) line names 'zz', which is not in the target fiber"),
+        (text + 'act[0] (0; 1) : "zz" -> "0:m0"\n',
+         r"act\[0\] \(0; 1\) line names 'zz', which is not in the source fiber"),
+        (text.replace(act_line, act_line.replace('-> "0:m1"', '-> "zz"')),
+         r"act \(1; 0\) line sends '0:m0' to unknown label 'zz'"),
+        (text.replace(slot_line, slot_line.replace('-> "0:m1"', '-> "zz"')),
+         r"act\[0\] \(0; 1\) line sends '0:m0' to unknown label 'zz'"),
+        (text.replace(act_line, ""), r"missing act \(1; 0\) line at '0:m0'"),
+        (text.replace(slot_line, ""), r"missing act\[0\] \(0; 1\) line at '0:m0'"),
+        (text + act_line.replace("(1; 0)", "(5; 0)"), r"act \(5; 0\) line names an unknown tuple"),
+        (text + slot_line.replace("(0; 1)", "(0; 7)"),
+         r"act\[0\] \(0; 7\) line names an unknown tuple"),
+        (text + slot_line.replace("act[0]", "act[3]"), r"act\[3\] line names slot 3 of a 1-slot map"),
+    ]
+    for bad_text, message in refusals:
+        with pytest.raises(FormatError, match=message):
+            textio.read_multimap(bad_text)
+
+
 def test_functor_rejections(arrow, z2):
     F = gen_functor(random.Random(0), (arrow,), z2)
     text = textio.write_functor(F)
@@ -315,3 +343,44 @@ def test_one_line_mutations_read_or_raise_format_error():
             pass
         except Exception as exc:
             pytest.fail(f"{reader.__name__} raised {exc!r} on mutation {n}:\n{mutated}")
+
+
+# -- pinned writer output ------------------------------------------------------------
+
+
+def _pinned_corpus():
+    """(reader, writer, artifact) over fixed and seeded artifacts of every kind."""
+    rng = random.Random(77)
+    arrow, square, z2 = walking_arrow(), square_poset(), two_group()
+    cats = [arrow, square, z2] + [gen_category(rng, GenConfig(3, 3)) for _ in range(6)]
+    out = [(textio.read_category, textio.write_category, c) for c in cats]
+    out += [(textio.read_presheaf, textio.write_presheaf, gen_presheaf(rng, c, 8))
+            for c in cats for _ in range(2)]
+    for _ in range(8):
+        slots = tuple(rng.choice(cats) for _ in range(rng.randrange(0, 3)))
+        out.append((textio.read_functor, textio.write_functor,
+                    gen_functor(rng, slots, rng.choice(cats))))
+    out += [(textio.read_multimap, textio.write_multimap, m)
+            for m in (hom_sum_map(z2, 2), hom_sum_map(arrow, 1), hom_sum_map(square, 1))]
+    while len(out) < 45:
+        slots = tuple(rng.choice(cats[:4]) for _ in range(rng.randrange(1, 3)))
+        try:
+            m = gen_multimap(rng, slots, rng.choice(cats[:4]), 8)
+        except BudgetExceededError:
+            continue
+        out.append((textio.read_multimap, textio.write_multimap, m))
+    return out
+
+
+WRITER_DIGEST = "396e3129f978e4f10ee2ca44cc68b2020ba0050eba100a765a49978d66800013"
+
+
+def test_writer_output_is_pinned():
+    # the written bytes are part of the format: a reader on another version
+    # and any stored artifact depend on them, not only on what they parse to
+    digest = hashlib.sha256()
+    for reader, writer, artifact in _pinned_corpus():
+        text = writer(artifact)
+        assert writer(reader(text)) == text
+        digest.update(text.encode())
+    assert digest.hexdigest() == WRITER_DIGEST
