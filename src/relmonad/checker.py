@@ -53,7 +53,6 @@ from .monad import (
 )
 from .multimap import (
     CellComparison,
-    ComposeFinMap,
     ComposeMap,
     IdentityMap,
     TwoCell,
@@ -67,7 +66,6 @@ from .multimap import (
     vcomp,
     whisker_inner,
     whisker_outer,
-    whisker_outer_fin,
     whisker_outer_many,
 )
 from .presheaf import (
@@ -359,7 +357,7 @@ def _whiskered_square(hooks, h, inner, top, ks):
         alpha = whisker_inner(alpha, r, k)
     alpha = retree(
         alpha,
-        ComposeFinMap(h, 0, f),
+        ComposeMap(h, 0, f),
         plug_many(hooks["apply_functor"](top), dict(enumerate(gs))),
     )
     return f, gs, alpha
@@ -555,8 +553,8 @@ def _law_strength_cells_functorial(rng, cfg, hooks):
     j2 = (j + 1) % f.arity
     src_cat = gen_category(rng, _cfg_gen(cfg))
     _, _, psi1, psi2 = _nat_pair(rng, src_cat, cats[j])
-    c1 = whisker_outer_fin(f, j, psi1)
-    c2 = whisker_outer_fin(f, j, psi2)
+    c1 = whisker_outer(f, j, psi1)
+    c2 = whisker_outer(f, j, psi2)
     return _compare_all(
         cfg,
         (strengthen_cell(vcomp(c1, c2), j2),
@@ -649,9 +647,9 @@ def _law_lift_naturality(rng, cfg, hooks):
     fa, fb, psi1, psi2 = _nat_pair(rng, x, y)
     pasted = NatTransTable(
         fa, fb,
-        {t: y.compose(psi2.at(t), psi1.at(t)) for t in psi1.components},
+        {t: y.compose(psi2.component(t), psi1.component(t)) for t in psi1.components},
     )
-    ident = NatTransTable(fa, fa, {t: y.id_of(fa.apply_obj(t)) for t in psi1.components})
+    ident = NatTransTable(fa, fa, {t: y.id_of(fa.evaluate(t)) for t in psi1.components})
     return _compare_all(
         cfg,
         (functor_on_nat(pasted), vcomp(functor_on_nat(psi1), functor_on_nat(psi2))),
@@ -897,7 +895,7 @@ def _law_square_extension_compat(rng, cfg, hooks):
             whisker_outer(strengthen(k, 0), 0, alpha),
             whisker_inner(beta_ext, 0, gs[0]),
         ),
-        ComposeFinMap(h2, 0, f),
+        ComposeMap(h2, 0, f),
         plug_many(lift(f2), {0: big_g[0]}),
     )
     lhs = vcomp(
@@ -922,7 +920,7 @@ def _law_square_collapse_compat(rng, cfg, hooks):
     t1 = lift(one)
     alpha = retree(
         unit_naturality_square(one),
-        ComposeFinMap(u, 0, one),
+        ComposeMap(u, 0, one),
         ComposeMap(t1, 0, u),
     )
     beta = extend_square(alpha, u, one, one, [u])

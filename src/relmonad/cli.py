@@ -104,12 +104,16 @@ def _emit(text, out):
 
 # -- subcommands -------------------------------------------------------------------
 
-def _split_laws(raw):
-    names = tuple(t.strip() for t in raw.split(",") if t.strip())
+def _expand_laws(names):
     try:
-        expand_laws(names)
+        return expand_laws(names)
     except KeyError as e:
         raise UsageError(f"unknown law or group {e.args[0]!r}") from None
+
+
+def _split_laws(raw):
+    names = tuple(t.strip() for t in raw.split(",") if t.strip())
+    _expand_laws(names)
     return names
 
 
@@ -231,10 +235,7 @@ def cmd_compute(args):
 
 
 def cmd_explain(args):
-    try:
-        laws = expand_laws(tuple(args.laws))
-    except KeyError as e:
-        raise UsageError(f"unknown law or group {e.args[0]!r}") from None
+    laws = _expand_laws(tuple(args.laws))
     lines = []
     for law in laws:
         instances, group = LAW_FAMILIES[law][1:3]

@@ -173,11 +173,16 @@ class FunctorTable:
     def arity(self):
         return len(self.slots)
 
-    def apply_obj(self, objs):
+    def evaluate(self, objs):
         return self.obj_map[tuple(objs)]
 
     def apply_mor(self, mors):
         return self.mor_map[tuple(mors)]
+
+    def morphism_at(self, objs, i, m):
+        """The image of m in slot i, with identities at objs elsewhere."""
+        ids = (s.id_of(a) for s, a in zip(self.slots, objs))
+        return self.mor_map[tuple(m if k == i else x for k, x in enumerate(ids))]
 
     @staticmethod
     def unary(src, dst, obj_list, mor_list, name="F"):
@@ -238,8 +243,8 @@ def compose_functor(f: FunctorTable, i: int, g: FunctorTable) -> FunctorTable:
     slots = f.slots[:i] + g.slots + f.slots[i + 1 :]
     obj_map = {}
     for objs in itertools.product(*(s.objects for s in slots)):
-        inner = g.apply_obj(objs[i : i + g.arity])
-        obj_map[objs] = f.apply_obj(objs[:i] + (inner,) + objs[i + g.arity :])
+        inner = g.evaluate(objs[i : i + g.arity])
+        obj_map[objs] = f.evaluate(objs[:i] + (inner,) + objs[i + g.arity :])
     mor_map = {}
     for ms in itertools.product(*(s.morphisms for s in slots)):
         inner = g.apply_mor(ms[i : i + g.arity])
@@ -254,8 +259,9 @@ class NatTransTable:
         self.src = src
         self.dst = dst
         self.components = dict(components)  # object tuple -> morphism id of dst
+        self.name = f"{src.name}=>{dst.name}"
 
-    def at(self, objs):
+    def component(self, objs):
         return self.components[tuple(objs)]
 
     def content_key(self):
@@ -266,15 +272,15 @@ def validate_nat_trans(t: NatTransTable) -> ValidationReport:
     fails = []
     F, G = t.src, t.dst
     for objs, m in t.components.items():
-        if F.dst.src(m) != F.apply_obj(objs) or F.dst.tgt(m) != G.apply_obj(objs):
+        if F.dst.src(m) != F.evaluate(objs) or F.dst.tgt(m) != G.evaluate(objs):
             fails.append(ValidationFailure("nat-typing", f"at {objs}"))
     if fails:
         return ValidationReport(tuple(fails))
     for ms in F.mor_map:
         srcs = tuple(s.src(m) for s, m in zip(F.slots, ms))
         tgts = tuple(s.tgt(m) for s, m in zip(F.slots, ms))
-        left = F.dst.compose(t.at(tgts), F.apply_mor(ms))
-        right = F.dst.compose(G.apply_mor(ms), t.at(srcs))
+        left = F.dst.compose(t.component(tgts), F.apply_mor(ms))
+        right = F.dst.compose(G.apply_mor(ms), t.component(srcs))
         if left != right:
             fails.append(ValidationFailure("naturality", f"at morphism tuple {ms}"))
     return ValidationReport(tuple(fails))

@@ -313,7 +313,7 @@ def enumerate_functor_nats(f: FunctorTable, g: FunctorTable, budget: int = 10 **
     per_obj = []
     space = 1
     for t in prod_objs:
-        row = dst.hom(f.apply_obj(t), g.apply_obj(t))
+        row = dst.hom(f.evaluate(t), g.evaluate(t))
         if not row:
             return []
         space *= len(row)

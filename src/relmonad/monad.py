@@ -27,7 +27,6 @@ from .kan import (
     untranspose,
 )
 from .multimap import (
-    ComposeFinMap,
     ComposeMap,
     MultiMap,
     TwoCell,
@@ -37,7 +36,7 @@ from .multimap import (
     unit_map,
     vcomp,
     whisker_inner,
-    whisker_outer_fin,
+    whisker_outer,
 )
 
 __all__ = [
@@ -54,7 +53,7 @@ __all__ = [
 
 def base_map(f: FunctorTable) -> MultiMap:
     """The map sending objects x1..xn to the representable at f(x1..xn)."""
-    return ComposeFinMap(unit_map(f.dst), 0, f)
+    return ComposeMap(unit_map(f.dst), 0, f)
 
 
 def apply_functor(f: FunctorTable) -> MultiMap:
@@ -73,7 +72,7 @@ def apply_functor(f: FunctorTable) -> MultiMap:
 def functor_on_nat(psi) -> TwoCell:
     """Lift a natural transformation to a cell between lifted functors."""
     c = psi.dst.dst
-    cell = whisker_outer_fin(unit_map(c), 0, psi)
+    cell = whisker_outer(unit_map(c), 0, psi)
     for r in range(psi.src.arity):
         cell = strengthen_cell(cell, r)
     return retree(

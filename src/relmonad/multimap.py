@@ -4,8 +4,8 @@ A MultiMap takes one argument per slot and evaluates to a presheaf on its
 codomain category.  A slot is either 'fin' (the argument is an object of a
 finite category, acted on by its morphisms) or 'psh' (the argument is itself a
 presheaf on a finite category, acted on by presheaf morphisms).  Maps form a
-substitution algebra: compose_at plugs a map into a psh slot and a functor
-table into a fin slot.
+substitution algebra with one node: ComposeMap plugs a map into a psh slot
+and a functor table into a fin slot.
 
 A TwoCell is a family of presheaf morphisms between the evaluations of two
 parallel maps, one per argument tuple, built lazily and memoized.  Vertical
@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotInvertibleError, SlotMismatchError, TransposeInapplicableError
-from .fincat import FinCategory, FunctorTable, NatTransTable, ValidationFailure, ValidationReport
+from .fincat import FinCategory, FunctorTable, ValidationFailure, ValidationReport
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
@@ -193,20 +193,29 @@ def unit_map(cat: FinCategory) -> UnitMap:
 
 
 class ComposeMap(MultiMap):
-    """Plug map g into psh slot j of map f."""
+    """Plug g into slot j of f: a map into a psh slot, a functor table into a fin slot.
 
-    def __init__(self, f: MultiMap, j: int, g: MultiMap):
-        if not (0 <= j < f.arity) or f.slots[j].kind != "psh":
-            raise SlotMismatchError(f"{f.name}: slot {j} is not a psh slot")
-        if g.cod != f.slots[j].cat:
+    Evaluation reads g only through arity, evaluate and morphism_at, which a
+    FunctorTable offers on objects and morphisms of its source factors.
+    """
+
+    def __init__(self, f: MultiMap, j: int, g):
+        if isinstance(g, FunctorTable):
+            kind, cod, inner = "fin", g.dst, tuple(Slot("fin", s) for s in g.slots)
+        else:
+            kind, cod, inner = "psh", g.cod, g.slots
+        if not (0 <= j < f.arity) or f.slots[j].kind != kind:
+            raise SlotMismatchError(f"{f.name}: slot {j} is not a {kind} slot")
+        if cod != f.slots[j].cat:
             raise SlotMismatchError(
                 f"codomain of {g.name} does not match slot {j} of {f.name}"
             )
-        slots = f.slots[:j] + g.slots + f.slots[j + 1 :]
+        slots = f.slots[:j] + inner + f.slots[j + 1 :]
         super().__init__(slots, f.cod, f"({f.name} o{j} {g.name})")
         self.f, self.j, self.g = f, j, g
 
     def certified_slots(self):
+        # a fin slot is never certified, so g.certified_slots is read only for maps
         f, j, g = self.f, self.j, self.g
         cf = f.certified_slots()
         out = {k for k in cf if k < j}
@@ -231,55 +240,6 @@ class ComposeMap(MultiMap):
             psi = self.g.morphism_at(args[j : j + n], k - j, m)
             return self.f.morphism_at(self._f_args(args), j, psi)
         return self.f.morphism_at(self._f_args(args), k - n + 1, m)
-
-
-class ComposeFinMap(MultiMap):
-    """Plug a functor table into fin slot j of map f."""
-
-    def __init__(self, f: MultiMap, j: int, F: FunctorTable):
-        if not (0 <= j < f.arity) or f.slots[j].kind != "fin":
-            raise SlotMismatchError(f"{f.name}: slot {j} is not a fin slot")
-        if F.dst != f.slots[j].cat:
-            raise SlotMismatchError(
-                f"target of {F.name} does not match slot {j} of {f.name}"
-            )
-        slots = f.slots[:j] + tuple(Slot("fin", s) for s in F.slots) + f.slots[j + 1 :]
-        super().__init__(slots, f.cod, f"({f.name} o{j} {F.name})")
-        self.f, self.j, self.F = f, j, F
-
-    def certified_slots(self):
-        j, n = self.j, self.F.arity
-        cf = self.f.certified_slots()
-        return frozenset(
-            {k for k in cf if k < j} | {k + n - 1 for k in cf if k > j}
-        )
-
-    def _f_args(self, args):
-        j, n = self.j, self.F.arity
-        return args[:j] + (self.F.apply_obj(args[j : j + n]),) + args[j + n :]
-
-    def _value(self, args):
-        return self.f.evaluate(self._f_args(args))
-
-    def _mor_at(self, args, k, m):
-        j, n = self.j, self.F.arity
-        if k < j:
-            return self.f.morphism_at(self._f_args(args), k, m)
-        if k < j + n:
-            seg = args[j : j + n]
-            ids = tuple(
-                m if i == k - j else s.cat.id_of(seg[i])
-                for i, s in enumerate(self.slots[j : j + n])
-            )
-            return self.f.morphism_at(self._f_args(args), j, self.F.apply_mor(ids))
-        return self.f.morphism_at(self._f_args(args), k - n + 1, m)
-
-
-def compose_at(f: MultiMap, j: int, g) -> MultiMap:
-    """Substitution: a MultiMap into a psh slot, a FunctorTable into a fin slot."""
-    if isinstance(g, FunctorTable):
-        return ComposeFinMap(f, j, g)
-    return ComposeMap(f, j, g)
 
 
 def validate_multimap(m: MultiMap) -> ValidationReport:
@@ -428,24 +388,20 @@ def inverse_cell(cell: TwoCell) -> TwoCell:
 
 def whisker_inner(cell: TwoCell, j: int, g) -> TwoCell:
     """Plug a map (or functor table) into slot j of both endpoints of a cell."""
-    src = compose_at(cell.src, j, g)
-    dst = compose_at(cell.dst, j, g)
+    src = ComposeMap(cell.src, j, g)
+    dst = ComposeMap(cell.dst, j, g)
     n = g.arity
 
-    if isinstance(g, FunctorTable):
-        def fn(args):
-            inner = g.apply_obj(args[j : j + n])
-            return cell.component(args[:j] + (inner,) + args[j + n :])
-    else:
-        def fn(args):
-            inner = g.evaluate(args[j : j + n])
-            return cell.component(args[:j] + (inner,) + args[j + n :])
+    def fn(args):
+        inner = g.evaluate(args[j : j + n])
+        return cell.component(args[:j] + (inner,) + args[j + n :])
 
     return TwoCell(src, dst, fn, name=f"({cell.name} o{j} {g.name})")
 
 
-def whisker_outer(f: MultiMap, j: int, cell: TwoCell) -> TwoCell:
-    """Apply f's functorial action in psh slot j to a cell between inner maps."""
+def whisker_outer(f: MultiMap, j: int, cell) -> TwoCell:
+    """Apply f's action in slot j to a cell between the maps plugged there:
+    a TwoCell in a psh slot, a NatTransTable in a fin slot."""
     src = ComposeMap(f, j, cell.src)
     dst = ComposeMap(f, j, cell.dst)
     n = cell.src.arity
@@ -456,20 +412,6 @@ def whisker_outer(f: MultiMap, j: int, cell: TwoCell) -> TwoCell:
         return f.morphism_at(args[:j] + (inner,) + args[j + n :], j, psi)
 
     return TwoCell(src, dst, fn, name=f"({f.name} o{j} {cell.name})")
-
-
-def whisker_outer_fin(f: MultiMap, j: int, nat: NatTransTable) -> TwoCell:
-    """Apply f's action in fin slot j to a natural transformation of tables."""
-    src = ComposeFinMap(f, j, nat.src)
-    dst = ComposeFinMap(f, j, nat.dst)
-    n = nat.src.arity
-
-    def fn(args):
-        seg = args[j : j + n]
-        inner = nat.src.apply_obj(seg)
-        return f.morphism_at(args[:j] + (inner,) + args[j + n :], j, nat.at(seg))
-
-    return TwoCell(src, dst, fn, name=f"({f.name} o{j} {nat!r})")
 
 
 def retree(cell: TwoCell, src: MultiMap, dst: MultiMap, name=None) -> TwoCell:

@@ -131,9 +131,13 @@ def _scan_arrow_pair(s, lineno):
     return a, b
 
 
+# every character str.splitlines breaks at, the quote, and '#', which the
+# comment stripper would eat before quotes are seen
+_UNWRITABLE = '\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"#'
+
+
 def _quote(label):
-    # '#' would be eaten by the comment stripper before quotes are seen
-    if any(ch in label for ch in '\n"#'):
+    if any(ch in _UNWRITABLE for ch in label):
         raise FormatError(f"label {label!r} cannot be written")
     return f'"{label}"'
 

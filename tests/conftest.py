@@ -137,7 +137,7 @@ def sum2_z2(z2):
 def plus0_arrow(arrow, sum2_arrow):
     # unary map x |-> y_x + y_0: the second slot of the binary sum pinned at 0
     from relmonad.fincat import FunctorTable
-    from relmonad.multimap import compose_at
+    from relmonad.multimap import ComposeMap
 
     pt0 = FunctorTable((), arrow, {(): 0}, {(): arrow.id_of(0)}, name="pt0")
-    return compose_at(sum2_arrow, 1, pt0)
+    return ComposeMap(sum2_arrow, 1, pt0)

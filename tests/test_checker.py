@@ -25,7 +25,7 @@ from relmonad.checker import (
 )
 from relmonad.errors import SlotMismatchError
 from relmonad.gen import derive_seed
-from relmonad.multimap import identity_cell, unit_map
+from relmonad.multimap import TwoCell, identity_cell, unit_map
 from relmonad.presheaf import Presheaf, PresheafMorphism
 
 
@@ -181,6 +181,21 @@ def test_braiding_words_mismatch_is_a_failure(monkeypatch):
     for o in fails:
         assert o.policy == "transpose" and o.checked > 0
         assert o.witness.startswith(("word mismatch for", "round trip not identity for"))
+
+
+def test_cell_names_carry_no_memory_address(monkeypatch):
+    # a cell name reaches a witness on a seam, retree or inversion error, so
+    # an address in it would make that report differ from run to run
+    names = []
+    init = TwoCell.__init__
+
+    def recording(self, src, dst, fn, name="cell"):
+        names.append(name)
+        init(self, src, dst, fn, name)
+
+    monkeypatch.setattr(TwoCell, "__init__", recording)
+    run_suite(CheckConfig(seed=42, instances=1))
+    assert names and not [n for n in names if " at 0x" in n]
 
 
 def test_outcome_seeds_follow_derivation():

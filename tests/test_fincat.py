@@ -63,7 +63,7 @@ def test_validation_catches_bad_identity(arrow):
 def test_functor_identity_and_validation(arrow, square):
     f = FunctorTable.unary(arrow, square, [0, 1], [0, 1, 4], name="corner")
     assert validate_functor(f).ok
-    assert f.apply_obj((1,)) == 1
+    assert f.evaluate((1,)) == 1
     assert f.apply_mor((2,)) == 4
     assert validate_functor(FunctorTable.identity(square)).ok
 
@@ -86,7 +86,7 @@ def test_compose_functor_substitutes(arrow, square):
     f = FunctorTable.unary(arrow, square, [0, 1], [0, 1, 4], name="corner")
     h = FunctorTable.unary(square, square, [3, 3, 3, 3], [3] * 9, name="const3")
     hf = compose_functor(h, 0, f)
-    assert hf.apply_obj((0,)) == 3
+    assert hf.evaluate((0,)) == 3
     assert validate_functor(hf).ok
     with pytest.raises(SlotMismatchError):
         compose_functor(f, 1, h)

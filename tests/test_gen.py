@@ -150,7 +150,7 @@ def test_functor_nat_enumeration_counts():
     assert len(enumerate_functor_nats(ident, const1)) == 1
     assert len(enumerate_functor_nats(const1, ident)) == 0
     psi = gen_nat_trans(random.Random(0), const0, const1)
-    assert psi is not None and psi.at((0,)) == 2
+    assert psi is not None and psi.component((0,)) == 2
 
 
 def test_generation_reproducible():

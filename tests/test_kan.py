@@ -211,11 +211,11 @@ def test_transpose_inapplicable_raises(arrow, plus0_arrow):
 def test_strengthen_compose_normalization(arrow, plus0_arrow, sum2_arrow):
     # extending after plugging equals plugging into the extension, bit for bit
     from relmonad.fincat import FunctorTable
-    from relmonad.multimap import ComposeFinMap
+    from relmonad.multimap import ComposeMap
 
     f = FunctorTable.unary(arrow, arrow, [1, 1], [1, 1, 1], name="const1")
-    a = strengthen(ComposeFinMap(sum2_arrow, 1, f), 0)
-    b = ComposeFinMap(strengthen(sum2_arrow, 0), 1, f)
+    a = strengthen(ComposeMap(sum2_arrow, 1, f), 0)
+    b = ComposeMap(strengthen(sum2_arrow, 0), 1, f)
     for p in sample_presheaves(arrow):
         for x in arrow.objects:
             va = a.evaluate((p, x))

@@ -25,7 +25,6 @@ from relmonad.monad import (
     unit_naturality_square,
 )
 from relmonad.multimap import (
-    ComposeFinMap,
     ComposeMap,
     identity_cell,
     inverse_cell,
@@ -186,7 +185,7 @@ def test_unit_naturality_square_binary(arrow):
 
 def test_lift_of_identity_transformation(arrow, square):
     f = square_to_arrow(square, arrow)
-    psi = NatTransTable(f, f, {(x,): arrow.id_of(f.apply_obj((x,))) for x in square.objects})
+    psi = NatTransTable(f, f, {(x,): arrow.id_of(f.evaluate((x,))) for x in square.objects})
     cell = functor_on_nat(psi)
     assert two_cell_equal(cell, identity_cell(apply_functor(f))).equal
 
@@ -207,11 +206,11 @@ def test_extend_square_unary(arrow):
     h = base_map(k)
     f = FunctorTable.unary(arrow, arrow, [0, 0], [0, 0, 0], name="c0")
     fprime = compose_functor(k, 0, f)
-    g = ComposeFinMap(unit_map(arrow), 0, f)
+    g = ComposeMap(unit_map(arrow), 0, f)
 
     alpha = retree(
         unit_naturality_square(fprime),
-        ComposeFinMap(h, 0, f),
+        ComposeMap(h, 0, f),
         ComposeMap(apply_functor(fprime), 0, g),
     )
     beta = extend_square(alpha, h, f, fprime, [g])
@@ -230,7 +229,7 @@ def test_extend_square_binary(arrow):
 
     alpha = retree(
         unit_naturality_square(fprime),
-        ComposeFinMap(h, 0, meet),
+        ComposeMap(h, 0, meet),
         plug_many(apply_functor(fprime), {0: gs[0], 1: gs[1]}),
     )
     beta = extend_square(alpha, h, meet, fprime, gs)

@@ -3,18 +3,17 @@ import pytest
 from relmonad.errors import SlotMismatchError
 from relmonad.fincat import FunctorTable, NatTransTable
 from relmonad.multimap import (
-    ComposeFinMap,
+    ComposeMap,
     IdentityMap,
     TableMap,
     TwoCell,
-    compose_at,
     identity_cell,
     inverse_cell,
     two_cell_equal,
     unit_map,
     validate_multimap,
     vcomp,
-    whisker_outer_fin,
+    whisker_outer,
 )
 from relmonad.presheaf import representable, validate_presheaf, validate_presheaf_morphism
 
@@ -57,7 +56,7 @@ def test_identity_map_passes_through(arrow):
 
 def test_compose_fin_with_identity_is_transparent(arrow, sum1_arrow):
     ident = FunctorTable.identity(arrow)
-    c = ComposeFinMap(sum1_arrow, 0, ident)
+    c = ComposeMap(sum1_arrow, 0, ident)
     for x in arrow.objects:
         assert c.evaluate((x,)) is sum1_arrow.evaluate((x,))
     for m in arrow.morphisms:
@@ -72,7 +71,7 @@ def test_compose_fin_substitutes(arrow, square, sum1_arrow):
     from relmonad.fincat import validate_functor
 
     assert validate_functor(f).ok
-    c = compose_at(sum1_arrow, 0, f)
+    c = ComposeMap(sum1_arrow, 0, f)
     assert c.arity == 1 and c.slots[0].cat == square
     assert c.evaluate((3,)).content_key() == sum1_arrow.evaluate((1,)).content_key()
     assert validate_multimap(c).ok
@@ -81,7 +80,7 @@ def test_compose_fin_substitutes(arrow, square, sum1_arrow):
 def test_compose_fin_slot_mismatch(arrow, square, sum1_arrow):
     g = FunctorTable.identity(square)
     with pytest.raises(SlotMismatchError):
-        compose_at(sum1_arrow, 0, g)
+        ComposeMap(sum1_arrow, 0, g)
 
 
 def test_two_cell_requires_parallel(arrow, sum1_arrow):
@@ -127,7 +126,7 @@ def test_vcomp_and_inverse(arrow, sum1_arrow):
     assert two_cell_equal(inverse_cell(a), a).equal
 
 
-def test_whisker_outer_fin(arrow, square, sum1_arrow):
+def test_whisker_outer_nat_table(arrow, square, sum1_arrow):
     f = FunctorTable.unary(square, arrow, [0, 0, 1, 1], [0, 0, 1, 1, 0, 2, 2, 1, 2], name="f")
     g = FunctorTable.unary(square, arrow, [0, 1, 1, 1], [0, 1, 1, 1, 2, 2, 1, 1, 2], name="g")
     from relmonad.fincat import validate_functor, validate_nat_trans
@@ -135,7 +134,7 @@ def test_whisker_outer_fin(arrow, square, sum1_arrow):
     assert validate_functor(g).ok
     eta = NatTransTable(f, g, {(0,): 0, (1,): 2, (2,): 1, (3,): 1})
     assert validate_nat_trans(eta).ok
-    cell = whisker_outer_fin(sum1_arrow, 0, eta)
+    cell = whisker_outer(sum1_arrow, 0, eta)
     for o in square.objects:
         assert validate_presheaf_morphism(cell.component((o,))).ok
 
@@ -143,3 +142,27 @@ def test_whisker_outer_fin(arrow, square, sum1_arrow):
 def test_certified_slots_all_fin(sum2_arrow):
     assert sum2_arrow.certified_slots() == frozenset()
     assert sum2_arrow.psh_slot_indices() == ()
+
+
+def test_certified_slots_shift_under_substitution(arrow, sum2_arrow):
+    from relmonad.kan import strengthen
+
+    both = strengthen(strengthen(sum2_arrow, 0), 1)  # psh, psh: both certified
+    g = strengthen(sum2_arrow, 1)  # fin, psh: slot 1 certified
+    assert both.certified_slots() == {0, 1} and g.certified_slots() == {1}
+    # a map in a psh slot: outer slots after j move up by g's arity - 1, and
+    # g's own certified slots move up by j
+    assert ComposeMap(both, 0, g).certified_slots() == {1, 2}
+    assert ComposeMap(both, 1, g).certified_slots() == {0, 2}
+    # a functor table in a fin slot: only the shift, since a fin slot is never certified
+    pt0 = FunctorTable((), arrow, {(): 0}, {(): arrow.id_of(0)}, name="pt0")
+    assert ComposeMap(g, 0, pt0).certified_slots() == {0}
+    proj = FunctorTable(
+        (arrow, arrow), arrow,
+        {(a, b): a for a in arrow.objects for b in arrow.objects},
+        {(m, n): m for m in arrow.morphisms for n in arrow.morphisms},
+        name="proj",
+    )
+    plugged = ComposeMap(g, 0, proj)
+    assert [s.kind for s in plugged.slots] == ["fin", "fin", "psh"]
+    assert plugged.certified_slots() == {2}

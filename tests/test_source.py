@@ -53,3 +53,34 @@ def test_every_private_helper_is_read():
                 read.add(node.attr)
     unread = sorted(where for name, where in defined.items() if name not in read)
     assert defined and not unread, f"private helpers defined but never read: {unread}"
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a public function, class or method that only tests call should earn a
+    # caller or go; textio's readers and writers are the file-format API and
+    # are left out.  The benchmark wraps some names by string, so its string
+    # constants count as reads.
+    root = PACKAGE.parent.parent
+    defined, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "textio.py":
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[f"{path.name}:{node.lineno} {node.name}"] = node.name
+                if isinstance(node, ast.ClassDef):
+                    defined.update((f"{path.name}:{sub.lineno} {node.name}.{sub.name}", sub.name)
+                                   for sub in node.body if isinstance(sub, ast.FunctionDef)
+                                   and not sub.name.startswith("_"))
+    for folder in ("src", "demos", "bench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (folder == "bench" and isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    read.add(node.value)
+    unread = sorted(where for where, name in defined.items() if name not in read)
+    assert defined and not unread, f"public names that only tests read: {unread}"

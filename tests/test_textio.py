@@ -291,6 +291,20 @@ def test_unwritable_label():
         textio.write_presheaf(p)
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_label_with_a_line_break_is_refused(brk):
+    # the reader splits with str.splitlines, so a label holding any of its
+    # line breaks would be written into a file the reader refuses
+    def one_label(label):
+        return Presheaf(walking_arrow(), [(label,), ()], [(0,), (), ()])
+
+    with pytest.raises(FormatError, match="cannot be written"):
+        textio.write_presheaf(one_label(f"a{brk}b"))
+    kept = one_label(f"a{brk.encode('unicode_escape').decode()}b")
+    assert textio.read_presheaf(textio.write_presheaf(kept)).content_key() == kept.content_key()
+
+
 # -- seeded one-line mutations -----------------------------------------------------
 
 
