@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SlotMismatchError
 
@@ -79,6 +80,12 @@ class FinCategory:
 
     def is_identity(self, m):
         return self.identity[self.mor_src[m]] == m and self.mor_src[m] == self.mor_tgt[m]
+
+    @cached_property
+    def non_identities(self):
+        """The non-identity morphisms, in order: every arrow a colimit over
+        El(p), or over the coend layout of an extension, needs."""
+        return tuple(m for m in self.morphisms if not self.is_identity(m))
 
     def hom(self, a, b):
         return self._hom.get((a, b), ())

@@ -2,9 +2,19 @@
 
 strengthen(f, j) turns a fin slot into a psh slot by a colimit over the
 category of elements of the argument: the value at a presheaf p is the
-colimit, taken objectwise in the codomain, of f's values over El(p).  All
-quotients go through pointwise_colimit, so representatives are canonical and
-reruns are bit-identical.
+colimit, taken objectwise in the codomain, of f's values over El(p).
+
+That colimit is the coend (p * f)(y) = coend over x of p(x) x f(x)(y), and
+it is computed in that layout.  Every El(p) node over x carries the same set
+f(x)(y) and every El(p) arrow over m the same map f(m)_y, so the diagram at
+y has one node per object x, standing for |p(x)| copies of f(x)(y), and one
+arrow per non-identity m, whose copies p.act[m] wires up.  The colimit's
+loops run over the base category's objects and arrows and over the
+elements, not over El(p)'s nodes and arrows.  The result still names
+classes by El(p) node: copy e of object x is the node (x, e).
+
+All quotients go through pointwise_colimit, so representatives are canonical
+and reruns are bit-identical.
 
 The cells defined here are the generators of everything the checker verifies:
 
@@ -87,36 +97,45 @@ class StrengthenMap(MultiMap):
         self.check_arity(args)
         j = self.j
         p = args[j]
-        el = category_of_elements(p)
+        c = p.base
         inner_vals = {x: self.inner.evaluate(args[:j] + (x,) + args[j + 1 :])
-                      for x in p.base.objects if p.at[x]}
-        arrow_mor = {}
-        for m, _ in el.el_arrows:
-            if m not in arrow_mor:
+                      for x in c.objects if p.at[x]}
+        arrow_mor = {}  # non-identity m with a non-empty target fiber -> f(m)
+        for m in c.non_identities:
+            if p.at[c.mor_tgt[m]]:
                 arrow_mor[m] = self.inner.morphism_at(args, j, m)
         # Distinct map objects often meet content-equal inputs, so the record
-        # is memoized on the codomain by its whole input, by content.  El(p)
-        # depends only on the slot category and p.act (the identity rows fix
-        # each fiber's size), and p.act fixes the order in which inner_vals
-        # and arrow_mor are filled.  pointwise_colimit reads only the sizes and
-        # actions of the node presheaves and the components of the arrow maps,
-        # and labels its classes q0, q1, ...; so labels stay out of the key.
-        # p.base stays in: equal act tuples on two categories can still give
-        # El(p) different shapes.
+        # is memoized on the codomain by its whole input, by content.  The
+        # colimit depends only on the slot category and p.act (the identity
+        # rows fix each fiber's size), and p.act fixes the order in which
+        # inner_vals and arrow_mor are filled.  pointwise_colimit reads only
+        # the sizes and actions of the node presheaves and the components of
+        # the arrow maps, and labels its classes q0, q1, ...; so labels stay
+        # out of the key.  p.base stays in: equal act tuples on two
+        # categories can still give the colimit different shapes.
         key = (
-            p.base,
+            c,
             p.act,
             tuple(v.act for v in inner_vals.values()),
             tuple(phi.components for phi in arrow_mor.values()),
         )
         data = self.cod.colimits.get(key)
         if data is None:
-            data = self.cod.colimits[key] = ExtensionData(el, *pointwise_colimit(
-                el,
-                [inner_vals[x] for x, _ in el.el_objs],
-                {ai: arrow_mor[m] for ai, (m, _) in enumerate(el.el_arrows)},
-                self.cod,
-            ))
+            # the coend layout over p's base as its own shape: object x
+            # stands for |p(x)| copies of f(x), one per El(p) node over x, and
+            # arrow m for |p(tgt m)| copies of f(m), copy e2 at its target fed
+            # from copy p.act[m][e2] at its source
+            data = self.cod.colimits[key] = ExtensionData(
+                category_of_elements(p),
+                *pointwise_colimit(
+                    c,
+                    [inner_vals.get(x) for x in c.objects],
+                    arrow_mor,
+                    self.cod,
+                    tuple(len(s) for s in p.at),
+                    p.act,
+                ),
+            )
         self._data_memo[args] = data
         return data
 

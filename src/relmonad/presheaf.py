@@ -7,6 +7,15 @@ representative is the least (diagram-node index, element index) pair; every
 construction that quotients anything funnels through pointwise_colimit and
 that single pass, which is what makes nominally-isomorphic evaluations come
 out bit-identical.
+
+A diagram node may stand for several copies of one set, and an arrow for a
+family of copies of one map, each target copy fed from a chosen source copy.
+That is the coend layout an extension uses: over El(p), every node above x
+carries the same set and every arrow above m the same map, so one node per
+object of p's base with |p(x)| copies, and one arrow per morphism wired by
+p's action, describe the same colimit with far fewer nodes and arrows.  The
+copies are numbered as El(p) numbers its nodes, so the result is the one the
+El(p) diagram gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -227,7 +236,14 @@ class Graph:
 
 @dataclass
 class FinSetDiagram:
-    """Diagram of finite sets: maps[m] sends D(src m) to D(tgt m).
+    """Diagram of finite sets in which a shape node may stand for copies of one set.
+
+    Node k stands for copies[k] copies of sets[k], and arrow m for a family
+    of copies of maps[m] : sets[src m] -> sets[tgt m]: copy e2 at the
+    arrow's target is fed from copy lifts[m][e2] at its source.  Leaving
+    copies and lifts out gives one copy of everything, a plain diagram over
+    shape.  The colimit reads only the lengths of the sets, never their
+    labels.
 
     maps may leave out any shape arrow, identities in particular; the
     colimit is taken over the arrows it names.
@@ -236,76 +252,99 @@ class FinSetDiagram:
     shape: Graph
     sets: tuple  # per shape node: a tuple of labels
     maps: dict
+    copies: tuple | None = None  # per shape node: how many copies of its set
+    lifts: tuple | None = None  # per shape arrow: target copy -> source copy
+
+
+_CLASS_LABELS = []  # q0, q1, ...: every colimit's class labels, made once
 
 
 @dataclass
 class ColimitResult:
     set: tuple  # labels of the classes
-    coprojections: tuple  # per shape object: element -> class index
-    reps: tuple  # per class: (shape object index, element index)
+    coprojections: tuple  # per copy of a shape node: element -> class index
+    reps: tuple  # per class: (copy index, element index)
     merges: int
 
 
 def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult:
     """Colimit of a finite-set diagram by union-find.
 
-    Classes are ordered, and represented, by their least member in the global
-    enumeration that concatenates the sets in shape-object order.  This is the
-    canonicalization every higher construction inherits.
+    The copies are enumerated node by node, and within a node copy by copy;
+    a copy's index is its place in that order, and with one copy per node
+    it is the node's index.  Copy e of node k is a block of the global
+    enumeration that concatenates the copies' elements in that order, so
+    element t of it has index off_k + e * len(sets[k]) + t.  Classes are
+    ordered, and represented, by their least member in that enumeration.
+    This is the canonicalization every higher construction inherits.  The
+    budget bounds the number of elements, counting every copy.
 
     The union pass keeps parent[i] <= i for every element: a union attaches
     the larger root under the smaller, and path halving only moves a pointer
-    further down.  So every root is its class's least member, and one
-    ascending pass numbers the classes: a root opens the next class, and any
-    other element joins the class of parent[i], which it has already passed.
+    further down.  So every root is its class's least member, whatever order
+    the unions come in, and one ascending pass numbers the classes: a root
+    opens the next class, and any other element joins the class of
+    parent[i], which it has already passed.
     """
     sizes = [len(s) for s in d.sets]
-    total = sum(sizes)
+    copies = d.copies or (1,) * len(sizes)
+    offsets = []
+    total = 0
+    for n, k in zip(sizes, copies):
+        offsets.append(total)
+        total += n * k
     cap = element_budget() if budget is None else budget
     if total > cap:
         raise BudgetExceededError(f"colimit over {total} elements exceeds budget {cap}")
-    offsets = []
-    start = 0
-    for n in sizes:
-        offsets.append(start)
-        start += n
 
     parent = list(range(total))
     mor_src, mor_tgt = d.shape.mor_src, d.shape.mor_tgt
+    lifts = d.lifts
     merges = 0
     for m, row in d.maps.items():
-        a = mor_src[m]
-        off_a, off_b = offsets[a], offsets[mor_tgt[m]]
-        for e in range(sizes[a]):
-            i = off_a + e
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            j = off_b + row[e]
-            while parent[j] != j:
-                parent[j] = j = parent[parent[j]]
-            if i != j:
-                if i < j:
-                    parent[j] = i
-                else:
-                    parent[i] = j
-                merges += 1
+        if not row:
+            continue
+        a, b = mor_src[m], mor_tgt[m]
+        n_a, n_b = sizes[a], sizes[b]
+        for e2, e1 in enumerate((0,) if lifts is None else lifts[m]):
+            off_a = offsets[a] + e1 * n_a
+            off_b = offsets[b] + e2 * n_b
+            for t, u in enumerate(row):
+                i = off_a + t
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]
+                j = off_b + u
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if i != j:
+                    if i < j:
+                        parent[j] = i
+                    else:
+                        parent[i] = j
+                    merges += 1
     merge_counter.value += merges
 
-    cls = []
+    # parent[i] becomes the class of element i, in one ascending pass
     reps = []
-    i = 0
-    for a, n in enumerate(sizes):
-        for e in range(n):
+    copr = []
+    for off, n, k in zip(offsets, sizes, copies):
+        if not n:
+            copr.extend(((),) * k)
+            continue
+        node = len(copr)
+        for i in range(off, off + n * k):
             p = parent[i]
             if p == i:
-                cls.append(len(reps))
-                reps.append((a, e))
+                parent[i] = len(reps)
+                e, t = divmod(i - off, n)
+                reps.append((node + e, t))
             else:
-                cls.append(cls[p])
-            i += 1
-    copr = tuple(tuple(cls[o:o + n]) for o, n in zip(offsets, sizes))
-    out = tuple(f"q{k}" for k in range(len(reps)))
-    return ColimitResult(out, copr, tuple(reps), merges)
+                parent[i] = parent[p]
+        # the block's classes, cut into one tuple of n per copy
+        copr.extend(zip(*[iter(parent[off:off + n * k])] * n))
+    if len(_CLASS_LABELS) < len(reps):
+        _CLASS_LABELS.extend(map("q{}".format, range(len(_CLASS_LABELS), len(reps))))
+    return ColimitResult(tuple(_CLASS_LABELS[:len(reps)]), tuple(copr), tuple(reps), merges)
 
 
 def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
@@ -343,31 +382,39 @@ def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
     return total, injections
 
 
-def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory) -> tuple[Presheaf, tuple]:
+def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
+                      copies=None, lifts=None) -> tuple[Presheaf, tuple]:
     """Colimit of a diagram of presheaves on base, computed objectwise.
 
     This is the one route to a quotient.  ps: a presheaf per shape node;
     maps: a PresheafMorphism per shape arrow, keyed by arrow (identities
-    may be left out).  base is given because ps may be empty.  Returns the
-    colimit presheaf and the ColimitResult at each base object.  The
-    budget is read once and bounds each object's colimit on its own.
+    may be left out).  copies and lifts, when given, make node k stand for
+    copies[k] copies of ps[k] and arrow m for copies of maps[m], as in
+    FinSetDiagram; ps[k] may then be None where copies[k] is 0.  base is
+    given because ps may be empty.  Returns the colimit presheaf and the
+    ColimitResult at each base object.  The budget is read once and bounds
+    each object's colimit on its own.
     """
     budget = element_budget()
-    ats = [p.at for p in ps]
+    nothing = ((),) * base.n_objects
+    ats = [nothing if p is None else p.at for p in ps]
     comps = [(m, phi.components) for m, phi in maps.items()]
     results = tuple(
         colimit_finset(FinSetDiagram(
             shape,
             tuple(at[x] for at in ats),
             {m: c[x] for m, c in comps},
+            copies,
+            lifts,
         ), budget)
         for x in base.objects
     )
+    acts = [p.act for p in ps] if copies is None else [
+        p.act for p, k in zip(ps, copies) for _ in range(k)]
     act = []
     for m in base.morphisms:
-        a, b = base.src(m), base.tgt(m)
-        copr = results[a].coprojections
-        act.append(tuple(copr[i][ps[i].act[m][t]] for i, t in results[b].reps))
+        copr = results[base.src(m)].coprojections
+        act.append(tuple(copr[i][acts[i][m][t]] for i, t in results[base.tgt(m)].reps))
     return Presheaf(base, [r.set for r in results], act), results
 
 
@@ -389,8 +436,7 @@ class ElementsCategory(Graph):
         self.el_index = {t: i for i, t in enumerate(self.el_objs)}
         self.el_arrows = tuple(
             (m, e2)
-            for m in c.morphisms
-            if not c.is_identity(m)
+            for m in c.non_identities
             for e2 in range(len(p.at[c.tgt(m)]))
         )
         super().__init__(

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
 from conftest import hom_sum_map
 
-from relmonad.errors import SlotMismatchError, TransposeInapplicableError
+from relmonad import gen
+from relmonad.errors import BudgetExceededError, SlotMismatchError, TransposeInapplicableError
 from relmonad.fincat import FinCategory
 from relmonad.kan import (
     StrengthenMap,
@@ -33,6 +36,7 @@ from relmonad.presheaf import (
     Presheaf,
     PresheafMorphism,
     category_of_elements,
+    coproduct_presheaves,
     enumerate_nat_trans,
     merge_counter,
     pointwise_colimit,
@@ -226,22 +230,39 @@ def test_strengthen_compose_normalization(arrow, plus0_arrow, sum2_arrow):
 # -- the colimit memo on the codomain category ----------------------------------
 
 
-def uncached_extension(f, p):
-    """strengthen(f, 0) at p for a unary map f, straight from pointwise_colimit."""
+def uncached_extension(f, j, args):
+    """strengthen(f, j) at args, straight from pointwise_colimit over El(p):
+    one shape node per El(p) node and one arrow per El(p) arrow."""
+    p = args[j]
     c, el = p.base, category_of_elements(p)
+
+    def at(x):
+        return args[:j] + (x,) + args[j + 1:]
+
     return pointwise_colimit(
         el,
-        [f.evaluate((x,)) for x, _ in el.el_objs],
-        {ai: f.morphism_at((c.src(m),), 0, m) for ai, (m, _) in enumerate(el.el_arrows)},
+        [f.evaluate(at(x)) for x, _ in el.el_objs],
+        {ai: f.morphism_at(at(c.src(m)), j, m) for ai, (m, _) in enumerate(el.el_arrows)},
         f.cod,
     )
 
 
-def assert_matches_uncached(ext, p):
-    data = ext.data((p,))
-    presheaf, colims = uncached_extension(ext.inner, p)
+def assert_matches_uncached(ext, args):
+    """ext.data(args) equals the El(p) route: its value, every ColimitResult,
+    and the merges it counts when the record is computed, not looked up."""
+    args = tuple(args)
+    uncached_extension(ext.inner, ext.j, args)  # evaluate f's values first
+    before = merge_counter.value
+    presheaf, colims = uncached_extension(ext.inner, ext.j, args)
+    el_merges = merge_counter.value - before
+    memoized = len(ext.cod.colimits)
+    before = merge_counter.value
+    data = ext.data(args)
+    computed = len(ext.cod.colimits) > memoized
+    assert merge_counter.value - before == (el_merges if computed else 0)
     assert data.presheaf.content_key() == presheaf.content_key()
     assert data.colims == colims
+    assert data.el.el_objs == category_of_elements(args[ext.j]).el_objs
 
 
 def test_content_equal_maps_share_one_colimit(arrow, sum1_arrow):
@@ -271,7 +292,7 @@ def test_equal_actions_on_reversed_arrows_stay_apart():
             {(x, 0): (0,) for x in c.objects},
             {(0, m, 0): (0,) for m in c.morphisms},
         )
-        assert_matches_uncached(strengthen(const, 0), Presheaf(c, [("a", "b")] * 2, act))
+        assert_matches_uncached(strengthen(const, 0), (Presheaf(c, [("a", "b")] * 2, act),))
     assert len(point.colimits) == 2
 
 
@@ -281,4 +302,123 @@ def test_labels_stay_out_of_the_colimit_key(arrow, sum1_arrow):
     q = Presheaf(arrow, [[f"other{l}" for l in at] for at in p.at], p.act)
     assert ext.evaluate((q,)) is ext.evaluate((p,))
     assert len(arrow.colimits) == 1
-    assert_matches_uncached(ext, q)
+    assert_matches_uncached(ext, (q,))
+
+
+# -- the coend layout against the El(p) route ----------------------------------
+
+
+def _gen_map(rng, slot_cats, cod, max_values, n_generators=None):
+    """gen_multimap, drawn again until its fibers fit max_values."""
+    while True:
+        try:
+            return gen.gen_multimap(rng, slot_cats, cod, max_values, n_generators)
+        except BudgetExceededError:
+            continue
+
+
+def _small_categories(rng):
+    for name in ("arrow", "z2", "leftzero3", "square"):
+        yield gen.builtin_category(name)
+    for _ in range(8):
+        yield gen.free_dag_category(rng, 4, 4)
+
+
+def _small_presheaves(rng, c):
+    """Coproducts of one to three representables, each also quotiented."""
+    for k in (1, 2, 3):
+        p, _ = coproduct_presheaves([representable(c, rng.randrange(c.n_objects))
+                                     for _ in range(k)])
+        yield p
+        sized = [x for x in c.objects if len(p.at[x]) >= 2]
+        if sized:
+            x = rng.choice(sized)
+            yield gen.presheaf_quotient(p, [(x, *rng.sample(range(len(p.at[x])), 2))])
+
+
+def test_extension_matches_the_el_route():
+    # one-slot maps, the unit behind theta_cell, and a two-slot map extended
+    # in either slot, over builtin shapes and free dags
+    rng = random.Random("coend-vs-el")
+    empty_fibers = empty_values = 0
+    for c in _small_categories(rng):
+        d = gen.free_dag_category(rng, 3, 3)
+        f = _gen_map(rng, (c,), d, 24)
+        f2 = _gen_map(rng, (c, d), c, 24)
+        ps = list(_small_presheaves(rng, c))
+        qs = list(_small_presheaves(rng, d))
+        for p in ps:
+            assert_matches_uncached(strengthen(f, 0), (p,))
+            assert_matches_uncached(strengthen(unit_map(c), 0), (p,))
+            for w in d.objects:
+                assert_matches_uncached(strengthen(f2, 0), (p, w))
+            empty_fibers += not all(p.at)
+            empty_values += any(p.at[x] and not f.evaluate((x,)).at[y]
+                                for x in c.objects for y in d.objects)
+        for x in c.objects:
+            for q in qs:
+                assert_matches_uncached(strengthen(f2, 1), (x, q))
+    assert empty_fibers and empty_values
+
+
+# -- extensions at inputs of benchmark size -------------------------------------
+
+
+def _large_dag(rng):
+    while True:
+        c = gen.free_dag_category(rng, 6, 6)
+        if c.n_objects >= 4 and c.n_morphisms - c.n_objects >= 4:
+            return c
+
+
+def _large_presheaf(rng, c, target):
+    """A coproduct of representables with at least `target` elements,
+    quotiented by up to three random identifications."""
+    summands, total = [], 0
+    while total < target:
+        summands.append(representable(c, rng.randrange(c.n_objects)))
+        total += sum(len(s) for s in summands[-1].at)
+    p, _ = coproduct_presheaves(summands)
+    pairs = []
+    for _ in range(rng.randint(0, 3)):
+        x = rng.choice([x for x in c.objects if len(p.at[x]) >= 2])
+        pairs.append((x, *rng.sample(range(len(p.at[x])), 2)))
+    return gen.presheaf_quotient(p, pairs) if pairs else p
+
+
+def test_large_extensions_are_pinned():
+    # 40 one-slot extensions at presheaves of about 20-150 elements: the
+    # value and the collapse cell, hashed by content
+    rng = random.Random("pinned-extensions")
+    digest = hashlib.sha256()
+    for i in range(40):
+        c = _large_dag(rng)
+        f = _gen_map(rng, (c,), _large_dag(rng), 64, 1 + i % 6)
+        p = _large_presheaf(rng, c, 20 + 130 * i // 39)
+        value = strengthen(f, 0).evaluate((p,))
+        collapse = theta_cell(c).component((p,))
+        assert collapse.is_bijection()
+        digest.update(repr((value.content_key(), collapse.content_key())).encode())
+    assert digest.hexdigest() == (
+        "67d2a9f73c650a97327c3b7d2db1a39ed18d3b8cddc21eba317e08b2f0f4346f")
+
+
+def test_budget_counts_every_copy(monkeypatch):
+    # the largest colimit of an extension takes sum_x |p(x)| * |f(x)(y)|
+    # elements at some y, every copy counted, not one per object
+    rng = random.Random("coend-budget")
+    c = _large_dag(rng)
+    f = _gen_map(rng, (c,), _large_dag(rng), 64, 3)
+    p = _large_presheaf(rng, c, 80)
+    values = [f.evaluate((x,)) for x in c.objects]
+    largest = max(sum(len(p.at[x]) * len(values[x].at[y]) for x in c.objects)
+                  for y in f.cod.objects)
+    blocks = max(sum(len(values[x].at[y]) for x in c.objects if p.at[x])
+                 for y in f.cod.objects)
+    assert blocks < largest - 1
+    monkeypatch.setenv("RELMONAD_BUDGET", str(largest - 1))
+    with pytest.raises(BudgetExceededError,
+                       match=f"over {largest} elements exceeds budget {largest - 1}"):
+        strengthen(f, 0).evaluate((p,))
+    monkeypatch.setenv("RELMONAD_BUDGET", str(largest))
+    strengthen(f, 0).evaluate((p,))

@@ -233,6 +233,51 @@ def test_colimit_matches_component_reference(d):
     assert merge_counter.value - before == r.merges
 
 
+
+@st.composite
+def copied_diagrams(draw):
+    """A random diagram with 0-3 copies of each node's set, and a source copy
+    drawn for every target copy of every arrow."""
+    d = draw(finset_diagrams())
+    n = d.shape.n_objects
+    copies = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    lifts = tuple(
+        tuple(draw(st.integers(0, copies[a] - 1)) for _ in range(copies[b]))
+        if copies[a] else ()
+        for a, b in zip(d.shape.mor_src, d.shape.mor_tgt)
+    )
+    maps = {m: row for m, row in d.maps.items() if lifts[m] or not copies[d.shape.mor_tgt[m]]}
+    return FinSetDiagram(d.shape, d.sets, maps, copies, lifts)
+
+
+def expand_copies(d):
+    """The one-copy diagram a copied diagram stands for: a node per copy, in
+    order, and an arrow per target copy of each arrow."""
+    first = [sum(d.copies[:k]) for k in range(len(d.copies))]
+    sets = tuple(s for s, k in zip(d.sets, d.copies) for _ in range(k))
+    src, tgt, maps = [], [], {}
+    for m, row in d.maps.items():
+        a, b = d.shape.mor_src[m], d.shape.mor_tgt[m]
+        for e2, e1 in enumerate(d.lifts[m]):
+            maps[len(src)] = row
+            src.append(first[a] + e1)
+            tgt.append(first[b] + e2)
+    return FinSetDiagram(Graph(len(sets), src, tgt), sets, maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(copied_diagrams())
+def test_copies_match_their_expansion(d):
+    total = sum(len(s) * k for s, k in zip(d.sets, d.copies))
+    with pytest.raises(BudgetExceededError):
+        colimit_finset(d, budget=total - 1)
+    before = merge_counter.value
+    r = colimit_finset(d)
+    assert merge_counter.value - before == r.merges
+    assert r == colimit_finset(expand_copies(d))
+    reps, copr = reference_colimit(expand_copies(d))
+    assert (r.reps, r.coprojections) == (reps, copr)
+
 def test_pointwise_colimit_budget_bounds_each_object(arrow, monkeypatch):
     # two copies of y0 + y1 + y1 glued along the identity: the colimit at
     # object 0 takes 6 elements and the one at object 1 takes 4, so the

@@ -84,3 +84,19 @@ def test_every_public_name_has_a_caller_outside_tests():
                     read.add(node.value)
     unread = sorted(where for where, name in defined.items() if name not in read)
     assert defined and not unread, f"public names that only tests read: {unread}"
+
+
+def test_one_union_find():
+    # the union-find's path-halving step may appear in one function only, so a
+    # second hand-rolled union-find beside colimit_finset fails here
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        functions = [node for node in ast.walk(ast.parse(text, str(path)))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for line, source in enumerate(text.splitlines(), 1):
+            if "parent[parent[" in source:
+                inside = [f for f in functions if f.lineno <= line <= f.end_lineno]
+                owner = max(inside, key=lambda f: f.lineno).name if inside else "<module>"
+                owners.add(f"{path.name}:{owner}")
+    assert owners == {"presheaf.py:colimit_finset"}, f"path halving found in {sorted(owners)}"
