@@ -47,6 +47,7 @@ from .monad import (
     extend_square,
     functor_comp_cell,
     functor_on_nat,
+    functor_unit_cell,
     interchange,
     interchange_perm,
     unit_naturality_square,
@@ -571,8 +572,8 @@ def _law_lift_identity(rng, cfg, hooks):
     f = gen_functor(rng, (x,), y)
     lift = hooks["apply_functor"]
     tf = lift(f)
-    th_y = retree(hooks["theta"](y), lift(FunctorTable.identity(y)), IdentityMap(y))
-    th_x = retree(hooks["theta"](x), lift(FunctorTable.identity(x)), IdentityMap(x))
+    th_y = functor_unit_cell(hooks["theta"](y))
+    th_x = functor_unit_cell(hooks["theta"](x))
     left = vcomp(
         functor_comp_cell(FunctorTable.identity(y), 0, f),
         whisker_inner(th_y, 0, tf),
@@ -817,7 +818,7 @@ def _law_extension_universal(rng, cfg, hooks):
             )
     p = gen_presheaf(rng, x, max_values=6)
     data = ext.data((p,))
-    if len(data.el.el_objs) > 7:
+    if sum(map(len, p.at)) > 7:
         p = representable(x, x.objects[0])
         data = ext.data((p,))
     for b in y.objects:
@@ -830,12 +831,13 @@ def _law_extension_universal(rng, cfg, hooks):
         legs = []
         for psi in mediating:
             restricted = []
-            for node in range(len(data.el.el_objs)):
-                restricted.append(tuple(
-                    tuple(psi.components[yy][c]
-                          for c in data.colims[yy].coprojections[node])
-                    for yy in range(len(y.objects))
-                ))
+            for a in x.objects:
+                for e in range(len(p.at[a])):
+                    restricted.append(tuple(
+                        tuple(psi.components[yy][c]
+                              for c in data.colims[yy].coprojections[a][e])
+                        for yy in range(len(y.objects))
+                    ))
             legs.append(tuple(restricted))
         checked += 1
         if sorted(legs) != sorted(cocones):

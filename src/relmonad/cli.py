@@ -173,6 +173,8 @@ def _read_file(path, reader):
             return reader(fh.read(), name=os.path.basename(path))
     except OSError as e:
         raise UsageError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _print_presheaf(p):

@@ -61,9 +61,9 @@ def flat_double_extension(f, j, k, args) -> FlatExtension:
             tgt.append(i1 * nq + t2)
     presheaf, colims = pointwise_colimit(Graph(len(vals), src, tgt), vals, maps, f.cod)
     coproj = {
-        divmod(n, nq): tuple(r.coprojections[n] for r in colims) for n in range(len(vals))
+        divmod(n, nq): tuple(r.coprojections[n][0] for r in colims) for n in range(len(vals))
     }
-    reps = tuple(tuple(divmod(n, nq) + (t,) for n, t in r.reps) for r in colims)
+    reps = tuple(tuple(divmod(n, nq) + (t,) for n, _, t in r.reps) for r in colims)
     return FlatExtension(presheaf, coproj, reps)
 
 
@@ -72,7 +72,9 @@ def gamma_tables(f, j, k, args):
 
     For each codomain object: class of the k-then-j iterated extension ->
     class of the j-then-k one, routed through the flat quotient.  Built
-    entirely from retained colimit data; the swap cell never enters.
+    entirely from retained colimit data; the swap cell never enters.  The
+    extension records name elements (x, e, t) and the flat quotient names
+    El(p) x El(q) nodes, so the two meet through el_objs and el_index.
     """
     if not j < k:
         raise ValueError("gamma_tables expects j < k")
@@ -84,23 +86,24 @@ def gamma_tables(f, j, k, args):
 
     d_outer_ts = ts.data(args)
     d_outer_st = st.data(args)
-    elp, elq = d_outer_ts.el, d_outer_st.el
+    elp, elq = category_of_elements(args[j]), category_of_elements(args[k])
 
     tables = []
     for y in f.cod.objects:
         row = []
-        for node1, t1 in d_outer_ts.colims[y].reps:
-            x = elp.el_objs[node1][0]
+        for x, e, t1 in d_outer_ts.colims[y].reps:
             inner_args = list(args)
             inner_args[j] = x
             d_inner = tk.data(tuple(inner_args))
-            node2, t = d_inner.colims[y].reps[t1]
-            fl = flat.coproj[(node1, node2)][y][t]
+            w, e2, t = d_inner.colims[y].reps[t1]
+            fl = flat.coproj[(elp.el_index[(x, e)], elq.el_index[(w, e2)])][y][t]
             i1s, i2s, ts_elem = flat.reps[y][fl]
+            x1, e1 = elp.el_objs[i1s]
+            w2, e2 = elq.el_objs[i2s]
             inner_args2 = list(args)
-            inner_args2[k] = elq.el_objs[i2s][0]
+            inner_args2[k] = w2
             d_inner2 = sj.data(tuple(inner_args2))
-            c_inner = d_inner2.colims[y].coprojections[i1s][ts_elem]
-            row.append(d_outer_st.colims[y].coprojections[i2s][c_inner])
+            c_inner = d_inner2.colims[y].coprojections[x1][e1][ts_elem]
+            row.append(d_outer_st.colims[y].coprojections[w2][e2][c_inner])
         tables.append(tuple(row))
     return tables

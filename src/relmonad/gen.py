@@ -281,9 +281,8 @@ def gen_functor(rng: random.Random, slot_cats, dst: FinCategory,
         obj_map = {t: rng.randrange(dst.n_objects) for t in prod_objs}
         mor_map = {}
         ok = True
-        # handle generators in a fixed order; composites must be forced,
-        # so only attempt categories where hom choice is unique (thin dst)
-        # or the source is a product of free/thin pieces; otherwise verify.
+        # draw an image for every morphism tuple, identities and composites
+        # included, and keep the draw only if it validates as a functor
         for mt in prod_mors:
             a, b = obj_map[mor_src(mt)], obj_map[mor_tgt(mt)]
             choices = dst.hom(a, b)

@@ -10,8 +10,9 @@ f(x)(y) and every El(p) arrow over m the same map f(m)_y, so the diagram at
 y has one node per object x, standing for |p(x)| copies of f(x)(y), and one
 arrow per non-identity m, whose copies p.act[m] wires up.  The colimit's
 loops run over the base category's objects and arrows and over the
-elements, not over El(p)'s nodes and arrows.  The result still names
-classes by El(p) node: copy e of object x is the node (x, e).
+elements, and it names each element (x, e, t): element t of f(x)(y) at
+p's element e over x.  Every cell below reads classes in those
+coordinates, so no extension builds El(p).
 
 All quotients go through pointwise_colimit, so representatives are canonical
 and reruns are bit-identical.
@@ -38,7 +39,6 @@ from .fincat import FinCategory
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
-    category_of_elements,
     classifying_morphism,
     pointwise_colimit,
 )
@@ -59,16 +59,16 @@ from .multimap import (
 class ExtensionData:
     """One extension's value, kept once per input content in cod.colimits."""
 
-    el: object  # ElementsCategory of the plugged argument
     presheaf: Presheaf
-    colims: tuple  # ColimitResult per codomain object
+    colims: tuple  # ColimitResult per codomain object, in (x, e, t) coordinates
 
 
 def _cocone_map(data: ExtensionData, dst: Presheaf, leg) -> PresheafMorphism:
     """The map out of an extension's value fixed by a cocone into dst: each
-    class goes where leg(y, node, t) sends its representative."""
+    class goes where leg(y, x, e, t) sends its representative, element t of
+    f(x)(y) at the argument's element e over x."""
     return PresheafMorphism(data.presheaf, dst, [
-        [leg(y, node, t) for node, t in colim.reps]
+        [leg(y, x, e, t) for x, e, t in colim.reps]
         for y, colim in enumerate(data.colims)
     ])
 
@@ -122,20 +122,17 @@ class StrengthenMap(MultiMap):
         data = self.cod.colimits.get(key)
         if data is None:
             # the coend layout over p's base as its own shape: object x
-            # stands for |p(x)| copies of f(x), one per El(p) node over x, and
+            # stands for |p(x)| copies of f(x), copy e for p's element e, and
             # arrow m for |p(tgt m)| copies of f(m), copy e2 at its target fed
             # from copy p.act[m][e2] at its source
-            data = self.cod.colimits[key] = ExtensionData(
-                category_of_elements(p),
-                *pointwise_colimit(
-                    c,
-                    [inner_vals.get(x) for x in c.objects],
-                    arrow_mor,
-                    self.cod,
-                    tuple(len(s) for s in p.at),
-                    p.act,
-                ),
-            )
+            data = self.cod.colimits[key] = ExtensionData(*pointwise_colimit(
+                c,
+                [inner_vals.get(x) for x in c.objects],
+                arrow_mor,
+                self.cod,
+                tuple(len(s) for s in p.at),
+                p.act,
+            ))
         self._data_memo[args] = data
         return data
 
@@ -146,25 +143,22 @@ class StrengthenMap(MultiMap):
         j = self.j
         src = self.data(args)
         if k == j:
-            # action on a presheaf morphism phi: relabel El nodes along phi
+            # action on a presheaf morphism phi: move each copy along phi
             dst = self.data(args[:j] + (m.dst,) + args[j + 1 :])
 
-            def leg(y, node, t):
-                x, e = src.el.el_objs[node]
-                node2 = dst.el.el_index[(x, m.components[x][e])]
-                return dst.colims[y].coprojections[node2][t]
+            def leg(y, x, e, t):
+                return dst.colims[y].coprojections[x][m.components[x][e]][t]
 
             return _cocone_map(src, dst.presheaf, leg)
-        # action in another slot: apply inner's action over each El node
+        # action in another slot: apply inner's action in every copy
         slot = self.slots[k]
         tgt_k = slot.cat.tgt(m) if slot.kind == "fin" else m.dst
         dst = self.data(args[:k] + (tgt_k,) + args[k + 1 :])
         step = {x: self.inner.morphism_at(args[:j] + (x,) + args[j + 1 :], k, m)
                 for x in args[j].base.objects if args[j].at[x]}
 
-        def leg(y, node, t):
-            x = src.el.el_objs[node][0]
-            return dst.colims[y].coprojections[node][step[x].components[y][t]]
+        def leg(y, x, e, t):
+            return dst.colims[y].coprojections[x][e][step[x].components[y][t]]
 
         return _cocone_map(src, dst.presheaf, leg)
 
@@ -189,9 +183,9 @@ def unit_cell(f: MultiMap, j: int) -> TwoCell:
         x = args[j]
         p = u.evaluate((x,))
         data = ext.data(args[:j] + (p,) + args[j + 1 :])
-        node = data.el.el_index[(x, u.element_of_identity(x))]
+        e = u.element_of_identity(x)
         return PresheafMorphism(f.evaluate(args), data.presheaf,
-                                [colim.coprojections[node] for colim in data.colims])
+                                [colim.coprojections[x][e] for colim in data.colims])
 
     return TwoCell(f, dst, fn, name=f"u~[{f.name};{j}]")
 
@@ -208,8 +202,7 @@ def counit_cell(h: MultiMap, j: int) -> TwoCell:
         p = args[j]
         data = src.data(args)
 
-        def leg(y, node, t):
-            x, e = data.el.el_objs[node]
+        def leg(y, x, e, t):
             chi = classify.get((p, x, e))
             if chi is None:
                 chi = classify[(p, x, e)] = classifying_morphism(p, x, e)
@@ -235,8 +228,7 @@ def theta_cell(cat: FinCategory) -> TwoCell:
         (p,) = args
         data = src.data((p,))
 
-        def leg(y, node, t):
-            x, e = data.el.el_objs[node]
+        def leg(y, x, e, t):
             return p.act[cat.hom(y, x)[t]][e]
 
         return _cocone_map(data, p, leg)
@@ -253,10 +245,9 @@ def strengthen_cell(cell: TwoCell, j: int) -> TwoCell:
         sdata = src.data(args)
         ddata = dst.data(args)
 
-        def leg(y, node, t):
-            x = sdata.el.el_objs[node][0]
+        def leg(y, x, e, t):
             phi = cell.component(args[:j] + (x,) + args[j + 1 :])
-            return ddata.colims[y].coprojections[node][phi.components[y][t]]
+            return ddata.colims[y].coprojections[x][e][phi.components[y][t]]
 
         return _cocone_map(sdata, ddata.presheaf, leg)
 

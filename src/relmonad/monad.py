@@ -22,7 +22,6 @@ from .kan import (
     mult_cell,
     strengthen,
     strengthen_cell,
-    theta_cell,
     unit_cell,
     untranspose,
 )
@@ -83,16 +82,11 @@ def functor_on_nat(psi) -> TwoCell:
     )
 
 
-def functor_unit_cell(c) -> TwoCell:
+def functor_unit_cell(th: TwoCell) -> TwoCell:
     """Invertible comparison between the lift of an identity functor and
-    the identity map, i.e. the collapse of one redundant extension."""
-    th = theta_cell(c)
-    return retree(
-        th,
-        apply_functor(FunctorTable.identity(c)),
-        th.dst,
-        name=th.name,
-    )
+    the identity map: th, the collapse of one redundant extension
+    (theta_cell of th.dst.cat), declared out of the lifted identity."""
+    return retree(th, apply_functor(FunctorTable.identity(th.dst.cat)), th.dst)
 
 
 def functor_comp_cell(f: FunctorTable, i: int, g: FunctorTable) -> TwoCell:

@@ -3,19 +3,18 @@
 A presheaf on a FinCategory assigns a finite labelled set to every object and
 a contravariant action to every morphism.  Colimits are taken over a graph of
 generating arrows and computed by a union-find pass whose canonical class
-representative is the least (diagram-node index, element index) pair; every
+representative is the least (node, copy, element) triple; every
 construction that quotients anything funnels through pointwise_colimit and
 that single pass, which is what makes nominally-isomorphic evaluations come
 out bit-identical.
 
 A diagram node may stand for several copies of one set, and an arrow for a
 family of copies of one map, each target copy fed from a chosen source copy.
-That is the coend layout an extension uses: over El(p), every node above x
-carries the same set and every arrow above m the same map, so one node per
-object of p's base with |p(x)| copies, and one arrow per morphism wired by
-p's action, describe the same colimit with far fewer nodes and arrows.  The
-copies are numbered as El(p) numbers its nodes, so the result is the one the
-El(p) diagram gives, bit for bit.
+That is the coend layout an extension uses: one node per object x of p's
+base with |p(x)| copies, and one arrow per morphism wired by p's action,
+describe the colimit over El(p) with far fewer nodes and arrows.  A result
+names every element by (node, copy, element), so copy e of node x is El(p)'s
+node (x, e), and no caller needs El(p) to read it.
 """
 
 from __future__ import annotations
@@ -251,8 +250,8 @@ class FinSetDiagram:
 
     shape: Graph
     sets: tuple  # per shape node: a tuple of labels
-    maps: dict
-    copies: tuple | None = None  # per shape node: how many copies of its set
+    maps: dict  # per named shape arrow: element at its source -> element at its target
+    copies: tuple | None = None  # per shape node: how many copies of its set; None: one each
     lifts: tuple | None = None  # per shape arrow: target copy -> source copy
 
 
@@ -262,19 +261,18 @@ _CLASS_LABELS = []  # q0, q1, ...: every colimit's class labels, made once
 @dataclass
 class ColimitResult:
     set: tuple  # labels of the classes
-    coprojections: tuple  # per copy of a shape node: element -> class index
-    reps: tuple  # per class: (copy index, element index)
+    coprojections: tuple  # [node][copy]: a tuple mapping element -> class index
+    reps: tuple  # per class: its least member, (node, copy, element)
     merges: int
 
 
 def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult:
     """Colimit of a finite-set diagram by union-find.
 
-    The copies are enumerated node by node, and within a node copy by copy;
-    a copy's index is its place in that order, and with one copy per node
-    it is the node's index.  Copy e of node k is a block of the global
-    enumeration that concatenates the copies' elements in that order, so
-    element t of it has index off_k + e * len(sets[k]) + t.  Classes are
+    Every element is named (k, e, t): element t of copy e of node k, and a
+    plain diagram is the case e = 0.  The global enumeration runs node by
+    node, copy by copy within a node, and element by element within a copy,
+    so (k, e, t) has index off_k + e * len(sets[k]) + t.  Classes are
     ordered, and represented, by their least member in that enumeration.
     This is the canonicalization every higher construction inherits.  The
     budget bounds the number of elements, counting every copy.
@@ -327,21 +325,20 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
     # parent[i] becomes the class of element i, in one ascending pass
     reps = []
     copr = []
-    for off, n, k in zip(offsets, sizes, copies):
+    for k, (off, n, c) in enumerate(zip(offsets, sizes, copies)):
         if not n:
-            copr.extend(((),) * k)
+            copr.append(((),) * c)
             continue
-        node = len(copr)
-        for i in range(off, off + n * k):
+        for i in range(off, off + n * c):
             p = parent[i]
             if p == i:
                 parent[i] = len(reps)
                 e, t = divmod(i - off, n)
-                reps.append((node + e, t))
+                reps.append((k, e, t))
             else:
                 parent[i] = parent[p]
-        # the block's classes, cut into one tuple of n per copy
-        copr.extend(zip(*[iter(parent[off:off + n * k])] * n))
+        # the node's classes, cut into one tuple of n per copy
+        copr.append(tuple(zip(*[iter(parent[off:off + n * c])] * n)))
     if len(_CLASS_LABELS) < len(reps):
         _CLASS_LABELS.extend(map("q{}".format, range(len(_CLASS_LABELS), len(reps))))
     return ColimitResult(tuple(_CLASS_LABELS[:len(reps)]), tuple(copr), tuple(reps), merges)
@@ -409,12 +406,11 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
         ), budget)
         for x in base.objects
     )
-    acts = [p.act for p in ps] if copies is None else [
-        p.act for p, k in zip(ps, copies) for _ in range(k)]
+    acts = [None if p is None else p.act for p in ps]
     act = []
     for m in base.morphisms:
         copr = results[base.src(m)].coprojections
-        act.append(tuple(copr[i][acts[i][m][t]] for i, t in results[base.tgt(m)].reps))
+        act.append(tuple(copr[k][e][acts[k][m][t]] for k, e, t in results[base.tgt(m)].reps))
     return Presheaf(base, [r.set for r in results], act), results
 
 

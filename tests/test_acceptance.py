@@ -18,6 +18,8 @@ SEED_42_DIGEST = "fa3ecb7c6922f4f36e17a75bff801aae660736527d7a44d75cc13ff4232982
 # sha256 of `verify --seed 42 --format machine --policy sample --instances 3`:
 # the one pinned run that evaluates extensions at coproducts and a pushout
 SAMPLE_42_DIGEST = "e11c2fecd454160a80ad4b7f073f05916d5bad59ed5a2353f4c39d7d67ee5710"
+# sha256 of `relmonad explain`: every law's description, in suite order
+EXPLAIN_DIGEST = "5cf806636f8de5293236a70f7d3f6bcba87387d4f828f60efa2dbc275e127c32"
 
 
 def _line(n, ok, detail):
@@ -147,3 +149,10 @@ def test_sample_policy_report_is_pinned(tmp_path):
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert rc == 0
     assert digest == SAMPLE_42_DIGEST
+
+
+def test_explain_report_is_pinned(capsys):
+    rc = cli.main(["explain"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert rc == 0
+    assert digest == EXPLAIN_DIGEST

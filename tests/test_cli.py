@@ -189,6 +189,15 @@ def test_replay_missing_file_exits_two(capsys, tmp_path):
     assert err.startswith("relmonad: ")
 
 
+def test_replay_non_utf8_file_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "latin1.replay"
+    f.write_bytes("relmonad-replay 1\nlaw caf\u00e9\n".encode("latin-1"))
+    rc, out, err = run(["replay", str(f)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("relmonad: parse error: ") and str(f) in err
+
+
 # -- compute -----------------------------------------------------------------------
 
 
@@ -240,6 +249,15 @@ def test_compute_parse_error(capsys, tmp_path):
 def test_compute_missing_file(capsys, tmp_path):
     rc, _, err = run(["compute", "apply-t", str(tmp_path / "nope.functor")], capsys)
     assert rc == 2
+
+
+def test_compute_non_utf8_file_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.map"
+    bad.write_bytes(b"\xff\xfe not text\n")
+    rc, out, err = run(["compute", "strengthen", str(bad), str(bad)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("relmonad: parse error: ") and str(bad) in err
 
 
 # -- explain -----------------------------------------------------------------------

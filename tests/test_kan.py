@@ -33,6 +33,7 @@ from relmonad.multimap import (
     whisker_outer,
 )
 from relmonad.presheaf import (
+    ColimitResult,
     Presheaf,
     PresheafMorphism,
     category_of_elements,
@@ -247,9 +248,22 @@ def uncached_extension(f, j, args):
     )
 
 
+def by_element(p, colim):
+    """A ColimitResult over El(p) read in an extension record's (x, e, t)
+    coordinates: El(p)'s node (x, e) is copy e of object x."""
+    el = category_of_elements(p)
+    rows = [[] for _ in p.base.objects]
+    for (x, _), (row,) in zip(el.el_objs, colim.coprojections):
+        rows[x].append(row)
+    return ColimitResult(colim.set, tuple(map(tuple, rows)),
+                         tuple(el.el_objs[n] + (t,) for n, _, t in colim.reps),
+                         colim.merges)
+
+
 def assert_matches_uncached(ext, args):
-    """ext.data(args) equals the El(p) route: its value, every ColimitResult,
-    and the merges it counts when the record is computed, not looked up."""
+    """ext.data(args) equals the El(p) route: its value, every ColimitResult
+    read through El(p)'s el_objs, and the merges it counts when the record
+    is computed, not looked up."""
     args = tuple(args)
     uncached_extension(ext.inner, ext.j, args)  # evaluate f's values first
     before = merge_counter.value
@@ -261,8 +275,7 @@ def assert_matches_uncached(ext, args):
     computed = len(ext.cod.colimits) > memoized
     assert merge_counter.value - before == (el_merges if computed else 0)
     assert data.presheaf.content_key() == presheaf.content_key()
-    assert data.colims == colims
-    assert data.el.el_objs == category_of_elements(args[ext.j]).el_objs
+    assert data.colims == tuple(by_element(args[ext.j], r) for r in colims)
 
 
 def test_content_equal_maps_share_one_colimit(arrow, sum1_arrow):
@@ -422,3 +435,25 @@ def test_budget_counts_every_copy(monkeypatch):
         strengthen(f, 0).evaluate((p,))
     monkeypatch.setenv("RELMONAD_BUDGET", str(largest))
     strengthen(f, 0).evaluate((p,))
+
+
+def test_an_extension_builds_no_elements_category(monkeypatch):
+    # the value and the collapse cell read their colimits in (x, e, t)
+    # coordinates, so neither builds El(p)
+    from relmonad import presheaf
+
+    built = []
+    init = presheaf.ElementsCategory.__init__
+
+    def counting(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(presheaf.ElementsCategory, "__init__", counting)
+    rng = random.Random("no-elements")
+    c = _large_dag(rng)
+    f = _gen_map(rng, (c,), _large_dag(rng), 64, 2)
+    p = _large_presheaf(rng, c, 30)
+    strengthen(f, 0).evaluate((p,))
+    assert theta_cell(c).component((p,)).is_bijection()
+    assert built == []

@@ -12,7 +12,7 @@ from conftest import hom_sum_map
 
 from relmonad.fincat import FunctorTable, NatTransTable, compose_functor
 from relmonad.fubini import gamma_tables
-from relmonad.kan import strengthen
+from relmonad.kan import strengthen, theta_cell
 from relmonad.monad import (
     apply_functor,
     base_map,
@@ -115,7 +115,7 @@ def test_reorder_trivial_word(arrow, sum2_arrow):
 
 
 def test_lifted_identity_collapses(arrow):
-    cell = functor_unit_cell(arrow)
+    cell = functor_unit_cell(theta_cell(arrow))
     for p in sample_presheaves(arrow):
         phi = cell.component((p,))
         assert phi.is_bijection()
@@ -140,14 +140,14 @@ def test_lifted_unit_laws(arrow, square):
 
     left = vcomp(
         functor_comp_cell(FunctorTable.identity(square), 0, g),
-        whisker_inner(functor_unit_cell(square), 0, tg),
+        whisker_inner(functor_unit_cell(theta_cell(square)), 0, tg),
     )
     want = retree(identity_cell(tg), left.src, left.dst)
     assert two_cell_equal(left, want).equal
 
     right = vcomp(
         functor_comp_cell(g, 0, FunctorTable.identity(arrow)),
-        whisker_outer(tg, 0, functor_unit_cell(arrow)),
+        whisker_outer(tg, 0, functor_unit_cell(theta_cell(arrow))),
     )
     want = retree(identity_cell(tg), right.src, right.dst)
     assert two_cell_equal(right, want).equal

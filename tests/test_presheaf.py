@@ -121,7 +121,7 @@ def test_pushout_of_arrow_codomain(arrow):
     assert colim.act[2] == (0, 0)  # both glued points restrict to the same element
     assert validate_presheaf(colim).ok
     for i, p in enumerate(ps):
-        copr = PresheafMorphism(p, colim, [r.coprojections[i] for r in results])
+        copr = PresheafMorphism(p, colim, [r.coprojections[i][0] for r in results])
         assert validate_presheaf_morphism(copr).ok
 
 
@@ -129,7 +129,7 @@ def test_colimit_reps_are_least(arrow):
     shape = FinCategory("pair", 2, [0, 1], [0, 1], [0, 1], {(0, 0): 0, (1, 1): 1})
     d = FinSetDiagram(shape, (tuple("ab"), tuple("cd")), {0: (0, 1), 1: (0, 1)})
     r = colimit_finset(d)
-    assert r.reps == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert r.reps == ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1))
     assert r.merges == 0
     assert r.set == ("q0", "q1", "q2", "q3")
 
@@ -164,11 +164,11 @@ def test_colimit_partitions_random_spans(vals):
     r = colimit_finset(d)
     assert merge_counter.value - before == r.merges
     seen = set()
-    for copr in r.coprojections:
+    for (copr,) in r.coprojections:
         seen.update(copr)
     assert seen == set(range(len(r.set)))
-    for k, (i, t) in enumerate(r.reps):
-        assert r.coprojections[i][t] == k
+    for k, (i, e, t) in enumerate(r.reps):
+        assert e == 0 and r.coprojections[i][e][t] == k
     generated = colimit_finset(FinSetDiagram(shape, sets, legs))
     assert generated.reps == r.reps
     assert generated.coprojections == r.coprojections
@@ -196,7 +196,8 @@ def finset_diagrams(draw):
 
 def reference_colimit(d):
     """Connected components of the element graph by breadth-first search,
-    numbered in the order of their least member."""
+    numbered in the order of their least member, in a plain diagram's
+    (node, 0, element) coordinates."""
     nodes = [(a, e) for a, s in enumerate(d.sets) for e in range(len(s))]
     adj = {v: [] for v in nodes}
     for m, row in d.maps.items():
@@ -216,8 +217,8 @@ def reference_colimit(d):
                 if w not in cls:
                     cls[w] = cls[v]
                     queue.append(w)
-    copr = tuple(tuple(cls[(a, e)] for e in range(len(s))) for a, s in enumerate(d.sets))
-    return tuple(reps), copr
+    copr = tuple((tuple(cls[(a, e)] for e in range(len(s))),) for a, s in enumerate(d.sets))
+    return tuple((a, 0, e) for a, e in reps), copr
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,6 +266,16 @@ def expand_copies(d):
     return FinSetDiagram(Graph(len(sets), src, tgt), sets, maps)
 
 
+def regroup(reps, copr, copies):
+    """Classes of the one-copy expansion of a diagram with these copies,
+    read in the copied diagram's (node, copy, element) coordinates."""
+    nodes = [(k, e) for k, c in enumerate(copies) for e in range(c)]
+    rows = [[] for _ in copies]
+    for (k, _), (row,) in zip(nodes, copr):
+        rows[k].append(row)
+    return tuple(nodes[n] + (t,) for n, _, t in reps), tuple(map(tuple, rows))
+
+
 @settings(max_examples=200, deadline=None)
 @given(copied_diagrams())
 def test_copies_match_their_expansion(d):
@@ -274,9 +285,12 @@ def test_copies_match_their_expansion(d):
     before = merge_counter.value
     r = colimit_finset(d)
     assert merge_counter.value - before == r.merges
-    assert r == colimit_finset(expand_copies(d))
+    expanded = colimit_finset(expand_copies(d))
+    assert (r.set, r.merges) == (expanded.set, expanded.merges)
+    assert (r.reps, r.coprojections) == regroup(
+        expanded.reps, expanded.coprojections, d.copies)
     reps, copr = reference_colimit(expand_copies(d))
-    assert (r.reps, r.coprojections) == (reps, copr)
+    assert (r.reps, r.coprojections) == regroup(reps, copr, d.copies)
 
 def test_pointwise_colimit_budget_bounds_each_object(arrow, monkeypatch):
     # two copies of y0 + y1 + y1 glued along the identity: the colimit at
