@@ -17,8 +17,9 @@ composites an honest run would build.
 import itertools
 import random
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
-from .errors import BudgetExceededError, RelmonadError, TransposeInapplicableError
+from .errors import BudgetExceededError, RelmonadError
 from .fincat import FunctorTable, NatTransTable, compose_functor, validate_functor
 from .fubini import gamma_tables
 from .gen import (
@@ -98,6 +99,8 @@ __all__ = [
 
 @dataclass
 class CheckConfig:
+    policies: ClassVar[tuple] = ("transpose", "sample")
+
     seed: int = 0
     instances: int = 0  # 0 keeps each law's own default
     max_objects: int = 3
@@ -111,7 +114,7 @@ class CheckConfig:
         """Refuse a policy, injector, law or group the checker does not have,
         and caps the generators cannot draw from; ValueError names the field as
         the CLI option and the replay key spell it."""
-        if self.policy not in ("transpose", "sample"):
+        if self.policy not in self.policies:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.inject and self.inject not in INJECTORS:
             raise ValueError(f"unknown injector {self.inject!r}")
@@ -784,7 +787,7 @@ def _enumerate_cocones(f, p, q, budget):
             return []
         space *= len(nats)
         if space > budget:
-            raise TransposeInapplicableError("cocone space too large")
+            raise BudgetExceededError(f"cocone space exceeds budget {budget}")
         per_node.append(nats)
     cocones = []
     for combo in itertools.product(*per_node):
@@ -825,9 +828,10 @@ def _law_extension_universal(rng, cfg, hooks):
         q = representable(y, b)
         try:
             cocones = _enumerate_cocones(f, p, q, budget=20000)
-        except TransposeInapplicableError:
+            mediating = enumerate_nat_trans(data.presheaf, q, budget=20000)
+        except BudgetExceededError:
+            # the oracle outgrew its own budget at b: no verdict there
             continue
-        mediating = enumerate_nat_trans(data.presheaf, q, budget=20000)
         legs = []
         for psi in mediating:
             restricted = []

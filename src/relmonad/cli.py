@@ -87,9 +87,9 @@ def render_text(report):
     return "\n".join(lines) + "\n"
 
 
-def _write_file(path, text):
+def _write_file(path, text, mode="w"):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
         raise UsageError(str(e)) from None
@@ -131,10 +131,6 @@ def cmd_verify(args):
         )
     except ValueError as e:
         raise UsageError(f"--{e}") from None
-    # an unwritable destination exits 2 before any law runs, not after the
-    # report is lost or printed under the wrong exit code
-    if args.out:
-        _write_file(args.out, "")
     if args.replay_dir:
         try:
             os.makedirs(args.replay_dir, exist_ok=True)
@@ -258,18 +254,18 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run coherence laws and report")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--instances", type=int, default=0, metavar="N",
+    v.add_argument("--seed", type=int, default=CheckConfig.seed)
+    v.add_argument("--instances", type=int, default=CheckConfig.instances, metavar="N",
                    help="instances per law (0 keeps each law's default)")
-    v.add_argument("--max-objects", type=int, default=3)
-    v.add_argument("--max-edges", type=int, default=3)
-    v.add_argument("--max-values", type=int, default=24,
+    v.add_argument("--max-objects", type=int, default=CheckConfig.max_objects)
+    v.add_argument("--max-edges", type=int, default=CheckConfig.max_edges)
+    v.add_argument("--max-values", type=int, default=CheckConfig.max_values,
                    help="cap on generated fiber sizes")
     v.add_argument("--laws", default="", metavar="NAMES",
                    help="comma-separated law or group names (default: all); "
                         "groups: " + ", ".join(LAW_GROUPS))
-    v.add_argument("--policy", choices=("transpose", "sample"), default="transpose")
-    v.add_argument("--inject", choices=("",) + tuple(INJECTORS), default="",
+    v.add_argument("--policy", choices=CheckConfig.policies, default=CheckConfig.policy)
+    v.add_argument("--inject", choices=("",) + tuple(INJECTORS), default=CheckConfig.inject,
                    metavar="DEFECT", help="enable one defect injector: " + ", ".join(INJECTORS))
     v.add_argument("--format", choices=("text", "machine"), default="text")
     v.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
@@ -312,6 +308,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_budget()
+        if args.out:
+            # an unwritable destination exits 2 before any work runs, not
+            # after the result is lost; appending nothing keeps what is there
+            _write_file(args.out, "", "a")
         return args.fn(args)
     except UsageError as e:
         print(f"relmonad: {e}", file=sys.stderr)

@@ -271,9 +271,6 @@ class NatTransTable:
     def component(self, objs):
         return self.components[tuple(objs)]
 
-    def content_key(self):
-        return tuple(sorted(self.components.items()))
-
 
 def validate_nat_trans(t: NatTransTable) -> ValidationReport:
     fails = []

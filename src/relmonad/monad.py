@@ -159,14 +159,9 @@ def interchange(g: MultiMap, j: int, k: int) -> TwoCell:
     if j == k:
         raise ValueError("interchange needs two distinct slots")
     beta = strengthen_cell(unit_cell(g, j), k)
-    target = strengthen(strengthen(g, j), k)
-    cell = untranspose(beta, j, target)
-    return retree(
-        cell,
-        strengthen(strengthen(g, k), j),
-        target,
-        name=f"sw[{g.name};{j},{k}]",
-    )
+    cell = untranspose(beta, j, strengthen(strengthen(g, j), k))
+    cell.name = f"sw[{g.name};{j},{k}]"
+    return cell
 
 
 def interchange_perm(g: MultiMap, order_src, order_dst, strategy="left") -> TwoCell:
@@ -216,7 +211,7 @@ def interchange_perm(g: MultiMap, order_src, order_dst, strategy="left") -> TwoC
                 q += 1
     if not steps:
         return identity_cell(chain(order_src))
-    return retree(vcomp(*steps), chain(order_src), chain(order_dst))
+    return vcomp(*steps)
 
 
 def extend_square(alpha: TwoCell, h: MultiMap, f: FunctorTable, fprime: FunctorTable, gs) -> TwoCell:

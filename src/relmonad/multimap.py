@@ -14,11 +14,13 @@ for table; that assertion is what backs the convention of treating the
 reassociation isomorphisms of substitution as identities.
 
 two_cell_equal decides equality of parallel cells.  The 'transpose' policy
-removes psh slots one at a time by plugging in the unit map, which is a
-complete check whenever the common source map is, in that slot, a pointwise
-extension along the unit (tracked syntactically through certified_slots), and
-then compares exhaustively.  The 'sample' policy compares on the documented
-family of probe presheaves instead.
+feeds every psh slot the representables and compares at every object tuple.
+A cell out of a left extension along the unit is fixed by its restriction
+along the unit, and in a psh slot that restriction is evaluation at the
+representables; so the check is complete whenever the common source map is,
+in each psh slot, a pointwise extension along the unit (tracked
+syntactically through certified_slots).  The 'sample' policy compares on the
+documented family of probe presheaves instead.
 """
 
 from __future__ import annotations
@@ -71,9 +73,6 @@ class MultiMap:
             tuple((s.kind, s.cat.content_key()) for s in self.slots),
             self.cod.content_key(),
         )
-
-    def psh_slot_indices(self):
-        return tuple(i for i, s in enumerate(self.slots) if s.kind == "psh")
 
     def certified_slots(self) -> frozenset:
         """Psh slots in which this map is a pointwise extension along the unit."""
@@ -480,11 +479,13 @@ def cells_parallel(a: TwoCell, b: TwoCell) -> bool:
     return a.src.signature() == b.src.signature() and a.dst.signature() == b.dst.signature()
 
 
-def _compare_exhaustive(a: TwoCell, b: TwoCell, spaces, policy) -> CellComparison:
+def _compare_exhaustive(a: TwoCell, b: TwoCell, spaces, policy, feed) -> CellComparison:
+    """Compare at feed(t) for every tuple t of spaces; witnesses name t."""
     checked = 0
     for args in itertools.product(*spaces):
-        pa = a.component(args)
-        pb = b.component(args)
+        fed = feed(args)
+        pa = a.component(fed)
+        pb = b.component(fed)
         checked += 1
         if pa.components != pb.components:
             for y, (ra, rb) in enumerate(zip(pa.components, pb.components)):
@@ -499,35 +500,36 @@ def _compare_exhaustive(a: TwoCell, b: TwoCell, spaces, policy) -> CellCompariso
 def two_cell_equal(a: TwoCell, b: TwoCell, policy: str = "transpose") -> CellComparison:
     """Decide whether two parallel cells are equal.
 
-    'transpose': repeatedly plug the unit map into the leftmost psh slot
-    (raising TransposeInapplicableError if the common source is not a
-    pointwise extension there), then compare at every object tuple.  Complete
-    for sources built from strengthenings, identities, and units.
+    'transpose': compare at every object tuple, each psh slot fed the
+    representable at its object, which is the cells' restriction along the
+    unit (raising TransposeInapplicableError if the common source is not a
+    pointwise extension in some psh slot).  Complete for sources built from
+    strengthenings, identities, and units.
 
     'sample': compare at every object tuple for fin slots and at the
     documented probe family for psh slots.
     """
     if not cells_parallel(a, b):
         raise SlotMismatchError("two_cell_equal on non-parallel cells")
+    slots = a.src.slots
     if policy == "transpose":
-        while True:
-            psh = a.src.psh_slot_indices()
-            if not psh:
-                break
-            i = psh[0]
-            if i not in a.src.certified_slots():
+        certified = a.src.certified_slots()
+        for i, s in enumerate(slots):
+            if s.kind == "psh" and i not in certified:
                 raise TransposeInapplicableError(
                     f"slot {i} of {a.src.name} is not a certified extension slot"
                 )
-            u = unit_map(a.src.slots[i].cat)
-            a = whisker_inner(a, i, u)
-            b = whisker_inner(b, i, u)
-        spaces = [list(s.cat.objects) for s in a.src.slots]
-        return _compare_exhaustive(a, b, spaces, "transpose")
+        spaces = [list(s.cat.objects) for s in slots]
+
+        def feed(objs):
+            return tuple(representable(s.cat, x) if s.kind == "psh" else x
+                         for s, x in zip(slots, objs))
+
+        return _compare_exhaustive(a, b, spaces, "transpose", feed)
     if policy == "sample":
         spaces = [
             list(s.cat.objects) if s.kind == "fin" else sample_presheaves(s.cat)
-            for s in a.src.slots
+            for s in slots
         ]
-        return _compare_exhaustive(a, b, spaces, "sample")
+        return _compare_exhaustive(a, b, spaces, "sample", tuple)
     raise ValueError(f"unknown policy {policy!r}")

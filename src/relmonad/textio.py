@@ -568,20 +568,14 @@ def read_replay(text):
     for req in ("law", "index", "seed"):
         if req not in seen:
             raise FormatError(f"replay file is missing a {req} line")
-    if seen["law"] not in LAW_FAMILIES:
-        raise FormatError(f"unknown law {seen['law']!r}")
+    law, index = seen.pop("law"), seen.pop("index")
+    if law not in LAW_FAMILIES:
+        raise FormatError(f"unknown law {law!r}")
     try:
-        cfg = CheckConfig(
-            seed=seen["seed"],
-            max_objects=seen.get("max-objects", 3),
-            max_edges=seen.get("max-edges", 3),
-            max_values=seen.get("max-values", 24),
-            policy=seen.get("policy", "transpose"),
-            inject=seen.get("inject", ""),
-        )
+        cfg = CheckConfig(**{key.replace("-", "_"): v for key, v in seen.items()})
     except ValueError as e:
         raise FormatError(str(e)) from None
-    return seen["law"], seen["index"], cfg
+    return law, index, cfg
 
 
 def write_replay(law, index, cfg):

@@ -82,6 +82,21 @@ def test_bad_budget_exits_two(budget, capsys, monkeypatch):
     assert err.startswith("relmonad: RELMONAD_BUDGET must be a positive integer")
 
 
+def test_oracle_budget_skips_one_object_not_the_run(capsys, monkeypatch):
+    # at seed 7 the mediating-map enumeration of extension-universal outgrows
+    # its own budget once; the other verdicts still arrive
+    argv = ["verify", "--seed", "7", "--laws", "kan", "--instances", "60",
+            "--format", "machine"]
+    rc, out, err = run(argv, capsys)
+    assert (rc, err) == (0, "")
+    assert sum(1 for l in out.splitlines() if l.startswith("instance ")) == 60
+    # a colimit over RELMONAD_BUDGET is still the environment's limit
+    monkeypatch.setenv("RELMONAD_BUDGET", "1")
+    rc, out, err = run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("relmonad: resource budget exceeded: ")
+
+
 def test_verify_inject_fails_with_witness(capsys, tmp_path):
     rc, out, _ = run(
         ["verify", "--laws", "interchange-oracle", "--inject", "gamma-identity",
@@ -112,15 +127,22 @@ def test_verify_out_file(capsys, tmp_path):
     ["verify", "--laws", "yoneda-count", "--instances", "1", "--out", "{missing}"],
     ["verify", "--laws", "yoneda-count", "--instances", "1", "--replay-dir", "{file}"],
     ["explain", "--out", "{missing}"],
-], ids=["verify-out", "verify-replay-dir", "explain-out"])
+    ["replay", "{replay}", "--out", "{missing}"],
+], ids=["verify-out", "verify-replay-dir", "explain-out", "replay-out"])
 def test_failed_write_exits_two(argv, capsys, tmp_path, monkeypatch):
-    def no_run(cfg):
+    from relmonad.checker import CheckConfig
+
+    def no_run(*args):
         raise AssertionError("a law ran before the destinations were checked")
 
     monkeypatch.setattr(cli, "run_suite", no_run)
+    monkeypatch.setattr(cli, "run_single", no_run)
     existing = tmp_path / "a-file"
     existing.write_text("")
-    paths = {"missing": str(tmp_path / "no-dir" / "out.txt"), "file": str(existing)}
+    replay = tmp_path / "one.replay"
+    replay.write_text(textio.write_replay("yoneda-count", 0, CheckConfig(seed=1)))
+    paths = {"missing": str(tmp_path / "no-dir" / "out.txt"), "file": str(existing),
+             "replay": str(replay)}
     rc, out, err = run([a.format(**paths) for a in argv], capsys)
     assert rc == 2
     assert out == ""

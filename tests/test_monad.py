@@ -10,6 +10,7 @@ import itertools
 import pytest
 from conftest import hom_sum_map
 
+from relmonad import monad
 from relmonad.fincat import FunctorTable, NatTransTable, compose_functor
 from relmonad.fubini import gamma_tables
 from relmonad.kan import strengthen, theta_cell
@@ -26,6 +27,7 @@ from relmonad.monad import (
 )
 from relmonad.multimap import (
     ComposeMap,
+    TwoCell,
     identity_cell,
     inverse_cell,
     plug_many,
@@ -36,7 +38,7 @@ from relmonad.multimap import (
     whisker_inner,
     whisker_outer,
 )
-from relmonad.presheaf import sample_presheaves, validate_presheaf_morphism
+from relmonad.presheaf import PresheafMorphism, sample_presheaves, validate_presheaf_morphism
 
 
 def meet_functor(arrow):
@@ -97,6 +99,55 @@ def test_interchange_inverse_is_reverse_order(arrow, sum2_arrow):
     assert two_cell_equal(vcomp(fwd, bwd), identity_cell(src)).equal
     other = strengthen(strengthen(sum2_arrow, 0), 1)
     assert two_cell_equal(vcomp(bwd, fwd), identity_cell(other)).equal
+
+
+def test_transpose_compares_at_representables_without_new_cells(arrow, sum2_arrow,
+                                                                monkeypatch):
+    cell = interchange(sum2_arrow, 0, 1)
+
+    def swap_first_wide_row(args):
+        phi = cell.component(args)
+        rows = [list(r) for r in phi.components]
+        wide = next(r for r in rows if len(r) >= 2)
+        wide[0], wide[1] = wide[1], wide[0]
+        return PresheafMorphism(phi.src, phi.dst, rows)
+
+    bad = TwoCell(cell.src, cell.dst, swap_first_wide_row, name="bad")
+
+    def whiskered(c):
+        for i in range(c.src.arity):
+            c = whisker_inner(c, i, unit_map(arrow))
+        return c
+
+    want = two_cell_equal(whiskered(cell), whiskered(bad))
+    assert not want.equal
+    built = []
+    for cls in (TwoCell, ComposeMap):
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    assert two_cell_equal(cell, cell).equal
+    got = two_cell_equal(cell, bad)
+    assert built == []
+    assert (got.equal, got.checked, got.witness) == (False, want.checked, want.witness)
+
+
+def test_swap_cells_keep_their_own_endpoints(arrow, sum2_arrow, monkeypatch):
+    def no_retree(*args, **kwargs):
+        raise AssertionError("a swap cell re-declared its endpoints")
+
+    monkeypatch.setattr(monad, "retree", no_retree)
+    for j, k in ((0, 1), (1, 0)):
+        cell = interchange(sum2_arrow, j, k)
+        assert cell.src is strengthen(strengthen(sum2_arrow, k), j)
+        assert cell.dst is strengthen(strengthen(sum2_arrow, j), k)
+    sum3 = hom_sum_map(arrow, 3)
+    for strategy in ("left", "right"):
+        cell = interchange_perm(sum3, (0, 1, 2), (2, 1, 0), strategy)
+        assert cell.src is strengthen(strengthen(strengthen(sum3, 0), 1), 2)
+        assert cell.dst is strengthen(strengthen(strengthen(sum3, 2), 1), 0)
 
 
 def test_reorder_factorisations_agree(arrow):

@@ -141,7 +141,6 @@ def test_whisker_outer_nat_table(arrow, square, sum1_arrow):
 
 def test_certified_slots_all_fin(sum2_arrow):
     assert sum2_arrow.certified_slots() == frozenset()
-    assert sum2_arrow.psh_slot_indices() == ()
 
 
 def test_certified_slots_shift_under_substitution(arrow, sum2_arrow):

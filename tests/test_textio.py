@@ -103,6 +103,9 @@ def test_replay_round_trip():
     assert "inject" not in text
     law, idx, back = textio.read_replay(text)
     assert back.inject == "" and back.policy == "transpose"
+    # a key left out reads back as CheckConfig's own default
+    bare = "relmonad-replay 1\nlaw yoneda-count\nindex 2\nseed 5\n"
+    assert textio.read_replay(bare) == ("yoneda-count", 2, CheckConfig(seed=5))
 
 
 def test_comments_and_blank_lines_ignored():
