@@ -5,13 +5,16 @@ cells (restriction, counit, absorption, interchange, lifted squares) and
 decided by `two_cell_equal`: restrict both sides along the unit in every
 presheaf slot, then compare tables over all object tuples.  Laws about
 tables rather than cells (oracle agreement, counting, validity) compare
-the tables directly.
+the tables directly, one tuple per check.
 
-A law run never weakens an equation to pass: a failed comparison, a seam
-mismatch, or an exception all produce a failing outcome carrying a
-one-line witness.  Defect injection replaces an entry in the hook table
-that every law builds through, so an injected fault flows into the same
-composites an honest run would build.
+A law is a generator that yields one `CellComparison` per check, and one
+fold in `run_single` makes the verdict: the first failing check ends the
+instance, `checked` sums the checks made, and an instance that checked
+nothing is an error, never a pass.  A law run never weakens an equation
+to pass: a failed comparison, a seam mismatch, or an exception all
+produce a failing outcome carrying a one-line witness.  Defect injection
+replaces an entry in the hook table that every law builds through, so an
+injected fault flows into the same composites an honest run would build.
 """
 
 import itertools
@@ -93,7 +96,6 @@ __all__ = [
     "expand_laws",
     "run_suite",
     "run_single",
-    "law_description",
 ]
 
 
@@ -284,10 +286,10 @@ def _wide_poset_category(rng):
             return c
 
 
-def _retry_gen(fn, tries=20):
-    # random fibers can blow the size cap; redraw instead of failing the law
+def _retry_gen(fn):
+    # random fibers can blow the size cap; redraw, 20 times at most, instead of failing
     last = None
-    for _ in range(tries):
+    for _ in range(20):
         try:
             return fn()
         except BudgetExceededError as exc:
@@ -308,28 +310,21 @@ def _gen_wide_map(rng, cfg, parity):
     return _retry_gen(draw)
 
 
-def _compare_all(cfg, *pairs):
-    """Compare each (lhs, rhs) pair in order: the first unequal verdict, or
-    the last verdict, with `checked` summed over the pairs compared."""
-    checked = 0
-    for lhs, rhs in pairs:
-        v = two_cell_equal(lhs, rhs, cfg.policy)
-        checked += v.checked
-        if not v.equal:
-            break
-    return replace(v, checked=checked)
+def _table(why, policy="table", tuples=1):
+    """One table check over `tuples` tuples: it passes when `why` is None
+    and fails with witness `why` otherwise."""
+    return CellComparison(why is None, policy, tuples, why)
 
 
 def _cell_natural(cell):
-    """Exhaustive naturality of a cell whose slots are all fin."""
+    """Exhaustive naturality of a cell whose slots are all fin: one table
+    check per component and per naturality square.  Unlike every other
+    table check, a failing one here counts 0 tuples, not 1: the pinned
+    `naturality-broken` report records that count."""
     slots = [s.cat for s in cell.src.slots]
-    checked = 0
     for args in itertools.product(*(c.objects for c in slots)):
-        phi = cell.component(args)
-        rep = validate_presheaf_morphism(phi)
-        if not rep.ok:
-            return False, checked, f"component at {args}: {rep.first.law}"
-        checked += 1
+        rep = validate_presheaf_morphism(cell.component(args))
+        yield _table(rep.first and f"component at {args}: {rep.first.law}", tuples=int(rep.ok))
     for j, c in enumerate(slots):
         for m in c.morphisms:
             if c.is_identity(m):
@@ -341,10 +336,9 @@ def _cell_natural(cell):
                 args2 = args[:j] + (c.tgt(m),) + args[j + 1:]
                 lhs = cell.src.morphism_at(args, j, m).then(cell.component(args2))
                 rhs = cell.component(args).then(cell.dst.morphism_at(args, j, m))
-                if lhs.components != rhs.components:
-                    return False, checked, f"naturality broken at slot {j}, {m}, {args}"
-                checked += 1
-    return True, checked, ""
+                ok = lhs.components == rhs.components
+                yield _table(None if ok else f"naturality broken at slot {j}, {m}, {args}",
+                             tuples=int(ok))
 
 
 def _whiskered_square(hooks, h, inner, top, ks):
@@ -445,7 +439,7 @@ def _law_extension_associative(rng, cfg, hooks):
         mult(h, 0, ComposeMap(strengthen(g, 0), 0, f), 0),
         whisker_outer(strengthen(h, 0), 0, mult(g, 0, f, 0)),
     )
-    return two_cell_equal(route_a, route_b, cfg.policy)
+    yield two_cell_equal(route_a, route_b, cfg.policy)
 
 
 @_law("extension-unit", "extension", 22,
@@ -458,7 +452,7 @@ def _law_extension_unit(rng, cfg, hooks):
         hooks["mult"](f, 0, unit_map(x), 0),
         whisker_outer(ext, 0, hooks["theta"](x)),
     )
-    return two_cell_equal(chain, identity_cell(ext), cfg.policy)
+    yield two_cell_equal(chain, identity_cell(ext), cfg.policy)
 
 
 @_law("collapse-after-extension", "extension", 22,
@@ -471,7 +465,7 @@ def _law_collapse_after_extension(rng, cfg, hooks):
         whisker_inner(th, 0, strengthen(f, 0)),
     )
     rhs = strengthen_cell(whisker_inner(th, 0, f), 0)
-    return two_cell_equal(lhs, rhs, cfg.policy)
+    yield two_cell_equal(lhs, rhs, cfg.policy)
 
 
 @_law("collapse-on-unit", "extension", 22,
@@ -480,7 +474,7 @@ def _law_collapse_on_unit(rng, cfg, hooks):
     x = gen_category(rng, _cfg_gen(cfg))
     u = unit_map(x)
     chain = vcomp(unit_cell(u, 0), whisker_inner(hooks["theta"](x), 0, u))
-    return two_cell_equal(chain, identity_cell(u), cfg.policy)
+    yield two_cell_equal(chain, identity_cell(u), cfg.policy)
 
 
 @_law("extension-absorbs-unit", "extension", 22,
@@ -494,7 +488,7 @@ def _law_extension_absorbs_unit(rng, cfg, hooks):
         whisker_inner(hooks["mult"](g, 0, f, 0), 0, unit_map(x)),
         whisker_outer(strengthen(g, 0), 0, inverse_cell(unit_cell(f, 0))),
     )
-    return two_cell_equal(chain, identity_cell(k), cfg.policy)
+    yield two_cell_equal(chain, identity_cell(k), cfg.policy)
 
 
 @_law("strength-unit-triangles", "strength", 27,
@@ -509,7 +503,8 @@ def _law_strength_unit_triangles(rng, cfg, hooks):
         unit_cell(h_unit, j),
         whisker_inner(counit_cell(ext, j), j, unit_map(cats[j])),
     )
-    return _compare_all(cfg, (tri1, identity_cell(ext)), (tri2, identity_cell(h_unit)))
+    yield two_cell_equal(tri1, identity_cell(ext), cfg.policy)
+    yield two_cell_equal(tri2, identity_cell(h_unit), cfg.policy)
 
 
 @_law("strength-substitution", "strength", 27,
@@ -529,13 +524,9 @@ def _law_strength_substitution(rng, cfg, hooks):
             spaces.append(list(g.slots[0].cat.objects))
         else:
             spaces.append(list(cats[i].objects))
-    checked = 0
-    for args in itertools.product(*spaces):
-        a, b = lhs.evaluate(args), rhs.evaluate(args)
-        checked += 1
-        if a.content_key() != b.content_key():
-            return CellComparison(False, "table", checked, f"tables differ, tuple {checked - 1}")
-    return CellComparison(True, "table", checked, None)
+    for i, args in enumerate(itertools.product(*spaces)):
+        same = lhs.evaluate(args).content_key() == rhs.evaluate(args).content_key()
+        yield _table(None if same else f"tables differ, tuple {i}")
 
 
 @_law("strength-extension-transpose", "strength", 27,
@@ -546,7 +537,7 @@ def _law_strength_extension_transpose(rng, cfg, hooks):
     _, _, g = _kleisli(rng, cfg, dst=cats[j])
     lhs = transpose(hooks["mult"](f, j, g, 0))
     rhs = whisker_outer(strengthen(f, j), j, unit_cell(g, 0))
-    return two_cell_equal(lhs, rhs, cfg.policy)
+    yield two_cell_equal(lhs, rhs, cfg.policy)
 
 
 @_law("strength-cells-functorial", "strength", 27,
@@ -559,12 +550,10 @@ def _law_strength_cells_functorial(rng, cfg, hooks):
     _, _, psi1, psi2 = _nat_pair(rng, src_cat, cats[j])
     c1 = whisker_outer(f, j, psi1)
     c2 = whisker_outer(f, j, psi2)
-    return _compare_all(
-        cfg,
-        (strengthen_cell(vcomp(c1, c2), j2),
-         vcomp(strengthen_cell(c1, j2), strengthen_cell(c2, j2))),
-        (strengthen_cell(identity_cell(f), j2), identity_cell(strengthen(f, j2))),
-    )
+    yield two_cell_equal(strengthen_cell(vcomp(c1, c2), j2),
+                         vcomp(strengthen_cell(c1, j2), strengthen_cell(c2, j2)), cfg.policy)
+    yield two_cell_equal(strengthen_cell(identity_cell(f), j2),
+                         identity_cell(strengthen(f, j2)), cfg.policy)
 
 
 @_law("lift-identity", "lift", 17,
@@ -585,21 +574,11 @@ def _law_lift_identity(rng, cfg, hooks):
         functor_comp_cell(f, 0, FunctorTable.identity(x)),
         whisker_outer(tf, 0, th_x),
     )
-    v = _compare_all(
-        cfg,
-        (left, retree(identity_cell(tf), left.src, left.dst)),
-        (right, retree(identity_cell(tf), right.src, right.dst)),
-    )
-    if not v.equal:
-        return v
-    checked = v.checked
+    yield two_cell_equal(left, retree(identity_cell(tf), left.src, left.dst), cfg.policy)
+    yield two_cell_equal(right, retree(identity_cell(tf), right.src, right.dst), cfg.policy)
     for p in sample_presheaves(x):
-        checked += 1
-        if not th_x.component((p,)).is_bijection():
-            return CellComparison(
-                False, "table", checked, "collapse cell not invertible"
-            )
-    return CellComparison(True, v.policy, checked, None)
+        invertible = th_x.component((p,)).is_bijection()
+        yield _table(None if invertible else "collapse cell not invertible")
 
 
 @_law("lift-composition", "lift", 17,
@@ -619,9 +598,7 @@ def _law_lift_composition(rng, cfg, hooks):
         functor_comp_cell(f1, 0, compose_functor(f2, 0, f3)),
         whisker_outer(lift(f1), 0, functor_comp_cell(f2, 0, f3)),
     )
-    v = two_cell_equal(lhs, rhs, cfg.policy)
-    if not v.equal:
-        return v
+    yield two_cell_equal(lhs, rhs, cfg.policy)
     # binary leg: the comparison stays invertible, and the lift applies
     # its extensions innermost slot first.  Fold order only shows against a
     # parallel-path codomain at glued arguments, so sweep every sample pair.
@@ -631,16 +608,14 @@ def _law_lift_composition(rng, cfg, hooks):
     cell = functor_comp_cell(gen_functor(rng, (wide,), y), 0, fb)
     reference = strengthen(strengthen(base_map(fb), 0), 1)
     lifted = lift(fb)
-    checked = v.checked
     for p in sample_presheaves(x):
         for q in sample_presheaves(w):
-            phi = cell.component((p, q))
-            checked += 1
-            if not phi.is_bijection():
-                return CellComparison(False, "table", checked, "comparison not invertible")
-            if lifted.evaluate((p, q)).content_key() != reference.evaluate((p, q)).content_key():
-                return CellComparison(False, "table", checked, "lift fold order broken")
-    return CellComparison(True, v.policy, checked, None)
+            if not cell.component((p, q)).is_bijection():
+                yield _table("comparison not invertible")
+            elif lifted.evaluate((p, q)).content_key() != reference.evaluate((p, q)).content_key():
+                yield _table("lift fold order broken")
+            else:
+                yield _table(None)
 
 
 @_law("lift-naturality", "lift", 17,
@@ -654,11 +629,9 @@ def _law_lift_naturality(rng, cfg, hooks):
         {t: y.compose(psi2.component(t), psi1.component(t)) for t in psi1.components},
     )
     ident = NatTransTable(fa, fa, {t: y.id_of(fa.evaluate(t)) for t in psi1.components})
-    return _compare_all(
-        cfg,
-        (functor_on_nat(pasted), vcomp(functor_on_nat(psi1), functor_on_nat(psi2))),
-        (functor_on_nat(ident), identity_cell(apply_functor(fa))),
-    )
+    yield two_cell_equal(functor_on_nat(pasted),
+                         vcomp(functor_on_nat(psi1), functor_on_nat(psi2)), cfg.policy)
+    yield two_cell_equal(functor_on_nat(ident), identity_cell(apply_functor(fa)), cfg.policy)
 
 
 def _interchange_tuples(f, j, k, cap):
@@ -681,19 +654,16 @@ def _law_interchange_oracle(rng, cfg, hooks):
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j, k = sorted(rng.sample(range(f.arity), 2))
     gamma = hooks["interchange"](f, j, k)
-    checked = 0
     cap = 3 if f.arity == 2 else 2
-    for args in _interchange_tuples(f, j, k, cap):
+    for i, args in enumerate(_interchange_tuples(f, j, k, cap)):
         want = tuple(gamma_tables(f, j, k, args))
         phi = gamma.component(args)
-        checked += 1
         if tuple(phi.components) != want:
-            return CellComparison(
-                False, "table", checked, f"flat computation disagrees at tuple {checked - 1}"
-            )
-        if not phi.is_bijection():
-            return CellComparison(False, "table", checked, "interchange not invertible")
-    return CellComparison(True, "table", checked, None)
+            yield _table(f"flat computation disagrees at tuple {i}")
+        elif not phi.is_bijection():
+            yield _table("interchange not invertible")
+        else:
+            yield _table(None)
 
 
 @_law("interchange-units", "interchange", 14,
@@ -713,7 +683,8 @@ def _law_interchange_units(rng, cfg, hooks):
         strengthen_cell(inverse_cell(unit_cell(f, k)), j),
         unit_cell(strengthen(f, j), k),
     )
-    return _compare_all(cfg, (lhs1, rhs1), (lhs2, rhs2))
+    yield two_cell_equal(lhs1, rhs1, cfg.policy)
+    yield two_cell_equal(lhs2, rhs2, cfg.policy)
 
 
 def _interchange_extension_routes(f, j, k, h, hooks):
@@ -738,11 +709,8 @@ def _law_interchange_extensions(rng, cfg, hooks):
     j, k = sorted(rng.sample(range(f.arity), 2))
     _, _, h = _kleisli(rng, cfg, dst=cats[j])
     _, _, h2 = _kleisli(rng, cfg, dst=cats[k])
-    return _compare_all(
-        cfg,
-        _interchange_extension_routes(f, j, k, h, hooks),
-        _interchange_extension_routes(f, k, j, h2, hooks),
-    )
+    yield two_cell_equal(*_interchange_extension_routes(f, j, k, h, hooks), cfg.policy)
+    yield two_cell_equal(*_interchange_extension_routes(f, k, j, h2, hooks), cfg.policy)
 
 
 @_law("interchange-hexagon", "interchange", 14,
@@ -751,43 +719,39 @@ def _law_interchange_hexagon(rng, cfg, hooks):
     f = _gen_wide_map(rng, cfg, 1)[0]
     left = interchange_perm(f, (0, 1, 2), (2, 1, 0), "left")
     right = interchange_perm(f, (0, 1, 2), (2, 1, 0), "right")
-    return two_cell_equal(left, right, cfg.policy)
+    yield two_cell_equal(left, right, cfg.policy)
 
 
 @_law("braiding-words", "interchange", 12,
       "For every permutation of three slots, any two swap words give the same cell.")
 def _law_braiding_words(rng, cfg, hooks):
     f = _gen_wide_map(rng, cfg, 1)[0]
-    checked = 0
     for sigma in itertools.permutations((0, 1, 2)):
         left = interchange_perm(f, (0, 1, 2), sigma, "left")
         right = interchange_perm(f, (0, 1, 2), sigma, "right")
         v = two_cell_equal(left, right, cfg.policy)
-        checked += v.checked
-        if not v.equal:
-            return replace(v, checked=checked, witness=f"word mismatch for {sigma}: {v.witness}")
+        yield v if v.equal else replace(v, witness=f"word mismatch for {sigma}: {v.witness}")
         back = interchange_perm(f, sigma, (0, 1, 2), "left")
-        v2 = two_cell_equal(vcomp(left, back), identity_cell(left.src), cfg.policy)
-        checked += v2.checked
-        if not v2.equal:
-            return replace(
-                v2, checked=checked, witness=f"round trip not identity for {sigma}: {v2.witness}"
-            )
-    return CellComparison(True, cfg.policy, checked, None)
+        v = two_cell_equal(vcomp(left, back), identity_cell(left.src), cfg.policy)
+        yield v if v.equal else replace(
+            v, witness=f"round trip not identity for {sigma}: {v.witness}")
 
 
-def _enumerate_cocones(f, p, q, budget):
+_ORACLE_BUDGET = 20000  # candidates either enumeration oracle may try
+
+
+def _enumerate_cocones(f, p, q):
     el = category_of_elements(p)
     node_vals = [f.evaluate((x,)) for x, _ in el.el_objs]
     per_node = []
     space = 1
     for v in node_vals:
-        nats = enumerate_nat_trans(v, q, budget=budget)
+        nats = enumerate_nat_trans(v, q, budget=_ORACLE_BUDGET)
         if not nats:
             return []
         space *= len(nats)
-        if space > budget:
-            raise BudgetExceededError(f"cocone space exceeds budget {budget}")
+        if space > _ORACLE_BUDGET:
+            raise BudgetExceededError(f"cocone space exceeds budget {_ORACLE_BUDGET}")
         per_node.append(nats)
     cocones = []
     for combo in itertools.product(*per_node):
@@ -811,14 +775,12 @@ def _law_extension_universal(rng, cfg, hooks):
     y = gen_category(rng, g)
     f = gen_multimap(rng, (x,), y, cfg.max_values, n_generators=1)
     ext = strengthen(f, 0)
-    checked = 0
+    # the round trip goes first, so that a pass reports the cell policy
+    yield two_cell_equal(transpose(untranspose(unit_cell(f, 0), 0, ext)), unit_cell(f, 0),
+                         cfg.policy)
     for a in x.objects:
-        phi = unit_cell(f, 0).component((a,))
-        checked += 1
-        if not phi.is_bijection():
-            return CellComparison(
-                False, "table", checked, f"unit restriction not invertible at {a}"
-            )
+        invertible = unit_cell(f, 0).component((a,)).is_bijection()
+        yield _table(None if invertible else f"unit restriction not invertible at {a}")
     p = gen_presheaf(rng, x, max_values=6)
     data = ext.data((p,))
     if sum(map(len, p.at)) > 7:
@@ -827,8 +789,8 @@ def _law_extension_universal(rng, cfg, hooks):
     for b in y.objects:
         q = representable(y, b)
         try:
-            cocones = _enumerate_cocones(f, p, q, budget=20000)
-            mediating = enumerate_nat_trans(data.presheaf, q, budget=20000)
+            cocones = _enumerate_cocones(f, p, q)
+            mediating = enumerate_nat_trans(data.presheaf, q, budget=_ORACLE_BUDGET)
         except BudgetExceededError:
             # the oracle outgrew its own budget at b: no verdict there
             continue
@@ -843,19 +805,13 @@ def _law_extension_universal(rng, cfg, hooks):
                         for yy in range(len(y.objects))
                     ))
             legs.append(tuple(restricted))
-        checked += 1
         if sorted(legs) != sorted(cocones):
-            return CellComparison(
-                False, "count", checked,
-                f"{len(legs)} mediating maps vs {len(cocones)} cocones at object {b}",
-            )
-        if len(set(legs)) != len(legs):
-            return CellComparison(
-                False, "count", checked, "restricting to the legs is not injective"
-            )
-    roundtrip = transpose(untranspose(unit_cell(f, 0), 0, ext))
-    v = two_cell_equal(roundtrip, unit_cell(f, 0), cfg.policy)
-    return replace(v, checked=checked + v.checked)
+            yield _table(f"{len(legs)} mediating maps vs {len(cocones)} cocones at object {b}",
+                         "count")
+        elif len(set(legs)) != len(legs):
+            yield _table("restricting to the legs is not injective", "count")
+        else:
+            yield _table(None, "count")
 
 
 @_law("square-unit-compat", "squares", 9,
@@ -877,7 +833,7 @@ def _law_square_unit_compat(rng, cfg, hooks):
         alpha,
         whisker_outer_many(lift(fprime), {r: unit_cell(gs[r], 0) for r in range(n)}),
     )
-    return two_cell_equal(lhs, rhs, cfg.policy)
+    yield two_cell_equal(lhs, rhs, cfg.policy)
 
 
 @_law("square-extension-compat", "squares", 9,
@@ -913,7 +869,7 @@ def _law_square_extension_compat(rng, cfg, hooks):
         whisker_outer(strengthen(k, 0), 0, alpha_ext),
         whisker_inner(beta_ext, 0, strengthen(gs[0], 0)),
     )
-    return two_cell_equal(lhs, rhs, cfg.policy)
+    yield two_cell_equal(lhs, rhs, cfg.policy)
 
 
 @_law("square-collapse-compat", "squares", 9,
@@ -935,24 +891,18 @@ def _law_square_collapse_compat(rng, cfg, hooks):
         whisker_inner(th, 0, t1),
         whisker_outer(t1, 0, inverse_cell(th)),
     )
-    return two_cell_equal(beta, rhs, cfg.policy)
+    yield two_cell_equal(beta, rhs, cfg.policy)
 
 
 @_law("yoneda-count", "counting", 10,
       "Transformations between representables biject with morphisms.")
 def _law_yoneda_count(rng, cfg, hooks):
     c = gen_category(rng, _cfg_gen(cfg))
-    checked = 0
-    for a in c.objects:
-        for b in c.objects:
-            n = len(enumerate_nat_trans(representable(c, a), representable(c, b)))
-            checked += 1
-            if n != len(c.hom(a, b)):
-                return CellComparison(
-                    False, "count", checked,
-                    f"{n} transformations vs {len(c.hom(a, b))} morphisms at ({a},{b})",
-                )
-    return CellComparison(True, "count", checked, None)
+    for a, b in itertools.product(c.objects, repeat=2):
+        n = len(enumerate_nat_trans(representable(c, a), representable(c, b)))
+        m = len(c.hom(a, b))
+        yield _table(None if n == m else f"{n} transformations vs {m} morphisms at ({a},{b})",
+                     "count")
 
 
 @_law("instance-valid", "validity", 12,
@@ -962,34 +912,16 @@ def _law_instance_valid(rng, cfg, hooks):
     c = gen_category(rng, g)
     d = gen_category(rng, g)
     m = gen_multimap(rng, (c,), d, cfg.max_values, n_generators=2)
-    m = hooks["tamper_multimap"](m)
-    rep = validate_multimap(m)
-    checked = 1
-    if not rep.ok:
-        return CellComparison(
-            False, "table", checked, f"{rep.first.law}: {rep.first.witness}"
-        )
-    n = 1 + rng.randrange(2)
-    h, f, fprime, gs, alpha, xs = _square_instance(rng, cfg, hooks, n)
-    ok, extra, why = _cell_natural(alpha)
-    checked += extra
-    if not ok:
-        return CellComparison(False, "table", checked, why)
+    rep = validate_multimap(hooks["tamper_multimap"](m))
+    yield _table(rep.first and f"{rep.first.law}: {rep.first.witness}")
+    yield from _cell_natural(_square_instance(rng, cfg, hooks, 1 + rng.randrange(2))[4])
     # over thin categories every unit fiber is a point and a swap cannot
     # show; a parallel-path dag forces a 2-element fiber into the square
     zz = _wide_poset_category(rng)
-    wide = hooks["tamper_square"](
-        unit_naturality_square(FunctorTable.identity(zz))
-    )
-    ok, extra, why = _cell_natural(wide)
-    checked += extra
-    if not ok:
-        return CellComparison(False, "table", checked, why)
+    wide = hooks["tamper_square"](unit_naturality_square(FunctorTable.identity(zz)))
+    yield from _cell_natural(wide)
     fn = gen_functor(rng, (c,), d)
-    checked += 1
-    if not validate_functor(fn).ok:
-        return CellComparison(False, "table", checked, "generated functor invalid")
-    return CellComparison(True, "table", checked, None)
+    yield _table(None if validate_functor(fn).ok else "generated functor invalid")
 
 
 LAW_ORDER = tuple(LAW_FAMILIES)
@@ -1014,11 +946,20 @@ def run_single(law, index, cfg, hooks=None):
     rng = random.Random(seed)
     element_budget()  # a bad RELMONAD_BUDGET is the caller's error, not a verdict
     try:
-        verdict = fn(rng, cfg, hooks)
-        return LawOutcome(
-            law, index, bool(verdict.equal), verdict.policy, verdict.checked,
-            seed, "" if verdict.equal else _one_line(verdict.witness),
-        )
+        # the one verdict fold: the first failing check ends the instance,
+        # and the law is not resumed, so nothing after it is drawn or built;
+        # `checked` sums every check made, and a pass reports the policy of
+        # the first
+        policy, checked = "", 0
+        for v in fn(rng, cfg, hooks):
+            checked += v.checked
+            if not v.equal:
+                return LawOutcome(law, index, False, v.policy, checked, seed,
+                                  _one_line(v.witness))
+            policy = policy or v.policy
+        if not checked:
+            raise RelmonadError("nothing was checked: 0 tuples compared, so no pass")
+        return LawOutcome(law, index, True, policy, checked, seed)
     except BudgetExceededError:
         # a resource ceiling is an environment problem, not a law verdict
         raise
@@ -1054,7 +995,3 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
         for i in range(n):
             report.outcomes.append(run_single(law, i, cfg, hooks))
     return report
-
-
-def law_description(law):
-    return LAW_FAMILIES[law][3]

@@ -22,7 +22,6 @@ from .checker import (
     LAW_FAMILIES,
     LAW_GROUPS,
     expand_laws,
-    law_description,
     run_single,
     run_suite,
 )
@@ -236,9 +235,9 @@ def cmd_explain(args):
     laws = _expand_laws(tuple(args.laws))
     lines = []
     for law in laws:
-        instances, group = LAW_FAMILIES[law][1:3]
+        instances, group, description = LAW_FAMILIES[law][1:]
         lines.append(f"{law}  [{group}, default instances {instances}]")
-        lines.append(textwrap.fill(law_description(law), width=78, initial_indent="  ", subsequent_indent="  "))
+        lines.append(textwrap.fill(description, width=78, initial_indent="  ", subsequent_indent="  "))
         lines.append("")
     _emit("\n".join(lines), args.out)
     return 0

@@ -100,8 +100,7 @@ def builtin_category(name: str) -> FinCategory:
     return _BUILTINS[name]()
 
 
-def free_dag_category(rng: random.Random, max_objects: int, max_edges: int,
-                      name: str = "dag") -> FinCategory:
+def free_dag_category(rng: random.Random, max_objects: int, max_edges: int) -> FinCategory:
     """The free category on a random acyclic graph.
 
     Edges run from lower to higher vertex index, so paths never cycle and
@@ -140,7 +139,7 @@ def free_dag_category(rng: random.Random, max_objects: int, max_edges: int,
                 continue
             joined = path_of(f) + path_of(g)
             comp[(g, f)] = mor_src[f] if not joined else index_of[joined]
-    return FinCategory(name, n, mor_src, mor_tgt, list(range(n)), comp)
+    return FinCategory("dag", n, mor_src, mor_tgt, list(range(n)), comp)
 
 
 def gen_category(rng: random.Random, cfg: GenConfig) -> FinCategory:
@@ -259,12 +258,11 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
 
 # -- functors and transformations ----------------------------------------------
 
-def gen_functor(rng: random.Random, slot_cats, dst: FinCategory,
-                tries: int = 20) -> FunctorTable:
+def gen_functor(rng: random.Random, slot_cats, dst: FinCategory) -> FunctorTable:
     """A random functor table out of a product of finite categories.
 
     Picks object images, then hunts for morphism images hom by hom; when a
-    hom is empty the draw is retried, and after `tries` draws it falls
+    hom is empty the draw is retried, and after 20 draws it falls
     back to the constant functor, which always exists.
     """
     slots = tuple(slot_cats)
@@ -277,7 +275,7 @@ def gen_functor(rng: random.Random, slot_cats, dst: FinCategory,
     def mor_tgt(mt):
         return tuple(s.tgt(m) for s, m in zip(slots, mt))
 
-    for _ in range(tries):
+    for _ in range(20):
         obj_map = {t: rng.randrange(dst.n_objects) for t in prod_objs}
         mor_map = {}
         ok = True
@@ -305,8 +303,9 @@ def gen_functor(rng: random.Random, slot_cats, dst: FinCategory,
     )
 
 
-def enumerate_functor_nats(f: FunctorTable, g: FunctorTable, budget: int = 10 ** 5):
-    """All natural transformations between parallel functor tables."""
+def enumerate_functor_nats(f: FunctorTable, g: FunctorTable):
+    """All natural transformations between parallel functor tables, out of
+    at most 10**5 candidates."""
     prod_objs = list(itertools.product(*(s.objects for s in f.slots)))
     dst = f.dst
     per_obj = []
@@ -316,7 +315,7 @@ def enumerate_functor_nats(f: FunctorTable, g: FunctorTable, budget: int = 10 **
         if not row:
             return []
         space *= len(row)
-        if space > budget:
+        if space > 10 ** 5:
             raise BudgetExceededError("transformation space too large")
         per_obj.append(row)
     found = []

@@ -9,6 +9,8 @@ import filecmp
 import hashlib
 import time
 
+import pytest
+
 from relmonad import cli
 from relmonad.checker import CheckConfig, run_suite
 
@@ -20,6 +22,16 @@ SEED_42_DIGEST = "fa3ecb7c6922f4f36e17a75bff801aae660736527d7a44d75cc13ff4232982
 SAMPLE_42_DIGEST = "e11c2fecd454160a80ad4b7f073f05916d5bad59ed5a2353f4c39d7d67ee5710"
 # sha256 of `relmonad explain`: every law's description, in suite order
 EXPLAIN_DIGEST = "5cf806636f8de5293236a70f7d3f6bcba87387d4f828f60efa2dbc275e127c32"
+# sha256 of `verify --seed 42 --format machine --inject X`: under each
+# injector the fold decides every law's lines, not only the target law's
+INJECTED_42_DIGESTS = {
+    "theta-corrupt": "9dd41491dd452914d55fd3ac4e533a4c34c49d3016b59e4518abdbc9e6856d33",
+    "that-corrupt": "da0cad10af292e8f0d562aefbee6ff3a0ba40185fd5e89690e28e13725022efc",
+    "gamma-identity": "d8103d883857fe9cf8ef8d326b0ed3343903deed840d6c82d699f84fcbdcf181",
+    "t-order-scramble": "b3da135cb36074711a20ddae668e1dfda6be52276f2a7b2a0f8c675a2378849b",
+    "naturality-broken": "ea57d96d9232ddd3af6d023673ab74524cff5eb8731c5cf70f6fd20808f1468b",
+    "contravariance-broken": "385f9734f0b17aee5692cf15953c6662f4423f5d8059da66a267be7340a445b2",
+}
 
 
 def _line(n, ok, detail):
@@ -149,6 +161,17 @@ def test_sample_policy_report_is_pinned(tmp_path):
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert rc == 0
     assert digest == SAMPLE_42_DIGEST
+
+
+@pytest.mark.parametrize("inject", sorted(INJECTED_42_DIGESTS))
+def test_injected_report_is_pinned(tmp_path, inject):
+    out = str(tmp_path / "injected.txt")
+    rc = cli.main(["verify", "--seed", "42", "--format", "machine", "--inject", inject,
+                   "--out", out])
+    with open(out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert rc == 1
+    assert digest == INJECTED_42_DIGESTS[inject]
 
 
 def test_explain_report_is_pinned(capsys):

@@ -19,13 +19,12 @@ from relmonad.checker import (
     LAW_ORDER,
     CheckConfig,
     _corrupt_cell,
-    law_description,
     run_suite,
     run_single,
 )
 from relmonad.errors import SlotMismatchError
 from relmonad.gen import derive_seed
-from relmonad.multimap import TwoCell, identity_cell, unit_map
+from relmonad.multimap import CellComparison, TwoCell, identity_cell, unit_map
 from relmonad.presheaf import Presheaf, PresheafMorphism
 
 
@@ -36,7 +35,7 @@ def test_registry_order_matches_families():
 
 def test_every_law_has_a_description():
     for law in LAW_ORDER:
-        assert law_description(law)
+        assert LAW_FAMILIES[law][3]
 
 
 def test_derived_seeds_are_distinct():
@@ -68,6 +67,51 @@ def test_law_passes_small_run(law):
         out = run_single(law, i, cfg)
         assert out.ok, f"{law}[{i}]: {out.witness}"
         assert out.witness == ""
+
+
+def _stub_law(monkeypatch, checks):
+    # replace one law by a generator over `checks`, keeping its registry entry
+    law = "extension-unit"
+    _, instances, group, description = LAW_FAMILIES[law]
+    monkeypatch.setitem(LAW_FAMILIES, law, (lambda rng, cfg, hooks: checks(), instances,
+                                            group, description))
+    return run_single(law, 0, CheckConfig(seed=1))
+
+
+def test_fold_stops_at_the_first_failing_check(monkeypatch):
+    made = []
+
+    def checks():
+        yield CellComparison(True, "transpose", 3, None)
+        yield CellComparison(False, "table", 1, "second check fails")
+        made.append("resumed")
+        yield CellComparison(True, "table", 1 // 0, None)
+
+    out = _stub_law(monkeypatch, checks)
+    assert not out.ok
+    assert (out.policy, out.checked, out.witness) == ("table", 4, "second check fails")
+    assert made == []
+
+
+def test_fold_pass_reports_the_first_policy(monkeypatch):
+    def checks():
+        yield CellComparison(True, "count", 2, None)
+        yield CellComparison(True, "transpose", 5, None)
+
+    out = _stub_law(monkeypatch, checks)
+    assert out.ok
+    assert (out.policy, out.checked, out.witness) == ("count", 7, "")
+
+
+@pytest.mark.parametrize("checks", [
+    lambda: iter(()),
+    lambda: iter([CellComparison(True, "table", 0, None)]),
+], ids=["no-check", "zero-tuples"])
+def test_instance_that_checks_nothing_cannot_pass(monkeypatch, checks):
+    out = _stub_law(monkeypatch, checks)
+    assert not out.ok
+    assert out.policy == "error" and out.checked == 0
+    assert "nothing was checked" in out.witness
 
 
 def test_report_shape_and_summaries():

@@ -100,3 +100,30 @@ def test_one_union_find():
                 owner = max(inside, key=lambda f: f.lineno).name if inside else "<module>"
                 owners.add(f"{path.name}:{owner}")
     assert owners == {"presheaf.py:colimit_finset"}, f"path halving found in {sorted(owners)}"
+
+
+def test_every_law_yields_its_checks():
+    # a law yields one comparison per check, and run_single's fold alone
+    # turns them into the verdict
+    tree = ast.parse((PACKAGE / "checker.py").read_text())
+    laws = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+            and any(getattr(getattr(d, "func", None), "id", None) == "_law"
+                    for d in node.decorator_list)]
+    silent = [node.name for node in laws
+              if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(node))]
+    assert len(laws) == 23 and not silent, f"laws that yield no check: {silent}"
+
+
+def test_verdicts_are_built_in_one_place():
+    # in the checker, a comparison is built only by the table-check helper;
+    # the fold in run_single builds the outcome from the checks it is given
+    path = PACKAGE / "checker.py"
+    text = path.read_text()
+    functions = [node for node in ast.walk(ast.parse(text, str(path)))
+                 if isinstance(node, ast.FunctionDef)]
+    owners = set()
+    for line, source in enumerate(text.splitlines(), 1):
+        if "CellComparison(" in source:
+            inside = [f for f in functions if f.lineno <= line <= f.end_lineno]
+            owners.add(max(inside, key=lambda f: f.lineno).name if inside else "<module>")
+    assert owners == {"_table"}, f"CellComparison built in {sorted(owners)}"
