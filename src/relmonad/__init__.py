@@ -19,7 +19,7 @@ from .errors import (
 from .fincat import FinCategory, FunctorTable, NatTransTable
 from .kan import mult_cell, strengthen, strengthen_cell, theta_cell, unit_cell
 from .monad import apply_functor, interchange, interchange_perm, unit_naturality_square
-from .multimap import ComposeMap, TableMap, UnitMap, unit_map
+from .multimap import ComposeMap, TableMap, UnitMap, plug, unit_map
 from .presheaf import Presheaf, PresheafMorphism, enumerate_nat_trans
 
 __version__ = "0.1.0"
@@ -48,6 +48,7 @@ __all__ = [
     "interchange",
     "interchange_perm",
     "mult_cell",
+    "plug",
     "run_single",
     "run_suite",
     "strengthen",

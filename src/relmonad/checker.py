@@ -58,11 +58,11 @@ from .monad import (
 )
 from .multimap import (
     CellComparison,
-    ComposeMap,
     IdentityMap,
     TwoCell,
     identity_cell,
     inverse_cell,
+    plug,
     plug_many,
     retree,
     two_cell_equal,
@@ -310,21 +310,19 @@ def _gen_wide_map(rng, cfg, parity):
     return _retry_gen(draw)
 
 
-def _table(why, policy="table", tuples=1):
-    """One table check over `tuples` tuples: it passes when `why` is None
+def _table(why, policy="table"):
+    """One table check, counted as one tuple: it passes when `why` is None
     and fails with witness `why` otherwise."""
-    return CellComparison(why is None, policy, tuples, why)
+    return CellComparison(why is None, policy, 1, why)
 
 
 def _cell_natural(cell):
     """Exhaustive naturality of a cell whose slots are all fin: one table
-    check per component and per naturality square.  Unlike every other
-    table check, a failing one here counts 0 tuples, not 1: the pinned
-    `naturality-broken` report records that count."""
+    check per component and per naturality square."""
     slots = [s.cat for s in cell.src.slots]
     for args in itertools.product(*(c.objects for c in slots)):
         rep = validate_presheaf_morphism(cell.component(args))
-        yield _table(rep.first and f"component at {args}: {rep.first.law}", tuples=int(rep.ok))
+        yield _table(rep.first and f"component at {args}: {rep.first.law}")
     for j, c in enumerate(slots):
         for m in c.morphisms:
             if c.is_identity(m):
@@ -337,8 +335,7 @@ def _cell_natural(cell):
                 lhs = cell.src.morphism_at(args, j, m).then(cell.component(args2))
                 rhs = cell.component(args).then(cell.dst.morphism_at(args, j, m))
                 ok = lhs.components == rhs.components
-                yield _table(None if ok else f"naturality broken at slot {j}, {m}, {args}",
-                             tuples=int(ok))
+                yield _table(None if ok else f"naturality broken at slot {j}, {m}, {args}")
 
 
 def _whiskered_square(hooks, h, inner, top, ks):
@@ -355,7 +352,7 @@ def _whiskered_square(hooks, h, inner, top, ks):
         alpha = whisker_inner(alpha, r, k)
     alpha = retree(
         alpha,
-        ComposeMap(h, 0, f),
+        plug(h, 0, f),
         plug_many(hooks["apply_functor"](top), dict(enumerate(gs))),
     )
     return f, gs, alpha
@@ -429,14 +426,14 @@ def _law_extension_associative(rng, cfg, hooks):
     _, z, g = _kleisli(rng, cfg, src=y)
     _, w, h = _kleisli(rng, cfg, src=z)
     mult = hooks["mult"]
-    k = ComposeMap(strengthen(h, 0), 0, g)
+    k = plug(strengthen(h, 0), 0, g)
     route_a = vcomp(
         mult(k, 0, f, 0),
         whisker_inner(mult(h, 0, g, 0), 0, strengthen(f, 0)),
     )
     route_b = vcomp(
         strengthen_cell(whisker_inner(mult(h, 0, g, 0), 0, f), 0),
-        mult(h, 0, ComposeMap(strengthen(g, 0), 0, f), 0),
+        mult(h, 0, plug(strengthen(g, 0), 0, f), 0),
         whisker_outer(strengthen(h, 0), 0, mult(g, 0, f, 0)),
     )
     yield two_cell_equal(route_a, route_b, cfg.policy)
@@ -482,7 +479,7 @@ def _law_collapse_on_unit(rng, cfg, hooks):
 def _law_extension_absorbs_unit(rng, cfg, hooks):
     x, y, f = _kleisli(rng, cfg)
     _, z, g = _kleisli(rng, cfg, src=y)
-    k = ComposeMap(strengthen(g, 0), 0, f)
+    k = plug(strengthen(g, 0), 0, f)
     chain = vcomp(
         unit_cell(k, 0),
         whisker_inner(hooks["mult"](g, 0, f, 0), 0, unit_map(x)),
@@ -498,7 +495,7 @@ def _law_strength_unit_triangles(rng, cfg, hooks):
     j = rng.randrange(f.arity)
     ext = strengthen(f, j)
     tri1 = vcomp(strengthen_cell(unit_cell(f, j), j), counit_cell(ext, j))
-    h_unit = ComposeMap(ext, j, unit_map(cats[j]))
+    h_unit = plug(ext, j, unit_map(cats[j]))
     tri2 = vcomp(
         unit_cell(h_unit, j),
         whisker_inner(counit_cell(ext, j), j, unit_map(cats[j])),
@@ -513,9 +510,9 @@ def _law_strength_substitution(rng, cfg, hooks):
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j, k = rng.sample(range(f.arity), 2)
     _, _, g = _kleisli(rng, cfg, dst=cats[k])
-    base = ComposeMap(strengthen(f, k), k, g)
+    base = plug(strengthen(f, k), k, g)
     lhs = strengthen(base, j)
-    rhs = ComposeMap(strengthen(strengthen(f, k), j), k, g)
+    rhs = plug(strengthen(strengthen(f, k), j), k, g)
     spaces = []
     for i in range(f.arity):
         if i == j:
@@ -608,8 +605,9 @@ def _law_lift_composition(rng, cfg, hooks):
     cell = functor_comp_cell(gen_functor(rng, (wide,), y), 0, fb)
     reference = strengthen(strengthen(base_map(fb), 0), 1)
     lifted = lift(fb)
+    probes = sample_presheaves(w)
     for p in sample_presheaves(x):
-        for q in sample_presheaves(w):
+        for q in probes:
             if not cell.component((p, q)).is_bijection():
                 yield _table("comparison not invertible")
             elif lifted.evaluate((p, q)).content_key() != reference.evaluate((p, q)).content_key():
@@ -693,7 +691,7 @@ def _interchange_extension_routes(f, j, k, h, hooks):
         hooks["mult"](strengthen(f, k), j, h, 0),
         whisker_inner(gamma(f, j, k), j, strengthen(h, 0)),
     )
-    plugged = ComposeMap(strengthen(f, j), j, h)
+    plugged = plug(strengthen(f, j), j, h)
     route2 = vcomp(
         strengthen_cell(whisker_inner(gamma(f, j, k), j, h), j),
         gamma(plugged, j, k),
@@ -849,15 +847,15 @@ def _law_square_extension_compat(rng, cfg, hooks):
 
     beta_ext = extend_square(beta, k, f_up, f2, gps)
     alpha_ext = extend_square(alpha, h, f, f_up, gs)
-    h2 = ComposeMap(strengthen(k, 0), 0, h)
-    big_g = [ComposeMap(strengthen(gps[0], 0), 0, gs[0])]
+    h2 = plug(strengthen(k, 0), 0, h)
+    big_g = [plug(strengthen(gps[0], 0), 0, gs[0])]
 
     pasted = retree(
         vcomp(
             whisker_outer(strengthen(k, 0), 0, alpha),
             whisker_inner(beta_ext, 0, gs[0]),
         ),
-        ComposeMap(h2, 0, f),
+        plug(h2, 0, f),
         plug_many(lift(f2), {0: big_g[0]}),
     )
     lhs = vcomp(
@@ -882,8 +880,8 @@ def _law_square_collapse_compat(rng, cfg, hooks):
     t1 = lift(one)
     alpha = retree(
         unit_naturality_square(one),
-        ComposeMap(u, 0, one),
-        ComposeMap(t1, 0, u),
+        plug(u, 0, one),
+        plug(t1, 0, u),
     )
     beta = extend_square(alpha, u, one, one, [u])
     th = retree(hooks["theta"](x), strengthen(u, 0), IdentityMap(x))

@@ -43,11 +43,11 @@ from .presheaf import (
     pointwise_colimit,
 )
 from .multimap import (
-    ComposeMap,
     IdentityMap,
     MultiMap,
     Slot,
     TwoCell,
+    plug,
     unit_map,
     vcomp,
     whisker_inner,
@@ -177,7 +177,7 @@ def unit_cell(f: MultiMap, j: int) -> TwoCell:
     """f => strengthen(f, j) o_j unit: include each value at its own element."""
     ext = strengthen(f, j)
     u = unit_map(f.slots[j].cat)
-    dst = ComposeMap(ext, j, u)
+    dst = plug(ext, j, u)
 
     def fn(args):
         x = args[j]
@@ -195,7 +195,7 @@ def counit_cell(h: MultiMap, j: int) -> TwoCell:
     if h.slots[j].kind != "psh":
         raise SlotMismatchError(f"{h.name}: slot {j} is not a psh slot")
     u = unit_map(h.slots[j].cat)
-    src = strengthen(ComposeMap(h, j, u), j)
+    src = strengthen(plug(h, j, u), j)
     classify = {}  # (p, x, e) -> classifying map out of u's y_x
 
     def fn(args):
@@ -280,7 +280,7 @@ def mult_cell(f: MultiMap, j: int, g: MultiMap, l: int) -> TwoCell:
     """
     ft = strengthen(f, j)
     beta = whisker_outer(ft, j, unit_cell(g, l))
-    target = ComposeMap(ft, j, strengthen(g, l))
+    target = plug(ft, j, strengthen(g, l))
     out = untranspose(beta, j + l, target)
     out.name = f"m^[{f.name};{j};{g.name};{l}]"
     return out

@@ -26,11 +26,11 @@ from .kan import (
     untranspose,
 )
 from .multimap import (
-    ComposeMap,
     MultiMap,
     TwoCell,
     identity_cell,
     inverse_cell,
+    plug,
     retree,
     unit_map,
     vcomp,
@@ -52,7 +52,7 @@ __all__ = [
 
 def base_map(f: FunctorTable) -> MultiMap:
     """The map sending objects x1..xn to the representable at f(x1..xn)."""
-    return ComposeMap(unit_map(f.dst), 0, f)
+    return plug(unit_map(f.dst), 0, f)
 
 
 def apply_functor(f: FunctorTable) -> MultiMap:
@@ -119,7 +119,7 @@ def functor_comp_cell(f: FunctorTable, i: int, g: FunctorTable) -> TwoCell:
         b = strengthen(b, r)
 
     src = apply_functor(compose_functor(f, i, g))
-    dst = ComposeMap(apply_functor(f), i, apply_functor(g))
+    dst = plug(apply_functor(f), i, apply_functor(g))
     return retree(vcomp(*steps), src, dst, name=f"comp^[{f.name};{i};{g.name}]")
 
 
@@ -144,7 +144,7 @@ def unit_naturality_square(f: FunctorTable) -> TwoCell:
         return identity_cell(a)
     dst = apply_functor(f)
     for s in range(f.arity):
-        dst = ComposeMap(dst, s, unit_map(f.slots[s]))
+        dst = plug(dst, s, unit_map(f.slots[s]))
     return retree(vcomp(*steps), a, dst, name=f"i~[{f.name}]")
 
 
@@ -261,7 +261,7 @@ def extend_square(alpha: TwoCell, h: MultiMap, f: FunctorTable, fprime: FunctorT
     for r in range(n - 1, -1, -1):
         fr = chains[r]
         for i in range(r):
-            fr = ComposeMap(fr, i, gs[i])
+            fr = plug(fr, i, gs[i])
         for i in range(r):
             fr = strengthen(fr, i)
         step = mult_cell(fr, r, gs[r], 0)
@@ -270,8 +270,8 @@ def extend_square(alpha: TwoCell, h: MultiMap, f: FunctorTable, fprime: FunctorT
             step = whisker_inner(step, i, strengthen(gs[i], 0))
         steps.append(step)
 
-    src = ComposeMap(strengthen(h, 0), 0, apply_functor(f))
+    src = plug(strengthen(h, 0), 0, apply_functor(f))
     dst = apply_functor(fprime)
     for i in range(n):
-        dst = ComposeMap(dst, i, strengthen(gs[i], 0))
+        dst = plug(dst, i, strengthen(gs[i], 0))
     return retree(vcomp(*steps), src, dst, name=f"ext2[{alpha.name}]")

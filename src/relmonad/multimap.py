@@ -5,7 +5,9 @@ codomain category.  A slot is either 'fin' (the argument is an object of a
 finite category, acted on by its morphisms) or 'psh' (the argument is itself a
 presheaf on a finite category, acted on by presheaf morphisms).  Maps form a
 substitution algebra with one node: ComposeMap plugs a map into a psh slot
-and a functor table into a fin slot.
+and a functor table into a fin slot.  plug(f, j, g) interns that node per
+(map, slot, inner) on the outer map, as kan.strengthen interns extensions,
+so every cell whiskered by the same inner object shares its endpoints' memos.
 
 A TwoCell is a family of presheaf morphisms between the evaluations of two
 parallel maps, one per argument tuple, built lazily and memoized.  Vertical
@@ -63,6 +65,7 @@ class MultiMap:
         self._val_memo = {}
         self._mor_memo = {}
         self.extensions = {}  # slot -> StrengthenMap, filled by kan.strengthen
+        self.composites = {}  # (slot, inner) -> ComposeMap, filled by plug
 
     @property
     def arity(self) -> int:
@@ -241,6 +244,19 @@ class ComposeMap(MultiMap):
         return self.f.morphism_at(self._f_args(args), k - n + 1, m)
 
 
+def plug(f: MultiMap, j: int, g) -> ComposeMap:
+    """Interned per (slot, inner) on f: repeated requests reuse the same node.
+
+    The inner map or functor table is keyed by identity.  ComposeMap checks
+    the slot before the node is stored, so a bad plug raises every time.
+    """
+    key = (j, g)
+    hit = f.composites.get(key)
+    if hit is None:
+        hit = f.composites[key] = ComposeMap(f, j, g)
+    return hit
+
+
 def validate_multimap(m: MultiMap) -> ValidationReport:
     """Exhaustive law check for a map whose slots are all 'fin'.
 
@@ -387,8 +403,8 @@ def inverse_cell(cell: TwoCell) -> TwoCell:
 
 def whisker_inner(cell: TwoCell, j: int, g) -> TwoCell:
     """Plug a map (or functor table) into slot j of both endpoints of a cell."""
-    src = ComposeMap(cell.src, j, g)
-    dst = ComposeMap(cell.dst, j, g)
+    src = plug(cell.src, j, g)
+    dst = plug(cell.dst, j, g)
     n = g.arity
 
     def fn(args):
@@ -401,8 +417,8 @@ def whisker_inner(cell: TwoCell, j: int, g) -> TwoCell:
 def whisker_outer(f: MultiMap, j: int, cell) -> TwoCell:
     """Apply f's action in slot j to a cell between the maps plugged there:
     a TwoCell in a psh slot, a NatTransTable in a fin slot."""
-    src = ComposeMap(f, j, cell.src)
-    dst = ComposeMap(f, j, cell.dst)
+    src = plug(f, j, cell.src)
+    dst = plug(f, j, cell.dst)
     n = cell.src.arity
 
     def fn(args):
@@ -460,7 +476,7 @@ def plug_many(f: MultiMap, inners: dict) -> MultiMap:
     """Substitute a unary map into each listed psh slot, ascending."""
     out = f
     for s in sorted(inners):
-        out = ComposeMap(out, s, inners[s])
+        out = plug(out, s, inners[s])
     return out
 
 

@@ -29,7 +29,7 @@ INJECTED_42_DIGESTS = {
     "that-corrupt": "da0cad10af292e8f0d562aefbee6ff3a0ba40185fd5e89690e28e13725022efc",
     "gamma-identity": "d8103d883857fe9cf8ef8d326b0ed3343903deed840d6c82d699f84fcbdcf181",
     "t-order-scramble": "b3da135cb36074711a20ddae668e1dfda6be52276f2a7b2a0f8c675a2378849b",
-    "naturality-broken": "ea57d96d9232ddd3af6d023673ab74524cff5eb8731c5cf70f6fd20808f1468b",
+    "naturality-broken": "cf7c102b87580d4ec1a0866a95c0cae351eddc4d3d05fd037d0e8e4557650d7a",
     "contravariance-broken": "385f9734f0b17aee5692cf15953c6662f4423f5d8059da66a267be7340a445b2",
 }
 

@@ -181,7 +181,7 @@ FAIL_DIGESTS = {
     "that-corrupt": "5b401b2b58956858f79f7de7f0e3c3ad307fb91655001558d9eb578e5a048bb3",
     "gamma-identity": "a7282b18688b9e8849d86987ebf4477d2ded33d343b21d567df6ce81693dc6fb",
     "t-order-scramble": "077a4c1900944b42582e514035c9954173eade4ddc323f7fb53ce2e6a911657d",
-    "naturality-broken": "50f181826a97fda593fbda63a5f75b3853bafd23f6e3f26affb1d94deb67dda1",
+    "naturality-broken": "778ab25520e6fe1950484f7f128a834401ee87b23ca5d257b148454c5d102091",
     "contravariance-broken": "e37c568460df29f0e5a7af452ba2c5f5ef477b970966400667bdb830689a6007",
 }
 

@@ -102,6 +102,23 @@ def test_one_union_find():
     assert owners == {"presheaf.py:colimit_finset"}, f"path halving found in {sorted(owners)}"
 
 
+def test_one_substitution_constructor():
+    # ComposeMap is built only inside plug, so every substitution node is
+    # interned on its outer map and no call site bypasses the shared memos
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        functions = [n for n in nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in nodes:
+            callee = getattr(call, "func", None)
+            if isinstance(call, ast.Call) and "ComposeMap" in (
+                    getattr(callee, "id", None), getattr(callee, "attr", None)):
+                inside = [f for f in functions if f.lineno <= call.lineno <= f.end_lineno]
+                owner = max(inside, key=lambda f: f.lineno).name if inside else "<module>"
+                owners.add(f"{path.name}:{owner}")
+    assert owners == {"multimap.py:plug"}, f"ComposeMap built in {sorted(owners)}"
+
+
 def test_every_law_yields_its_checks():
     # a law yields one comparison per check, and run_single's fold alone
     # turns them into the verdict
