@@ -963,7 +963,7 @@ def run_single(law, index, cfg, hooks=None):
         raise
     except RelmonadError as e:
         return LawOutcome(law, index, False, "error", 0, seed, _one_line(str(e)))
-    except (KeyError, ValueError, AssertionError) as e:
+    except Exception as e:  # a checker bug is this instance's error, not the run's end
         return LawOutcome(
             law, index, False, "error", 0, seed,
             _one_line(f"{type(e).__name__}: {e}"),

@@ -50,10 +50,6 @@ class FinCategory:
         self.identity = tuple(identity)
         self.comp = dict(comp)
         self.n_morphisms = len(self.mor_src)
-        hom = {}
-        for m in range(self.n_morphisms):
-            hom.setdefault((self.mor_src[m], self.mor_tgt[m]), []).append(m)
-        self._hom = {k: tuple(v) for k, v in hom.items()}
         self._key = None
         self.unit = None  # UnitMap, built by multimap.unit_map; not in content_key
         self.representables = {}  # object -> Presheaf, filled by presheaf.representable
@@ -87,8 +83,27 @@ class FinCategory:
         El(p), or over the coend layout of an extension, needs."""
         return tuple(m for m in self.morphisms if not self.is_identity(m))
 
+    @cached_property
+    def _hom(self):
+        """(a, b) -> hom(a, b) in id order, for every nonempty hom; built on
+        first use, so a category nobody queries never pays for it."""
+        hom = {}
+        for m, ab in enumerate(zip(self.mor_src, self.mor_tgt)):
+            hom.setdefault(ab, []).append(m)
+        return {ab: tuple(ms) for ab, ms in hom.items()}
+
     def hom(self, a, b):
         return self._hom.get((a, b), ())
+
+    @cached_property
+    def hom_position(self):
+        """hom_position[m] is the index of m in hom(src m, tgt m), which is
+        m's element index in the representable y_(tgt m) at src m."""
+        pos = [0] * self.n_morphisms
+        for h in self._hom.values():
+            for i, m in enumerate(h):
+                pos[m] = i
+        return tuple(pos)
 
     def compose(self, g, f):
         """g after f; raises KeyError on non-composable pairs."""

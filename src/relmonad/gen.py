@@ -105,40 +105,41 @@ def free_dag_category(rng: random.Random, max_objects: int, max_edges: int) -> F
 
     Edges run from lower to higher vertex index, so paths never cycle and
     the morphism list is identities first, then paths ordered by length
-    and edge tuple.  Composition is path concatenation.
+    and edge tuple.  Composition is path concatenation, tabled only on the
+    composable pairs: for each g, the f ending where g starts, in
+    ascending order.
     """
     n = rng.randint(1, max_objects)
     pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
     rng.shuffle(pool)
     edges = sorted(pool[: rng.randint(0, min(max_edges, len(pool)))])
 
+    out = [[] for _ in range(n)]  # per vertex: the edges leaving it, ascending
+    for ei, (a, _) in enumerate(edges):
+        out[a].append(ei)
     paths = []
     frontier = [(ei,) for ei in range(len(edges))]
     while frontier:
         paths.extend(frontier)
-        nxt = []
-        for p in frontier:
-            end = edges[p[-1]][1]
-            for ei, (a, _) in enumerate(edges):
-                if a == end:
-                    nxt.append(p + (ei,))
-        frontier = nxt
+        frontier = [p + (ei,) for p in frontier for ei in out[edges[p[-1]][1]]]
     paths.sort(key=lambda p: (len(p), p))
 
     mor_src = list(range(n)) + [edges[p[0]][0] for p in paths]
     mor_tgt = list(range(n)) + [edges[p[-1]][1] for p in paths]
     index_of = {p: n + i for i, p in enumerate(paths)}
-
-    def path_of(m):
-        return () if m < n else paths[m - n]
+    ending_at = [[] for _ in range(n)]  # per vertex: the morphisms into it, ascending
+    for f, b in enumerate(mor_tgt):
+        ending_at[b].append(f)
 
     comp = {}
-    for g in range(len(mor_src)):
-        for f in range(len(mor_src)):
-            if mor_src[g] != mor_tgt[f]:
-                continue
-            joined = path_of(f) + path_of(g)
-            comp[(g, f)] = mor_src[f] if not joined else index_of[joined]
+    for g, a in enumerate(mor_src):
+        for f in ending_at[a]:
+            if g < n:
+                comp[g, f] = f
+            elif f < n:
+                comp[g, f] = g
+            else:
+                comp[g, f] = index_of[paths[f - n] + paths[g - n]]
     return FinCategory("dag", n, mor_src, mor_tgt, list(range(n)), comp)
 
 
@@ -171,12 +172,14 @@ def presheaf_quotient(p: Presheaf, pairs) -> Presheaf:
 def gen_presheaf(rng: random.Random, c: FinCategory, max_values: int = 24) -> Presheaf:
     """A random finite presheaf: a small sum of representables, sometimes
     quotiented by a few random identifications (every finite presheaf is
-    such a quotient, so nothing is out of reach in principle)."""
+    such a quotient, so nothing is out of reach in principle).  A sum of
+    more than max_values elements falls back to its first summand, and is
+    never built."""
     k = rng.randint(1, 2)
-    gens = [rng.randrange(c.n_objects) for _ in range(k)]
-    total, _ = coproduct_presheaves([representable(c, a) for a in gens])
-    if sum(len(s) for s in total.at) > max_values:
-        return representable(c, gens[0])
+    summands = [representable(c, rng.randrange(c.n_objects)) for _ in range(k)]
+    if sum(len(s) for y in summands for s in y.at) > max_values:
+        return summands[0]
+    total, _ = coproduct_presheaves(summands)
     if rng.random() < 0.5:
         pairs = []
         for _ in range(rng.randint(1, 2)):
@@ -201,8 +204,17 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
     slot and one of the target; its fiber at (b1..bn; y) is the product
     hom(c1,b1) x ... x hom(cn,bn) x hom(y,d), acted on by post- and
     pre-composition.  Degenerate hom sets just make empty summands.
+
+    So the value at args = (b1..bn) is a sum of representables of cod: one
+    y_d per generator (c1..cn; d) and tuple (h1..hn) in hom(c1,b1) x ... x
+    hom(cn,bn), in that lex order, with element h of y_d labelled
+    (generator, h1, ..., hn, h).  The tables are offset arithmetic on those
+    summands, as in coproduct_presheaves.  cod acts inside each summand as
+    on y_d, by hom positions, so the fibers' offsets and the cod_act rows
+    depend only on the summands' d's, and are built once per such list.  A
+    slot morphism m at slot j moves each summand (.., hj, ..) to the one
+    labelled (.., m hj, ..), and each element keeps its place in it.
     """
-    n = len(slot_cats)
     k = n_generators or rng.randint(1, 2)
     gens = []
     for _ in range(k):
@@ -210,48 +222,59 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
         d = rng.randrange(cod.n_objects)
         gens.append((cs, d))
 
-    def fiber(args, y):
-        out = []
-        for gi, (cs, d) in enumerate(gens):
-            rows = [slot_cats[j].hom(cs[j], args[j]) for j in range(n)]
-            rows.append(cod.hom(y, d))
-            for combo in itertools.product(*rows):
-                out.append((gi,) + combo)
-        return out
+    homs_to = [[cod.hom(y, d) for d in cod.objects] for y in cod.objects]
+    pos = cod.hom_position
+    # y_act[d][u]: the action of u on y_d, hom(tgt u, d) -> hom(src u, d)
+    y_act = {
+        d: [tuple([pos[cod.comp[h, u]] for h in homs_to[b][d]]) for u, b in enumerate(cod.mor_tgt)]
+        for d in {d for _, d in gens}
+    }
 
-    # fibers[args, y] maps each element to its index; iterating it walks
-    # the fiber in order
-    sets, fibers, cod_act, slot_act = {}, {}, {}, {}
+    # per args: its summands' label prefixes (generator, h1, .., hn), each
+    # mapped to its index, and its layout, shared by every args whose
+    # summands have the same d's: the summands' sizes and starts in each
+    # fiber, and the cod_act rows
+    place, layouts, by_ds = {}, {}, {}
+    sets, cod_act, slot_act = {}, {}, {}
     grids = list(itertools.product(*(s.objects for s in slot_cats)))
     for args in grids:
-        for y in cod.objects:
-            elems = fiber(args, y)
-            if len(elems) > max_values:
+        keys = [key for gi, (cs, _) in enumerate(gens)
+                for key in itertools.product((gi,), *map(FinCategory.hom, slot_cats, cs, args))]
+        ds = tuple([gens[key[0]][1] for key in keys])
+        layout = by_ds.get(ds)
+        if layout is None:
+            sizes = [[len(homs_to[y][d]) for d in ds] for y in cod.objects]
+            starts = [list(itertools.accumulate(n_y, initial=0)) for n_y in sizes]
+            rows = [tuple([o + t for o, d in zip(starts[a], ds) for t in y_act[d][u]])
+                    for u, a in enumerate(cod.mor_src)]
+            layout = by_ds[ds] = sizes, starts, rows
+        place[args] = {key: i for i, key in enumerate(keys)}
+        layouts[args] = layout
+        for y, offs in enumerate(layout[1]):
+            if offs[-1] > max_values:
                 raise BudgetExceededError("generated fiber too large")
-            sets[args + (y,)] = tuple(str(e) for e in elems)
-            fibers[args, y] = {e: i for i, e in enumerate(elems)}
+            sets[args + (y,)] = tuple(
+                [str(key + (h,)) for key, d in zip(keys, ds) for h in homs_to[y][d]]
+            ) if offs[-1] else ()
 
     for args in grids:
-        for u in cod.morphisms:
-            a, b = cod.src(u), cod.tgt(u)
-            pos = fibers[args, a]
-            cod_act[args + (u,)] = tuple(
-                pos[e[:-1] + (cod.compose(e[-1], u),)] for e in fibers[args, b]
-            )
-        for j in range(n):
-            cj = slot_cats[j]
+        sizes, starts, rows = layouts[args]
+        for u, row in enumerate(rows):
+            cod_act[args + (u,)] = row
+        for j, cj in enumerate(slot_cats):
             for m in cj.morphisms:
                 if cj.src(m) != args[j]:
                     continue
                 tgt_args = args[:j] + (cj.tgt(m),) + args[j + 1:]
-                for y in cod.objects:
-                    pos = fibers[tgt_args, y]
-                    row = []
-                    for e in fibers[args, y]:
-                        new = list(e)
-                        new[1 + j] = cj.compose(m, e[1 + j])
-                        row.append(pos[tuple(new)])
-                    slot_act[(j,) + args[:j] + (m,) + args[j + 1:] + (y,)] = tuple(row)
+                where = place[tgt_args]
+                moved = [where[key[:1 + j] + (cj.comp[m, key[1 + j]],) + key[2 + j:]]
+                         for key in place[args]]
+                tgt_starts = layouts[tgt_args][1]
+                for y, n_y in enumerate(sizes):
+                    offs = tgt_starts[y]
+                    slot_act[(j,) + args[:j] + (m,) + args[j + 1:] + (y,)] = tuple(
+                        [t for i, n in zip(moved, n_y) for t in range(offs[i], offs[i] + n)]
+                    ) if starts[y][-1] else ()
 
     return TableMap(slot_cats, cod, sets, cod_act, slot_act, name="gen")
 

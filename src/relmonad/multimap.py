@@ -167,7 +167,7 @@ class UnitMap(MultiMap):
 
     def element_of_identity(self, a) -> int:
         """Index of id_a inside the value at (a,), at object a."""
-        return self.cat.hom(a, a).index(self.cat.id_of(a))
+        return self.cat.hom_position[self.cat.id_of(a)]
 
 
 class IdentityMap(MultiMap):

@@ -66,8 +66,8 @@ class Presheaf:
 
     def __init__(self, base: FinCategory, at, act):
         self.base = base
-        self.at = tuple(tuple(s) for s in at)
-        self.act = tuple(tuple(a) for a in act)
+        self.at = tuple(map(tuple, at))
+        self.act = tuple(map(tuple, act))
         self._elements = None  # ElementsCategory, built by category_of_elements
 
     def content_key(self):
@@ -115,7 +115,7 @@ class PresheafMorphism:
     def __init__(self, src: Presheaf, dst: Presheaf, components):
         self.src = src
         self.dst = dst
-        self.components = tuple(tuple(c) for c in components)
+        self.components = tuple(map(tuple, components))
 
     def then(self, other: "PresheafMorphism") -> "PresheafMorphism":
         """self followed by other."""
@@ -183,11 +183,8 @@ def representable(c: FinCategory, a: int) -> Presheaf:
     y = c.representables.get(a)
     if y is None:
         homs = [c.hom(x, a) for x in c.objects]
-        index = [{m: i for i, m in enumerate(h)} for h in homs]
-        act = [
-            tuple(index[c.src(m)][c.comp[(h, m)]] for h in homs[c.tgt(m)])
-            for m in c.morphisms
-        ]
+        comp, pos = c.comp, c.hom_position
+        act = [tuple(pos[comp[h, m]] for h in homs[b]) for m, b in enumerate(c.mor_tgt)]
         y = c.representables[a] = Presheaf(c, [[f"m{m}" for m in h] for h in homs], act)
     return y
 
@@ -195,10 +192,8 @@ def representable(c: FinCategory, a: int) -> Presheaf:
 def yoneda_action(c: FinCategory, f: int) -> PresheafMorphism:
     """The map hom(-, src f) -> hom(-, tgt f) given by postcomposition."""
     a, b = c.src(f), c.tgt(f)
-    index_b = [{m: i for i, m in enumerate(c.hom(x, b))} for x in c.objects]
-    comps = [
-        tuple(index_b[x][c.compose(f, h)] for h in c.hom(x, a)) for x in c.objects
-    ]
+    comp, pos = c.comp, c.hom_position
+    comps = [tuple(pos[comp[f, h]] for h in c.hom(x, a)) for x in c.objects]
     return PresheafMorphism(representable(c, a), representable(c, b), comps)
 
 
@@ -345,34 +340,40 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
 
 
 def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
-    """Pointwise disjoint union; returns the sum and the injections."""
+    """Pointwise disjoint union; returns the sum and the injections.
+
+    Summand i sits at offset offs[x][i] of the sum's fiber at x, the total
+    size of the summands before it there, and its labels get the prefix
+    "i:".  So each label column is one pass over the prefixed labels, each
+    act row one pass over the summands' rows shifted by their offsets at
+    the morphism's source, and injection i is the range from offs[x][i]
+    at every object x.
+    """
     ps = list(ps)
     base = ps[0].base
     if any(p.base is not base and p.base != base for p in ps):
         raise SlotMismatchError("coproduct of presheaves on different bases")
-    at = []
-    offs = []  # per object: per summand offset
+    prefixes = [f"{i}:" for i in range(len(ps))]
+    ats = [p.at for p in ps]
+    acts = [p.act for p in ps]
+    at, offs = [], []
     for x in base.objects:
-        labels = []
-        off = []
-        for i, p in enumerate(ps):
-            off.append(len(labels))
-            labels.extend(f"{i}:{l}" for l in p.at[x])
-        at.append(labels)
+        off, n = [], 0
+        for p_at in ats:
+            off.append(n)
+            n += len(p_at[x])
         offs.append(off)
-    act = []
-    for m in base.morphisms:
-        a, b = base.src(m), base.tgt(m)
-        row = []
-        for i, p in enumerate(ps):
-            row.extend(offs[a][i] + v for v in p.act[m])
-        act.append(tuple(row))
+        at.append(tuple([l for pre, p_at in zip(prefixes, ats) for l in map(pre.__add__, p_at[x])]))
+    act = tuple(
+        tuple([v for off, p_act in zip(offs[a], acts) for v in map(off.__add__, p_act[m])])
+        for m, a in enumerate(base.mor_src)
+    )
     total = Presheaf(base, at, act)
     injections = tuple(
         PresheafMorphism(
             p,
             total,
-            [tuple(offs[x][i] + e for e in range(len(p.at[x]))) for x in base.objects],
+            [tuple(range(off[i], off[i] + len(s))) for off, s in zip(offs, p.at)],
         )
         for i, p in enumerate(ps)
     )

@@ -114,6 +114,34 @@ def test_instance_that_checks_nothing_cannot_pass(monkeypatch, checks):
     assert "nothing was checked" in out.witness
 
 
+@pytest.mark.parametrize("exc", [TypeError, IndexError, AttributeError])
+def test_law_that_raises_is_an_error_outcome(monkeypatch, exc):
+    def checks():
+        yield CellComparison(True, "table", 3, None)
+        raise exc("checker bug")
+
+    out = _stub_law(monkeypatch, checks)
+    assert not out.ok
+    assert (out.policy, out.checked, out.witness) == ("error", 0, f"{exc.__name__}: checker bug")
+
+
+def test_law_that_raises_leaves_the_rest_of_the_run(monkeypatch, capsys):
+    def raising(rng, cfg, hooks):
+        raise TypeError("unsupported operand")
+        yield
+
+    _, instances, group, description = LAW_FAMILIES["extension-unit"]
+    monkeypatch.setitem(LAW_FAMILIES, "extension-unit", (raising, instances, group, description))
+    rc = cli.main(["verify", "--seed", "1", "--instances", "1", "--format", "machine",
+                   "--laws", "extension-unit,yoneda-count"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert "instance extension-unit 0 FAIL checked 0 policy error seed" in "\n".join(lines)
+    assert "witness extension-unit 0 TypeError: unsupported operand" in lines
+    assert any(ln.startswith("instance yoneda-count 0 ok ") for ln in lines)
+    assert lines[-1] == "summary pass 1 fail 1"
+
+
 def test_report_shape_and_summaries():
     cfg = CheckConfig(seed=3, instances=1)
     rep = run_suite(cfg)

@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from relmonad.errors import BudgetExceededError
 from relmonad.fincat import FinCategory, validate_category
+from relmonad.gen import free_dag_category
 from relmonad.presheaf import (
     FinSetDiagram,
     Graph,
@@ -98,6 +100,25 @@ def test_coproduct_sizes_and_labels(arrow):
     assert s.at[0] == ("0:m0", "1:m2")
     assert validate_presheaf(s).ok
     assert validate_presheaf_morphism(i0).ok and validate_presheaf_morphism(i1).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.integers(0, 10**3), min_size=1, max_size=12))
+def test_coproduct_injections_partition_the_sum(seed, picks):
+    # summands: representables and sample presheaves (sums and a pushout)
+    # of a random free dag, so fibers of every size, empty ones included
+    c = free_dag_category(random.Random(seed), 5, 6)
+    family = sample_presheaves(c)
+    ps = [family[i % len(family)] for i in picks]
+    s, injections = coproduct_presheaves(ps)
+    assert validate_presheaf(s).ok
+    assert len(injections) == len(ps)
+    for p, inj in zip(ps, injections):
+        assert inj.src is p and inj.dst is s
+        assert validate_presheaf_morphism(inj).ok
+    for x in c.objects:
+        images = [v for inj in injections for v in inj.components[x]]
+        assert sorted(images) == list(range(len(s.at[x])))
 
 
 def test_pushout_of_arrow_codomain(arrow):
