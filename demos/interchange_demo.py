@@ -11,13 +11,12 @@ import random
 
 from relmonad import interchange, strengthen
 from relmonad.fubini import gamma_tables
-from relmonad.gen import GenConfig, gen_category, gen_multimap, gen_presheaf
+from relmonad.gen import gen_category, gen_multimap, gen_presheaf
 
 rng = random.Random(21)
-g = GenConfig(3, 3)
-a = gen_category(rng, g)
-b = gen_category(rng, g)
-cod = gen_category(rng, g)
+a = gen_category(rng, 3, 3)
+b = gen_category(rng, 3, 3)
+cod = gen_category(rng, 3, 3)
 f = gen_multimap(rng, (a, b), cod, 12)
 print(f"binary map over {a.name!r} x {b.name!r} into {cod.name!r}")
 

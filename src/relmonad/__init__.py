@@ -14,7 +14,6 @@ from .errors import (
     NotInvertibleError,
     RelmonadError,
     SlotMismatchError,
-    TransposeInapplicableError,
 )
 from .fincat import FinCategory, FunctorTable, NatTransTable
 from .kan import mult_cell, strengthen, strengthen_cell, theta_cell, unit_cell
@@ -41,7 +40,6 @@ __all__ = [
     "RelmonadError",
     "SlotMismatchError",
     "TableMap",
-    "TransposeInapplicableError",
     "UnitMap",
     "apply_functor",
     "enumerate_nat_trans",

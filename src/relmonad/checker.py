@@ -26,7 +26,6 @@ from .errors import BudgetExceededError, RelmonadError
 from .fincat import FunctorTable, NatTransTable, compose_functor, validate_functor
 from .fubini import gamma_tables
 from .gen import (
-    GenConfig,
     derive_seed,
     free_dag_category,
     gen_category,
@@ -120,6 +119,8 @@ class CheckConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.inject and self.inject not in INJECTORS:
             raise ValueError(f"unknown injector {self.inject!r}")
+        if isinstance(self.laws, str):
+            raise ValueError(f"laws must be a tuple of names, got {self.laws!r}")
         try:
             expand_laws(self.laws)
         except KeyError as e:
@@ -251,16 +252,10 @@ INJECTORS = {
 
 # -- shared instance builders ---------------------------------------------------
 
-def _cfg_gen(cfg):
-    return GenConfig(max_objects=cfg.max_objects, max_edges=cfg.max_edges)
-
-
 def _kleisli(rng, cfg, src=None, dst=None):
-    g = _cfg_gen(cfg)
-
     def draw():
-        s = src if src is not None else gen_category(rng, g)
-        d = dst if dst is not None else gen_category(rng, g)
+        s = src if src is not None else gen_category(rng, cfg.max_objects, cfg.max_edges)
+        d = dst if dst is not None else gen_category(rng, cfg.max_objects, cfg.max_edges)
         return s, d, gen_multimap(rng, (s,), d, cfg.max_values)
 
     return _retry_gen(draw)
@@ -269,9 +264,8 @@ def _kleisli(rng, cfg, src=None, dst=None):
 def _poset_category(rng, cfg):
     # the lifted-square laws avoid the one-object monoids: there a swapped
     # fiber can commute with every action and hide a naturality defect
-    g = _cfg_gen(cfg)
     while True:
-        c = gen_category(rng, g)
+        c = gen_category(rng, cfg.max_objects, cfg.max_edges)
         if c.name not in ("z2", "lz3"):
             return c
 
@@ -298,13 +292,12 @@ def _retry_gen(fn):
 
 
 def _gen_wide_map(rng, cfg, parity):
-    g = _cfg_gen(cfg)
     n = 2 if parity % 2 == 0 else 3
     cap = cfg.max_values if n == 2 else min(cfg.max_values, max(8, cfg.max_values // 2))
 
     def draw():
-        cats = tuple(gen_category(rng, g) for _ in range(n))
-        cod = gen_category(rng, g)
+        cats = tuple(gen_category(rng, cfg.max_objects, cfg.max_edges) for _ in range(n))
+        cod = gen_category(rng, cfg.max_objects, cfg.max_edges)
         return gen_multimap(rng, cats, cod, cap, n_generators=1), cats
 
     return _retry_gen(draw)
@@ -468,7 +461,7 @@ def _law_collapse_after_extension(rng, cfg, hooks):
 @_law("collapse-on-unit", "extension", 22,
       "Restricting the collapse cell to the unit undoes the unit's own restriction cell.")
 def _law_collapse_on_unit(rng, cfg, hooks):
-    x = gen_category(rng, _cfg_gen(cfg))
+    x = gen_category(rng, cfg.max_objects, cfg.max_edges)
     u = unit_map(x)
     chain = vcomp(unit_cell(u, 0), whisker_inner(hooks["theta"](x), 0, u))
     yield two_cell_equal(chain, identity_cell(u), cfg.policy)
@@ -543,7 +536,7 @@ def _law_strength_cells_functorial(rng, cfg, hooks):
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j = rng.randrange(f.arity)
     j2 = (j + 1) % f.arity
-    src_cat = gen_category(rng, _cfg_gen(cfg))
+    src_cat = gen_category(rng, cfg.max_objects, cfg.max_edges)
     _, _, psi1, psi2 = _nat_pair(rng, src_cat, cats[j])
     c1 = whisker_outer(f, j, psi1)
     c2 = whisker_outer(f, j, psi2)
@@ -556,8 +549,7 @@ def _law_strength_cells_functorial(rng, cfg, hooks):
 @_law("lift-identity", "lift", 17,
       "Lifting an identity functor collapses to the identity map, compatibly with composition cells.")
 def _law_lift_identity(rng, cfg, hooks):
-    g = _cfg_gen(cfg)
-    x, y = gen_category(rng, g), gen_category(rng, g)
+    x, y = (gen_category(rng, cfg.max_objects, cfg.max_edges) for _ in range(2))
     f = gen_functor(rng, (x,), y)
     lift = hooks["apply_functor"]
     tf = lift(f)
@@ -581,9 +573,8 @@ def _law_lift_identity(rng, cfg, hooks):
 @_law("lift-composition", "lift", 17,
       "Lifted composition cells associate, stay invertible, and extensions fold innermost first.")
 def _law_lift_composition(rng, cfg, hooks):
-    g = _cfg_gen(cfg)
     lift = hooks["apply_functor"]
-    x, y, z = (gen_category(rng, g) for _ in range(3))
+    x, y, z = (gen_category(rng, cfg.max_objects, cfg.max_edges) for _ in range(3))
     f1 = gen_functor(rng, (y,), z)
     f2 = gen_functor(rng, (x,), y)
     f3 = gen_functor(rng, (y,), x)
@@ -599,7 +590,7 @@ def _law_lift_composition(rng, cfg, hooks):
     # binary leg: the comparison stays invertible, and the lift applies
     # its extensions innermost slot first.  Fold order only shows against a
     # parallel-path codomain at glued arguments, so sweep every sample pair.
-    w = gen_category(rng, g)
+    w = gen_category(rng, cfg.max_objects, cfg.max_edges)
     wide = _wide_poset_category(rng)
     fb = gen_functor(rng, (x, w), wide)
     cell = functor_comp_cell(gen_functor(rng, (wide,), y), 0, fb)
@@ -619,8 +610,7 @@ def _law_lift_composition(rng, cfg, hooks):
 @_law("lift-naturality", "lift", 17,
       "Lifting transformations preserves identities and vertical composition.")
 def _law_lift_naturality(rng, cfg, hooks):
-    g = _cfg_gen(cfg)
-    x, y = gen_category(rng, g), gen_category(rng, g)
+    x, y = (gen_category(rng, cfg.max_objects, cfg.max_edges) for _ in range(2))
     fa, fb, psi1, psi2 = _nat_pair(rng, x, y)
     pasted = NatTransTable(
         fa, fb,
@@ -768,9 +758,8 @@ def _enumerate_cocones(f, p, q):
 @_law("extension-universal", "kan", 10,
       "Restriction along the unit is invertible and mediating maps biject with cocones.")
 def _law_extension_universal(rng, cfg, hooks):
-    g = _cfg_gen(cfg)
-    x = gen_category(rng, g)
-    y = gen_category(rng, g)
+    x = gen_category(rng, cfg.max_objects, cfg.max_edges)
+    y = gen_category(rng, cfg.max_objects, cfg.max_edges)
     f = gen_multimap(rng, (x,), y, cfg.max_values, n_generators=1)
     ext = strengthen(f, 0)
     # the round trip goes first, so that a pass reports the cell policy
@@ -873,7 +862,7 @@ def _law_square_extension_compat(rng, cfg, hooks):
 @_law("square-collapse-compat", "squares", 9,
       "The extended identity square is conjugation by the collapse cell.")
 def _law_square_collapse_compat(rng, cfg, hooks):
-    x = gen_category(rng, _cfg_gen(cfg))
+    x = gen_category(rng, cfg.max_objects, cfg.max_edges)
     lift = hooks["apply_functor"]
     one = FunctorTable.identity(x)
     u = unit_map(x)
@@ -895,7 +884,7 @@ def _law_square_collapse_compat(rng, cfg, hooks):
 @_law("yoneda-count", "counting", 10,
       "Transformations between representables biject with morphisms.")
 def _law_yoneda_count(rng, cfg, hooks):
-    c = gen_category(rng, _cfg_gen(cfg))
+    c = gen_category(rng, cfg.max_objects, cfg.max_edges)
     for a, b in itertools.product(c.objects, repeat=2):
         n = len(enumerate_nat_trans(representable(c, a), representable(c, b)))
         m = len(c.hom(a, b))
@@ -906,9 +895,8 @@ def _law_yoneda_count(rng, cfg, hooks):
 @_law("instance-valid", "validity", 12,
       "Generated categories, maps, functors, and squares satisfy their defining equations.")
 def _law_instance_valid(rng, cfg, hooks):
-    g = _cfg_gen(cfg)
-    c = gen_category(rng, g)
-    d = gen_category(rng, g)
+    c = gen_category(rng, cfg.max_objects, cfg.max_edges)
+    d = gen_category(rng, cfg.max_objects, cfg.max_edges)
     m = gen_multimap(rng, (c,), d, cfg.max_values, n_generators=2)
     rep = validate_multimap(hooks["tamper_multimap"](m))
     yield _table(rep.first and f"{rep.first.law}: {rep.first.witness}")

@@ -17,11 +17,6 @@ class BudgetExceededError(RelmonadError):
     """
 
 
-class TransposeInapplicableError(RelmonadError):
-    """Exact transposition was requested on a cell whose source has a
-    presheaf slot that is not extension-induced."""
-
-
 class NotInvertibleError(RelmonadError):
     """A two-cell inverse was requested but some component is not a bijection."""
 

@@ -9,7 +9,6 @@ name the exact seed that rebuilds any instance.
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 from .fincat import (
@@ -30,7 +29,6 @@ from .presheaf import (
 )
 
 __all__ = [
-    "GenConfig",
     "derive_seed",
     "builtin_category",
     "free_dag_category",
@@ -47,12 +45,6 @@ __all__ = [
 def derive_seed(seed: int, law: str, index: int) -> int:
     digest = hashlib.sha256(f"{seed}:{law}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass
-class GenConfig:
-    max_objects: int = 3
-    max_edges: int = 3
 
 
 # -- categories ----------------------------------------------------------------
@@ -143,10 +135,10 @@ def free_dag_category(rng: random.Random, max_objects: int, max_edges: int) -> F
     return FinCategory("dag", n, mor_src, mor_tgt, list(range(n)), comp)
 
 
-def gen_category(rng: random.Random, cfg: GenConfig) -> FinCategory:
+def gen_category(rng: random.Random, max_objects: int, max_edges: int) -> FinCategory:
     kind = rng.choice(["dag", "dag", "dag", "arrow", "square", "z2", "leftzero3"])
     if kind == "dag":
-        return free_dag_category(rng, cfg.max_objects, cfg.max_edges)
+        return free_dag_category(rng, max_objects, max_edges)
     return builtin_category(kind)
 
 

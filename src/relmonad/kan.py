@@ -86,9 +86,6 @@ class StrengthenMap(MultiMap):
         self.j = j
         self._data_memo = {}
 
-    def certified_slots(self):
-        return frozenset({self.j}) | self.inner.certified_slots()
-
     def data(self, args) -> ExtensionData:
         args = tuple(args)
         hit = self._data_memo.get(args)

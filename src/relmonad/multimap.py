@@ -19,10 +19,13 @@ two_cell_equal decides equality of parallel cells.  The 'transpose' policy
 feeds every psh slot the representables and compares at every object tuple.
 A cell out of a left extension along the unit is fixed by its restriction
 along the unit, and in a psh slot that restriction is evaluation at the
-representables; so the check is complete whenever the common source map is,
-in each psh slot, a pointwise extension along the unit (tracked
-syntactically through certified_slots).  The 'sample' policy compares on the
-documented family of probe presheaves instead.
+representables.  Psh slots are made only by StrengthenMap.__init__ (an
+extension along the unit) and IdentityMap.__init__ (the identity, which is
+the extension of the unit), and ComposeMap only copies slots; so every map
+is, in each psh slot, a composite of pointwise extensions along the unit,
+hence cocontinuous there, and the check is complete.  tests/test_source.py
+holds src/ to that.  The 'sample' policy compares on the documented family
+of probe presheaves instead, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NotInvertibleError, SlotMismatchError, TransposeInapplicableError
+from .errors import NotInvertibleError, SlotMismatchError
 from .fincat import FinCategory, FunctorTable, ValidationFailure, ValidationReport
 from .presheaf import (
     Presheaf,
@@ -76,10 +79,6 @@ class MultiMap:
             tuple((s.kind, s.cat.content_key()) for s in self.slots),
             self.cod.content_key(),
         )
-
-    def certified_slots(self) -> frozenset:
-        """Psh slots in which this map is a pointwise extension along the unit."""
-        return frozenset()
 
     def check_arity(self, args):
         if len(args) != self.arity:
@@ -177,9 +176,6 @@ class IdentityMap(MultiMap):
         super().__init__([Slot("psh", cat)], cat, f"1_{cat.name}")
         self.cat = cat
 
-    def certified_slots(self):
-        return frozenset({0})
-
     def _value(self, args):
         return args[0]
 
@@ -215,16 +211,6 @@ class ComposeMap(MultiMap):
         slots = f.slots[:j] + inner + f.slots[j + 1 :]
         super().__init__(slots, f.cod, f"({f.name} o{j} {g.name})")
         self.f, self.j, self.g = f, j, g
-
-    def certified_slots(self):
-        # a fin slot is never certified, so g.certified_slots is read only for maps
-        f, j, g = self.f, self.j, self.g
-        cf = f.certified_slots()
-        out = {k for k in cf if k < j}
-        out |= {k + g.arity - 1 for k in cf if k > j}
-        if j in cf:
-            out |= {j + k for k in g.certified_slots()}
-        return frozenset(out)
 
     def _f_args(self, args):
         j, n = self.j, self.g.arity
@@ -491,10 +477,6 @@ class CellComparison:
     witness: tuple | None  # (args, object, element, lhs, rhs) on failure
 
 
-def cells_parallel(a: TwoCell, b: TwoCell) -> bool:
-    return a.src.signature() == b.src.signature() and a.dst.signature() == b.dst.signature()
-
-
 def _compare_exhaustive(a: TwoCell, b: TwoCell, spaces, policy, feed) -> CellComparison:
     """Compare at feed(t) for every tuple t of spaces; witnesses name t."""
     checked = 0
@@ -518,23 +500,18 @@ def two_cell_equal(a: TwoCell, b: TwoCell, policy: str = "transpose") -> CellCom
 
     'transpose': compare at every object tuple, each psh slot fed the
     representable at its object, which is the cells' restriction along the
-    unit (raising TransposeInapplicableError if the common source is not a
-    pointwise extension in some psh slot).  Complete for sources built from
-    strengthenings, identities, and units.
+    unit.  Every psh slot of every map is an extension slot (made only by
+    StrengthenMap and IdentityMap, and copied by ComposeMap), where the
+    source is cocontinuous, so this restriction decides equality.
 
     'sample': compare at every object tuple for fin slots and at the
     documented probe family for psh slots.
     """
-    if not cells_parallel(a, b):
+    # TwoCell holds each cell's src and dst to one signature, so the sources decide
+    if a.src.signature() != b.src.signature():
         raise SlotMismatchError("two_cell_equal on non-parallel cells")
     slots = a.src.slots
     if policy == "transpose":
-        certified = a.src.certified_slots()
-        for i, s in enumerate(slots):
-            if s.kind == "psh" and i not in certified:
-                raise TransposeInapplicableError(
-                    f"slot {i} of {a.src.name} is not a certified extension slot"
-                )
         spaces = [list(s.cat.objects) for s in slots]
 
         def feed(objs):

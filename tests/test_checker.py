@@ -316,6 +316,7 @@ def test_config_refuses_caps_the_generators_cannot_draw(field, value):
     ("policy", "magic", "unknown policy 'magic'"),
     ("inject", "bogus", "unknown injector 'bogus'"),
     ("laws", ("bogus",), "unknown law or group 'bogus'"),
+    ("laws", "kan", "laws must be a tuple of names, got 'kan'"),
 ])
 def test_config_refuses_a_policy_or_injector_the_checker_lacks(field, value, message):
     with pytest.raises(ValueError, match=message):

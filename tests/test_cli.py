@@ -10,7 +10,7 @@ import pytest
 
 from relmonad import cli, textio
 from relmonad.checker import LAW_ORDER
-from relmonad.gen import GenConfig, gen_category, gen_functor, gen_presheaf
+from relmonad.gen import gen_category, gen_functor, gen_presheaf
 
 
 def run(argv, capsys):
@@ -226,9 +226,8 @@ def test_replay_non_utf8_file_is_a_parse_error(capsys, tmp_path):
 @pytest.fixture
 def compute_files(tmp_path):
     rng = random.Random(4)
-    g = GenConfig(3, 3)
-    a, b = gen_category(rng, g), gen_category(rng, g)
-    cod = gen_category(rng, g)
+    a, b = gen_category(rng, 3, 3), gen_category(rng, 3, 3)
+    cod = gen_category(rng, 3, 3)
     F = gen_functor(rng, (a, b), cod)
     fpath = tmp_path / "pair.functor"
     fpath.write_text(textio.write_functor(F))

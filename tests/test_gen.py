@@ -8,7 +8,6 @@ import pytest
 from relmonad.errors import BudgetExceededError
 from relmonad.fincat import FunctorTable, validate_category, validate_functor
 from relmonad.gen import (
-    GenConfig,
     builtin_category,
     derive_seed,
     enumerate_functor_nats,
@@ -79,10 +78,9 @@ def test_free_dag_path_composition():
 
 
 def test_generated_presheaves_validate():
-    cfg = GenConfig()
     for s in range(30):
         rng = random.Random(s)
-        c = gen_category(rng, cfg)
+        c = gen_category(rng, 3, 3)
         p = gen_presheaf(rng, c)
         assert validate_presheaf(p).ok, (s, c.name)
 
@@ -129,11 +127,10 @@ def test_multimap_budget_guard():
 
 
 def test_generated_functors_validate():
-    cfg = GenConfig()
     for s in range(20):
         rng = random.Random(s)
-        src = gen_category(rng, cfg)
-        dst = gen_category(rng, cfg)
+        src = gen_category(rng, 3, 3)
+        dst = gen_category(rng, 3, 3)
         f = gen_functor(rng, (src,), dst)
         assert validate_functor(f).ok, s
     rng = random.Random(99)
@@ -156,12 +153,11 @@ def test_functor_nat_enumeration_counts():
 
 
 def test_generation_reproducible():
-    cfg = GenConfig()
     seed = derive_seed(42, "gen-check", 5)
     outs = []
     for _ in range(2):
         rng = random.Random(seed)
-        c = gen_category(rng, cfg)
+        c = gen_category(rng, 3, 3)
         p = gen_presheaf(rng, c)
         m = gen_multimap(rng, (c,), c)
         keys = (c.content_key(), p.content_key())
@@ -181,9 +177,8 @@ def test_default_bounds_reach_nontrivial_merges():
     before = merge_counter.value
     for seed in range(6):
         rng = random.Random(seed)
-        g = GenConfig(3, 3)
         try:
-            a, cod = gen_category(rng, g), gen_category(rng, g)
+            a, cod = gen_category(rng, 3, 3), gen_category(rng, 3, 3)
             m = gen_multimap(rng, (a,), cod)
             p = gen_presheaf(rng, a)
         except BudgetExceededError:

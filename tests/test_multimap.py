@@ -67,7 +67,7 @@ def test_compose_fin_with_identity_is_transparent(arrow, sum1_arrow):
         assert got is want
 
 
-def test_compose_fin_substitutes(arrow, square, sum1_arrow):
+def test_compose_fin_substitutes(arrow, square, sum1_arrow, sum2_arrow):
     # plug the corner inclusion square -> arrow? direction: functor into the slot
     f = FunctorTable.unary(square, arrow, [0, 0, 1, 1], [0, 0, 1, 1, 0, 2, 2, 1, 2])
     from relmonad.fincat import validate_functor
@@ -77,6 +77,17 @@ def test_compose_fin_substitutes(arrow, square, sum1_arrow):
     assert c.arity == 1 and c.slots[0].cat == square
     assert c.evaluate((3,)).content_key() == sum1_arrow.evaluate((1,)).content_key()
     assert validate_multimap(c).ok
+    # a binary table in a fin slot: its two slots take that slot's place
+    from relmonad.kan import strengthen
+
+    proj = FunctorTable(
+        (arrow, arrow), arrow,
+        {(a, b): a for a in arrow.objects for b in arrow.objects},
+        {(m, n): m for m in arrow.morphisms for n in arrow.morphisms},
+        name="proj",
+    )
+    plugged = ComposeMap(strengthen(sum2_arrow, 1), 0, proj)
+    assert [s.kind for s in plugged.slots] == ["fin", "fin", "psh"]
 
 
 def test_compose_fin_slot_mismatch(arrow, square, sum1_arrow):
@@ -179,31 +190,3 @@ def test_whisker_outer_nat_table(arrow, square, sum1_arrow):
     cell = whisker_outer(sum1_arrow, 0, eta)
     for o in square.objects:
         assert validate_presheaf_morphism(cell.component((o,))).ok
-
-
-def test_certified_slots_all_fin(sum2_arrow):
-    assert sum2_arrow.certified_slots() == frozenset()
-
-
-def test_certified_slots_shift_under_substitution(arrow, sum2_arrow):
-    from relmonad.kan import strengthen
-
-    both = strengthen(strengthen(sum2_arrow, 0), 1)  # psh, psh: both certified
-    g = strengthen(sum2_arrow, 1)  # fin, psh: slot 1 certified
-    assert both.certified_slots() == {0, 1} and g.certified_slots() == {1}
-    # a map in a psh slot: outer slots after j move up by g's arity - 1, and
-    # g's own certified slots move up by j
-    assert ComposeMap(both, 0, g).certified_slots() == {1, 2}
-    assert ComposeMap(both, 1, g).certified_slots() == {0, 2}
-    # a functor table in a fin slot: only the shift, since a fin slot is never certified
-    pt0 = FunctorTable((), arrow, {(): 0}, {(): arrow.id_of(0)}, name="pt0")
-    assert ComposeMap(g, 0, pt0).certified_slots() == {0}
-    proj = FunctorTable(
-        (arrow, arrow), arrow,
-        {(a, b): a for a in arrow.objects for b in arrow.objects},
-        {(m, n): m for m in arrow.morphisms for n in arrow.morphisms},
-        name="proj",
-    )
-    plugged = ComposeMap(g, 0, proj)
-    assert [s.kind for s in plugged.slots] == ["fin", "fin", "psh"]
-    assert plugged.certified_slots() == {2}

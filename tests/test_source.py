@@ -144,3 +144,28 @@ def test_verdicts_are_built_in_one_place():
             inside = [f for f in functions if f.lineno <= line <= f.end_lineno]
             owners.add(max(inside, key=lambda f: f.lineno).name if inside else "<module>")
     assert owners == {"_table"}, f"CellComparison built in {sorted(owners)}"
+
+
+def test_psh_slots_are_made_only_by_extensions():
+    # two_cell_equal's transpose policy is complete because every psh slot is
+    # an extension slot: only StrengthenMap and IdentityMap make one, and
+    # ComposeMap copies slots.  A Slot whose kind is not the literal "fin"
+    # anywhere else fails here.
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = [(cls.name, f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, ast.FunctionDef)]
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call)
+                    and "Slot" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))):
+                continue
+            kind = call.args[0] if call.args else next(
+                (k.value for k in call.keywords if k.arg == "kind"), None)
+            if isinstance(kind, ast.Constant) and kind.value == "fin":
+                continue
+            inside = [f"{c}.{f.name}" for c, f in methods
+                      if f.lineno <= call.lineno <= f.end_lineno]
+            owners.add(f"{path.name}:{inside[0] if inside else '<outside a method>'}")
+    assert owners == {"kan.py:StrengthenMap.__init__", "multimap.py:IdentityMap.__init__"}, (
+        f"psh slots made in {sorted(owners)}")

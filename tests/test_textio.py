@@ -9,7 +9,7 @@ from relmonad import textio
 from relmonad.checker import CheckConfig
 from relmonad.errors import BudgetExceededError, FormatError
 from relmonad.fincat import FunctorTable
-from relmonad.gen import GenConfig, gen_category, gen_functor, gen_multimap, gen_presheaf
+from relmonad.gen import gen_category, gen_functor, gen_multimap, gen_presheaf
 from relmonad.presheaf import Presheaf
 
 from conftest import hom_sum_map, square_poset, two_group, walking_arrow
@@ -40,9 +40,8 @@ def test_category_round_trip(make):
 
 def test_generated_round_trips():
     rng = random.Random(11)
-    g = GenConfig(3, 3)
     for _ in range(25):
-        c = gen_category(rng, g)
+        c = gen_category(rng, 3, 3)
         assert cat_tables(textio.read_category(textio.write_category(c))) == cat_tables(c)
         p = gen_presheaf(rng, c)
         assert textio.read_presheaf(textio.write_presheaf(p)).content_key() == p.content_key()
@@ -60,11 +59,10 @@ def test_multimap_round_trip(z2, arrow):
 
 def test_generated_multimap_and_functor_round_trips():
     rng = random.Random(3)
-    g = GenConfig(3, 3)
     done = 0
     while done < 8:
-        cats = tuple(gen_category(rng, g) for _ in range(rng.randrange(1, 3)))
-        cod = gen_category(rng, g)
+        cats = tuple(gen_category(rng, 3, 3) for _ in range(rng.randrange(1, 3)))
+        cod = gen_category(rng, 3, 3)
         try:
             m = gen_multimap(rng, cats, cod, 8)
         except Exception:
@@ -333,7 +331,7 @@ def _mutate(rng, text):
 def _written_artifacts():
     rng = random.Random(5)
     arrow, square, z2 = walking_arrow(), square_poset(), two_group()
-    cats = [arrow, square, z2, gen_category(rng, GenConfig(3, 3))]
+    cats = [arrow, square, z2, gen_category(rng, 3, 3)]
     out = [(textio.read_category, textio.write_category(c)) for c in cats]
     out += [(textio.read_presheaf, textio.write_presheaf(gen_presheaf(rng, c, 8))) for c in cats]
     out += [(textio.read_functor, textio.write_functor(gen_functor(rng, (a,), b)))
@@ -369,7 +367,7 @@ def _pinned_corpus():
     """(reader, writer, artifact) over fixed and seeded artifacts of every kind."""
     rng = random.Random(77)
     arrow, square, z2 = walking_arrow(), square_poset(), two_group()
-    cats = [arrow, square, z2] + [gen_category(rng, GenConfig(3, 3)) for _ in range(6)]
+    cats = [arrow, square, z2] + [gen_category(rng, 3, 3) for _ in range(6)]
     out = [(textio.read_category, textio.write_category, c) for c in cats]
     out += [(textio.read_presheaf, textio.write_presheaf, gen_presheaf(rng, c, 8))
             for c in cats for _ in range(2)]
