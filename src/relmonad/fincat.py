@@ -36,6 +36,56 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
+class Graph:
+    """A finite directed graph: a colimit's shape, given by its generating arrows.
+
+    A colimit only needs arrows that generate the shape category; identities
+    and composites merge nothing the generators do not.  FinCategory has the
+    same surface, so a category also serves as its own (redundant) shape.
+    """
+
+    def __init__(self, n_objects, mor_src, mor_tgt):
+        self.n_objects = n_objects
+        self.mor_src = tuple(mor_src)
+        self.mor_tgt = tuple(mor_tgt)
+        self.n_morphisms = len(self.mor_src)
+
+    def src(self, m):
+        return self.mor_src[m]
+
+    def tgt(self, m):
+        return self.mor_tgt[m]
+
+
+class Generation(Graph):
+    """A category's generating arrows, as a graph on its objects whose arrow
+    i is the non-identity generators[i], and how every other non-identity
+    derives from them.
+
+    A non-identity m is derived when m = g after f for non-identities g and
+    f whose ids are both below m's.  derivations lists each derived m once,
+    as (m, g, f) with the least such (g, f), by ascending m, so both factors
+    of each come before it.  Every other non-identity is a generator, and
+    generators lists them ascending.  By induction on ids every non-identity
+    is a composite of generators.  So a colimit over the category is the
+    colimit over this graph, and a presheaf's action is fixed by its rows at
+    the generators: the derivations give the other rows in order.  A free
+    dag's generators are its edges, since its paths are ordered by length.
+    """
+
+    def __init__(self, c: FinCategory):
+        ident = set(c.identity)
+        factors = {}  # derived m -> its least (g, f)
+        for (g, f), m in c.comp.items():
+            if (g < m and f < m and g not in ident and f not in ident and m not in ident
+                    and (m not in factors or (g, f) < factors[m])):
+                factors[m] = (g, f)
+        self.generators = tuple(m for m in c.non_identities if m not in factors)
+        self.derivations = tuple((m, *factors[m]) for m in sorted(factors))
+        super().__init__(c.n_objects, [c.mor_src[m] for m in self.generators],
+                         [c.mor_tgt[m] for m in self.generators])
+
+
 class FinCategory:
     """A finite category as dense integer tables.
 
@@ -79,12 +129,19 @@ class FinCategory:
 
     @cached_property
     def non_identities(self):
-        """The non-identity morphisms, in order: every arrow a colimit over
-        El(p), or over the coend layout of an extension, needs."""
+        """The non-identity morphisms, in order: the arrows of El(p), which
+        the oracles that walk El(p) read.  A colimit needs only
+        generation.generators."""
         return tuple(m for m in self.morphisms if not self.is_identity(m))
 
     @cached_property
-    def _hom(self):
+    def generation(self) -> Generation:
+        """The generating arrows as a graph, and how the others derive from
+        them: see Generation."""
+        return Generation(self)
+
+    @cached_property
+    def homs(self):
         """(a, b) -> hom(a, b) in id order, for every nonempty hom; built on
         first use, so a category nobody queries never pays for it."""
         hom = {}
@@ -93,14 +150,14 @@ class FinCategory:
         return {ab: tuple(ms) for ab, ms in hom.items()}
 
     def hom(self, a, b):
-        return self._hom.get((a, b), ())
+        return self.homs.get((a, b), ())
 
     @cached_property
     def hom_position(self):
         """hom_position[m] is the index of m in hom(src m, tgt m), which is
         m's element index in the representable y_(tgt m) at src m."""
         pos = [0] * self.n_morphisms
-        for h in self._hom.values():
+        for h in self.homs.values():
             for i, m in enumerate(h):
                 pos[m] = i
         return tuple(pos)

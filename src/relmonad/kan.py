@@ -8,11 +8,16 @@ That colimit is the coend (p * f)(y) = coend over x of p(x) x f(x)(y), and
 it is computed in that layout.  Every El(p) node over x carries the same set
 f(x)(y) and every El(p) arrow over m the same map f(m)_y, so the diagram at
 y has one node per object x, standing for |p(x)| copies of f(x)(y), and one
-arrow per non-identity m, whose copies p.act[m] wires up.  The colimit's
-loops run over the base category's objects and arrows and over the
-elements, and it names each element (x, e, t): element t of f(x)(y) at
-p's element e over x.  Every cell below reads classes in those
-coordinates, so no extension builds El(p).
+arrow per generating arrow m of the base (FinCategory.generation), whose
+copies p.act[m] wires up.  A derived m = g after f merges nothing that g
+and f have not, since f(m) = f(g) after f(f) and p.act[m] composes p.act[g]
+and p.act[f]; so the generators give El(p)'s colimit exactly.  The
+colimit's loops run over the base category's objects and generators and
+over the elements, and it names each element (x, e, t): element t of
+f(x)(y) at p's element e over x.  Every cell below reads classes in those
+coordinates, so no extension builds El(p).  The oracles that do build it
+(checker._enumerate_cocones, fubini) keep every non-identity, so they stay
+independent of this shortcut.
 
 All quotients go through pointwise_colimit, so representatives are canonical
 and reruns are bit-identical.
@@ -97,19 +102,22 @@ class StrengthenMap(MultiMap):
         c = p.base
         inner_vals = {x: self.inner.evaluate(args[:j] + (x,) + args[j + 1 :])
                       for x in c.objects if p.at[x]}
-        arrow_mor = {}  # non-identity m with a non-empty target fiber -> f(m)
-        for m in c.non_identities:
+        shape = c.generation
+        arrow_mor = {}  # arrow i of shape, if its target fiber is non-empty -> f(generators[i])
+        for i, m in enumerate(shape.generators):
             if p.at[c.mor_tgt[m]]:
-                arrow_mor[m] = self.inner.morphism_at(args, j, m)
+                arrow_mor[i] = self.inner.morphism_at(args, j, m)
         # Distinct map objects often meet content-equal inputs, so the record
         # is memoized on the codomain by its whole input, by content.  The
-        # colimit depends only on the slot category and p.act (the identity
-        # rows fix each fiber's size), and p.act fixes the order in which
-        # inner_vals and arrow_mor are filled.  pointwise_colimit reads only
-        # the sizes and actions of the node presheaves and the components of
-        # the arrow maps, and labels its classes q0, q1, ...; so labels stay
-        # out of the key.  p.base stays in: equal act tuples on two
-        # categories can still give the colimit different shapes.
+        # colimit's shape depends only on the slot category and p.act (the
+        # identity rows fix each fiber's size), and p.act fixes the order in
+        # which inner_vals and arrow_mor are filled.  pointwise_colimit reads
+        # only the sizes and actions of the node presheaves and the
+        # components of the arrow maps, and labels its classes q0, q1, ...;
+        # so labels stay out of the key, and so do f's values at derived
+        # arrows, which functoriality fixes from the generators'.  p.base
+        # stays in: equal act tuples on two categories can still give the
+        # colimit different shapes.
         key = (
             c,
             p.act,
@@ -118,17 +126,17 @@ class StrengthenMap(MultiMap):
         )
         data = self.cod.colimits.get(key)
         if data is None:
-            # the coend layout over p's base as its own shape: object x
+            # the coend layout over p's base's generating graph: object x
             # stands for |p(x)| copies of f(x), copy e for p's element e, and
-            # arrow m for |p(tgt m)| copies of f(m), copy e2 at its target fed
-            # from copy p.act[m][e2] at its source
+            # generator m for |p(tgt m)| copies of f(m), copy e2 at its
+            # target fed from copy p.act[m][e2] at its source
             data = self.cod.colimits[key] = ExtensionData(*pointwise_colimit(
-                c,
+                shape,
                 [inner_vals.get(x) for x in c.objects],
                 arrow_mor,
                 self.cod,
                 tuple(len(s) for s in p.at),
-                p.act,
+                [p.act[m] for m in shape.generators],
             ))
         self._data_memo[args] = data
         return data
@@ -220,13 +228,14 @@ def theta_cell(cat: FinCategory) -> TwoCell:
     u = unit_map(cat)
     src = strengthen(u, 0)
     dst = IdentityMap(cat)
+    homs = cat.homs
 
     def fn(args):
         (p,) = args
         data = src.data((p,))
 
         def leg(y, x, e, t):
-            return p.act[cat.hom(y, x)[t]][e]
+            return p.act[homs[y, x][t]][e]
 
         return _cocone_map(data, p, leg)
 

@@ -11,10 +11,15 @@ out bit-identical.
 A diagram node may stand for several copies of one set, and an arrow for a
 family of copies of one map, each target copy fed from a chosen source copy.
 That is the coend layout an extension uses: one node per object x of p's
-base with |p(x)| copies, and one arrow per morphism wired by p's action,
-describe the colimit over El(p) with far fewer nodes and arrows.  A result
-names every element by (node, copy, element), so copy e of node x is El(p)'s
-node (x, e), and no caller needs El(p) to read it.
+base with |p(x)| copies, and one arrow per generating arrow of the base
+wired by p's action, describe the colimit over El(p) with far fewer nodes
+and arrows.  A result names every element by (node, copy, element), so copy
+e of node x is El(p)'s node (x, e), and no caller needs El(p) to read it.
+A colimit presheaf's action is read through the nodes only at the base's
+generators; its identity rows are the identity, and each derived row
+composes its factors' rows (FinCategory.generation).  ElementsCategory
+keeps an arrow for every non-identity, because the oracles that walk it
+check the generator shortcut and must not share it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, SlotMismatchError
-from .fincat import FinCategory, ValidationFailure, ValidationReport
+from .fincat import FinCategory, Graph, ValidationFailure, ValidationReport
 
 DEFAULT_BUDGET = 10**5
 
@@ -207,27 +212,6 @@ def classifying_morphism(p: Presheaf, x: int, e: int) -> PresheafMorphism:
 # -- colimits ----------------------------------------------------------------
 
 
-class Graph:
-    """A finite directed graph: a colimit's shape, given by its generating arrows.
-
-    A colimit only needs arrows that generate the shape category; identities
-    and composites merge nothing the generators do not.  FinCategory has the
-    same surface, so a category also serves as its own (redundant) shape.
-    """
-
-    def __init__(self, n_objects, mor_src, mor_tgt):
-        self.n_objects = n_objects
-        self.mor_src = tuple(mor_src)
-        self.mor_tgt = tuple(mor_tgt)
-        self.n_morphisms = len(self.mor_src)
-
-    def src(self, m):
-        return self.mor_src[m]
-
-    def tgt(self, m):
-        return self.mor_tgt[m]
-
-
 @dataclass
 class FinSetDiagram:
     """Diagram of finite sets in which a shape node may stand for copies of one set.
@@ -272,12 +256,14 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
     This is the canonicalization every higher construction inherits.  The
     budget bounds the number of elements, counting every copy.
 
-    The union pass keeps parent[i] <= i for every element: a union attaches
-    the larger root under the smaller, and path halving only moves a pointer
-    further down.  So every root is its class's least member, whatever order
-    the unions come in, and one ascending pass numbers the classes: a root
-    opens the next class, and any other element joins the class of
-    parent[i], which it has already passed.
+    The union pass goes arrow by arrow, then element by element of the
+    arrow's row, then copy by copy.  It keeps parent[i] <= i for every
+    element: a union attaches the larger root under the smaller, and path
+    halving only moves a pointer further down.  So every root is its
+    class's least member, whatever order the unions come in, and one
+    ascending pass numbers the classes: a root opens the next class, and
+    any other element joins the class of parent[i], which it has already
+    passed.
     """
     sizes = [len(s) for s in d.sets]
     copies = d.copies or (1,) * len(sizes)
@@ -299,14 +285,15 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
             continue
         a, b = mor_src[m], mor_tgt[m]
         n_a, n_b = sizes[a], sizes[b]
-        for e2, e1 in enumerate((0,) if lifts is None else lifts[m]):
-            off_a = offsets[a] + e1 * n_a
-            off_b = offsets[b] + e2 * n_b
-            for t, u in enumerate(row):
-                i = off_a + t
+        # per target copy e2, the start of its source copy
+        starts = (offsets[a],) if lifts is None else [offsets[a] + e1 * n_a for e1 in lifts[m]]
+        span = len(starts) * n_b
+        for t, u in enumerate(row):
+            u += offsets[b]
+            for i, j in zip(starts, range(u, u + span, n_b)):
+                i += t
                 while parent[i] != i:
                     parent[i] = i = parent[parent[i]]
-                j = off_b + u
                 while parent[j] != j:
                     parent[j] = j = parent[parent[j]]
                 if i != j:
@@ -391,7 +378,9 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
     FinSetDiagram; ps[k] may then be None where copies[k] is 0.  base is
     given because ps may be empty.  Returns the colimit presheaf and the
     ColimitResult at each base object.  The budget is read once and bounds
-    each object's colimit on its own.
+    each object's colimit on its own.  The result's action is read through
+    the nodes at base's generators and composed at its derived arrows
+    (FinCategory.generation), which needs ps and maps to be functorial.
     """
     budget = element_budget()
     nothing = ((),) * base.n_objects
@@ -407,11 +396,19 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
         ), budget)
         for x in base.objects
     )
+    # the action: read through the nodes at the generators only; an
+    # identity acts as itself, and a derived m = g after f as f's row
+    # after g's
     acts = [None if p is None else p.act for p in ps]
-    act = []
-    for m in base.morphisms:
-        copr = results[base.src(m)].coprojections
-        act.append(tuple(copr[k][e][acts[k][m][t]] for k, e, t in results[base.tgt(m)].reps))
+    act = [None] * base.n_morphisms
+    for x, i in enumerate(base.identity):
+        act[i] = tuple(range(len(results[x].reps)))
+    generation = base.generation
+    for m, a, b in zip(generation.generators, generation.mor_src, generation.mor_tgt):
+        copr = results[a].coprojections
+        act[m] = tuple([copr[k][e][acts[k][m][t]] for k, e, t in results[b].reps])
+    for m, g, f in generation.derivations:
+        act[m] = tuple(map(act[f].__getitem__, act[g]))
     return Presheaf(base, [r.set for r in results], act), results
 
 

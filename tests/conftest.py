@@ -57,6 +57,29 @@ def square_poset() -> FinCategory:
     return FinCategory("square", 4, src, tgt, [0, 1, 2, 3], comp)
 
 
+def cyclic_group(n) -> FinCategory:
+    # one object; morphism k is g^k, so g^0 is the identity
+    comp = {(a, b): (a + b) % n for a in range(n) for b in range(n)}
+    return FinCategory(f"Z{n}", 1, [0] * n, [0] * n, [0], comp)
+
+
+def isomorphic_pair() -> FinCategory:
+    # objects 0, 1; a = 2: 0 -> 1 and b = 3: 1 -> 0 inverse to each other
+    comp = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2, (3, 1): 3, (0, 3): 3,
+            (3, 2): 0, (2, 3): 1}
+    return FinCategory("iso", 2, [0, 1, 0, 1], [0, 1, 1, 0], [0, 1], comp)
+
+
+def codiscrete(n) -> FinCategory:
+    # one arrow a -> b for every pair: identities first, then the others in lex order
+    pairs = [(a, a) for a in range(n)] + [(a, b) for a in range(n) for b in range(n) if a != b]
+    index = {ab: m for m, ab in enumerate(pairs)}
+    comp = {(g, f): index[pairs[f][0], pairs[g][1]]
+            for g, (b, _) in enumerate(pairs) for f, (_, b2) in enumerate(pairs) if b2 == b}
+    return FinCategory(f"K{n}", n, [a for a, _ in pairs], [b for _, b in pairs],
+                       list(range(n)), comp)
+
+
 def hom_sum_map(c: FinCategory, n_slots: int, name="sum") -> TableMap:
     """The n-slot map whose value at (b1,...,bn) is the coproduct of the
     representables of the arguments: elements at y are tagged pairs (i, h)

@@ -1,7 +1,13 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import codiscrete, cyclic_group, isomorphic_pair
+from relmonad import gen
+from relmonad.checker import CheckConfig, _poset_category, _wide_poset_category
 from relmonad.errors import SlotMismatchError
 from relmonad.fincat import (
     FinCategory,
@@ -118,3 +124,86 @@ def test_nat_trans_naturality_failure(lz3):
     assert any(f.law == "naturality" for f in report.failures)
     ok = NatTransTable(ident, ident, {(0,): 0})
     assert validate_nat_trans(ok).ok
+
+
+# -- generating arrows ----------------------------------------------------------
+
+
+def assert_generation_sound(c):
+    """Every non-identity is a generator or derived, exactly once; each
+    derivation m = g after f has non-identity factors below m; and the
+    generators close under composition to every morphism, with the record's
+    graph listing their endpoints."""
+    assert validate_category(c).ok, c.name
+    record = c.generation
+    derived = [m for m, _, _ in record.derivations]
+    assert sorted(record.generators + tuple(derived)) == list(c.non_identities)
+    assert list(record.generators) == sorted(record.generators)
+    assert derived == sorted(derived)
+    for m, g, f in record.derivations:
+        assert not c.is_identity(g) and not c.is_identity(f)
+        assert g < m and f < m
+        assert c.comp[g, f] == m
+    assert record.mor_src == tuple(c.mor_src[m] for m in record.generators)
+    assert record.mor_tgt == tuple(c.mor_tgt[m] for m in record.generators)
+    assert record.n_objects == c.n_objects
+    reached = set(c.identity) | set(record.generators)
+    grown = True
+    while grown:
+        new = {c.comp[g, f] for g in record.generators for f in reached
+               if c.mor_tgt[f] == c.mor_src[g]} - reached
+        reached |= new
+        grown = bool(new)
+    assert reached == set(c.morphisms)
+
+
+def test_generators_of_small_shapes(arrow, z2, lz3, square):
+    assert arrow.generation.generators == (2,) and not arrow.generation.derivations
+    assert z2.generation.generators == (1,)
+    assert lz3.generation.generators == (1, 2)  # p = p q: but q is not below p
+    assert square.generation.generators == (4, 5, 6, 7)
+    assert square.generation.derivations == ((8, 6, 4),)
+    z3 = cyclic_group(3)
+    assert z3.generation.generators == (1,)
+    assert z3.generation.derivations == ((2, 1, 1),)
+    assert isomorphic_pair().generation.generators == (2, 3)
+    # ids need not put identities first: s s = id derives no identity
+    late_identity = FinCategory("Z2'", 1, [0, 0], [0, 0], [1],
+                                {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1})
+    assert late_identity.generation.generators == (0,)
+    assert not late_identity.generation.derivations
+    builtins = [gen.builtin_category(name) for name in ("arrow", "z2", "leftzero3", "square")]
+    for c in builtins + [z3, isomorphic_pair(), codiscrete(3), late_identity]:
+        assert_generation_sound(c)
+
+
+def test_generation_is_cached(square):
+    assert square.generation is square.generation
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 6), st.integers(0, 9))
+def test_free_dag_generators_are_its_edges(seed, max_objects, max_edges):
+    c = gen.free_dag_category(random.Random(seed), max_objects, max_edges)
+    assert_generation_sound(c)
+    edges = [m for m in c.non_identities if all(
+        c.comp[g, f] != m for g in c.non_identities for f in c.non_identities
+        if c.mor_tgt[f] == c.mor_src[g])]
+    assert list(c.generation.generators) == edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_generation_of_checker_shapes(seed):
+    rng = random.Random(seed)
+    for c in (gen.gen_category(rng, 3, 3), _poset_category(rng, CheckConfig()),
+              _wide_poset_category(rng)):
+        assert_generation_sound(c)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 4))
+def test_generation_of_groups_and_codiscrete_categories(n, k):
+    assert_generation_sound(cyclic_group(n))
+    assert cyclic_group(n).generation.generators == (1,)
+    assert_generation_sound(codiscrete(k))

@@ -3,10 +3,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import hom_sum_map
+from conftest import codiscrete, cyclic_group, hom_sum_map, isomorphic_pair
 
-from relmonad import gen
+from relmonad import cli, gen, kan
 from relmonad.errors import BudgetExceededError, SlotMismatchError
 from relmonad.fincat import FinCategory
 from relmonad.kan import (
@@ -358,6 +360,36 @@ def test_extension_matches_the_el_route():
             for q in qs:
                 assert_matches_uncached(strengthen(f2, 1), (x, q))
     assert empty_fibers and empty_values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_generated_extensions_match_every_el_arrow(seed):
+    # the record's diagram has an arrow per generator of the slot category;
+    # the reference has one per El(p) arrow, derived arrows included
+    rng = random.Random(seed)
+    c = rng.choice([gen.gen_category(rng, 4, 5), cyclic_group(3), isomorphic_pair(),
+                    codiscrete(3)])
+    f = _gen_map(rng, (c,), gen.gen_category(rng, 3, 3), 24)
+    assert_matches_uncached(strengthen(f, 0), (gen.gen_presheaf(rng, c),))
+
+
+def test_an_extension_missing_a_generator_is_caught(monkeypatch, capsys):
+    # the extension-universal oracle walks every El(p) arrow, so a record
+    # whose diagram loses the slot category's last generator fails it
+    honest = kan.pointwise_colimit
+
+    def dropping(shape, ps, maps, base, copies, lifts):
+        last = shape.n_morphisms - 1
+        return honest(shape, ps, {i: phi for i, phi in maps.items() if i != last},
+                      base, copies, lifts)
+
+    monkeypatch.setattr(kan, "pointwise_colimit", dropping)
+    assert cli.main(["verify", "--seed", "42", "--laws", "extension-universal",
+                     "--format", "machine"]) == 1
+    out = capsys.readouterr().out
+    assert "instance extension-universal 0 FAIL" in out
+    assert out.splitlines()[-1] == "summary pass 4 fail 6"
 
 
 # -- extensions at inputs of benchmark size -------------------------------------

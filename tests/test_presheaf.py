@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import codiscrete, cyclic_group, isomorphic_pair
 from relmonad.errors import BudgetExceededError
 from relmonad.fincat import FinCategory, validate_category
-from relmonad.gen import free_dag_category
+from relmonad.gen import builtin_category, free_dag_category, gen_presheaf
 from relmonad.presheaf import (
     FinSetDiagram,
     Graph,
@@ -385,3 +386,43 @@ def test_sample_family(arrow, z2):
     assert len(fam2) == 3
     for p in fam2:
         assert validate_presheaf(p).ok
+
+
+def _direct_action(base, ps, results):
+    """A colimit's action read through the nodes at every morphism,
+    identities and derived arrows included."""
+    return tuple(
+        tuple(results[base.src(m)].coprojections[k][e][ps[k].act[m][t]]
+              for k, e, t in results[base.tgt(m)].reps)
+        for m in base.morphisms
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_colimit_action_matches_the_rows_read_through_the_nodes(seed):
+    # pointwise_colimit reads its action at the generators and composes the
+    # derived rows; both must equal the rows read through the nodes, on
+    # coproducts (no arrows) and on quotients (presheaf_quotient's diagram)
+    rng = random.Random(seed)
+    shapes = [builtin_category(n) for n in ("arrow", "z2", "leftzero3", "square")]
+    shapes += [cyclic_group(3), isomorphic_pair(), codiscrete(3), free_dag_category(rng, 5, 6)]
+    c = rng.choice(shapes)
+    ps = [gen_presheaf(rng, c) for _ in range(rng.randint(1, 3))]
+    colim, results = pointwise_colimit(Graph(len(ps), [], []), ps, {}, c)
+    assert colim.act == _direct_action(c, ps, results)
+    total, _ = coproduct_presheaves(ps)
+    nodes, maps = [total], {}
+    for _ in range(rng.randint(1, 3)):
+        sized = [x for x in c.objects if len(total.at[x]) >= 2]
+        if not sized:
+            break
+        x = rng.choice(sized)
+        a, b = rng.sample(range(len(total.at[x])), 2)
+        nodes.append(representable(c, x))
+        maps[len(maps)] = classifying_morphism(total, x, a)
+        maps[len(maps)] = classifying_morphism(total, x, b)
+    shape = Graph(len(nodes), [1 + m // 2 for m in maps], [0] * len(maps))
+    quotient, results = pointwise_colimit(shape, nodes, maps, c)
+    assert quotient.act == _direct_action(c, nodes, results)
+    assert validate_presheaf(quotient).ok
