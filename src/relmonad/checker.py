@@ -788,7 +788,7 @@ def _law_extension_universal(rng, cfg, hooks):
                 for e in range(len(p.at[a])):
                     restricted.append(tuple(
                         tuple(psi.components[yy][c]
-                              for c in data.colims[yy].coprojections[a][e])
+                              for c in data.colims[yy].row(a, e))
                         for yy in range(len(y.objects))
                     ))
             legs.append(tuple(restricted))

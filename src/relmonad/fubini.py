@@ -61,7 +61,7 @@ def flat_double_extension(f, j, k, args) -> FlatExtension:
             tgt.append(i1 * nq + t2)
     presheaf, colims = pointwise_colimit(Graph(len(vals), src, tgt), vals, maps, f.cod)
     coproj = {
-        divmod(n, nq): tuple(r.coprojections[n][0] for r in colims) for n in range(len(vals))
+        divmod(n, nq): tuple(r.row(n, 0) for r in colims) for n in range(len(vals))
     }
     reps = tuple(tuple(divmod(n, nq) + (t,) for n, _, t in r.reps) for r in colims)
     return FlatExtension(presheaf, coproj, reps)
@@ -103,7 +103,7 @@ def gamma_tables(f, j, k, args):
             inner_args2 = list(args)
             inner_args2[k] = w2
             d_inner2 = sj.data(tuple(inner_args2))
-            c_inner = d_inner2.colims[y].coprojections[x1][e1][ts_elem]
-            row.append(d_outer_st.colims[y].coprojections[w2][e2][c_inner])
+            c_inner = d_inner2.colims[y].row(x1, e1)[ts_elem]
+            row.append(d_outer_st.colims[y].row(w2, e2)[c_inner])
         tables.append(tuple(row))
     return tables

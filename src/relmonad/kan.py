@@ -14,10 +14,11 @@ and f have not, since f(m) = f(g) after f(f) and p.act[m] composes p.act[g]
 and p.act[f]; so the generators give El(p)'s colimit exactly.  The
 colimit's loops run over the base category's objects and generators and
 over the elements, and it names each element (x, e, t): element t of
-f(x)(y) at p's element e over x.  Every cell below reads classes in those
-coordinates, so no extension builds El(p).  The oracles that do build it
-(checker._enumerate_cocones, fubini) keep every non-identity, so they stay
-independent of this shortcut.
+f(x)(y) at p's element e over x.  Its class is classes[offsets[x] +
+e * sizes[x] + t] in the ColimitResult at y, one flat table per colimit.
+Every cell below reads classes in those coordinates, so no extension builds
+El(p).  The oracles that do build it (checker._enumerate_cocones, fubini)
+keep every non-identity, so they stay independent of this shortcut.
 
 All quotients go through pointwise_colimit, so representatives are canonical
 and reruns are bit-identical.
@@ -65,7 +66,7 @@ class ExtensionData:
     """One extension's value, kept once per input content in cod.colimits."""
 
     presheaf: Presheaf
-    colims: tuple  # ColimitResult per codomain object, in (x, e, t) coordinates
+    colims: tuple  # ColimitResult per codomain object, flat over (x, e, t)
 
 
 def _cocone_map(data: ExtensionData, dst: Presheaf, leg) -> PresheafMorphism:
@@ -152,7 +153,8 @@ class StrengthenMap(MultiMap):
             dst = self.data(args[:j] + (m.dst,) + args[j + 1 :])
 
             def leg(y, x, e, t):
-                return dst.colims[y].coprojections[x][m.components[x][e]][t]
+                r = dst.colims[y]
+                return r.classes[r.offsets[x] + m.components[x][e] * r.sizes[x] + t]
 
             return _cocone_map(src, dst.presheaf, leg)
         # action in another slot: apply inner's action in every copy
@@ -163,7 +165,8 @@ class StrengthenMap(MultiMap):
                 for x in args[j].base.objects if args[j].at[x]}
 
         def leg(y, x, e, t):
-            return dst.colims[y].coprojections[x][e][step[x].components[y][t]]
+            r = dst.colims[y]
+            return r.classes[r.offsets[x] + e * r.sizes[x] + step[x].components[y][t]]
 
         return _cocone_map(src, dst.presheaf, leg)
 
@@ -190,7 +193,7 @@ def unit_cell(f: MultiMap, j: int) -> TwoCell:
         data = ext.data(args[:j] + (p,) + args[j + 1 :])
         e = u.element_of_identity(x)
         return PresheafMorphism(f.evaluate(args), data.presheaf,
-                                [colim.coprojections[x][e] for colim in data.colims])
+                                [colim.row(x, e) for colim in data.colims])
 
     return TwoCell(f, dst, fn, name=f"u~[{f.name};{j}]")
 
@@ -253,7 +256,8 @@ def strengthen_cell(cell: TwoCell, j: int) -> TwoCell:
 
         def leg(y, x, e, t):
             phi = cell.component(args[:j] + (x,) + args[j + 1 :])
-            return ddata.colims[y].coprojections[x][e][phi.components[y][t]]
+            r = ddata.colims[y]
+            return r.classes[r.offsets[x] + e * r.sizes[x] + phi.components[y][t]]
 
         return _cocone_map(sdata, ddata.presheaf, leg)
 

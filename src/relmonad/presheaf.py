@@ -15,6 +15,9 @@ base with |p(x)| copies, and one arrow per generating arrow of the base
 wired by p's action, describe the colimit over El(p) with far fewer nodes
 and arrows.  A result names every element by (node, copy, element), so copy
 e of node x is El(p)'s node (x, e), and no caller needs El(p) to read it.
+It keeps one flat class table per colimit, indexed by that enumeration:
+element (k, e, t) sits at offsets[k] + e * sizes[k] + t, with no tuple per
+copy.
 A colimit presheaf's action is read through the nodes only at the base's
 generators; its identity rows are the identity, and each derived row
 composes its factors' rows (FinCategory.generation).  ElementsCategory
@@ -239,10 +242,25 @@ _CLASS_LABELS = []  # q0, q1, ...: every colimit's class labels, made once
 
 @dataclass
 class ColimitResult:
+    """A colimit's classes, flat over the (node, copy, element) enumeration.
+
+    Element (k, e, t), element t of copy e of node k, has index
+    offsets[k] + e * sizes[k] + t, and classes[index] is its class.  row(k, e)
+    slices out one whole copy.
+    """
+
     set: tuple  # labels of the classes
-    coprojections: tuple  # [node][copy]: a tuple mapping element -> class index
+    classes: tuple  # per element, in enumeration order: its class index
+    offsets: tuple  # per node: the index of its first element
+    sizes: tuple  # per node: the size of its set, so of each copy
     reps: tuple  # per class: its least member, (node, copy, element)
     merges: int
+
+    def row(self, k: int, e: int) -> tuple:
+        """Copy e of node k: its element -> class map."""
+        n = self.sizes[k]
+        i = self.offsets[k] + e * n
+        return self.classes[i:i + n]
 
 
 def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult:
@@ -251,21 +269,22 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
     Every element is named (k, e, t): element t of copy e of node k, and a
     plain diagram is the case e = 0.  The global enumeration runs node by
     node, copy by copy within a node, and element by element within a copy,
-    so (k, e, t) has index off_k + e * len(sets[k]) + t.  Classes are
-    ordered, and represented, by their least member in that enumeration.
-    This is the canonicalization every higher construction inherits.  The
-    budget bounds the number of elements, counting every copy.
+    so (k, e, t) has index offsets[k] + e * sizes[k] + t, and the result's
+    classes are indexed by it.  Classes are ordered, and represented, by
+    their least member in that enumeration.  This is the canonicalization
+    every higher construction inherits.  The budget bounds the number of
+    elements, counting every copy.
 
     The union pass goes arrow by arrow, then element by element of the
     arrow's row, then copy by copy.  It keeps parent[i] <= i for every
     element: a union attaches the larger root under the smaller, and path
     halving only moves a pointer further down.  So every root is its
     class's least member, whatever order the unions come in, and one
-    ascending pass numbers the classes: a root opens the next class, and
-    any other element joins the class of parent[i], which it has already
-    passed.
+    ascending pass numbers the classes in place: a root opens the next
+    class, and any other element joins the class of parent[i], which it
+    has already passed.
     """
-    sizes = [len(s) for s in d.sets]
+    sizes = tuple(len(s) for s in d.sets)
     copies = d.copies or (1,) * len(sizes)
     offsets = []
     total = 0
@@ -281,8 +300,6 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
     lifts = d.lifts
     merges = 0
     for m, row in d.maps.items():
-        if not row:
-            continue
         a, b = mor_src[m], mor_tgt[m]
         n_a, n_b = sizes[a], sizes[b]
         # per target copy e2, the start of its source copy
@@ -306,11 +323,7 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
 
     # parent[i] becomes the class of element i, in one ascending pass
     reps = []
-    copr = []
     for k, (off, n, c) in enumerate(zip(offsets, sizes, copies)):
-        if not n:
-            copr.append(((),) * c)
-            continue
         for i in range(off, off + n * c):
             p = parent[i]
             if p == i:
@@ -319,11 +332,10 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
                 reps.append((k, e, t))
             else:
                 parent[i] = parent[p]
-        # the node's classes, cut into one tuple of n per copy
-        copr.append(tuple(zip(*[iter(parent[off:off + n * c])] * n)))
     if len(_CLASS_LABELS) < len(reps):
         _CLASS_LABELS.extend(map("q{}".format, range(len(_CLASS_LABELS), len(reps))))
-    return ColimitResult(tuple(_CLASS_LABELS[:len(reps)]), tuple(copr), tuple(reps), merges)
+    return ColimitResult(tuple(_CLASS_LABELS[:len(reps)]), tuple(parent), tuple(offsets),
+                         sizes, tuple(reps), merges)
 
 
 def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
@@ -376,7 +388,9 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
     may be left out).  copies and lifts, when given, make node k stand for
     copies[k] copies of ps[k] and arrow m for copies of maps[m], as in
     FinSetDiagram; ps[k] may then be None where copies[k] is 0.  base is
-    given because ps may be empty.  Returns the colimit presheaf and the
+    given because ps may be empty.  An arrow whose row is empty at an
+    object (its source set is empty there) merges nothing, so it is left
+    out of that object's maps.  Returns the colimit presheaf and the
     ColimitResult at each base object.  The budget is read once and bounds
     each object's colimit on its own.  The result's action is read through
     the nodes at base's generators and composed at its derived arrows
@@ -390,7 +404,7 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
         colimit_finset(FinSetDiagram(
             shape,
             tuple(at[x] for at in ats),
-            {m: c[x] for m, c in comps},
+            {m: c[x] for m, c in comps if c[x]},
             copies,
             lifts,
         ), budget)
@@ -405,8 +419,10 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
         act[i] = tuple(range(len(results[x].reps)))
     generation = base.generation
     for m, a, b in zip(generation.generators, generation.mor_src, generation.mor_tgt):
-        copr = results[a].coprojections
-        act[m] = tuple([copr[k][e][acts[k][m][t]] for k, e, t in results[b].reps])
+        r = results[a]
+        classes, offsets, sizes = r.classes, r.offsets, r.sizes
+        act[m] = tuple([classes[offsets[k] + e * sizes[k] + acts[k][m][t]]
+                        for k, e, t in results[b].reps])
     for m, g, f in generation.derivations:
         act[m] = tuple(map(act[f].__getitem__, act[g]))
     return Presheaf(base, [r.set for r in results], act), results

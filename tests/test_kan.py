@@ -238,12 +238,18 @@ def uncached_extension(f, j, args):
 
 def by_element(p, colim):
     """A ColimitResult over El(p) read in an extension record's (x, e, t)
-    coordinates: El(p)'s node (x, e) is copy e of object x."""
+    coordinates: El(p)'s node (x, e) is copy e of object x.  El(p) lists its
+    nodes in (x, e) order, so both enumerate the elements alike and only
+    the layout and the representatives change their names."""
     el = category_of_elements(p)
-    rows = [[] for _ in p.base.objects]
-    for (x, _), (row,) in zip(el.el_objs, colim.coprojections):
-        rows[x].append(row)
-    return ColimitResult(colim.set, tuple(map(tuple, rows)),
+    sizes = [0] * p.base.n_objects
+    for (x, _), n in zip(el.el_objs, colim.sizes):
+        sizes[x] = n
+    offsets, total = [], 0
+    for x, n in enumerate(sizes):
+        offsets.append(total)
+        total += n * len(p.at[x])
+    return ColimitResult(colim.set, colim.classes, tuple(offsets), tuple(sizes),
                          tuple(el.el_objs[n] + (t,) for n, _, t in colim.reps),
                          colim.merges)
 

@@ -143,7 +143,7 @@ def test_pushout_of_arrow_codomain(arrow):
     assert colim.act[2] == (0, 0)  # both glued points restrict to the same element
     assert validate_presheaf(colim).ok
     for i, p in enumerate(ps):
-        copr = PresheafMorphism(p, colim, [r.coprojections[i][0] for r in results])
+        copr = PresheafMorphism(p, colim, [r.row(i, 0) for r in results])
         assert validate_presheaf_morphism(copr).ok
 
 
@@ -173,7 +173,7 @@ span_maps = st.tuples(
 @given(span_maps)
 def test_colimit_partitions_random_spans(vals):
     # random span of 3-element sets: classes partition all 9 elements and
-    # coprojections hit every class; leaving the identity maps out changes
+    # the nodes' rows hit every class; leaving the identity maps out changes
     # nothing, since they merge nothing
     shape = FinCategory(
         "span", 3, [0, 1, 2, 0, 0], [0, 1, 2, 1, 2], [0, 1, 2],
@@ -185,15 +185,16 @@ def test_colimit_partitions_random_spans(vals):
     before = merge_counter.value
     r = colimit_finset(d)
     assert merge_counter.value - before == r.merges
+    assert (r.offsets, r.sizes, len(r.classes)) == ((0, 3, 6), (3, 3, 3), 9)
     seen = set()
-    for (copr,) in r.coprojections:
-        seen.update(copr)
+    for i in range(3):
+        seen.update(r.row(i, 0))
     assert seen == set(range(len(r.set)))
     for k, (i, e, t) in enumerate(r.reps):
-        assert e == 0 and r.coprojections[i][e][t] == k
+        assert e == 0 and r.row(i, e)[t] == k
     generated = colimit_finset(FinSetDiagram(shape, sets, legs))
     assert generated.reps == r.reps
-    assert generated.coprojections == r.coprojections
+    assert generated.classes == r.classes
     assert generated.merges == r.merges
 
 
@@ -218,8 +219,9 @@ def finset_diagrams(draw):
 
 def reference_colimit(d):
     """Connected components of the element graph by breadth-first search,
-    numbered in the order of their least member, in a plain diagram's
-    (node, 0, element) coordinates."""
+    numbered in the order of their least member: the representatives in a
+    plain diagram's (node, 0, element) coordinates, and each element's
+    class, node by node."""
     nodes = [(a, e) for a, s in enumerate(d.sets) for e in range(len(s))]
     adj = {v: [] for v in nodes}
     for m, row in d.maps.items():
@@ -239,8 +241,15 @@ def reference_colimit(d):
                 if w not in cls:
                     cls[w] = cls[v]
                     queue.append(w)
-    copr = tuple((tuple(cls[(a, e)] for e in range(len(s))),) for a, s in enumerate(d.sets))
-    return tuple((a, 0, e) for a, e in reps), copr
+    return tuple((a, 0, e) for a, e in reps), tuple(cls[v] for v in nodes)
+
+
+def layout(d):
+    """The offsets and sizes of a diagram's nodes in the flat enumeration."""
+    copies = d.copies or (1,) * len(d.sets)
+    sizes = tuple(len(s) for s in d.sets)
+    offsets = tuple(sum(n * c for n, c in zip(sizes[:k], copies)) for k in range(len(sizes)))
+    return offsets, sizes
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,9 +257,10 @@ def reference_colimit(d):
 def test_colimit_matches_component_reference(d):
     before = merge_counter.value
     r = colimit_finset(d)
-    reps, copr = reference_colimit(d)
+    reps, classes = reference_colimit(d)
     assert r.reps == reps
-    assert r.coprojections == copr
+    assert r.classes == classes
+    assert (r.offsets, r.sizes) == layout(d)
     assert r.set == tuple(f"q{k}" for k in range(len(reps)))
     assert r.merges == sum(len(s) for s in d.sets) - len(reps)
     assert merge_counter.value - before == r.merges
@@ -288,14 +298,13 @@ def expand_copies(d):
     return FinSetDiagram(Graph(len(sets), src, tgt), sets, maps)
 
 
-def regroup(reps, copr, copies):
+def regroup(reps, classes, copies):
     """Classes of the one-copy expansion of a diagram with these copies,
-    read in the copied diagram's (node, copy, element) coordinates."""
+    read in the copied diagram's (node, copy, element) coordinates.  The
+    expansion enumerates its elements in the same order, node per copy, so
+    only the representatives change their names."""
     nodes = [(k, e) for k, c in enumerate(copies) for e in range(c)]
-    rows = [[] for _ in copies]
-    for (k, _), (row,) in zip(nodes, copr):
-        rows[k].append(row)
-    return tuple(nodes[n] + (t,) for n, _, t in reps), tuple(map(tuple, rows))
+    return tuple(nodes[n] + (t,) for n, _, t in reps), classes
 
 
 @settings(max_examples=200, deadline=None)
@@ -309,10 +318,30 @@ def test_copies_match_their_expansion(d):
     assert merge_counter.value - before == r.merges
     expanded = colimit_finset(expand_copies(d))
     assert (r.set, r.merges) == (expanded.set, expanded.merges)
-    assert (r.reps, r.coprojections) == regroup(
-        expanded.reps, expanded.coprojections, d.copies)
-    reps, copr = reference_colimit(expand_copies(d))
-    assert (r.reps, r.coprojections) == regroup(reps, copr, d.copies)
+    assert (r.offsets, r.sizes) == layout(d)
+    assert (r.reps, r.classes) == regroup(expanded.reps, expanded.classes, d.copies)
+    reps, classes = reference_colimit(expand_copies(d))
+    assert (r.reps, r.classes) == regroup(reps, classes, d.copies)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(finset_diagrams(), copied_diagrams()))
+def test_flat_classes_follow_the_enumeration(d):
+    # one class per element, in (node, copy, element) order; each class
+    # first appears at its representative, and classes first appear in
+    # ascending order; row(k, e) is copy e of node k's slice
+    r = colimit_finset(d)
+    copies = d.copies or (1,) * len(d.sets)
+    assert len(r.classes) == sum(len(s) * c for s, c in zip(d.sets, copies))
+    first = {}
+    for i, c in enumerate(r.classes):
+        first.setdefault(c, i)
+    assert list(first) == list(range(len(r.reps)))
+    assert [r.offsets[k] + e * r.sizes[k] + t for k, e, t in r.reps] == list(first.values())
+    for k, c in enumerate(copies):
+        for e in range(c):
+            start = r.offsets[k] + e * r.sizes[k]
+            assert r.row(k, e) == r.classes[start:start + r.sizes[k]]
 
 def test_pointwise_colimit_budget_bounds_each_object(arrow, monkeypatch):
     # two copies of y0 + y1 + y1 glued along the identity: the colimit at
@@ -392,7 +421,7 @@ def _direct_action(base, ps, results):
     """A colimit's action read through the nodes at every morphism,
     identities and derived arrows included."""
     return tuple(
-        tuple(results[base.src(m)].coprojections[k][e][ps[k].act[m][t]]
+        tuple(results[base.src(m)].row(k, e)[ps[k].act[m][t]]
               for k, e, t in results[base.tgt(m)].reps)
         for m in base.morphisms
     )
