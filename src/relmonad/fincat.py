@@ -101,6 +101,7 @@ class FinCategory:
         self.comp = dict(comp)
         self.n_morphisms = len(self.mor_src)
         self._key = None
+        self._hash = None
         self.unit = None  # UnitMap, built by multimap.unit_map; not in content_key
         self.representables = {}  # object -> Presheaf, filled by presheaf.representable
         self.colimits = {}  # extension input -> kan.ExtensionData, filled by kan
@@ -183,7 +184,9 @@ class FinCategory:
         return isinstance(other, FinCategory) and self.content_key() == other.content_key()
 
     def __hash__(self):
-        return hash(self.content_key())
+        if self._hash is None:
+            self._hash = hash(self.content_key())
+        return self._hash
 
     def __repr__(self):
         return f"FinCategory({self.name!r}, obj={self.n_objects}, mor={self.n_morphisms})"

@@ -63,7 +63,7 @@ def flat_double_extension(f, j, k, args) -> FlatExtension:
     coproj = {
         divmod(n, nq): tuple(r.row(n, 0) for r in colims) for n in range(len(vals))
     }
-    reps = tuple(tuple(divmod(n, nq) + (t,) for n, _, t in r.reps) for r in colims)
+    reps = tuple(tuple(divmod(n, nq) + (t,) for n, _, t in r.members()) for r in colims)
     return FlatExtension(presheaf, coproj, reps)
 
 
@@ -91,11 +91,11 @@ def gamma_tables(f, j, k, args):
     tables = []
     for y in f.cod.objects:
         row = []
-        for x, e, t1 in d_outer_ts.colims[y].reps:
+        for x, e, t1 in d_outer_ts.colims[y].members():
             inner_args = list(args)
             inner_args[j] = x
             d_inner = tk.data(tuple(inner_args))
-            w, e2, t = d_inner.colims[y].reps[t1]
+            w, e2, t = d_inner.colims[y].rep(t1)
             fl = flat.coproj[(elp.el_index[(x, e)], elq.el_index[(w, e2)])][y][t]
             i1s, i2s, ts_elem = flat.reps[y][fl]
             x1, e1 = elp.el_objs[i1s]

@@ -15,10 +15,13 @@ and p.act[f]; so the generators give El(p)'s colimit exactly.  The
 colimit's loops run over the base category's objects and generators and
 over the elements, and it names each element (x, e, t): element t of
 f(x)(y) at p's element e over x.  Its class is classes[offsets[x] +
-e * sizes[x] + t] in the ColimitResult at y, one flat table per colimit.
-Every cell below reads classes in those coordinates, so no extension builds
-El(p).  The oracles that do build it (checker._enumerate_cocones, fubini)
-keep every non-identity, so they stay independent of this shortcut.
+e * sizes[x] + t] in the ColimitResult at y, one flat table per colimit,
+and each class is named by that flat index of its least member;
+ColimitResult.members() decodes those to (x, e, t), which is what a cocone
+map reads.  Every cell below reads classes in those coordinates, so no
+extension builds El(p).  The oracles that do build it
+(checker._enumerate_cocones, fubini) keep every non-identity, so they stay
+independent of this shortcut.
 
 All quotients go through pointwise_colimit, so representatives are canonical
 and reruns are bit-identical.
@@ -74,7 +77,7 @@ def _cocone_map(data: ExtensionData, dst: Presheaf, leg) -> PresheafMorphism:
     class goes where leg(y, x, e, t) sends its representative, element t of
     f(x)(y) at the argument's element e over x."""
     return PresheafMorphism(data.presheaf, dst, [
-        [leg(y, x, e, t) for x, e, t in colim.reps]
+        [leg(y, x, e, t) for x, e, t in colim.members()]
         for y, colim in enumerate(data.colims)
     ])
 

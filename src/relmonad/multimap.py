@@ -65,6 +65,7 @@ class MultiMap:
         self.slots = tuple(slots)
         self.cod = cod
         self.name = name
+        self._signature = None
         self._val_memo = {}
         self._mor_memo = {}
         self.extensions = {}  # slot -> StrengthenMap, filled by kan.strengthen
@@ -75,10 +76,12 @@ class MultiMap:
         return len(self.slots)
 
     def signature(self):
-        return (
-            tuple((s.kind, s.cat.content_key()) for s in self.slots),
-            self.cod.content_key(),
-        )
+        if self._signature is None:
+            self._signature = (
+                tuple((s.kind, s.cat.content_key()) for s in self.slots),
+                self.cod.content_key(),
+            )
+        return self._signature
 
     def check_arity(self, args):
         if len(args) != self.arity:

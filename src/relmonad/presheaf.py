@@ -3,10 +3,10 @@
 A presheaf on a FinCategory assigns a finite labelled set to every object and
 a contravariant action to every morphism.  Colimits are taken over a graph of
 generating arrows and computed by a union-find pass whose canonical class
-representative is the least (node, copy, element) triple; every
-construction that quotients anything funnels through pointwise_colimit and
-that single pass, which is what makes nominally-isomorphic evaluations come
-out bit-identical.
+representative is its least member in the (node, copy, element)
+enumeration; every construction that quotients anything funnels through
+pointwise_colimit and that single pass, which is what makes
+nominally-isomorphic evaluations come out bit-identical.
 
 A diagram node may stand for several copies of one set, and an arrow for a
 family of copies of one map, each target copy fed from a chosen source copy.
@@ -17,7 +17,9 @@ and arrows.  A result names every element by (node, copy, element), so copy
 e of node x is El(p)'s node (x, e), and no caller needs El(p) to read it.
 It keeps one flat class table per colimit, indexed by that enumeration:
 element (k, e, t) sits at offsets[k] + e * sizes[k] + t, with no tuple per
-copy.
+copy.  A class is named by the flat index of its least member, one int per
+class; ColimitResult.members() decodes them all back to (k, e, t), in class
+order, and rep(c) decodes one.
 A colimit presheaf's action is read through the nodes only at the base's
 generators; its identity rows are the identity, and each derived row
 composes its factors' rows (FinCategory.generation).  ElementsCategory
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, SlotMismatchError
@@ -245,15 +248,17 @@ class ColimitResult:
     """A colimit's classes, flat over the (node, copy, element) enumeration.
 
     Element (k, e, t), element t of copy e of node k, has index
-    offsets[k] + e * sizes[k] + t, and classes[index] is its class.  row(k, e)
-    slices out one whole copy.
+    offsets[k] + e * sizes[k] + t, and classes[index] is its class.  A class
+    is named by the index of its least member, reps[class], one int per
+    class; members() and rep(class) decode those back to (k, e, t).
+    row(k, e) slices out one whole copy.
     """
 
     set: tuple  # labels of the classes
     classes: tuple  # per element, in enumeration order: its class index
     offsets: tuple  # per node: the index of its first element
     sizes: tuple  # per node: the size of its set, so of each copy
-    reps: tuple  # per class: its least member, (node, copy, element)
+    reps: tuple  # per class, ascending: the index of its least member
     merges: int
 
     def row(self, k: int, e: int) -> tuple:
@@ -261,6 +266,31 @@ class ColimitResult:
         n = self.sizes[k]
         i = self.offsets[k] + e * n
         return self.classes[i:i + n]
+
+    def members(self):
+        """Each class's least member as (node, copy, element), in class order.
+
+        reps ascend, so one walk along the offsets finds each one's node:
+        it steps past every node starting at or below the next rep, so
+        past the nodes with no elements.
+        """
+        offsets, sizes = self.offsets, self.sizes
+        last = len(offsets) - 1
+        k = 0
+        for i in self.reps:
+            while k < last and offsets[k + 1] <= i:
+                k += 1
+            e, t = divmod(i - offsets[k], sizes[k])
+            yield k, e, t
+
+    def rep(self, c: int) -> tuple:
+        """Class c's least member as (node, copy, element)."""
+        i = self.reps[c]
+        # the last node starting at or below i: empty nodes share their
+        # offset with the next node, which is the one holding i
+        k = bisect_right(self.offsets, i) - 1
+        e, t = divmod(i - self.offsets[k], self.sizes[k])
+        return k, e, t
 
 
 def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult:
@@ -271,9 +301,10 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
     node, copy by copy within a node, and element by element within a copy,
     so (k, e, t) has index offsets[k] + e * sizes[k] + t, and the result's
     classes are indexed by it.  Classes are ordered, and represented, by
-    their least member in that enumeration.  This is the canonicalization
-    every higher construction inherits.  The budget bounds the number of
-    elements, counting every copy.
+    their least member in that enumeration, kept as its index, one int per
+    class.  This is the canonicalization every higher construction
+    inherits.  The budget bounds the number of elements, counting every
+    copy.
 
     The union pass goes arrow by arrow, then element by element of the
     arrow's row, then copy by copy.  It keeps parent[i] <= i for every
@@ -281,8 +312,9 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
     halving only moves a pointer further down.  So every root is its
     class's least member, whatever order the unions come in, and one
     ascending pass numbers the classes in place: a root opens the next
-    class, and any other element joins the class of parent[i], which it
-    has already passed.
+    class and is its representative, and any other element joins the
+    class of parent[i], which it has already passed.  The pass builds no
+    container per class or per element.
     """
     sizes = tuple(len(s) for s in d.sets)
     copies = d.copies or (1,) * len(sizes)
@@ -323,15 +355,12 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
 
     # parent[i] becomes the class of element i, in one ascending pass
     reps = []
-    for k, (off, n, c) in enumerate(zip(offsets, sizes, copies)):
-        for i in range(off, off + n * c):
-            p = parent[i]
-            if p == i:
-                parent[i] = len(reps)
-                e, t = divmod(i - off, n)
-                reps.append((k, e, t))
-            else:
-                parent[i] = parent[p]
+    for i, p in enumerate(parent):
+        if p == i:
+            parent[i] = len(reps)
+            reps.append(i)
+        else:
+            parent[i] = parent[p]
     if len(_CLASS_LABELS) < len(reps):
         _CLASS_LABELS.extend(map("q{}".format, range(len(_CLASS_LABELS), len(reps))))
     return ColimitResult(tuple(_CLASS_LABELS[:len(reps)]), tuple(parent), tuple(offsets),
@@ -422,7 +451,7 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
         r = results[a]
         classes, offsets, sizes = r.classes, r.offsets, r.sizes
         act[m] = tuple([classes[offsets[k] + e * sizes[k] + acts[k][m][t]]
-                        for k, e, t in results[b].reps])
+                        for k, e, t in results[b].members()])
     for m, g, f in generation.derivations:
         act[m] = tuple(map(act[f].__getitem__, act[g]))
     return Presheaf(base, [r.set for r in results], act), results

@@ -239,8 +239,9 @@ def uncached_extension(f, j, args):
 def by_element(p, colim):
     """A ColimitResult over El(p) read in an extension record's (x, e, t)
     coordinates: El(p)'s node (x, e) is copy e of object x.  El(p) lists its
-    nodes in (x, e) order, so both enumerate the elements alike and only
-    the layout and the representatives change their names."""
+    nodes in (x, e) order, so both enumerate the elements alike: the classes
+    and the flat representatives carry over, and only the layout changes
+    its names."""
     el = category_of_elements(p)
     sizes = [0] * p.base.n_objects
     for (x, _), n in zip(el.el_objs, colim.sizes):
@@ -250,14 +251,13 @@ def by_element(p, colim):
         offsets.append(total)
         total += n * len(p.at[x])
     return ColimitResult(colim.set, colim.classes, tuple(offsets), tuple(sizes),
-                         tuple(el.el_objs[n] + (t,) for n, _, t in colim.reps),
-                         colim.merges)
+                         colim.reps, colim.merges)
 
 
 def assert_matches_uncached(ext, args):
     """ext.data(args) equals the El(p) route: its value, every ColimitResult
-    read through El(p)'s el_objs, and the merges it counts when the record
-    is computed, not looked up."""
+    read through El(p)'s el_objs, each class's decoded representative, and
+    the merges it counts when the record is computed, not looked up."""
     args = tuple(args)
     uncached_extension(ext.inner, ext.j, args)  # evaluate f's values first
     before = merge_counter.value
@@ -270,6 +270,9 @@ def assert_matches_uncached(ext, args):
     assert merge_counter.value - before == (el_merges if computed else 0)
     assert data.presheaf.content_key() == presheaf.content_key()
     assert data.colims == tuple(by_element(args[ext.j], r) for r in colims)
+    el_objs = category_of_elements(args[ext.j]).el_objs
+    for r, colim in zip(data.colims, colims):
+        assert list(r.members()) == [el_objs[n] + (t,) for n, _, t in colim.members()]
 
 
 def test_content_equal_maps_share_one_colimit(arrow, sum1_arrow):
