@@ -15,7 +15,7 @@ from .errors import (
     RelmonadError,
     SlotMismatchError,
 )
-from .fincat import FinCategory, FunctorTable, NatTransTable
+from .fincat import FinCategory, FunctorTable, NatTransTable, session
 from .kan import mult_cell, strengthen, strengthen_cell, theta_cell, unit_cell
 from .monad import apply_functor, interchange, interchange_perm, unit_naturality_square
 from .multimap import ComposeMap, TableMap, UnitMap, plug, unit_map
@@ -49,6 +49,7 @@ __all__ = [
     "plug",
     "run_single",
     "run_suite",
+    "session",
     "strengthen",
     "strengthen_cell",
     "theta_cell",

@@ -23,7 +23,13 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 from .errors import BudgetExceededError, RelmonadError
-from .fincat import FunctorTable, NatTransTable, compose_functor, validate_functor
+from .fincat import (
+    FunctorTable,
+    NatTransTable,
+    compose_functor,
+    session,
+    validate_functor,
+)
 from .fubini import gamma_tables
 from .gen import (
     derive_seed,
@@ -931,31 +937,34 @@ def run_single(law, index, cfg, hooks=None):
     seed = derive_seed(cfg.seed, law, index)
     rng = random.Random(seed)
     element_budget()  # a bad RELMONAD_BUDGET is the caller's error, not a verdict
-    try:
-        # the one verdict fold: the first failing check ends the instance,
-        # and the law is not resumed, so nothing after it is drawn or built;
-        # `checked` sums every check made, and a pass reports the policy of
-        # the first
-        policy, checked = "", 0
-        for v in fn(rng, cfg, hooks):
-            checked += v.checked
-            if not v.equal:
-                return LawOutcome(law, index, False, v.policy, checked, seed,
-                                  _one_line(v.witness))
-            policy = policy or v.policy
-        if not checked:
-            raise RelmonadError("nothing was checked: 0 tuples compared, so no pass")
-        return LawOutcome(law, index, True, policy, checked, seed)
-    except BudgetExceededError:
-        # a resource ceiling is an environment problem, not a law verdict
-        raise
-    except RelmonadError as e:
-        return LawOutcome(law, index, False, "error", 0, seed, _one_line(str(e)))
-    except Exception as e:  # a checker bug is this instance's error, not the run's end
-        return LawOutcome(
-            law, index, False, "error", 0, seed,
-            _one_line(f"{type(e).__name__}: {e}"),
-        )
+    # one session per instance: its cells are shared while it runs, and its
+    # memos are freed by reference count when it ends
+    with session():
+        try:
+            # the one verdict fold: the first failing check ends the instance,
+            # and the law is not resumed, so nothing after it is drawn or built;
+            # `checked` sums every check made, and a pass reports the policy of
+            # the first
+            policy, checked = "", 0
+            for v in fn(rng, cfg, hooks):
+                checked += v.checked
+                if not v.equal:
+                    return LawOutcome(law, index, False, v.policy, checked, seed,
+                                      _one_line(v.witness))
+                policy = policy or v.policy
+            if not checked:
+                raise RelmonadError("nothing was checked: 0 tuples compared, so no pass")
+            return LawOutcome(law, index, True, policy, checked, seed)
+        except BudgetExceededError:
+            # a resource ceiling is an environment problem, not a law verdict
+            raise
+        except RelmonadError as e:
+            return LawOutcome(law, index, False, "error", 0, seed, _one_line(str(e)))
+        except Exception as e:  # a checker bug is this instance's error, not the run's end
+            return LawOutcome(
+                law, index, False, "error", 0, seed,
+                _one_line(f"{type(e).__name__}: {e}"),
+            )
 
 
 def expand_laws(names):

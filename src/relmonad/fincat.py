@@ -6,15 +6,99 @@ on exactly the composable pairs.  Everything is immutable after construction
 and all derived orderings (hom lists, slot enumeration) are deterministic
 functions of the tables, which the rest of the package relies on for
 bit-identical reruns.
+
+The memos that categories and maps keep (a category's unit map,
+representables and extension records, a map's extension and substitution
+nodes) point back at their owner, so an owner's graph is cyclic while they
+are full.  A session (session() below) frees them by reference count: it
+empties the memos of every owner born while it was open when it closes, and
+while open it shares the structural cells built from the same arguments.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .errors import SlotMismatchError
+
+
+# -- sessions -----------------------------------------------------------------
+
+_sessions = []  # the open sessions, innermost last
+
+
+class Session:
+    """The memo owners born while a session is open, and its shared cells.
+
+    owners lists every FinCategory and MultiMap built inside, in order;
+    closing empties their back-pointing memos (release_memos), after which
+    their graph is acyclic and dies by reference count.  cells maps a
+    constructor and the identity of each of its arguments to the cell built
+    from them, kept with those arguments so that no id is reused while its
+    entry lives.  Identity, not content: FinCategory hashes by content, and
+    content-equal categories can carry different names.
+    """
+
+    def __init__(self):
+        self.owners = []
+        self.cells = {}
+
+    def close(self):
+        for owner in self.owners:
+            owner.release_memos()
+        self.owners.clear()
+        self.cells.clear()
+
+
+@contextmanager
+def session():
+    """Open a session for the block; it closes, and the outer one resumes,
+    on exit.
+
+    Library callers that build many maps and cells should wrap that work in
+    `with session():`, as checker.run_single does per law instance, so its
+    memos are freed by reference count instead of by the cyclic collector.
+    Outside any session every memo stays on its owner until the cyclic
+    collector frees it.
+    """
+    s = Session()
+    _sessions.append(s)
+    try:
+        yield s
+    finally:
+        _sessions.pop()
+        s.close()
+
+
+def own(owner):
+    """Register a memo owner with the innermost open session, if any."""
+    if _sessions:
+        _sessions[-1].owners.append(owner)
+
+
+def shared(build):
+    """A cell constructor interned in the innermost open session, keyed by
+    the identity of every argument; with no session open it builds afresh.
+
+    A shared cell comes back with its component memo warm, so cells must
+    not be changed after they are built.
+    """
+
+    @wraps(build)
+    def constructor(*args):
+        if not _sessions:
+            return build(*args)
+        cells = _sessions[-1].cells
+        key = (build, *map(id, args))
+        hit = cells.get(key)
+        if hit is None:
+            hit = cells[key] = (build(*args), args)
+        return hit[0]
+
+    return constructor
 
 
 @dataclass(frozen=True)
@@ -105,6 +189,13 @@ class FinCategory:
         self.unit = None  # UnitMap, built by multimap.unit_map; not in content_key
         self.representables = {}  # object -> Presheaf, filled by presheaf.representable
         self.colimits = {}  # extension input -> kan.ExtensionData, filled by kan
+        own(self)
+
+    def release_memos(self):
+        """Drop the memos that point back at this category (Session.close)."""
+        self.unit = None
+        self.representables.clear()
+        self.colimits.clear()
 
     # -- accessors ---------------------------------------------------------
 

@@ -37,6 +37,14 @@ The cells defined here are the generators of everything the checker verifies:
 
 mult_cell is not postulated: it is the untranspose of the whiskered unit,
 which is the shape every uniqueness argument downstream leans on.
+
+The memos here point back at their owners: an extension record on
+cod.colimits holds presheaves whose base is cod, and f.extensions holds the
+StrengthenMap whose inner is f.  A fincat.session() empties them when it
+closes, so what was built inside dies by reference count.  While one is
+open, the cell constructors above (all but transpose and untranspose) hand
+back one shared cell per identity of their arguments, its component memo
+warm; untranspose therefore names its composite when building it.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SlotMismatchError
-from .fincat import FinCategory
+from .fincat import FinCategory, shared
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
@@ -184,6 +192,7 @@ def strengthen(f: MultiMap, j: int) -> StrengthenMap:
 # -- generating cells ---------------------------------------------------------
 
 
+@shared
 def unit_cell(f: MultiMap, j: int) -> TwoCell:
     """f => strengthen(f, j) o_j unit: include each value at its own element."""
     ext = strengthen(f, j)
@@ -201,6 +210,7 @@ def unit_cell(f: MultiMap, j: int) -> TwoCell:
     return TwoCell(f, dst, fn, name=f"u~[{f.name};{j}]")
 
 
+@shared
 def counit_cell(h: MultiMap, j: int) -> TwoCell:
     """strengthen(h o_j unit, j) => h: evaluate along classifying morphisms."""
     if h.slots[j].kind != "psh":
@@ -225,6 +235,7 @@ def counit_cell(h: MultiMap, j: int) -> TwoCell:
     return TwoCell(src, h, fn, name=f"sg[{h.name};{j}]")
 
 
+@shared
 def theta_cell(cat: FinCategory) -> TwoCell:
     """strengthen(unit, 0) => identity: collapse hom-indexed classes by acting.
 
@@ -248,6 +259,7 @@ def theta_cell(cat: FinCategory) -> TwoCell:
     return TwoCell(src, dst, fn, name=f"th[{cat.name}]")
 
 
+@shared
 def strengthen_cell(cell: TwoCell, j: int) -> TwoCell:
     """Functorial action of strengthening at fin slot j on a cell."""
     src = strengthen(cell.src, j)
@@ -276,16 +288,17 @@ def transpose(cell: TwoCell) -> TwoCell:
     return vcomp(unit_cell(f, j), whisker_inner(cell, j, u))
 
 
-def untranspose(cell: TwoCell, pos: int, target: MultiMap) -> TwoCell:
+def untranspose(cell: TwoCell, pos: int, target: MultiMap, name=None) -> TwoCell:
     """The unique extension of cell along the unit at slot pos.
 
     cell must land in something that evaluates like target o_pos unit; the
-    result is counit(target) after the strengthened cell, and satisfies
-    transpose(untranspose(cell)) == cell.
+    result is counit(target) after the strengthened cell, named name if
+    given, and satisfies transpose(untranspose(cell)) == cell.
     """
-    return vcomp(strengthen_cell(cell, pos), counit_cell(target, pos))
+    return vcomp(strengthen_cell(cell, pos), counit_cell(target, pos), name=name)
 
 
+@shared
 def mult_cell(f: MultiMap, j: int, g: MultiMap, l: int) -> TwoCell:
     """strengthen(f^ o_j g, j+l) => f^ o_j strengthen(g, l).
 
@@ -294,6 +307,4 @@ def mult_cell(f: MultiMap, j: int, g: MultiMap, l: int) -> TwoCell:
     ft = strengthen(f, j)
     beta = whisker_outer(ft, j, unit_cell(g, l))
     target = plug(ft, j, strengthen(g, l))
-    out = untranspose(beta, j + l, target)
-    out.name = f"m^[{f.name};{j};{g.name};{l}]"
-    return out
+    return untranspose(beta, j + l, target, name=f"m^[{f.name};{j};{g.name};{l}]")

@@ -17,7 +17,7 @@ Conventions that the composites below rely on:
     endpoints.
 """
 
-from .fincat import FunctorTable, compose_functor
+from .fincat import FunctorTable, compose_functor, shared
 from .kan import (
     mult_cell,
     strengthen,
@@ -148,6 +148,7 @@ def unit_naturality_square(f: FunctorTable) -> TwoCell:
     return retree(vcomp(*steps), a, dst, name=f"i~[{f.name}]")
 
 
+@shared
 def interchange(g: MultiMap, j: int, k: int) -> TwoCell:
     """The swap  ext_j(ext_k(g))  =>  ext_k(ext_j(g))  for j != k.
 
@@ -159,9 +160,8 @@ def interchange(g: MultiMap, j: int, k: int) -> TwoCell:
     if j == k:
         raise ValueError("interchange needs two distinct slots")
     beta = strengthen_cell(unit_cell(g, j), k)
-    cell = untranspose(beta, j, strengthen(strengthen(g, j), k))
-    cell.name = f"sw[{g.name};{j},{k}]"
-    return cell
+    target = strengthen(strengthen(g, j), k)
+    return untranspose(beta, j, target, name=f"sw[{g.name};{j},{k}]")
 
 
 def interchange_perm(g: MultiMap, order_src, order_dst, strategy="left") -> TwoCell:

@@ -8,12 +8,20 @@ substitution algebra with one node: ComposeMap plugs a map into a psh slot
 and a functor table into a fin slot.  plug(f, j, g) interns that node per
 (map, slot, inner) on the outer map, as kan.strengthen interns extensions,
 so every cell whiskered by the same inner object shares its endpoints' memos.
+Those nodes point back at the outer map (ComposeMap.f, StrengthenMap.inner),
+so a map with full memos sits on a reference cycle until the cyclic
+collector finds it; a map built inside a fincat.session() has them emptied
+when the session closes, and then dies by reference count.
 
 A TwoCell is a family of presheaf morphisms between the evaluations of two
 parallel maps, one per argument tuple, built lazily and memoized.  Vertical
 composition asserts at every seam that the adjacent evaluations agree table
 for table; that assertion is what backs the convention of treating the
-reassociation isomorphisms of substitution as identities.
+reassociation isomorphisms of substitution as identities.  Inside a session,
+whisker_inner, whisker_outer and inverse_cell return one shared cell per
+identity of their arguments (fincat.shared), as the kan generators and
+monad.interchange do; so no cell is changed once built, and vcomp takes the
+composite's name as an argument.
 
 two_cell_equal decides equality of parallel cells.  The 'transpose' policy
 feeds every psh slot the representables and compares at every object tuple.
@@ -34,7 +42,14 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotInvertibleError, SlotMismatchError
-from .fincat import FinCategory, FunctorTable, ValidationFailure, ValidationReport
+from .fincat import (
+    FinCategory,
+    FunctorTable,
+    ValidationFailure,
+    ValidationReport,
+    own,
+    shared,
+)
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
@@ -70,6 +85,12 @@ class MultiMap:
         self._mor_memo = {}
         self.extensions = {}  # slot -> StrengthenMap, filled by kan.strengthen
         self.composites = {}  # (slot, inner) -> ComposeMap, filled by plug
+        own(self)
+
+    def release_memos(self):
+        """Drop the nodes that point back at this map (fincat.Session.close)."""
+        self.extensions.clear()
+        self.composites.clear()
 
     @property
     def arity(self) -> int:
@@ -359,11 +380,15 @@ def identity_cell(f: MultiMap) -> TwoCell:
     )
 
 
-def vcomp(*cells) -> TwoCell:
-    """Vertical composite, left to right; asserts seams agree bit for bit."""
+def vcomp(*cells, name=None) -> TwoCell:
+    """Vertical composite, left to right; asserts seams agree bit for bit.
+
+    name, if given, names the composite instead of the dotted list of its
+    factors' names; a single cell comes back as it is only when unnamed.
+    """
     if not cells:
         raise SlotMismatchError("vcomp of no cells")
-    if len(cells) == 1:
+    if len(cells) == 1 and name is None:
         return cells[0]
 
     def fn(args):
@@ -377,9 +402,11 @@ def vcomp(*cells) -> TwoCell:
             cur = cur.then(nxt)
         return cur
 
-    return TwoCell(cells[0].src, cells[-1].dst, fn, name=".".join(c.name for c in cells))
+    return TwoCell(cells[0].src, cells[-1].dst, fn,
+                   name=name or ".".join(c.name for c in cells))
 
 
+@shared
 def inverse_cell(cell: TwoCell) -> TwoCell:
     def fn(args):
         phi = cell.component(args)
@@ -390,6 +417,7 @@ def inverse_cell(cell: TwoCell) -> TwoCell:
     return TwoCell(cell.dst, cell.src, fn, name=f"inv[{cell.name}]")
 
 
+@shared
 def whisker_inner(cell: TwoCell, j: int, g) -> TwoCell:
     """Plug a map (or functor table) into slot j of both endpoints of a cell."""
     src = plug(cell.src, j, g)
@@ -403,6 +431,7 @@ def whisker_inner(cell: TwoCell, j: int, g) -> TwoCell:
     return TwoCell(src, dst, fn, name=f"({cell.name} o{j} {g.name})")
 
 
+@shared
 def whisker_outer(f: MultiMap, j: int, cell) -> TwoCell:
     """Apply f's action in slot j to a cell between the maps plugged there:
     a TwoCell in a psh slot, a NatTransTable in a fin slot."""

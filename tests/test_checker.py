@@ -290,6 +290,20 @@ def test_finished_run_leaves_no_presheaves_alive():
     assert _live_presheaf_objects() <= before
 
 
+def test_finished_run_leaves_no_cyclic_garbage():
+    # each instance's session empties its memos when it ends, so what the
+    # run built goes by reference count, not by the cyclic collector
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run_suite(CheckConfig(seed=3, instances=5))
+        assert gc.collect() < 10_000
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_wrong_arity_raises_slot_mismatch(arrow, sum1_arrow):
     with pytest.raises(SlotMismatchError):
         unit_map(arrow).evaluate((0, 1))

@@ -1,16 +1,18 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import codiscrete, cyclic_group, hom_sum_map, isomorphic_pair
+from conftest import codiscrete, cyclic_group, hom_sum_map, isomorphic_pair, walking_arrow
 
 from relmonad import cli, gen, kan
 from relmonad.errors import BudgetExceededError, SlotMismatchError
-from relmonad.fincat import FinCategory
+from relmonad.fincat import FinCategory, session
 from relmonad.kan import (
     counit_cell,
     mult_cell,
@@ -66,6 +68,71 @@ def el_components(el):
 
 def test_strengthen_interned(plus0_arrow):
     assert strengthen(plus0_arrow, 0) is strengthen(plus0_arrow, 0)
+
+
+# -- sessions -------------------------------------------------------------------
+
+
+def test_a_session_shares_cells_built_from_the_same_objects(arrow):
+    f = hom_sum_map(arrow, 1)
+    with session():
+        assert unit_cell(f, 0) is unit_cell(f, 0)
+        assert strengthen(f, 0) is strengthen(f, 0)
+        assert theta_cell(arrow) is theta_cell(arrow)
+        # keyed by identity: a content-equal category gets its own cell
+        assert theta_cell(walking_arrow()) is not theta_cell(arrow)
+
+
+def test_closing_a_session_empties_its_owners_memos():
+    with session():
+        c = walking_arrow()
+        f = hom_sum_map(c, 1)
+        unit_cell(f, 0).component((1,))
+        assert f.extensions and c.colimits and c.representables and c.unit is not None
+    assert f.extensions == {} and f.composites == {}
+    assert c.colimits == {} and c.representables == {} and c.unit is None
+
+
+def test_a_closed_sessions_graph_dies_by_reference_count():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with session():
+            c = walking_arrow()
+            f = hom_sum_map(c, 1)
+            cell = unit_cell(f, 0)
+            cell.component((1,))
+            theta_cell(c).component((representable(c, 1),))
+            refs = [weakref.ref(x) for x in (c, f, c.unit, strengthen(f, 0), cell)]
+        del c, f, cell
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_nested_session_restores_the_outer_one(arrow):
+    f = hom_sum_map(arrow, 1)
+    with session() as outer:
+        cell = unit_cell(f, 0)
+        with session() as inner:
+            assert unit_cell(f, 0) is not cell
+            g = hom_sum_map(arrow, 1)
+            assert inner.owners == [g]
+            strengthen(g, 0)
+        assert g.extensions == {}
+        assert unit_cell(f, 0) is cell
+        h = hom_sum_map(arrow, 1)
+        assert outer.owners[-1] is h and g not in outer.owners
+
+
+def test_without_a_session_cells_are_built_afresh_and_memos_persist(arrow):
+    f = hom_sum_map(arrow, 1)
+    assert unit_cell(f, 0) is not unit_cell(f, 0)
+    ext = strengthen(f, 0)
+    ext.evaluate((representable(arrow, 1),))
+    assert f.extensions == {0: ext}
+    assert arrow.colimits and arrow.unit is unit_map(arrow)
 
 
 def test_extension_sizes_on_sum_map(arrow, plus0_arrow):

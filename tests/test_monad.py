@@ -11,9 +11,9 @@ import pytest
 from conftest import hom_sum_map
 
 from relmonad import monad
-from relmonad.fincat import FunctorTable, NatTransTable, compose_functor
+from relmonad.fincat import FunctorTable, NatTransTable, compose_functor, session
 from relmonad.fubini import gamma_tables
-from relmonad.kan import strengthen, theta_cell
+from relmonad.kan import mult_cell, strengthen, theta_cell, unit_cell
 from relmonad.monad import (
     apply_functor,
     base_map,
@@ -99,6 +99,26 @@ def test_interchange_inverse_is_reverse_order(arrow, sum2_arrow):
     assert two_cell_equal(vcomp(fwd, bwd), identity_cell(src)).equal
     other = strengthen(strengthen(sum2_arrow, 0), 1)
     assert two_cell_equal(vcomp(bwd, fwd), identity_cell(other)).equal
+
+
+def test_shared_cells_keep_the_names_they_were_built_with(sum1_arrow, sum2_arrow, monkeypatch):
+    # a shared cell reaches every later caller, so none may be renamed
+    def name_once(cell, attr, value):
+        if attr == "name" and "name" in vars(cell):
+            raise AssertionError(f"cell {cell.name!r} renamed {value!r}")
+        object.__setattr__(cell, attr, value)
+
+    monkeypatch.setattr(TwoCell, "__setattr__", name_once)
+    with session() as s:
+        that = mult_cell(sum1_arrow, 0, sum2_arrow, 0)
+        built = [(cell, cell.name) for cell, _ in s.cells.values()]
+        sw = interchange(sum2_arrow, 0, 1)
+        assert [cell.name for cell, _ in built] == [name for _, name in built]
+        assert unit_cell(sum2_arrow, 0) in [cell for cell, _ in built]
+        assert that.name == "m^[sum1;0;sum2;0]"
+        assert sw.name == "sw[sum2;0,1]"
+        assert mult_cell(sum1_arrow, 0, sum2_arrow, 0) is that
+        assert interchange(sum2_arrow, 0, 1) is sw
 
 
 def test_transpose_compares_at_representables_without_new_cells(arrow, sum2_arrow,
