@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Break the kernel on purpose and watch a law notice.
 
-The checker ships with defect injectors: hooks that corrupt one structural
-cell while leaving everything else intact.  A healthy law suite must fail
+The checker ships with defect injectors: fault tables that corrupt one
+structural constructor wherever it is called, while leaving everything else
+intact.  A healthy law suite must fail
 under every one of them; here we scramble the fold order of the functor
 application and let the composition law catch it, then store the failing
 instance and replay it from its file.

@@ -13,8 +13,9 @@ instance, `checked` sums the checks made, and an instance that checked
 nothing is an error, never a pass.  A law run never weakens an equation
 to pass: a failed comparison, a seam mismatch, or an exception all
 produce a failing outcome carrying a one-line witness.  Defect injection
-replaces an entry in the hook table that every law builds through, so an
-injected fault flows into the same composites an honest run would build.
+is a fault table in each instance's session: a fault replaces a shared
+constructor wherever it is called, in `monad` and `kan` as in the laws,
+so it flows into the same composites an honest run would build.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from .fincat import (
     NatTransTable,
     compose_functor,
     session,
+    shared,
     validate_functor,
 )
 from .fubini import gamma_tables
@@ -96,7 +98,6 @@ __all__ = [
     "LAW_ORDER",
     "LAW_FAMILIES",
     "INJECTORS",
-    "default_hooks",
     "LAW_GROUPS",
     "expand_laws",
     "run_suite",
@@ -178,6 +179,7 @@ class CheckReport:
 
 
 # -- defect injection ---------------------------------------------------------
+# An injector is a session fault table: fault(build, *args), see fincat.Session.
 
 def _swap_first_wide_row(phi):
     comps = [list(r) for r in phi.components]
@@ -188,72 +190,58 @@ def _swap_first_wide_row(phi):
     return PresheafMorphism(phi.src, phi.dst, tuple(tuple(r) for r in comps))
 
 
-def _corrupt_cell(cell):
-    return TwoCell(
-        cell.src, cell.dst,
-        lambda args: _swap_first_wide_row(cell.component(args)),
-        name=cell.name,
-    )
+def _identity_tables(phi):
+    return PresheafMorphism(phi.src, phi.dst, tuple(tuple(range(len(r))) for r in phi.components))
 
 
-def _identity_tables_cell(cell):
-    def fn(args):
-        phi = cell.component(args)
-        return PresheafMorphism(
-            phi.src, phi.dst, tuple(tuple(range(len(r))) for r in phi.components)
-        )
+def _damaged(damage):
+    """A fault that builds the honest cell, then damages every component."""
+    def fault(build, *args):
+        cell = build(*args)
+        return TwoCell(cell.src, cell.dst, lambda a: damage(cell.component(a)), name=cell.name)
 
-    return TwoCell(cell.src, cell.dst, fn, name=cell.name)
+    return fault
 
 
-def _apply_functor_descending(f):
+def _descending_lift(build, f):
+    # apply_functor with its extensions folded highest slot first
     m = base_map(f)
     for r in range(f.arity - 1, -1, -1):
         m = strengthen(m, r)
     return m
 
 
-def _tamper_multimap(m):
+def _swapped_action(build, m):
     # swap two entries in the first wide action row; breaks either the
     # contravariant codomain action or a slot's covariance
-    for key in sorted(m.cod_act, key=repr):
-        row = m.cod_act[key]
-        if len(row) >= 2:
-            m.cod_act[key] = (row[1], row[0]) + row[2:]
-            return m
-    for key in sorted(m.slot_act, key=repr):
-        row = m.slot_act[key]
-        if len(row) >= 2:
-            m.slot_act[key] = (row[1], row[0]) + row[2:]
-            return m
+    for act in (m.cod_act, m.slot_act):
+        for key in sorted(act, key=repr):
+            row = act[key]
+            if len(row) >= 2:
+                act[key] = (row[1], row[0]) + row[2:]
+                return m
     return m
 
 
-def default_hooks():
-    return {
-        "theta": theta_cell,
-        "mult": mult_cell,
-        "interchange": interchange,
-        "apply_functor": apply_functor,
-        "tamper_square": lambda cell: cell,
-        "tamper_multimap": lambda m: m,
-    }
-
-
 INJECTORS = {
-    "theta-corrupt": lambda h: h.update(
-        theta=lambda c: _corrupt_cell(theta_cell(c))
-    ),
-    "that-corrupt": lambda h: h.update(
-        mult=lambda f, j, g, l: _corrupt_cell(mult_cell(f, j, g, l))
-    ),
-    "gamma-identity": lambda h: h.update(
-        interchange=lambda g, j, k: _identity_tables_cell(interchange(g, j, k))
-    ),
-    "t-order-scramble": lambda h: h.update(apply_functor=_apply_functor_descending),
-    "naturality-broken": lambda h: h.update(tamper_square=_corrupt_cell),
-    "contravariance-broken": lambda h: h.update(tamper_multimap=_tamper_multimap),
+    "theta-corrupt": {"theta_cell": _damaged(_swap_first_wide_row)},
+    "that-corrupt": {"mult_cell": _damaged(_swap_first_wide_row)},
+    "gamma-identity": {"interchange": _damaged(_identity_tables)},
+    "t-order-scramble": {"apply_functor": _descending_lift},
+    "naturality-broken": {"tamper_square": _damaged(_swap_first_wide_row)},
+    "contravariance-broken": {"tamper_multimap": _swapped_action},
 }
+
+
+# the instance tampers: identities, shared so that a fault reaches them
+@shared
+def tamper_square(cell):
+    return cell
+
+
+@shared
+def tamper_multimap(m):
+    return m
 
 
 # -- shared instance builders ---------------------------------------------------
@@ -337,7 +325,7 @@ def _cell_natural(cell):
                 yield _table(None if ok else f"naturality broken at slot {j}, {m}, {args}")
 
 
-def _whiskered_square(hooks, h, inner, top, ks):
+def _whiskered_square(h, inner, top, ks):
     """-> (f, gs, alpha): f is `inner` with each functor k_r composed into
     slot r, gs are the graphs of the k_r, and alpha is the unit naturality
     square of `top` whiskered by the k_r, running from h o f to the lift of
@@ -352,12 +340,12 @@ def _whiskered_square(hooks, h, inner, top, ks):
     alpha = retree(
         alpha,
         plug(h, 0, f),
-        plug_many(hooks["apply_functor"](top), dict(enumerate(gs))),
+        plug_many(apply_functor(top), dict(enumerate(gs))),
     )
     return f, gs, alpha
 
 
-def _square_instance(rng, cfg, hooks, n):
+def _square_instance(rng, cfg, n):
     """Seeded data for the lifted-square laws.
 
     Functors k_r : X_r -> W_r feed an n-ary functor into Y, and a unary l
@@ -374,17 +362,17 @@ def _square_instance(rng, cfg, hooks, n):
     l = gen_functor(rng, (yy,), zz)
     fprime = compose_functor(l, 0, inner)  # product of ws -> zz
     h = base_map(l)
-    f, gs, alpha = _whiskered_square(hooks, h, inner, fprime, ks)
-    return h, f, fprime, gs, hooks["tamper_square"](alpha), xs
+    f, gs, alpha = _whiskered_square(h, inner, fprime, ks)
+    return h, f, fprime, gs, tamper_square(alpha), xs
 
 
-def _unit_square(rng, cfg, hooks, target):
+def _unit_square(rng, cfg, target):
     """Canonical square over the unit: feed functors k_r into `target` and
     compare against the lift of `target` fed their graphs."""
     xs = tuple(_poset_category(rng, cfg) for _ in range(target.arity))
     ks = [gen_functor(rng, (x,), w) for x, w in zip(xs, target.slots)]
     h = unit_map(target.dst)
-    f, gs, alpha = _whiskered_square(hooks, h, target, target, ks)
+    f, gs, alpha = _whiskered_square(h, target, target, ks)
     return h, f, gs, alpha, xs
 
 
@@ -420,44 +408,43 @@ def _law(name, group, instances, description):
 
 @_law("extension-associative", "extension", 22,
       "Two ways of absorbing a doubly composed map into an extension agree.")
-def _law_extension_associative(rng, cfg, hooks):
+def _law_extension_associative(rng, cfg):
     x, y, f = _kleisli(rng, cfg)
     _, z, g = _kleisli(rng, cfg, src=y)
     _, w, h = _kleisli(rng, cfg, src=z)
-    mult = hooks["mult"]
     k = plug(strengthen(h, 0), 0, g)
     route_a = vcomp(
-        mult(k, 0, f, 0),
-        whisker_inner(mult(h, 0, g, 0), 0, strengthen(f, 0)),
+        mult_cell(k, 0, f, 0),
+        whisker_inner(mult_cell(h, 0, g, 0), 0, strengthen(f, 0)),
     )
     route_b = vcomp(
-        strengthen_cell(whisker_inner(mult(h, 0, g, 0), 0, f), 0),
-        mult(h, 0, plug(strengthen(g, 0), 0, f), 0),
-        whisker_outer(strengthen(h, 0), 0, mult(g, 0, f, 0)),
+        strengthen_cell(whisker_inner(mult_cell(h, 0, g, 0), 0, f), 0),
+        mult_cell(h, 0, plug(strengthen(g, 0), 0, f), 0),
+        whisker_outer(strengthen(h, 0), 0, mult_cell(g, 0, f, 0)),
     )
     yield two_cell_equal(route_a, route_b, cfg.policy)
 
 
 @_law("extension-unit", "extension", 22,
       "Extending, absorbing the unit, then collapsing the extended unit is the identity.")
-def _law_extension_unit(rng, cfg, hooks):
+def _law_extension_unit(rng, cfg):
     x, y, f = _kleisli(rng, cfg)
     ext = strengthen(f, 0)
     chain = vcomp(
         strengthen_cell(unit_cell(f, 0), 0),
-        hooks["mult"](f, 0, unit_map(x), 0),
-        whisker_outer(ext, 0, hooks["theta"](x)),
+        mult_cell(f, 0, unit_map(x), 0),
+        whisker_outer(ext, 0, theta_cell(x)),
     )
     yield two_cell_equal(chain, identity_cell(ext), cfg.policy)
 
 
 @_law("collapse-after-extension", "extension", 22,
       "Collapsing the extended unit after absorption equals extending the collapse.")
-def _law_collapse_after_extension(rng, cfg, hooks):
+def _law_collapse_after_extension(rng, cfg):
     x, y, f = _kleisli(rng, cfg)
-    th = hooks["theta"](y)
+    th = theta_cell(y)
     lhs = vcomp(
-        hooks["mult"](unit_map(y), 0, f, 0),
+        mult_cell(unit_map(y), 0, f, 0),
         whisker_inner(th, 0, strengthen(f, 0)),
     )
     rhs = strengthen_cell(whisker_inner(th, 0, f), 0)
@@ -466,22 +453,22 @@ def _law_collapse_after_extension(rng, cfg, hooks):
 
 @_law("collapse-on-unit", "extension", 22,
       "Restricting the collapse cell to the unit undoes the unit's own restriction cell.")
-def _law_collapse_on_unit(rng, cfg, hooks):
+def _law_collapse_on_unit(rng, cfg):
     x = gen_category(rng, cfg.max_objects, cfg.max_edges)
     u = unit_map(x)
-    chain = vcomp(unit_cell(u, 0), whisker_inner(hooks["theta"](x), 0, u))
+    chain = vcomp(unit_cell(u, 0), whisker_inner(theta_cell(x), 0, u))
     yield two_cell_equal(chain, identity_cell(u), cfg.policy)
 
 
 @_law("extension-absorbs-unit", "extension", 22,
       "Absorption restricted along the unit reduces to the restriction cells alone.")
-def _law_extension_absorbs_unit(rng, cfg, hooks):
+def _law_extension_absorbs_unit(rng, cfg):
     x, y, f = _kleisli(rng, cfg)
     _, z, g = _kleisli(rng, cfg, src=y)
     k = plug(strengthen(g, 0), 0, f)
     chain = vcomp(
         unit_cell(k, 0),
-        whisker_inner(hooks["mult"](g, 0, f, 0), 0, unit_map(x)),
+        whisker_inner(mult_cell(g, 0, f, 0), 0, unit_map(x)),
         whisker_outer(strengthen(g, 0), 0, inverse_cell(unit_cell(f, 0))),
     )
     yield two_cell_equal(chain, identity_cell(k), cfg.policy)
@@ -489,7 +476,7 @@ def _law_extension_absorbs_unit(rng, cfg, hooks):
 
 @_law("strength-unit-triangles", "strength", 27,
       "Both triangle identities for extension at a slot against restriction at that slot.")
-def _law_strength_unit_triangles(rng, cfg, hooks):
+def _law_strength_unit_triangles(rng, cfg):
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j = rng.randrange(f.arity)
     ext = strengthen(f, j)
@@ -505,7 +492,7 @@ def _law_strength_unit_triangles(rng, cfg, hooks):
 
 @_law("strength-substitution", "strength", 27,
       "Extension at one slot leaves substitution at any other slot untouched, table for table.")
-def _law_strength_substitution(rng, cfg, hooks):
+def _law_strength_substitution(rng, cfg):
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j, k = rng.sample(range(f.arity), 2)
     _, _, g = _kleisli(rng, cfg, dst=cats[k])
@@ -527,18 +514,18 @@ def _law_strength_substitution(rng, cfg, hooks):
 
 @_law("strength-extension-transpose", "strength", 27,
       "The absorption cell restricts along the unit to the whiskered restriction cell.")
-def _law_strength_extension_transpose(rng, cfg, hooks):
+def _law_strength_extension_transpose(rng, cfg):
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j = rng.randrange(f.arity)
     _, _, g = _kleisli(rng, cfg, dst=cats[j])
-    lhs = transpose(hooks["mult"](f, j, g, 0))
+    lhs = transpose(mult_cell(f, j, g, 0))
     rhs = whisker_outer(strengthen(f, j), j, unit_cell(g, 0))
     yield two_cell_equal(lhs, rhs, cfg.policy)
 
 
 @_law("strength-cells-functorial", "strength", 27,
       "Extending cells at a slot preserves identities and vertical composition.")
-def _law_strength_cells_functorial(rng, cfg, hooks):
+def _law_strength_cells_functorial(rng, cfg):
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j = rng.randrange(f.arity)
     j2 = (j + 1) % f.arity
@@ -554,13 +541,12 @@ def _law_strength_cells_functorial(rng, cfg, hooks):
 
 @_law("lift-identity", "lift", 17,
       "Lifting an identity functor collapses to the identity map, compatibly with composition cells.")
-def _law_lift_identity(rng, cfg, hooks):
+def _law_lift_identity(rng, cfg):
     x, y = (gen_category(rng, cfg.max_objects, cfg.max_edges) for _ in range(2))
     f = gen_functor(rng, (x,), y)
-    lift = hooks["apply_functor"]
-    tf = lift(f)
-    th_y = functor_unit_cell(hooks["theta"](y))
-    th_x = functor_unit_cell(hooks["theta"](x))
+    tf = apply_functor(f)
+    th_y = functor_unit_cell(theta_cell(y))
+    th_x = functor_unit_cell(theta_cell(x))
     left = vcomp(
         functor_comp_cell(FunctorTable.identity(y), 0, f),
         whisker_inner(th_y, 0, tf),
@@ -578,19 +564,18 @@ def _law_lift_identity(rng, cfg, hooks):
 
 @_law("lift-composition", "lift", 17,
       "Lifted composition cells associate, stay invertible, and extensions fold innermost first.")
-def _law_lift_composition(rng, cfg, hooks):
-    lift = hooks["apply_functor"]
+def _law_lift_composition(rng, cfg):
     x, y, z = (gen_category(rng, cfg.max_objects, cfg.max_edges) for _ in range(3))
     f1 = gen_functor(rng, (y,), z)
     f2 = gen_functor(rng, (x,), y)
     f3 = gen_functor(rng, (y,), x)
     lhs = vcomp(
         functor_comp_cell(compose_functor(f1, 0, f2), 0, f3),
-        whisker_inner(functor_comp_cell(f1, 0, f2), 0, lift(f3)),
+        whisker_inner(functor_comp_cell(f1, 0, f2), 0, apply_functor(f3)),
     )
     rhs = vcomp(
         functor_comp_cell(f1, 0, compose_functor(f2, 0, f3)),
-        whisker_outer(lift(f1), 0, functor_comp_cell(f2, 0, f3)),
+        whisker_outer(apply_functor(f1), 0, functor_comp_cell(f2, 0, f3)),
     )
     yield two_cell_equal(lhs, rhs, cfg.policy)
     # binary leg: the comparison stays invertible, and the lift applies
@@ -601,7 +586,7 @@ def _law_lift_composition(rng, cfg, hooks):
     fb = gen_functor(rng, (x, w), wide)
     cell = functor_comp_cell(gen_functor(rng, (wide,), y), 0, fb)
     reference = strengthen(strengthen(base_map(fb), 0), 1)
-    lifted = lift(fb)
+    lifted = apply_functor(fb)
     probes = sample_presheaves(w)
     for p in sample_presheaves(x):
         for q in probes:
@@ -615,7 +600,7 @@ def _law_lift_composition(rng, cfg, hooks):
 
 @_law("lift-naturality", "lift", 17,
       "Lifting transformations preserves identities and vertical composition.")
-def _law_lift_naturality(rng, cfg, hooks):
+def _law_lift_naturality(rng, cfg):
     x, y = (gen_category(rng, cfg.max_objects, cfg.max_edges) for _ in range(2))
     fa, fb, psi1, psi2 = _nat_pair(rng, x, y)
     pasted = NatTransTable(
@@ -644,10 +629,10 @@ def _interchange_tuples(f, j, k, cap):
 
 @_law("interchange-oracle", "interchange", 14,
       "Interchange tables match the flat double-extension computation on every sampled tuple.")
-def _law_interchange_oracle(rng, cfg, hooks):
+def _law_interchange_oracle(rng, cfg):
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j, k = sorted(rng.sample(range(f.arity), 2))
-    gamma = hooks["interchange"](f, j, k)
+    gamma = interchange(f, j, k)
     cap = 3 if f.arity == 2 else 2
     for i, args in enumerate(_interchange_tuples(f, j, k, cap)):
         want = tuple(gamma_tables(f, j, k, args))
@@ -662,10 +647,10 @@ def _law_interchange_oracle(rng, cfg, hooks):
 
 @_law("interchange-units", "interchange", 14,
       "Interchange restricted along the unit in either slot reduces to restriction cells.")
-def _law_interchange_units(rng, cfg, hooks):
+def _law_interchange_units(rng, cfg):
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j, k = sorted(rng.sample(range(f.arity), 2))
-    gamma = hooks["interchange"](f, j, k)
+    gamma = interchange(f, j, k)
     uj, uk = unit_map(cats[j]), unit_map(cats[k])
     lhs1 = whisker_inner(gamma, j, uj)
     rhs1 = vcomp(
@@ -681,35 +666,34 @@ def _law_interchange_units(rng, cfg, hooks):
     yield two_cell_equal(lhs2, rhs2, cfg.policy)
 
 
-def _interchange_extension_routes(f, j, k, h, hooks):
-    gamma = hooks["interchange"]
+def _interchange_extension_routes(f, j, k, h):
     route1 = vcomp(
-        hooks["mult"](strengthen(f, k), j, h, 0),
-        whisker_inner(gamma(f, j, k), j, strengthen(h, 0)),
+        mult_cell(strengthen(f, k), j, h, 0),
+        whisker_inner(interchange(f, j, k), j, strengthen(h, 0)),
     )
     plugged = plug(strengthen(f, j), j, h)
     route2 = vcomp(
-        strengthen_cell(whisker_inner(gamma(f, j, k), j, h), j),
-        gamma(plugged, j, k),
-        strengthen_cell(hooks["mult"](f, j, h, 0), k),
+        strengthen_cell(whisker_inner(interchange(f, j, k), j, h), j),
+        interchange(plugged, j, k),
+        strengthen_cell(mult_cell(f, j, h, 0), k),
     )
     return route1, route2
 
 
 @_law("interchange-extensions", "interchange", 14,
       "Interchange commutes with absorbing a substitution in either slot.")
-def _law_interchange_extensions(rng, cfg, hooks):
+def _law_interchange_extensions(rng, cfg):
     f, cats = _gen_wide_map(rng, cfg, rng.randrange(2))
     j, k = sorted(rng.sample(range(f.arity), 2))
     _, _, h = _kleisli(rng, cfg, dst=cats[j])
     _, _, h2 = _kleisli(rng, cfg, dst=cats[k])
-    yield two_cell_equal(*_interchange_extension_routes(f, j, k, h, hooks), cfg.policy)
-    yield two_cell_equal(*_interchange_extension_routes(f, k, j, h2, hooks), cfg.policy)
+    yield two_cell_equal(*_interchange_extension_routes(f, j, k, h), cfg.policy)
+    yield two_cell_equal(*_interchange_extension_routes(f, k, j, h2), cfg.policy)
 
 
 @_law("interchange-hexagon", "interchange", 14,
       "Both factorisations of the three-slot reversal into adjacent swaps agree.")
-def _law_interchange_hexagon(rng, cfg, hooks):
+def _law_interchange_hexagon(rng, cfg):
     f = _gen_wide_map(rng, cfg, 1)[0]
     left = interchange_perm(f, (0, 1, 2), (2, 1, 0), "left")
     right = interchange_perm(f, (0, 1, 2), (2, 1, 0), "right")
@@ -718,7 +702,7 @@ def _law_interchange_hexagon(rng, cfg, hooks):
 
 @_law("braiding-words", "interchange", 12,
       "For every permutation of three slots, any two swap words give the same cell.")
-def _law_braiding_words(rng, cfg, hooks):
+def _law_braiding_words(rng, cfg):
     f = _gen_wide_map(rng, cfg, 1)[0]
     for sigma in itertools.permutations((0, 1, 2)):
         left = interchange_perm(f, (0, 1, 2), sigma, "left")
@@ -763,7 +747,7 @@ def _enumerate_cocones(f, p, q):
 
 @_law("extension-universal", "kan", 10,
       "Restriction along the unit is invertible and mediating maps biject with cocones.")
-def _law_extension_universal(rng, cfg, hooks):
+def _law_extension_universal(rng, cfg):
     x = gen_category(rng, cfg.max_objects, cfg.max_edges)
     y = gen_category(rng, cfg.max_objects, cfg.max_edges)
     f = gen_multimap(rng, (x,), y, cfg.max_values, n_generators=1)
@@ -809,10 +793,9 @@ def _law_extension_universal(rng, cfg, hooks):
 
 @_law("square-unit-compat", "squares", 9,
       "An extended square restricted along all units is the square it extends.")
-def _law_square_unit_compat(rng, cfg, hooks):
+def _law_square_unit_compat(rng, cfg):
     n = 1 + rng.randrange(2)
-    h, f, fprime, gs, alpha, xs = _square_instance(rng, cfg, hooks, n)
-    lift = hooks["apply_functor"]
+    h, f, fprime, gs, alpha, xs = _square_instance(rng, cfg, n)
     beta = extend_square(alpha, h, f, fprime, gs)
     step = beta
     for s in range(n):
@@ -824,21 +807,19 @@ def _law_square_unit_compat(rng, cfg, hooks):
     )
     rhs = vcomp(
         alpha,
-        whisker_outer_many(lift(fprime), {r: unit_cell(gs[r], 0) for r in range(n)}),
+        whisker_outer_many(apply_functor(fprime), {r: unit_cell(gs[r], 0) for r in range(n)}),
     )
     yield two_cell_equal(lhs, rhs, cfg.policy)
 
 
 @_law("square-extension-compat", "squares", 9,
       "Extending a pasted square equals pasting the extended squares.")
-def _law_square_extension_compat(rng, cfg, hooks):
+def _law_square_extension_compat(rng, cfg):
     # upper square beta over a functor graph, lower square alpha over the
     # unit into beta's source functor; extending their paste must equal
     # pasting their extensions
-    k, f_up, f2, gps, beta, _ = _square_instance(rng, cfg, hooks, 1)
-    h, f, gs, alpha, _ = _unit_square(rng, cfg, hooks, f_up)
-    lift = hooks["apply_functor"]
-    mult = hooks["mult"]
+    k, f_up, f2, gps, beta, _ = _square_instance(rng, cfg, 1)
+    h, f, gs, alpha, _ = _unit_square(rng, cfg, f_up)
 
     beta_ext = extend_square(beta, k, f_up, f2, gps)
     alpha_ext = extend_square(alpha, h, f, f_up, gs)
@@ -851,14 +832,14 @@ def _law_square_extension_compat(rng, cfg, hooks):
             whisker_inner(beta_ext, 0, gs[0]),
         ),
         plug(h2, 0, f),
-        plug_many(lift(f2), {0: big_g[0]}),
+        plug_many(apply_functor(f2), {0: big_g[0]}),
     )
     lhs = vcomp(
         extend_square(pasted, h2, f, f2, big_g),
-        whisker_outer(lift(f2), 0, mult(gps[0], 0, gs[0], 0)),
+        whisker_outer(apply_functor(f2), 0, mult_cell(gps[0], 0, gs[0], 0)),
     )
     rhs = vcomp(
-        whisker_inner(mult(k, 0, h, 0), 0, lift(f)),
+        whisker_inner(mult_cell(k, 0, h, 0), 0, apply_functor(f)),
         whisker_outer(strengthen(k, 0), 0, alpha_ext),
         whisker_inner(beta_ext, 0, strengthen(gs[0], 0)),
     )
@@ -867,19 +848,18 @@ def _law_square_extension_compat(rng, cfg, hooks):
 
 @_law("square-collapse-compat", "squares", 9,
       "The extended identity square is conjugation by the collapse cell.")
-def _law_square_collapse_compat(rng, cfg, hooks):
+def _law_square_collapse_compat(rng, cfg):
     x = gen_category(rng, cfg.max_objects, cfg.max_edges)
-    lift = hooks["apply_functor"]
     one = FunctorTable.identity(x)
     u = unit_map(x)
-    t1 = lift(one)
+    t1 = apply_functor(one)
     alpha = retree(
         unit_naturality_square(one),
         plug(u, 0, one),
         plug(t1, 0, u),
     )
     beta = extend_square(alpha, u, one, one, [u])
-    th = retree(hooks["theta"](x), strengthen(u, 0), IdentityMap(x))
+    th = retree(theta_cell(x), strengthen(u, 0), IdentityMap(x))
     rhs = vcomp(
         whisker_inner(th, 0, t1),
         whisker_outer(t1, 0, inverse_cell(th)),
@@ -889,7 +869,7 @@ def _law_square_collapse_compat(rng, cfg, hooks):
 
 @_law("yoneda-count", "counting", 10,
       "Transformations between representables biject with morphisms.")
-def _law_yoneda_count(rng, cfg, hooks):
+def _law_yoneda_count(rng, cfg):
     c = gen_category(rng, cfg.max_objects, cfg.max_edges)
     for a, b in itertools.product(c.objects, repeat=2):
         n = len(enumerate_nat_trans(representable(c, a), representable(c, b)))
@@ -900,17 +880,17 @@ def _law_yoneda_count(rng, cfg, hooks):
 
 @_law("instance-valid", "validity", 12,
       "Generated categories, maps, functors, and squares satisfy their defining equations.")
-def _law_instance_valid(rng, cfg, hooks):
+def _law_instance_valid(rng, cfg):
     c = gen_category(rng, cfg.max_objects, cfg.max_edges)
     d = gen_category(rng, cfg.max_objects, cfg.max_edges)
     m = gen_multimap(rng, (c,), d, cfg.max_values, n_generators=2)
-    rep = validate_multimap(hooks["tamper_multimap"](m))
+    rep = validate_multimap(tamper_multimap(m))
     yield _table(rep.first and f"{rep.first.law}: {rep.first.witness}")
-    yield from _cell_natural(_square_instance(rng, cfg, hooks, 1 + rng.randrange(2))[4])
+    yield from _cell_natural(_square_instance(rng, cfg, 1 + rng.randrange(2))[4])
     # over thin categories every unit fiber is a point and a swap cannot
     # show; a parallel-path dag forces a 2-element fiber into the square
     zz = _wide_poset_category(rng)
-    wide = hooks["tamper_square"](unit_naturality_square(FunctorTable.identity(zz)))
+    wide = tamper_square(unit_naturality_square(FunctorTable.identity(zz)))
     yield from _cell_natural(wide)
     fn = gen_functor(rng, (c,), d)
     yield _table(None if validate_functor(fn).ok else "generated functor invalid")
@@ -924,29 +904,23 @@ def _one_line(w):
     return " ".join(s.split())[:200]
 
 
-def _hooks_for(cfg):
-    h = default_hooks()
-    if cfg.inject:
-        INJECTORS[cfg.inject](h)
-    return h
-
-
-def run_single(law, index, cfg, hooks=None):
-    hooks = hooks if hooks is not None else _hooks_for(cfg)
+def run_single(law, index, cfg, faults=None):
+    if faults is None and cfg.inject:
+        faults = INJECTORS[cfg.inject]
     fn = LAW_FAMILIES[law][0]
     seed = derive_seed(cfg.seed, law, index)
     rng = random.Random(seed)
     element_budget()  # a bad RELMONAD_BUDGET is the caller's error, not a verdict
-    # one session per instance: its cells are shared while it runs, and its
-    # memos are freed by reference count when it ends
-    with session():
+    # one session per instance, with `faults` (by default cfg.inject's): its
+    # cells are shared while it runs, and its memos are freed when it ends
+    with session(faults):
         try:
             # the one verdict fold: the first failing check ends the instance,
             # and the law is not resumed, so nothing after it is drawn or built;
             # `checked` sums every check made, and a pass reports the policy of
             # the first
             policy, checked = "", 0
-            for v in fn(rng, cfg, hooks):
+            for v in fn(rng, cfg):
                 checked += v.checked
                 if not v.equal:
                     return LawOutcome(law, index, False, v.policy, checked, seed,
@@ -983,10 +957,9 @@ def expand_laws(names):
 
 
 def run_suite(cfg: CheckConfig) -> CheckReport:
-    hooks = _hooks_for(cfg)
     report = CheckReport(cfg)
     for law in expand_laws(cfg.laws):
         n = cfg.instances or LAW_FAMILIES[law][1]
         for i in range(n):
-            report.outcomes.append(run_single(law, i, cfg, hooks))
+            report.outcomes.append(run_single(law, i, cfg))
     return report

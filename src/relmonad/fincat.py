@@ -12,7 +12,10 @@ representables and extension records, a map's extension and substitution
 nodes) point back at their owner, so an owner's graph is cyclic while they
 are full.  A session (session() below) frees them by reference count: it
 empties the memos of every owner born while it was open when it closes, and
-while open it shares the structural cells built from the same arguments.
+while open it shares the structural cells built from the same arguments.  It
+also holds the one fault table of the package: a fault named after a shared
+constructor replaces that constructor's build at every call site, so a defect
+injected there reaches the cells built inside other cells too.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ _sessions = []  # the open sessions, innermost last
 
 
 class Session:
-    """The memo owners born while a session is open, and its shared cells.
+    """The memo owners born while a session is open, its shared cells, and
+    its faults.
 
     owners lists every FinCategory and MultiMap built inside, in order;
     closing empties their back-pointing memos (release_memos), after which
@@ -39,12 +43,16 @@ class Session:
     constructor and the identity of each of its arguments to the cell built
     from them, kept with those arguments so that no id is reused while its
     entry lives.  Identity, not content: FinCategory hashes by content, and
-    content-equal categories can carry different names.
+    content-equal categories can carry different names.  faults maps the
+    name of a shared constructor to a fault: fault(build, *args) returns
+    what the session holds in place of build(*args), build being the
+    honest, unshared constructor.
     """
 
-    def __init__(self):
+    def __init__(self, faults=None):
         self.owners = []
         self.cells = {}
+        self.faults = faults or {}
 
     def close(self):
         for owner in self.owners:
@@ -54,7 +62,7 @@ class Session:
 
 
 @contextmanager
-def session():
+def session(faults=None):
     """Open a session for the block; it closes, and the outer one resumes,
     on exit.
 
@@ -63,8 +71,12 @@ def session():
     memos are freed by reference count instead of by the cyclic collector.
     Outside any session every memo stays on its owner until the cyclic
     collector frees it.
+
+    faults (see Session) holds for this session only: a nested session has
+    its own table, and once the block exits, by return or by exception,
+    every constructor is honest again.
     """
-    s = Session()
+    s = Session(faults)
     _sessions.append(s)
     try:
         yield s
@@ -80,22 +92,26 @@ def own(owner):
 
 
 def shared(build):
-    """A cell constructor interned in the innermost open session, keyed by
-    the identity of every argument; with no session open it builds afresh.
+    """A constructor interned in the innermost open session, keyed by the
+    identity of every argument; with no session open it builds afresh.
 
-    A shared cell comes back with its component memo warm, so cells must
-    not be changed after they are built.
+    On a miss the session's fault named build.__name__, if any, builds in
+    place of build, and its result is interned like an honest one.  A
+    shared cell comes back with its component memo warm, so cells must not
+    be changed after they are built.
     """
+    name = build.__name__
 
     @wraps(build)
     def constructor(*args):
         if not _sessions:
             return build(*args)
-        cells = _sessions[-1].cells
+        s = _sessions[-1]
         key = (build, *map(id, args))
-        hit = cells.get(key)
+        hit = s.cells.get(key)
         if hit is None:
-            hit = cells[key] = (build(*args), args)
+            fault = s.faults.get(name)
+            hit = s.cells[key] = (build(*args) if fault is None else fault(build, *args), args)
         return hit[0]
 
     return constructor

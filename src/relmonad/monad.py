@@ -55,6 +55,7 @@ def base_map(f: FunctorTable) -> MultiMap:
     return plug(unit_map(f.dst), 0, f)
 
 
+@shared
 def apply_functor(f: FunctorTable) -> MultiMap:
     """Lift a functor between index categories to a map on presheaves.
 

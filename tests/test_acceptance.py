@@ -26,7 +26,7 @@ EXPLAIN_DIGEST = "5cf806636f8de5293236a70f7d3f6bcba87387d4f828f60efa2dbc275e127c
 # injector the fold decides every law's lines, not only the target law's
 INJECTED_42_DIGESTS = {
     "theta-corrupt": "9dd41491dd452914d55fd3ac4e533a4c34c49d3016b59e4518abdbc9e6856d33",
-    "that-corrupt": "da0cad10af292e8f0d562aefbee6ff3a0ba40185fd5e89690e28e13725022efc",
+    "that-corrupt": "add793432f2d99d23404c414fe4af8822322ff4e87c1a91fc8d073ceee625f0a",
     "gamma-identity": "d8103d883857fe9cf8ef8d326b0ed3343903deed840d6c82d699f84fcbdcf181",
     "t-order-scramble": "b3da135cb36074711a20ddae668e1dfda6be52276f2a7b2a0f8c675a2378849b",
     "naturality-broken": "cf7c102b87580d4ec1a0866a95c0cae351eddc4d3d05fd037d0e8e4557650d7a",

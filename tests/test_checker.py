@@ -9,20 +9,23 @@ live at specific derived seeds.
 
 import gc
 import hashlib
+from collections import Counter
 
 import pytest
 
-from relmonad import cli, monad
+from relmonad import cli, kan, monad
 from relmonad.checker import (
     INJECTORS,
     LAW_FAMILIES,
     LAW_ORDER,
     CheckConfig,
-    _corrupt_cell,
+    _damaged,
+    _swap_first_wide_row,
     run_suite,
     run_single,
 )
 from relmonad.errors import SlotMismatchError
+from relmonad.fincat import FunctorTable, session
 from relmonad.gen import derive_seed
 from relmonad.multimap import CellComparison, TwoCell, identity_cell, unit_map
 from relmonad.presheaf import Presheaf, PresheafMorphism
@@ -73,7 +76,7 @@ def _stub_law(monkeypatch, checks):
     # replace one law by a generator over `checks`, keeping its registry entry
     law = "extension-unit"
     _, instances, group, description = LAW_FAMILIES[law]
-    monkeypatch.setitem(LAW_FAMILIES, law, (lambda rng, cfg, hooks: checks(), instances,
+    monkeypatch.setitem(LAW_FAMILIES, law, (lambda rng, cfg: checks(), instances,
                                             group, description))
     return run_single(law, 0, CheckConfig(seed=1))
 
@@ -126,7 +129,7 @@ def test_law_that_raises_is_an_error_outcome(monkeypatch, exc):
 
 
 def test_law_that_raises_leaves_the_rest_of_the_run(monkeypatch, capsys):
-    def raising(rng, cfg, hooks):
+    def raising(rng, cfg):
         raise TypeError("unsupported operand")
         yield
 
@@ -237,22 +240,65 @@ def test_injection_does_not_leak_between_runs(inject, law):
     assert rep.ok
 
 
-def test_braiding_words_mismatch_is_a_failure(monkeypatch):
+def test_braiding_words_mismatch_is_a_failure():
     # corrupt one adjacent swap only: the two words for a permutation then
     # disagree, and the law must report that as a FAIL, not raise
-    honest = monad.interchange
+    corrupt = _damaged(_swap_first_wide_row)
 
-    def one_bad_swap(g, j, k):
-        cell = honest(g, j, k)
-        return _corrupt_cell(cell) if (j, k) == (2, 0) else cell
+    def one_bad_swap(build, g, j, k):
+        return corrupt(build, g, j, k) if (j, k) == (2, 0) else build(g, j, k)
 
-    monkeypatch.setattr(monad, "interchange", one_bad_swap)
-    rep = run_suite(CheckConfig(seed=42, instances=3, laws=("braiding-words",)))
-    fails = [o for o in rep.outcomes if not o.ok]
+    outcomes = [run_single("braiding-words", i, CheckConfig(seed=42), {"interchange": one_bad_swap})
+                for i in range(3)]
+    fails = [o for o in outcomes if not o.ok]
     assert fails
     for o in fails:
         assert o.policy == "transpose" and o.checked > 0
         assert o.witness.startswith(("word mismatch for", "round trip not identity for"))
+
+
+def test_a_fault_reaches_cells_built_inside_other_cells(monkeypatch, arrow, sum1_arrow,
+                                                       sum2_arrow):
+    # counting faults fire for the unit and absorption cells that kan.mult_cell
+    # and monad.functor_comp_cell build inside themselves, and stop firing
+    # once the session closes, even when the law raised
+    fired = Counter()
+
+    def counting(build, *args):
+        fired[build.__name__] += 1
+        return build(*args)
+
+    faults = {"unit_cell": counting, "mult_cell": counting}
+    one = FunctorTable.identity(arrow)
+
+    def build_both():
+        kan.mult_cell(sum1_arrow, 0, sum2_arrow, 0)
+        monad.functor_comp_cell(one, 0, one)
+
+    with session(faults):
+        kan.mult_cell(sum1_arrow, 0, sum2_arrow, 0)
+        assert fired == {"mult_cell": 1, "unit_cell": 1}
+        # its restriction cell and its absorption's share one unit cell
+        monad.functor_comp_cell(one, 0, one)
+        assert fired == {"mult_cell": 2, "unit_cell": 2}
+
+    def raising(rng, cfg):
+        build_both()
+        raise TypeError("law raised")
+        yield
+
+    _, instances, group, description = LAW_FAMILIES["extension-unit"]
+    monkeypatch.setitem(LAW_FAMILIES, "extension-unit", (raising, instances, group, description))
+    fired.clear()
+    out = run_single("extension-unit", 0, CheckConfig(seed=1), faults)
+    assert out.witness == "TypeError: law raised"
+    assert fired == {"mult_cell": 2, "unit_cell": 2}
+
+    fired.clear()
+    build_both()
+    with session():
+        build_both()
+    assert not fired
 
 
 def test_cell_names_carry_no_memory_address(monkeypatch):

@@ -119,16 +119,35 @@ def test_one_substitution_constructor():
     assert owners == {"multimap.py:plug"}, f"ComposeMap built in {sorted(owners)}"
 
 
+def _laws(tree):
+    """The functions that @_law registers, in a parsed checker.py."""
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef)
+            and any(getattr(getattr(d, "func", None), "id", None) == "_law"
+                    for d in node.decorator_list)]
+
+
 def test_every_law_yields_its_checks():
     # a law yields one comparison per check, and run_single's fold alone
     # turns them into the verdict
-    tree = ast.parse((PACKAGE / "checker.py").read_text())
-    laws = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-            and any(getattr(getattr(d, "func", None), "id", None) == "_law"
-                    for d in node.decorator_list)]
+    laws = _laws(ast.parse((PACKAGE / "checker.py").read_text()))
     silent = [node.name for node in laws
               if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(node))]
     assert len(laws) == 23 and not silent, f"laws that yield no check: {silent}"
+
+
+def test_laws_take_only_rng_and_cfg():
+    # an injected fault reaches a law through its session's fault table
+    # alone: every law takes exactly (rng, cfg), and the checker names no
+    # `hooks`, so a second injection path cannot come back
+    tree = ast.parse((PACKAGE / "checker.py").read_text())
+    laws = _laws(tree)
+    wrong = [node.name for node in laws
+             if ast.dump(node.args) != ast.dump(ast.parse("def f(rng, cfg): pass").body[0].args)]
+    hooks = sorted(n.lineno for n in ast.walk(tree)
+                   if "hooks" in (getattr(n, "id", None), getattr(n, "arg", None),
+                                  getattr(n, "attr", None)))
+    assert len(laws) == 23 and not wrong, f"laws not taking (rng, cfg): {wrong}"
+    assert not hooks, f"`hooks` named on checker.py lines {hooks}"
 
 
 def test_verdicts_are_built_in_one_place():
