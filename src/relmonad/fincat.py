@@ -384,7 +384,9 @@ class FunctorTable:
         )
 
     @staticmethod
+    @shared
     def identity(c):
+        """The identity functor on c; a session keeps one per category."""
         return FunctorTable.unary(c, c, list(c.objects), list(c.morphisms), name=f"1_{c.name}")
 
     def content_key(self):

@@ -20,8 +20,8 @@ and each class is named by that flat index of its least member;
 ColimitResult.members() decodes those to (x, e, t), which is what a cocone
 map reads.  Every cell below reads classes in those coordinates, so no
 extension builds El(p).  The oracles that do build it
-(checker._enumerate_cocones, fubini) keep every non-identity, so they stay
-independent of this shortcut.
+(checker._colimit_certificate, fubini) keep every non-identity, so they
+stay independent of this shortcut.
 
 All quotients go through pointwise_colimit, so representatives are canonical
 and reruns are bit-identical.

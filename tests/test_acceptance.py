@@ -95,8 +95,8 @@ def test_criterion_6_lax_idempotency():
     rep, failed, dt = _run(laws)
     n = len(rep.outcomes)
     ok = not failed and n >= 10 and dt <= LIMIT
-    _line(6, ok, f"collapse cell bijective, both unit triangles exact, extension "
-                 f"universal among enumerated cocones: {n - len(failed)}/{n} in {dt:.1f}s")
+    _line(6, ok, f"collapse cell bijective, both unit triangles exact, each extension "
+                 f"a certified colimit: {n - len(failed)}/{n} in {dt:.1f}s")
 
 
 def test_criterion_7_square_compatibility():

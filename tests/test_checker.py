@@ -9,7 +9,9 @@ live at specific derived seeds.
 
 import gc
 import hashlib
+import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -19,14 +21,15 @@ from relmonad.checker import (
     LAW_FAMILIES,
     LAW_ORDER,
     CheckConfig,
+    _colimit_certificate,
     _damaged,
     _swap_first_wide_row,
     run_suite,
     run_single,
 )
-from relmonad.errors import SlotMismatchError
+from relmonad.errors import BudgetExceededError, SlotMismatchError
 from relmonad.fincat import FunctorTable, session
-from relmonad.gen import derive_seed
+from relmonad.gen import derive_seed, gen_category, gen_multimap, gen_presheaf
 from relmonad.multimap import CellComparison, TwoCell, identity_cell, unit_map
 from relmonad.presheaf import Presheaf, PresheafMorphism
 
@@ -255,6 +258,76 @@ def test_braiding_words_mismatch_is_a_failure():
     for o in fails:
         assert o.policy == "transpose" and o.checked > 0
         assert o.witness.startswith(("word mismatch for", "round trip not identity for"))
+
+
+def _drawn_record():
+    """-> (f, p, data, b): an honest extension record on a drawn p with more
+    than 7 elements, a non-identity action row with two distinct entries,
+    and a codomain object b with a class of two or more members, next to a
+    second class."""
+    rng = random.Random(0)
+    while True:
+        x, y = gen_category(rng, 3, 3), gen_category(rng, 3, 3)
+        try:
+            f = gen_multimap(rng, (x,), y, 24, n_generators=1)
+        except BudgetExceededError:
+            continue
+        p = gen_presheaf(rng, x, 24)
+        data = kan.strengthen(f, 0).data((p,))
+        if sum(map(len, p.at)) <= 7 or not any(
+                len(set(row)) >= 2 and not y.is_identity(u)
+                for u, row in enumerate(data.presheaf.act)):
+            continue
+        for b in y.objects:
+            classes = data.colims[b].classes
+            if 2 <= len(set(classes)) < len(classes):
+                return f, p, data, b
+
+
+def _damaged_record(data, b, classes, n, rows):
+    """data with class table `classes` and n classes at b, and the action
+    row at u replaced by rows(u, row)."""
+    colims = list(data.colims)
+    colims[b] = replace(colims[b], classes=tuple(classes))
+    at = list(data.presheaf.at)
+    at[b] = tuple(f"q{c}" for c in range(n))
+    act = [rows(u, row) for u, row in enumerate(data.presheaf.act)]
+    return kan.ExtensionData(Presheaf(data.presheaf.base, at, act), tuple(colims))
+
+
+def test_colimit_certificate_rejects_damaged_records():
+    f, p, data, b = _drawn_record()
+    y = f.cod
+    assert all(_colimit_certificate(f, p, data, a) is None for a in y.objects)
+    classes = data.colims[b].classes
+    n = len(data.presheaf.at[b])
+
+    # the two highest classes at b merged, the value relabelled to match
+    def lower(c):
+        return n - 2 if c == n - 1 else c
+
+    def merged_row(u, row):
+        row = row[:-1] if y.tgt(u) == b else row
+        return tuple(map(lower, row)) if y.src(u) == b else row
+
+    merged = _damaged_record(data, b, map(lower, classes), n - 1, merged_row)
+    # one element of a class with other members moved into a fresh class n
+    i = next(i for i, c in enumerate(classes) if classes.count(c) > 1)
+    moved = _damaged_record(data, b, classes[:i] + (n,) + classes[i + 1:], n + 1,
+                            lambda u, row: row + (row[classes[i]],) if y.tgt(u) == b else row)
+    # two distinct entries of one non-identity action row swapped
+    u = next(u for u, row in enumerate(data.presheaf.act)
+             if len(set(row)) >= 2 and not y.is_identity(u))
+    row = data.presheaf.act[u]
+    j = next(j for j, c in enumerate(row) if c != row[0])
+    swapped_row = list(row)
+    swapped_row[0], swapped_row[j] = row[j], row[0]
+    swapped = _damaged_record(data, y.tgt(u), data.colims[y.tgt(u)].classes,
+                              len(data.presheaf.at[y.tgt(u)]),
+                              lambda v, r: tuple(swapped_row) if v == u else r)
+    assert _colimit_certificate(f, p, merged, b) is not None
+    assert _colimit_certificate(f, p, moved, b) is not None
+    assert _colimit_certificate(f, p, swapped, y.tgt(u)) is not None
 
 
 def test_a_fault_reaches_cells_built_inside_other_cells(monkeypatch, arrow, sum1_arrow,

@@ -12,7 +12,7 @@ from conftest import codiscrete, cyclic_group, hom_sum_map, isomorphic_pair, wal
 
 from relmonad import cli, gen, kan
 from relmonad.errors import BudgetExceededError, SlotMismatchError
-from relmonad.fincat import FinCategory, session
+from relmonad.fincat import FinCategory, FunctorTable, session
 from relmonad.kan import (
     counit_cell,
     mult_cell,
@@ -81,6 +81,14 @@ def test_a_session_shares_cells_built_from_the_same_objects(arrow):
         assert theta_cell(arrow) is theta_cell(arrow)
         # keyed by identity: a content-equal category gets its own cell
         assert theta_cell(walking_arrow()) is not theta_cell(arrow)
+
+
+def test_a_session_keeps_one_identity_functor_per_category(arrow):
+    # so monad.functor_unit_cell's lift of the identity is the one that
+    # lift-identity's functor_comp_cell builds, not a fresh chain per call
+    with session():
+        assert FunctorTable.identity(arrow) is FunctorTable.identity(arrow)
+    assert FunctorTable.identity(arrow) is not FunctorTable.identity(arrow)
 
 
 def test_closing_a_session_empties_its_owners_memos():

@@ -188,3 +188,17 @@ def test_psh_slots_are_made_only_by_extensions():
             owners.add(f"{path.name}:{inside[0] if inside else '<outside a method>'}")
     assert owners == {"kan.py:StrengthenMap.__init__", "multimap.py:IdentityMap.__init__"}, (
         f"psh slots made in {sorted(owners)}")
+
+
+def test_no_law_swallows_a_budget():
+    # a budget hit inside a law reaches run_single, which leaves it to the
+    # caller as the environment's limit; a law that caught it would skip its
+    # check silently, where a skip has to be a counted outcome.  A bare
+    # except, or one naming a base class, would swallow it too.
+    catching = {"BudgetExceededError", "RelmonadError", "Exception", "BaseException"}
+    laws = _laws(ast.parse((PACKAGE / "checker.py").read_text()))
+    swallowing = sorted(
+        f"{node.name}:{handler.lineno}" for node in laws for handler in ast.walk(node)
+        if isinstance(handler, ast.ExceptHandler) and (handler.type is None or catching & {
+            getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(handler.type)}))
+    assert len(laws) == 23 and not swallowing, f"laws catching a budget hit: {swallowing}"
