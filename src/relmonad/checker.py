@@ -308,8 +308,8 @@ def _cell_natural(cell):
     check per component and per naturality square."""
     slots = [s.cat for s in cell.src.slots]
     for args in itertools.product(*(c.objects for c in slots)):
-        rep = validate_presheaf_morphism(cell.component(args))
-        yield _table(rep.first and f"component at {args}: {rep.first.law}")
+        bad = validate_presheaf_morphism(cell.component(args))
+        yield _table(bad and f"component at {args}: {bad[0]}")
     for j, c in enumerate(slots):
         for m in c.morphisms:
             if c.is_identity(m):
@@ -869,8 +869,8 @@ def _law_instance_valid(rng, cfg):
     c = gen_category(rng, cfg.max_objects, cfg.max_edges)
     d = gen_category(rng, cfg.max_objects, cfg.max_edges)
     m = gen_multimap(rng, (c,), d, cfg.max_values, n_generators=2)
-    rep = validate_multimap(tamper_multimap(m))
-    yield _table(rep.first and f"{rep.first.law}: {rep.first.witness}")
+    bad = validate_multimap(tamper_multimap(m))
+    yield _table(bad and f"{bad[0]}: {bad[1]}")
     yield from _cell_natural(_square_instance(rng, cfg, 1 + rng.randrange(2))[4])
     # over thin categories every unit fiber is a point and a swap cannot
     # show; a parallel-path dag forces a 2-element fiber into the square
@@ -878,7 +878,7 @@ def _law_instance_valid(rng, cfg):
     wide = tamper_square(unit_naturality_square(FunctorTable.identity(zz)))
     yield from _cell_natural(wide)
     fn = gen_functor(rng, (c,), d)
-    yield _table(None if validate_functor(fn).ok else "generated functor invalid")
+    yield _table(None if validate_functor(fn) is None else "generated functor invalid")
 
 
 LAW_ORDER = tuple(LAW_FAMILIES)

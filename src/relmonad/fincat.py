@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property, wraps
 
 from .errors import SlotMismatchError
@@ -115,25 +114,6 @@ def shared(build):
         return hit[0]
 
     return constructor
-
-
-@dataclass(frozen=True)
-class ValidationFailure:
-    law: str
-    witness: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    failures: tuple[ValidationFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def first(self) -> ValidationFailure | None:
-        return self.failures[0] if self.failures else None
 
 
 class Graph:
@@ -299,33 +279,30 @@ class FinCategory:
         return f"FinCategory({self.name!r}, obj={self.n_objects}, mor={self.n_morphisms})"
 
 
-def validate_category(c: FinCategory) -> ValidationReport:
-    """Exhaustive check of the category laws; returns every violation found.
-
-    Violation law names: missing-composite, spurious-composite, bad-identity,
-    broken-identity, broken-associativity, bad-typing.
+def validate_category(c: FinCategory) -> tuple[str, str] | None:
+    """Exhaustive check of the category laws: None, or the first violation
+    as a (law, witness) pair, out of bad-identity, spurious-composite,
+    bad-typing, missing-composite, broken-identity, broken-associativity.
     """
-    fails = []
     for a in c.objects:
         i = c.identity[a]
         if not (0 <= i < c.n_morphisms and c.mor_src[i] == a and c.mor_tgt[i] == a):
-            fails.append(ValidationFailure("bad-identity", f"obj {a} has identity {i}"))
+            return "bad-identity", f"obj {a} has identity {i}"
     for (g, f), gf in c.comp.items():
         if c.mor_tgt[f] != c.mor_src[g]:
-            fails.append(ValidationFailure("spurious-composite", f"comp({g},{f}) defined but not composable"))
-        elif not (c.mor_src[gf] == c.mor_src[f] and c.mor_tgt[gf] == c.mor_tgt[g]):
-            fails.append(ValidationFailure("bad-typing", f"comp({g},{f})={gf} has wrong endpoints"))
+            return "spurious-composite", f"comp({g},{f}) defined but not composable"
+        if not (0 <= gf < c.n_morphisms and c.mor_src[gf] == c.mor_src[f]
+                and c.mor_tgt[gf] == c.mor_tgt[g]):
+            return "bad-typing", f"comp({g},{f})={gf} has wrong endpoints"
     for f in c.morphisms:
         for g in c.morphisms:
             if c.mor_tgt[f] == c.mor_src[g] and (g, f) not in c.comp:
-                fails.append(ValidationFailure("missing-composite", f"comp({g},{f}) undefined"))
-    if fails:
-        return ValidationReport(tuple(fails))
+                return "missing-composite", f"comp({g},{f}) undefined"
     for f in c.morphisms:
         if c.comp[(f, c.identity[c.mor_src[f]])] != f:
-            fails.append(ValidationFailure("broken-identity", f"{f} o id != {f}"))
+            return "broken-identity", f"{f} o id != {f}"
         if c.comp[(c.identity[c.mor_tgt[f]], f)] != f:
-            fails.append(ValidationFailure("broken-identity", f"id o {f} != {f}"))
+            return "broken-identity", f"id o {f} != {f}"
     for f in c.morphisms:
         for g in c.morphisms:
             if c.mor_tgt[f] != c.mor_src[g]:
@@ -335,12 +312,8 @@ def validate_category(c: FinCategory) -> ValidationReport:
                 if c.mor_tgt[g] != c.mor_src[h]:
                     continue
                 if c.comp[(h, gf)] != c.comp[(c.comp[(h, g)], f)]:
-                    fails.append(
-                        ValidationFailure(
-                            "broken-associativity", f"(h={h}, g={g}, f={f})"
-                        )
-                    )
-    return ValidationReport(tuple(fails))
+                    return "broken-associativity", f"(h={h}, g={g}, f={f})"
+    return None
 
 
 class FunctorTable:
@@ -401,28 +374,41 @@ class FunctorTable:
         return f"FunctorTable({self.name!r}, arity={self.arity}, dst={self.dst.name!r})"
 
 
-def validate_functor(F: FunctorTable) -> ValidationReport:
-    """Identities, typing, and functoriality on all composable morphism tuples."""
-    fails = []
+def _table_gap(table, factors, size):
+    """The first tuple over factors that table lacks or sends outside
+    range(size), else the first key of table that is no such tuple, else None."""
+    keys = list(itertools.product(*factors))
+    known = set(keys)
+    return next(itertools.chain((k for k in keys if table.get(k) not in range(size)),
+                                (k for k in table if k not in known)), None)
+
+
+def validate_functor(F: FunctorTable) -> tuple[str, str] | None:
+    """Totality, identities, typing, and functoriality on all composable
+    morphism tuples, in that order: None, or the first violation as a (law,
+    witness) pair, out of functor-typing (also for a missing, extra or
+    out-of-range entry), functor-identity and functor-composition."""
+    for table, factors, size in ((F.obj_map, [s.objects for s in F.slots], F.dst.n_objects),
+                                 (F.mor_map, [s.morphisms for s in F.slots], F.dst.n_morphisms)):
+        gap = _table_gap(table, factors, size)
+        if gap is not None:
+            return "functor-typing", f"at {gap}"
     for objs in itertools.product(*(s.objects for s in F.slots)):
         ids = tuple(s.id_of(a) for s, a in zip(F.slots, objs))
-        if F.mor_map.get(ids) != F.dst.id_of(F.obj_map[objs]):
-            fails.append(ValidationFailure("functor-identity", f"at {objs}"))
+        if F.mor_map[ids] != F.dst.id_of(F.obj_map[objs]):
+            return "functor-identity", f"at {objs}"
     for ms, m_img in F.mor_map.items():
         srcs = tuple(s.src(m) for s, m in zip(F.slots, ms))
         tgts = tuple(s.tgt(m) for s, m in zip(F.slots, ms))
         if F.dst.src(m_img) != F.obj_map[srcs] or F.dst.tgt(m_img) != F.obj_map[tgts]:
-            fails.append(ValidationFailure("functor-typing", f"at {ms}"))
-    if fails:
-        return ValidationReport(tuple(fails))
-    all_mors = list(F.mor_map)
-    for fs in all_mors:
-        for gs in all_mors:
+            return "functor-typing", f"at {ms}"
+    for fs in F.mor_map:
+        for gs in F.mor_map:
             if all(s.tgt(f) == s.src(g) for s, g, f in zip(F.slots, gs, fs)):
                 comp = tuple(s.compose(g, f) for s, g, f in zip(F.slots, gs, fs))
                 if F.mor_map[comp] != F.dst.compose(F.mor_map[gs], F.mor_map[fs]):
-                    fails.append(ValidationFailure("functor-composition", f"g={gs} f={fs}"))
-    return ValidationReport(tuple(fails))
+                    return "functor-composition", f"g={gs} f={fs}"
+    return None
 
 
 def compose_functor(f: FunctorTable, i: int, g: FunctorTable) -> FunctorTable:
@@ -456,19 +442,25 @@ class NatTransTable:
         return self.components[tuple(objs)]
 
 
-def validate_nat_trans(t: NatTransTable) -> ValidationReport:
-    fails = []
+def validate_nat_trans(t: NatTransTable) -> tuple[str, str] | None:
+    """Typing, then naturality at every morphism tuple: None, or the first
+    violation as a (law, witness) pair, out of nat-typing (also for functors
+    that are not parallel and a missing, extra or out-of-range component)
+    and naturality."""
     F, G = t.src, t.dst
+    if F.slots != G.slots or (F.dst is not G.dst and F.dst != G.dst):
+        return "nat-typing", f"{F.name} and {G.name} are not parallel"
+    gap = _table_gap(t.components, [s.objects for s in F.slots], F.dst.n_morphisms)
+    if gap is not None:
+        return "nat-typing", f"at {gap}"
     for objs, m in t.components.items():
         if F.dst.src(m) != F.evaluate(objs) or F.dst.tgt(m) != G.evaluate(objs):
-            fails.append(ValidationFailure("nat-typing", f"at {objs}"))
-    if fails:
-        return ValidationReport(tuple(fails))
+            return "nat-typing", f"at {objs}"
     for ms in F.mor_map:
         srcs = tuple(s.src(m) for s, m in zip(F.slots, ms))
         tgts = tuple(s.tgt(m) for s, m in zip(F.slots, ms))
         left = F.dst.compose(t.component(tgts), F.apply_mor(ms))
         right = F.dst.compose(G.apply_mor(ms), t.component(srcs))
         if left != right:
-            fails.append(ValidationFailure("naturality", f"at morphism tuple {ms}"))
-    return ValidationReport(tuple(fails))
+            return "naturality", f"at morphism tuple {ms}"
+    return None

@@ -306,7 +306,7 @@ def gen_functor(rng: random.Random, slot_cats, dst: FinCategory) -> FunctorTable
         if not ok:
             continue
         cand = FunctorTable(slots, dst, obj_map, mor_map, name="genF")
-        if validate_functor(cand).ok:
+        if validate_functor(cand) is None:
             return cand
     o = rng.randrange(dst.n_objects)
     return FunctorTable(
@@ -336,7 +336,7 @@ def enumerate_functor_nats(f: FunctorTable, g: FunctorTable):
     found = []
     for combo in itertools.product(*per_obj):
         comp = dict(zip(prod_objs, combo))
-        if validate_nat_trans(NatTransTable(f, g, comp)).ok:
+        if validate_nat_trans(NatTransTable(f, g, comp)) is None:
             found.append(comp)
     return found
 

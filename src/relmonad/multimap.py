@@ -45,8 +45,6 @@ from .errors import NotInvertibleError, SlotMismatchError
 from .fincat import (
     FinCategory,
     FunctorTable,
-    ValidationFailure,
-    ValidationReport,
     own,
     shared,
 )
@@ -267,83 +265,63 @@ def plug(f: MultiMap, j: int, g) -> ComposeMap:
     return hit
 
 
-def validate_multimap(m: MultiMap) -> ValidationReport:
+def validate_multimap(m: MultiMap) -> tuple[str, str] | None:
     """Exhaustive law check for a map whose slots are all 'fin'.
 
     Checks every evaluation is a presheaf, every slot action is natural,
     slot actions are functorial, and actions in distinct slots commute.
+    Returns None, or the first violation as a (law, witness) pair, out of
+    validate_presheaf's and validate_presheaf_morphism's laws, slot-identity,
+    slot-composition and slot-commutation.
     """
     if any(s.kind != "fin" for s in m.slots):
         raise SlotMismatchError("validate_multimap requires all-fin slots")
-    fails = []
+
+    def moved(args, j, x):
+        return args[:j] + (x,) + args[j + 1 :]
+
+    def acts(args, j, f, k, g):
+        # slot j's action by f at args, then slot k's action by g
+        after = moved(args, j, m.slots[j].cat.tgt(f))
+        return m.morphism_at(args, j, f).then(m.morphism_at(after, k, g)).components
+
     spaces = [list(s.cat.objects) for s in m.slots]
     for args in itertools.product(*spaces):
-        r = validate_presheaf(m.evaluate(args))
-        if not r.ok:
-            fails.append(ValidationFailure(r.first.law, f"args={args}: {r.first.witness}"))
+        bad = validate_presheaf(m.evaluate(args))
+        if bad:
+            return bad[0], f"args={args}: {bad[1]}"
     for j, s in enumerate(m.slots):
         others = spaces[:j] + [[None]] + spaces[j + 1 :]
         for pre in itertools.product(*others):
             for mor in s.cat.morphisms:
-                args = pre[:j] + (s.cat.src(mor),) + pre[j + 1 :]
-                phi = m.morphism_at(args, j, mor)
-                r = validate_presheaf_morphism(phi)
-                if not r.ok:
-                    fails.append(
-                        ValidationFailure(
-                            r.first.law, f"slot {j} mor {mor} args={args}"
-                        )
-                    )
+                args = moved(pre, j, s.cat.src(mor))
+                bad = validate_presheaf_morphism(m.morphism_at(args, j, mor))
+                if bad:
+                    return bad[0], f"slot {j} mor {mor} args={args}"
             for a in s.cat.objects:
-                args = pre[:j] + (a,) + pre[j + 1 :]
+                args = moved(pre, j, a)
                 ida = m.morphism_at(args, j, s.cat.id_of(a))
                 if ida.components != PresheafMorphism.identity(m.evaluate(args)).components:
-                    fails.append(ValidationFailure("slot-identity", f"slot {j} args={args}"))
+                    return "slot-identity", f"slot {j} args={args}"
             for f1 in s.cat.morphisms:
                 for f2 in s.cat.morphisms:
                     if s.cat.tgt(f1) != s.cat.src(f2):
                         continue
-                    args = pre[:j] + (s.cat.src(f1),) + pre[j + 1 :]
-                    one = m.morphism_at(args, j, f1).then(
-                        m.morphism_at(args[:j] + (s.cat.tgt(f1),) + args[j + 1 :], j, f2)
-                    )
+                    args = moved(pre, j, s.cat.src(f1))
                     both = m.morphism_at(args, j, s.cat.compose(f2, f1))
-                    if one.components != both.components:
-                        fails.append(
-                            ValidationFailure(
-                                "slot-composition", f"slot {j} {f2} o {f1} args={args}"
-                            )
-                        )
+                    if acts(args, j, f1, j, f2) != both.components:
+                        return "slot-composition", f"slot {j} {f2} o {f1} args={args}"
     for j in range(m.arity):
         for k in range(j + 1, m.arity):
             cj, ck = m.slots[j].cat, m.slots[k].cat
-            others = [
-                spaces[i] if i not in (j, k) else [None] for i in range(m.arity)
-            ]
+            others = [[None] if i in (j, k) else sp for i, sp in enumerate(spaces)]
             for pre in itertools.product(*others):
                 for mj in cj.morphisms:
                     for mk in ck.morphisms:
-                        base = list(pre)
-                        base[j], base[k] = cj.src(mj), ck.src(mk)
-                        base = tuple(base)
-                        jk = m.morphism_at(base, j, mj).then(
-                            m.morphism_at(
-                                base[:j] + (cj.tgt(mj),) + base[j + 1 :], k, mk
-                            )
-                        )
-                        kj = m.morphism_at(base, k, mk).then(
-                            m.morphism_at(
-                                base[:k] + (ck.tgt(mk),) + base[k + 1 :], j, mj
-                            )
-                        )
-                        if jk.components != kj.components:
-                            fails.append(
-                                ValidationFailure(
-                                    "slot-commutation",
-                                    f"slots {j},{k} mors {mj},{mk} args={base}",
-                                )
-                            )
-    return ValidationReport(tuple(fails))
+                        base = moved(moved(pre, j, cj.src(mj)), k, ck.src(mk))
+                        if acts(base, j, mj, k, mk) != acts(base, k, mk, j, mj):
+                            return "slot-commutation", f"slots {j},{k} mors {mj},{mk} args={base}"
+    return None
 
 
 # -- two-cells ----------------------------------------------------------------

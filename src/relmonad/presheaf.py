@@ -35,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, SlotMismatchError
-from .fincat import FinCategory, Graph, ValidationFailure, ValidationReport
+from .fincat import FinCategory, Graph
 
 DEFAULT_BUDGET = 10**5
 
@@ -89,24 +89,21 @@ class Presheaf:
         return f"Presheaf(base={self.base.name!r}, sizes={sizes})"
 
 
-def validate_presheaf(p: Presheaf) -> ValidationReport:
-    """Typing, identity action, and contravariant functoriality, exhaustively."""
+def validate_presheaf(p: Presheaf) -> tuple[str, str] | None:
+    """Shape, typing, identity action, and contravariant functoriality,
+    exhaustively: None, or the first violation as a (law, witness) pair, out
+    of presheaf-shape, presheaf-typing, broken-identity-action and
+    broken-contravariance."""
     c = p.base
-    fails = []
     if len(p.at) != c.n_objects or len(p.act) != c.n_morphisms:
-        return ValidationReport((ValidationFailure("presheaf-shape", "table sizes"),))
+        return "presheaf-shape", "table sizes"
     for m in c.morphisms:
         row = p.act[m]
-        if len(row) != len(p.at[c.tgt(m)]) or any(
-            not (0 <= v < len(p.at[c.src(m)])) for v in row
-        ):
-            fails.append(ValidationFailure("presheaf-typing", f"act[{m}]"))
-    if fails:
-        return ValidationReport(tuple(fails))
+        if len(row) != len(p.at[c.tgt(m)]) or not all(0 <= v < len(p.at[c.src(m)]) for v in row):
+            return "presheaf-typing", f"act[{m}]"
     for a in c.objects:
-        i = c.id_of(a)
-        if p.act[i] != tuple(range(len(p.at[a]))):
-            fails.append(ValidationFailure("broken-identity-action", f"act[id_{a}]"))
+        if p.act[c.id_of(a)] != tuple(range(len(p.at[a]))):
+            return "broken-identity-action", f"act[id_{a}]"
     for f in c.morphisms:
         for g in c.morphisms:
             if c.tgt(f) != c.src(g):
@@ -114,10 +111,8 @@ def validate_presheaf(p: Presheaf) -> ValidationReport:
             gf = c.compose(g, f)
             composed = tuple(p.act[f][p.act[g][e]] for e in range(len(p.at[c.tgt(g)])))
             if composed != p.act[gf]:
-                fails.append(
-                    ValidationFailure("broken-contravariance", f"g={g} f={f}")
-                )
-    return ValidationReport(tuple(fails))
+                return "broken-contravariance", f"g={g} f={f}"
+    return None
 
 
 class PresheafMorphism:
@@ -164,23 +159,25 @@ class PresheafMorphism:
         return f"PresheafMorphism({self.components!r})"
 
 
-def validate_presheaf_morphism(phi: PresheafMorphism) -> ValidationReport:
-    fails = []
-    c = phi.src.base
+def validate_presheaf_morphism(phi: PresheafMorphism) -> tuple[str, str] | None:
+    """Typing, then naturality at every morphism of the base: None, or the
+    first violation as a (law, witness) pair, out of morphism-typing (also
+    for ends over different bases and a wrong row count) and
+    broken-naturality."""
+    p, q = phi.src, phi.dst
+    c = p.base
+    if (q.base is not c and q.base != c) or len(phi.components) != c.n_objects:
+        return "morphism-typing", f"{len(phi.components)} rows from {c.name} to {q.base.name}"
     for x, row in enumerate(phi.components):
-        if len(row) != len(phi.src.at[x]) or any(
-            not (0 <= v < len(phi.dst.at[x])) for v in row
-        ):
-            fails.append(ValidationFailure("morphism-typing", f"at object {x}"))
-    if fails:
-        return ValidationReport(tuple(fails))
+        if len(row) != len(p.at[x]) or not all(0 <= v < len(q.at[x]) for v in row):
+            return "morphism-typing", f"at object {x}"
     for m in c.morphisms:
         a, b = c.src(m), c.tgt(m)
-        left = tuple(phi.components[a][phi.src.act[m][e]] for e in range(len(phi.src.at[b])))
-        right = tuple(phi.dst.act[m][phi.components[b][e]] for e in range(len(phi.src.at[b])))
+        left = tuple(phi.components[a][p.act[m][e]] for e in range(len(p.at[b])))
+        right = tuple(q.act[m][phi.components[b][e]] for e in range(len(p.at[b])))
         if left != right:
-            fails.append(ValidationFailure("broken-naturality", f"morphism {m}"))
-    return ValidationReport(tuple(fails))
+            return "broken-naturality", f"morphism {m}"
+    return None
 
 
 # -- representables ----------------------------------------------------------
@@ -517,17 +514,9 @@ def enumerate_nat_trans(p: Presheaf, q: Presheaf, budget: int = 10**6):
     ]
     found = []
     for comps in itertools.product(*per_object):
-        ok = True
-        for m in c.morphisms:
-            a, b = c.src(m), c.tgt(m)
-            for e in range(len(p.at[b])):
-                if comps[a][p.act[m][e]] != q.act[m][comps[b][e]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(PresheafMorphism(p, q, comps))
+        phi = PresheafMorphism(p, q, comps)
+        if validate_presheaf_morphism(phi) is None:
+            found.append(phi)
     return found
 
 

@@ -71,9 +71,9 @@ def _put(table, key, value, lineno, what):
 
 
 def _checked(artifact, validate, lineno, kind):
-    rep = validate(artifact)
-    if not rep.ok:
-        _fail(lineno, f"{kind} law broken: {rep.first.law} at {rep.first.witness}")
+    bad = validate(artifact)
+    if bad:
+        _fail(lineno, f"{kind} law broken: {bad[0]} at {bad[1]}")
     return artifact
 
 

@@ -23,7 +23,7 @@ def test_flat_anchor_on_arrow(arrow, sum2_arrow):
     assert flat.presheaf.act[2] == (1, 0)
     assert flat.coproj[(0, 0)][0] == (0, 1)
     assert flat.coproj[(1, 1)][0] == (0, 1)
-    assert validate_presheaf(flat.presheaf).ok
+    assert validate_presheaf(flat.presheaf) is None
 
 
 def test_flat_anchor_degenerate(arrow, sum2_arrow):
@@ -31,7 +31,7 @@ def test_flat_anchor_degenerate(arrow, sum2_arrow):
     flat = flat_double_extension(sum2_arrow, 0, 1, (y0, y0))
     assert tuple(len(s) for s in flat.presheaf.at) == (2, 0)
     assert flat.presheaf.act[2] == ()
-    assert validate_presheaf(flat.presheaf).ok
+    assert validate_presheaf(flat.presheaf) is None
 
 
 def _components(el):
@@ -62,4 +62,4 @@ def test_flat_respects_sum_sizes(arrow, sum2_arrow):
             flat = flat_double_extension(sum2_arrow, 0, 1, (p, q))
             for y in arrow.objects:
                 assert len(flat.presheaf.at[y]) == cq * len(p.at[y]) + cp * len(q.at[y])
-            assert validate_presheaf(flat.presheaf).ok
+            assert validate_presheaf(flat.presheaf) is None

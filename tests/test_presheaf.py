@@ -37,7 +37,7 @@ def test_representable_sizes_on_arrow(arrow):
     assert tuple(len(s) for s in y1.at) == (1, 1)
     assert y1.at[0] == ("m2",)
     assert y1.act[2] == (0,)  # precompose id1 with a
-    assert validate_presheaf(y0).ok and validate_presheaf(y1).ok
+    assert validate_presheaf(y0) is None and validate_presheaf(y1) is None
 
 
 def test_representable_built_once_per_category(arrow):
@@ -54,7 +54,7 @@ def test_representable_built_once_per_category(arrow):
 def test_representables_validate_everywhere(arrow, z2, lz3, square):
     for c in (arrow, z2, lz3, square):
         for a in c.objects:
-            assert validate_presheaf(representable(c, a)).ok
+            assert validate_presheaf(representable(c, a)) is None
 
 
 def test_presheaf_validation_catches_tampering(lz3):
@@ -63,14 +63,12 @@ def test_presheaf_validation_catches_tampering(lz3):
     bad_act = list(p.act)
     bad_act[1] = (2, 1, 1)
     bad = Presheaf(lz3, p.at, bad_act)
-    report = validate_presheaf(bad)
-    assert not report.ok
-    assert report.first.law == "broken-contravariance"
+    assert validate_presheaf(bad)[0] == "broken-contravariance"
 
 
 def test_yoneda_action_and_classifying(arrow):
     act = yoneda_action(arrow, 2)
-    assert validate_presheaf_morphism(act).ok
+    assert validate_presheaf_morphism(act) is None
     y1 = representable(arrow, 1)
     chi = classifying_morphism(y1, 0, 0)  # classify the element a of y1(0)
     assert chi.components == act.components
@@ -80,7 +78,7 @@ def test_classifying_morphism_is_natural(square):
     p = representable(square, 3)
     for x in square.objects:
         for e in range(len(p.at[x])):
-            assert validate_presheaf_morphism(classifying_morphism(p, x, e)).ok
+            assert validate_presheaf_morphism(classifying_morphism(p, x, e)) is None
 
 
 def test_morphism_compose_and_inverse(arrow):
@@ -100,8 +98,8 @@ def test_coproduct_sizes_and_labels(arrow):
     s, (i0, i1) = coproduct_presheaves([y0, y1])
     assert tuple(len(x) for x in s.at) == (2, 1)
     assert s.at[0] == ("0:m0", "1:m2")
-    assert validate_presheaf(s).ok
-    assert validate_presheaf_morphism(i0).ok and validate_presheaf_morphism(i1).ok
+    assert validate_presheaf(s) is None
+    assert validate_presheaf_morphism(i0) is None and validate_presheaf_morphism(i1) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,11 +111,11 @@ def test_coproduct_injections_partition_the_sum(seed, picks):
     family = sample_presheaves(c)
     ps = [family[i % len(family)] for i in picks]
     s, injections = coproduct_presheaves(ps)
-    assert validate_presheaf(s).ok
+    assert validate_presheaf(s) is None
     assert len(injections) == len(ps)
     for p, inj in zip(ps, injections):
         assert inj.src is p and inj.dst is s
-        assert validate_presheaf_morphism(inj).ok
+        assert validate_presheaf_morphism(inj) is None
     for x in c.objects:
         images = [v for inj in injections for v in inj.components[x]]
         assert sorted(images) == list(range(len(s.at[x])))
@@ -129,7 +127,7 @@ def test_pushout_of_arrow_codomain(arrow):
         "span", 3, [0, 1, 2, 0, 0], [0, 1, 2, 1, 2], [0, 1, 2],
         {(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 0): 3, (4, 0): 4, (1, 3): 3, (2, 4): 4},
     )
-    assert validate_category(span).ok
+    assert validate_category(span) is None
     y0, y1 = representable(arrow, 0), representable(arrow, 1)
     leg = yoneda_action(arrow, 2)
     ps = [y0, y1, y1]
@@ -142,10 +140,10 @@ def test_pushout_of_arrow_codomain(arrow):
     )
     assert tuple(len(x) for x in colim.at) == (1, 2)
     assert colim.act[2] == (0, 0)  # both glued points restrict to the same element
-    assert validate_presheaf(colim).ok
+    assert validate_presheaf(colim) is None
     for i, p in enumerate(ps):
         copr = PresheafMorphism(p, colim, [r.row(i, 0) for r in results])
-        assert validate_presheaf_morphism(copr).ok
+        assert validate_presheaf_morphism(copr) is None
 
 
 def test_colimit_reps_are_least(arrow):
@@ -479,7 +477,7 @@ def test_enumerate_nat_trans_matches_yoneda(arrow, square):
                 found = enumerate_nat_trans(ys[a], ys[b])
                 assert len(found) == len(c.hom(a, b))
                 for t in found:
-                    assert validate_presheaf_morphism(t).ok
+                    assert validate_presheaf_morphism(t) is None
 
 
 def test_enumerate_nat_trans_budget(square):
@@ -493,12 +491,12 @@ def test_sample_family(arrow, z2):
     fam = sample_presheaves(arrow)
     assert len(fam) == 5
     for p in fam:
-        assert validate_presheaf(p).ok
+        assert validate_presheaf(p) is None
     # singleton object category still yields representable + coproduct + quotient
     fam2 = sample_presheaves(z2)
     assert len(fam2) == 3
     for p in fam2:
-        assert validate_presheaf(p).ok
+        assert validate_presheaf(p) is None
 
 
 def _direct_action(base, ps, results):
@@ -538,4 +536,4 @@ def test_colimit_action_matches_the_rows_read_through_the_nodes(seed):
     shape = Graph(len(nodes), [1 + m // 2 for m in maps], [0] * len(maps))
     quotient, results = pointwise_colimit(shape, nodes, maps, c)
     assert quotient.act == _direct_action(c, nodes, results)
-    assert validate_presheaf(quotient).ok
+    assert validate_presheaf(quotient) is None

@@ -202,3 +202,20 @@ def test_no_law_swallows_a_budget():
         if isinstance(handler, ast.ExceptHandler) and (handler.type is None or catching & {
             getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(handler.type)}))
     assert len(laws) == 23 and not swallowing, f"laws catching a budget hit: {swallowing}"
+
+
+def test_validators_stop_at_the_first_violation():
+    # every validate_* returns None or its first violation, so none collects
+    # violations into a list, and the report classes that held such lists
+    # do not come back
+    collecting, named = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("validate_"):
+                collecting += [f"{path.name}:{n.lineno} {node.name}" for n in ast.walk(node)
+                               if isinstance(n, ast.Attribute) and n.attr == "append"]
+        named += [f"{path.name}:{line}" for line, source in enumerate(text.splitlines(), 1)
+                  if "ValidationReport" in source or "ValidationFailure" in source]
+    assert not collecting, f"validators that collect violations: {collecting}"
+    assert not named, f"report classes named at {named}"

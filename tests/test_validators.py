@@ -1,0 +1,205 @@
+"""The six validators return None or their first violation as a (law,
+witness) pair: they report malformed tables as typing violations, never
+raise on one, and check their phases in a fixed order."""
+
+import random
+import re
+
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from conftest import hom_sum_map
+from relmonad import gen
+from relmonad.errors import BudgetExceededError
+from relmonad.fincat import (
+    FinCategory,
+    FunctorTable,
+    NatTransTable,
+    validate_category,
+    validate_functor,
+    validate_nat_trans,
+)
+from relmonad.multimap import TableMap, validate_multimap
+from relmonad.presheaf import (
+    Presheaf,
+    PresheafMorphism,
+    representable,
+    validate_presheaf,
+    validate_presheaf_morphism,
+)
+
+# -- malformed tables ------------------------------------------------------------
+
+
+def test_partial_or_overfull_functor_tables_are_typing_violations(arrow):
+    # no image for morphism 2; no image for object 1; an image for a morphism 3
+    # that arrow lacks
+    assert validate_functor(FunctorTable.unary(arrow, arrow, [0, 1], [0, 1])) == (
+        "functor-typing", "at (2,)")
+    assert validate_functor(FunctorTable.unary(arrow, arrow, [0], [0, 1, 2])) == (
+        "functor-typing", "at (1,)")
+    assert validate_functor(FunctorTable.unary(arrow, arrow, [0, 1], [0, 1, 2, 2])) == (
+        "functor-typing", "at (3,)")
+
+
+def test_malformed_presheaf_morphisms_are_typing_violations(arrow, z2):
+    y0 = representable(arrow, 0)
+    for phi in (
+        PresheafMorphism(y0, y0, [(0,)]),  # no row for object 1
+        PresheafMorphism(y0, representable(z2, 0), [(0,), ()]),  # ends over other bases
+        PresheafMorphism(y0, y0, [(0,), (), ()]),  # a row for an object arrow lacks
+    ):
+        assert validate_presheaf_morphism(phi)[0] == "morphism-typing"
+
+
+def test_malformed_transformations_are_typing_violations(arrow, square):
+    f = FunctorTable.identity(arrow)
+    corner = FunctorTable.unary(arrow, square, [0, 1], [0, 1, 4], name="corner")
+    for t in (
+        NatTransTable(f, f, {(0,): 0}),  # no component at object 1
+        NatTransTable(f, f, {(0,): 0, (1,): 1, (2,): 2}),  # a component at no object
+        NatTransTable(f, corner, {(0,): 0, (1,): 1}),  # arrow -> arrow vs arrow -> square
+    ):
+        assert validate_nat_trans(t)[0] == "nat-typing"
+
+
+# -- first-violation order -------------------------------------------------------
+# each table breaks two phases; repairing the earlier one shows the later one
+
+
+def test_category_checks_identities_before_totality(arrow):
+    missing = dict(arrow.comp)
+    del missing[(1, 2)]
+    both = FinCategory("m", 2, arrow.mor_src, arrow.mor_tgt, [0, 2], missing)
+    assert validate_category(both) == ("bad-identity", "obj 1 has identity 2")
+    only = FinCategory("m", 2, arrow.mor_src, arrow.mor_tgt, arrow.identity, missing)
+    assert validate_category(only) == ("missing-composite", "comp(1,2) undefined")
+
+
+def test_functor_checks_totality_before_functoriality(lz3):
+    assert validate_functor(FunctorTable.unary(lz3, lz3, [0], [0, 0])) == (
+        "functor-typing", "at (2,)")
+    assert validate_functor(FunctorTable.unary(lz3, lz3, [0], [0, 0, 2])) == (
+        "functor-composition", "g=(1,) f=(2,)")
+
+
+def test_nat_trans_checks_typing_before_naturality(lz3, z2):
+    ident = FunctorTable.identity(lz3)
+    elsewhere = FunctorTable.unary(lz3, z2, [0], [0, 0, 0], name="pt")
+    assert validate_nat_trans(NatTransTable(ident, elsewhere, {(0,): 1})) == (
+        "nat-typing", "1_LZ3 and pt are not parallel")
+    assert validate_nat_trans(NatTransTable(ident, ident, {(0,): 1})) == (
+        "naturality", "at morphism tuple (2,)")
+
+
+def test_presheaf_checks_typing_before_contravariance(lz3):
+    p = representable(lz3, 0)
+    act = list(p.act)
+    act[1] = (2, 1, 1)  # breaks contravariance
+    act[2] = (0, 1, 5)  # 5 is out of range
+    assert validate_presheaf(Presheaf(lz3, p.at, act)) == ("presheaf-typing", "act[2]")
+    act[2] = p.act[2]
+    assert validate_presheaf(Presheaf(lz3, p.at, act)) == ("broken-contravariance", "g=1 f=1")
+
+
+def test_presheaf_morphism_checks_typing_before_naturality(lz3):
+    p = representable(lz3, 0)
+    swap = (0, 2, 1)  # swaps p and q, which precomposition does not commute with
+    assert validate_presheaf_morphism(PresheafMorphism(p, p, [swap, ()])) == (
+        "morphism-typing", "2 rows from LZ3 to LZ3")
+    assert validate_presheaf_morphism(PresheafMorphism(p, p, [swap])) == (
+        "broken-naturality", "morphism 1")
+
+
+def test_multimap_checks_values_before_slot_actions(arrow):
+    good = hom_sum_map(arrow, 2, name="sum2")
+    cod_act, slot_act = dict(good.cod_act), dict(good.slot_act)
+    cod_act[(1, 1, 0)] = (1, 0)  # the identity of object 0 swaps y_1 + y_1 at 0
+    slot_act[(0, 2, 1, 0)] = (1, 0)  # slot 0's arrow lands in the wrong summand
+    both = TableMap([arrow, arrow], arrow, good.sets, cod_act, slot_act)
+    assert validate_multimap(both) == ("broken-identity-action", "args=(1, 1): act[id_0]")
+    only = TableMap([arrow, arrow], arrow, good.sets, good.cod_act, slot_act)
+    assert validate_multimap(only) == ("broken-naturality", "slot 0 mor 2 args=(0, 1)")
+
+
+# -- gen's draws, intact and with one entry tampered -----------------------------
+
+
+def _names_a_law(law, *validators):
+    # the law appears as a whole word in one of the validators' docstrings
+    docs = " ".join(v.__doc__ for v in validators)
+    return re.search(rf"(?<![\w-]){re.escape(law)}(?![\w-])", docs) is not None
+
+
+def _tampered_value(rng, size, out_of_range):
+    return rng.choice([-1, size, 10**6]) if out_of_range else rng.randrange(max(size, 1))
+
+
+def _category(rng, out_of_range):
+    c = gen.gen_category(rng, 3, 4)
+    key = rng.choice(sorted(c.comp))
+    comp = {**c.comp, key: _tampered_value(rng, c.n_morphisms, out_of_range)}
+    bad = FinCategory(c.name, c.n_objects, c.mor_src, c.mor_tgt, c.identity, comp)
+    return c, bad, (validate_category,), "bad-typing"
+
+
+def _functor(rng, out_of_range):
+    c, d = gen.gen_category(rng, 3, 4), gen.gen_category(rng, 3, 4)
+    f = gen.gen_functor(rng, (c,), d)
+    obj_map, mor_map = dict(f.obj_map), dict(f.mor_map)
+    table, size = rng.choice([(obj_map, d.n_objects), (mor_map, d.n_morphisms)])
+    table[rng.choice(sorted(table))] = _tampered_value(rng, size, out_of_range)
+    return f, FunctorTable(f.slots, d, obj_map, mor_map), (validate_functor,), "functor-typing"
+
+
+def _nat_trans(rng, out_of_range):
+    c, d = gen.gen_category(rng, 3, 4), gen.gen_category(rng, 3, 4)
+    f, g = gen.gen_functor(rng, (c,), d), gen.gen_functor(rng, (c,), d)
+    t = gen.gen_nat_trans(rng, f, g) or gen.gen_nat_trans(rng, f, f)
+    comps = dict(t.components)
+    comps[rng.choice(sorted(comps))] = _tampered_value(rng, d.n_morphisms, out_of_range)
+    return t, NatTransTable(t.src, t.dst, comps), (validate_nat_trans,), "nat-typing"
+
+
+def _presheaf(rng, out_of_range):
+    c = gen.gen_category(rng, 3, 4)
+    p = gen.gen_presheaf(rng, c, 24)
+    m = rng.choice([m for m in c.morphisms if p.act[m]])
+    row = list(p.act[m])
+    row[rng.randrange(len(row))] = _tampered_value(rng, len(p.at[c.src(m)]), out_of_range)
+    act = p.act[:m] + (tuple(row),) + p.act[m + 1:]
+    return p, Presheaf(c, p.at, act), (validate_presheaf,), "presheaf-typing"
+
+
+def _one_slot_map(rng, out_of_range):
+    c, d = gen.gen_category(rng, 3, 4), gen.gen_category(rng, 3, 4)
+    m = gen.gen_multimap(rng, (c,), d, 24, n_generators=1)
+    cod_act, slot_act = dict(m.cod_act), dict(m.slot_act)
+    table, typing = rng.choice([(cod_act, "presheaf-typing"), (slot_act, "morphism-typing")])
+    key = rng.choice(sorted(k for k, row in table.items() if row))
+    row = list(table[key])
+    # every fiber has at most 24 elements, so 24 is out of range
+    row[rng.randrange(len(row))] = _tampered_value(rng, 24, out_of_range)
+    table[key] = tuple(row)
+    bad = TableMap((c,), d, m.sets, cod_act, slot_act)
+    return m, bad, (validate_multimap, validate_presheaf, validate_presheaf_morphism), typing
+
+
+DRAWS = {"category": _category, "functor": _functor, "nat-trans": _nat_trans,
+         "presheaf": _presheaf, "one-slot-map": _one_slot_map}
+
+
+@pytest.mark.parametrize("kind", sorted(DRAWS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), out_of_range=st.booleans())
+def test_tampered_draws_report_a_documented_law(kind, seed, out_of_range):
+    try:
+        good, bad, validators, typing = DRAWS[kind](random.Random(seed), out_of_range)
+    except BudgetExceededError:
+        reject()  # a one-slot map with a fiber over 24 elements, or too many transformations
+    assert validators[0](good) is None
+    found = validators[0](bad)
+    assert found is None or _names_a_law(found[0], *validators), found
+    if out_of_range:
+        assert found is not None and found[0] == typing, found
