@@ -83,6 +83,7 @@ from .multimap import (
 from .presheaf import (
     PresheafMorphism,
     category_of_elements,
+    coproduct_presheaves,
     element_budget,
     enumerate_nat_trans,
     representable,
@@ -770,7 +771,15 @@ def _law_extension_universal(rng, cfg):
     for a in x.objects:
         invertible = unit_cell(f, 0).component((a,)).is_bijection()
         yield _table(None if invertible else f"unit restriction not invertible at {a}")
-    p = gen_presheaf(rng, x, cfg.max_values)
+    # a sum of 2-4 draws, as many as fit in max_values, so p is often large
+    ps, size = [], 0
+    for _ in range(rng.randint(2, 4)):
+        q = gen_presheaf(rng, x, cfg.max_values)
+        size += sum(map(len, q.at))
+        if ps and size > cfg.max_values:
+            break
+        ps.append(q)
+    p, _ = coproduct_presheaves(ps)
     data = ext.data((p,))
     for b in y.objects:
         yield _table(_colimit_certificate(f, p, data, b), "count")

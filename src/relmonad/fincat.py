@@ -120,8 +120,8 @@ class Graph:
     """A finite directed graph: a colimit's shape, given by its generating arrows.
 
     A colimit only needs arrows that generate the shape category; identities
-    and composites merge nothing the generators do not.  FinCategory has the
-    same surface, so a category also serves as its own (redundant) shape.
+    and composites merge nothing the generators do not.  A FinCategory is a
+    Graph, so a category also serves as its own (redundant) shape.
     """
 
     def __init__(self, n_objects, mor_src, mor_tgt):
@@ -166,20 +166,17 @@ class Generation(Graph):
                          [c.mor_tgt[m] for m in self.generators])
 
 
-class FinCategory:
+class FinCategory(Graph):
     """A finite category as dense integer tables.
 
     comp maps (g, f) -> g after f, defined exactly when tgt(f) == src(g).
     """
 
     def __init__(self, name, n_objects, mor_src, mor_tgt, identity, comp):
+        super().__init__(n_objects, mor_src, mor_tgt)
         self.name = name
-        self.n_objects = n_objects
-        self.mor_src = tuple(mor_src)
-        self.mor_tgt = tuple(mor_tgt)
         self.identity = tuple(identity)
         self.comp = dict(comp)
-        self.n_morphisms = len(self.mor_src)
         self._key = None
         self._hash = None
         self.unit = None  # UnitMap, built by multimap.unit_map; not in content_key
@@ -202,12 +199,6 @@ class FinCategory:
     @property
     def morphisms(self):
         return range(self.n_morphisms)
-
-    def src(self, m):
-        return self.mor_src[m]
-
-    def tgt(self, m):
-        return self.mor_tgt[m]
 
     def id_of(self, a):
         return self.identity[a]
@@ -268,7 +259,8 @@ class FinCategory:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, FinCategory) and self.content_key() == other.content_key()
+        return other is self or (isinstance(other, FinCategory)
+                                 and self.content_key() == other.content_key())
 
     def __hash__(self):
         if self._hash is None:
@@ -280,10 +272,22 @@ class FinCategory:
 
 
 def validate_category(c: FinCategory) -> tuple[str, str] | None:
-    """Exhaustive check of the category laws: None, or the first violation
-    as a (law, witness) pair, out of bad-identity, spurious-composite,
-    bad-typing, missing-composite, broken-identity, broken-associativity.
+    """Typing, then an exhaustive check of the category laws: None, or the
+    first violation as a (law, witness) pair, out of bad-typing (table
+    lengths, a morphism's endpoint outside the objects, a composite keyed by
+    an unknown morphism), bad-identity, spurious-composite, bad-typing (a
+    composite with the wrong endpoints), missing-composite, broken-identity
+    and broken-associativity.
     """
+    if len(c.mor_tgt) != c.n_morphisms or len(c.identity) != c.n_objects:
+        return "bad-typing", (f"{len(c.mor_tgt)} targets for {c.n_morphisms} morphisms, "
+                              f"{len(c.identity)} identities for {c.n_objects} objects")
+    for m in c.morphisms:
+        if c.mor_src[m] not in c.objects or c.mor_tgt[m] not in c.objects:
+            return "bad-typing", f"mor {m} : {c.mor_src[m]} -> {c.mor_tgt[m]} leaves the objects"
+    for g, f in c.comp:
+        if g not in c.morphisms or f not in c.morphisms:
+            return "bad-typing", f"comp({g},{f}) names an unknown morphism"
     for a in c.objects:
         i = c.identity[a]
         if not (0 <= i < c.n_morphisms and c.mor_src[i] == a and c.mor_tgt[i] == a):
@@ -415,7 +419,7 @@ def compose_functor(f: FunctorTable, i: int, g: FunctorTable) -> FunctorTable:
     """Substitute g into slot i of f (functor tables compose strictly)."""
     if not (0 <= i < f.arity):
         raise SlotMismatchError(f"slot {i} out of range for arity {f.arity}")
-    if g.dst is not f.slots[i] and g.dst != f.slots[i]:
+    if g.dst != f.slots[i]:
         raise SlotMismatchError("codomain of g does not match slot i of f")
     slots = f.slots[:i] + g.slots + f.slots[i + 1 :]
     obj_map = {}
@@ -448,7 +452,7 @@ def validate_nat_trans(t: NatTransTable) -> tuple[str, str] | None:
     that are not parallel and a missing, extra or out-of-range component)
     and naturality."""
     F, G = t.src, t.dst
-    if F.slots != G.slots or (F.dst is not G.dst and F.dst != G.dst):
+    if F.slots != G.slots or F.dst != G.dst:
         return "nat-typing", f"{F.name} and {G.name} are not parallel"
     gap = _table_gap(t.components, [s.objects for s in F.slots], F.dst.n_morphisms)
     if gap is not None:

@@ -166,7 +166,7 @@ def validate_presheaf_morphism(phi: PresheafMorphism) -> tuple[str, str] | None:
     broken-naturality."""
     p, q = phi.src, phi.dst
     c = p.base
-    if (q.base is not c and q.base != c) or len(phi.components) != c.n_objects:
+    if q.base != c or len(phi.components) != c.n_objects:
         return "morphism-typing", f"{len(phi.components)} rows from {c.name} to {q.base.name}"
     for x, row in enumerate(phi.components):
         if len(row) != len(p.at[x]) or not all(0 <= v < len(q.at[x]) for v in row):
@@ -256,7 +256,6 @@ class ColimitResult:
     offsets: tuple  # per node: the index of its first element
     sizes: tuple  # per node: the size of its set, so of each copy
     reps: tuple  # per class, ascending: the index of its least member
-    merges: int
 
     def row(self, k: int, e: int) -> tuple:
         """Copy e of node k: its element -> class map."""
@@ -327,7 +326,6 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
     parent = list(range(total))
     mor_src, mor_tgt = d.shape.mor_src, d.shape.mor_tgt
     lifts = d.lifts
-    merges = 0
     for m, row in d.maps.items():
         a, b = mor_src[m], mor_tgt[m]
         n_a, n_b = sizes[a], sizes[b]
@@ -347,8 +345,6 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
                         parent[j] = i
                     else:
                         parent[i] = j
-                    merges += 1
-    merge_counter.value += merges
 
     # parent[i] becomes the class of element i, in one ascending pass
     reps = []
@@ -358,10 +354,11 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
             reps.append(i)
         else:
             parent[i] = parent[p]
+    merge_counter.value += total - len(reps)  # each merge joined two classes into one
     if len(_CLASS_LABELS) < len(reps):
         _CLASS_LABELS.extend(map("q{}".format, range(len(_CLASS_LABELS), len(reps))))
     return ColimitResult(tuple(_CLASS_LABELS[:len(reps)]), tuple(parent), tuple(offsets),
-                         sizes, tuple(reps), merges)
+                         sizes, tuple(reps))
 
 
 def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
@@ -376,7 +373,7 @@ def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
     """
     ps = list(ps)
     base = ps[0].base
-    if any(p.base is not base and p.base != base for p in ps):
+    if any(p.base != base for p in ps):
         raise SlotMismatchError("coproduct of presheaves on different bases")
     prefixes = [f"{i}:" for i in range(len(ps))]
     ats = [p.at for p in ps]

@@ -9,9 +9,12 @@ Functor files reuse the category blocks and add `on` / `send` lines.
 Labels are written quoted so generated names (which contain commas and
 parens) survive a round trip; bare labels without separators are accepted
 when reading.  Identity actions and identity compositions may be omitted:
-readers fill them in and reject explicit lines that disagree.  Every
-reader validates the finished artifact and raises FormatError on any
-syntax, totality, or law problem, so a parsed artifact is usable as-is.
+readers fill them in.  Readers parse: they refuse, at the offending line,
+syntax, duplicates and what they cannot build a table from.  Validators
+judge: every reader hands its finished artifact to the validator of its
+kind, which names the first violated law, totality and typing included.
+Either way the reader raises FormatError, so a parsed artifact is usable
+as-is.
 """
 
 import itertools
@@ -73,7 +76,7 @@ def _put(table, key, value, lineno, what):
 def _checked(artifact, validate, lineno, kind):
     bad = validate(artifact)
     if bad:
-        _fail(lineno, f"{kind} law broken: {bad[0]} at {bad[1]}")
+        _fail(lineno, f"{kind} law broken: {bad[0]}: {bad[1]}")
     return artifact
 
 
@@ -234,47 +237,24 @@ def _cat_line(draft, lineno, key, rest):
 
 
 def _finish_category(draft, lineno, name):
-    objs = sorted(draft.objs)
-    if objs != list(range(len(objs))):
+    """The category a finished section gives; validate_category judges it."""
+    n, mm = len(draft.objs), len(draft.mors)
+    if sorted(draft.objs) != list(range(n)):
         _fail(lineno, "object ids must be 0..n-1")
-    mids = sorted(draft.mors)
-    if mids != list(range(len(mids))):
+    if sorted(draft.mors) != list(range(mm)):
         _fail(lineno, "morphism ids must be 0..m-1")
-    n, mm = len(objs), len(mids)
-    src, tgt = [0] * mm, [0] * mm
-    for mid, (a, b) in draft.mors.items():
-        if not (0 <= a < n and 0 <= b < n):
-            _fail(lineno, f"morphism {mid} references an unknown object")
-        src[mid], tgt[mid] = a, b
-    if sorted(draft.ids) != objs:
+    if sorted(draft.ids) != list(range(n)):
         _fail(lineno, "every object needs exactly one id line")
-    identity = [0] * n
-    for o, mid in draft.ids.items():
-        if mid not in draft.mors:
-            _fail(lineno, f"identity of {o} references unknown morphism {mid}")
-        if draft.mors[mid] != (o, o):
-            _fail(lineno, f"identity of {o} is not an endomorphism of {o}")
-        identity[o] = mid
+    # identity compositions may be left implicit; an endpoint outside the
+    # objects has no id line, and validate_category reports that endpoint
+    # before it reads the composite keyed by None
     comp = dict(draft.comp)
-    for (g, f), gf in comp.items():
-        for m in (g, f, gf):
-            if m not in draft.mors:
-                _fail(lineno, f"composition references unknown morphism {m}")
-        if tgt[f] != src[g]:
-            _fail(lineno, f"({g}, {f}) is not a composable pair")
-    # identity compositions may be left implicit
-    for m in range(mm):
-        for pair, val in (((identity[tgt[m]], m), m), ((m, identity[src[m]]), m)):
-            if pair in comp:
-                if comp[pair] != val:
-                    _fail(lineno, f"identity composition {pair} must equal {val}")
-            else:
-                comp[pair] = val
-    for g in range(mm):
-        for f in range(mm):
-            if tgt[f] == src[g] and (g, f) not in comp:
-                _fail(lineno, f"missing composition ({g}, {f})")
-    c = FinCategory(name, n, src, tgt, identity, comp)
+    for m, (a, b) in draft.mors.items():
+        comp.setdefault((draft.ids.get(b), m), m)
+        comp.setdefault((m, draft.ids.get(a)), m)
+    ends = [draft.mors[m] for m in range(mm)]
+    c = FinCategory(name, n, [a for a, _ in ends], [b for _, b in ends],
+                    [draft.ids[o] for o in range(n)], comp)
     return _checked(c, validate_category, lineno, "category")
 
 
@@ -412,10 +392,6 @@ def read_functor(text, name="parsed"):
     slot_cats, cod = cats[:-1], cats[-1]
     kinds = {"on": "object", "send": "morphism"}
     tables = {"on": {}, "send": {}}
-
-    def ids(c, key):
-        return c.objects if key == "on" else c.morphisms
-
     for lineno, key, rest in payload:
         m = re.fullmatch(r"(\(.*?\))\s*=\s*(\S+)", rest)
         if not m:
@@ -424,17 +400,10 @@ def read_functor(text, name="parsed"):
         if len(args) != len(slot_cats):
             _fail(lineno, f"{key} tuple has arity {len(args)}, expected {len(slot_cats)}")
         for j, (c, a) in enumerate(zip(slot_cats, args)):
-            if a not in ids(c, key):
-                what = f"{kinds[key]} of slot {j}"
-                _fail(lineno, f"{key} {_tuple_str(args)} names an unknown {what}")
+            if a not in (c.objects if key == "on" else c.morphisms):
+                _fail(lineno, f"{key} {_tuple_str(args)} names an unknown {kinds[key]} of slot {j}")
         _put(tables[key], args, _int(m.group(2), lineno, "image id"), lineno,
              f"{key} line for {args}")
-    for key, table in tables.items():
-        for args in itertools.product(*(ids(c, key) for c in slot_cats)):
-            if args not in table:
-                _fail(last, f"missing {key} line for {args}")
-            if table[args] not in ids(cod, key):
-                _fail(last, f"{key} {args} names an unknown {kinds[key]}")
     F = FunctorTable(slot_cats, cod, tables["on"], tables["send"], name)
     return _checked(F, validate_functor, last, "functor")
 

@@ -325,8 +325,7 @@ def by_element(p, colim):
     for x, n in enumerate(sizes):
         offsets.append(total)
         total += n * len(p.at[x])
-    return ColimitResult(colim.set, colim.classes, tuple(offsets), tuple(sizes),
-                         colim.reps, colim.merges)
+    return ColimitResult(colim.set, colim.classes, tuple(offsets), tuple(sizes), colim.reps)
 
 
 def assert_matches_uncached(ext, args):

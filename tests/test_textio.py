@@ -133,36 +133,44 @@ def bad(text, needle):
 
 
 def test_category_rejections():
-    bad(ARROW + "obj 1\n", "duplicate object")
-    bad(ARROW + "mor 2 : 0 -> 1\n", "duplicate morphism")
-    bad(ARROW + "id 1 = 2\n", "duplicate identity")
-    bad(ARROW.replace("obj 0\n", ""), "0..n-1")
-    bad(ARROW.replace("obj 1\n", ""), "unknown object")
-    bad(ARROW.replace("mor 1 : 1 -> 1\n", ""), "0..m-1")
-    bad(ARROW + "mor 3 : 0 -> 5\n", "unknown object")
-    bad(ARROW.replace("id 1 = 1\n", ""), "exactly one id line")
-    bad(ARROW.replace("id 1 = 1", "id 1 = 2"), "not an endomorphism")
-    bad(ARROW + "comp 2 0 = 9\n", "unknown morphism")
-    bad(ARROW + "comp 1 0 = 2\n", "not a composable pair")
-    bad(ARROW + "comp 2 0 = 1\n", "identity composition")
-    bad(ARROW + "wat 3\n", "unknown line")
-    bad(ARROW + "mor x : 0 -> 1\n", "must be an integer")
+    # the reader refuses what it cannot build tables from; validate_category
+    # names every other violation, at the line that closes the section
+    bad(ARROW + "obj 1\n", "line 9: duplicate object")
+    bad(ARROW + "mor 2 : 0 -> 1\n", "line 9: duplicate morphism")
+    bad(ARROW + "id 1 = 2\n", "line 9: duplicate identity")
+    bad(ARROW.replace("obj 0\n", ""), "line 7: object ids must be 0..n-1")
+    bad(ARROW.replace("obj 1\n", ""), "line 7: every object needs exactly one id line")
+    bad(ARROW.replace("mor 1 : 1 -> 1\n", ""), "line 7: morphism ids must be 0..m-1")
+    bad(ARROW + "mor 3 : 0 -> 5\n",
+        "line 9: category law broken: bad-typing: mor 3 : 0 -> 5 leaves the objects")
+    bad(ARROW.replace("id 1 = 1\n", ""), "line 7: every object needs exactly one id line")
+    bad(ARROW.replace("id 1 = 1", "id 1 = 2"),
+        "line 8: category law broken: bad-identity: obj 1 has identity 2")
+    bad(ARROW.replace("id 1 = 1", "id 1 = 9"),
+        "line 8: category law broken: bad-typing: comp(9,1) names an unknown morphism")
+    bad(ARROW + "comp 2 0 = 9\n",
+        "line 9: category law broken: bad-typing: comp(2,0)=9 has wrong endpoints")
+    bad(ARROW + "comp 1 0 = 2\n",
+        "line 9: category law broken: spurious-composite: comp(1,0) defined but not composable")
+    # an explicit identity composition that disagrees with the identity
+    bad(ARROW + "comp 2 0 = 1\n",
+        "line 9: category law broken: bad-typing: comp(2,0)=1 has wrong endpoints")
+    bad(ARROW + "mor 3 : 0 -> 1\ncomp 2 0 = 3\n",
+        "line 10: category law broken: broken-identity: 2 o id != 2")
+    bad(ARROW + "wat 3\n", "line 9: unknown line")
+    bad(ARROW + "mor x : 0 -> 1\n", "line 9: each number of a mor line must be an integer")
     bad("", "empty category file")
 
 
 def test_category_missing_composite():
     # a genuinely missing non-identity composite, not fixable by identity fill
-    text = ARROW + "mor 3 : 1 -> 0\nid 0 = 0\n"
-    text = text.replace("id 0 = 0\nid 1 = 1\nmor 3", "XX")  # keep simple: build directly
     text = """
 obj 0
 mor 0 : 0 -> 0
 mor 1 : 0 -> 0
 id 0 = 0
 """
-    with pytest.raises(FormatError) as e:
-        textio.read_category(text)
-    assert "missing composition" in str(e.value)
+    bad(text, "line 5: category law broken: missing-composite: comp(1,1) undefined")
 
 
 def test_presheaf_rejections(arrow):
@@ -238,30 +246,35 @@ def test_multimap_row_refusals(z2):
 
 
 def test_functor_rejections(arrow, z2):
+    # per-line refusals name their line; validate_functor names every gap and
+    # law violation at the last line
     F = gen_functor(random.Random(0), (arrow,), z2)
     text = textio.write_functor(F)
-    with pytest.raises(FormatError, match="missing on line"):
-        textio.read_functor("".join(l for l in text.splitlines(True) if not l.startswith("on (0)")))
-    with pytest.raises(FormatError, match=r"on \(7\) names an unknown object of slot 0"):
-        textio.read_functor(text.replace("on (0)", "on (7)", 1))
+
+    def refused(bad_text, message):
+        with pytest.raises(FormatError, match=message):
+            textio.read_functor(bad_text)
+
+    refused("".join(l for l in text.splitlines(True) if not l.startswith("on (0)")),
+            r"line 18: functor law broken: functor-typing: at \(0,\)")
+    refused(text.replace("on (0)", "on (7)", 1),
+            r"line 15: on \(7\) names an unknown object of slot 0")
     # a send line naming a morphism its slot category lacks: here the slot's
     # only non-identity arrow, whose mor line is gone
     no_arrow = "".join(l for l in text.splitlines(True) if l != "mor 2 : 0 -> 1\n")
     assert no_arrow.count("mor 2 : 0 -> 1") == 0 and "send (2)" in no_arrow
-    with pytest.raises(FormatError, match=r"send \(2\) names an unknown morphism of slot 0"):
-        textio.read_functor(no_arrow)
-    with pytest.raises(FormatError, match="duplicate on line"):
-        first_on = next(l for l in text.splitlines() if l.startswith("on "))
-        textio.read_functor(text + first_on + "\n")
-    with pytest.raises(FormatError, match="arity"):
-        textio.read_functor(text.replace("on (0)", "on (0, 1)", 1))
-    with pytest.raises(FormatError, match="missing send line"):
-        textio.read_functor("\n".join(text.splitlines()[:-1]) + "\n")
+    refused(no_arrow, r"line 18: send \(2\) names an unknown morphism of slot 0")
+    first_on = next(l for l in text.splitlines() if l.startswith("on "))
+    refused(text + first_on + "\n", r"line 20: duplicate on line")
+    refused(text.replace("on (0)", "on (0, 1)", 1), r"line 15: on tuple has arity 2")
+    refused("\n".join(text.splitlines()[:-1]) + "\n",
+            r"line 18: functor law broken: functor-typing: at \(2,\)")
     # images must assemble into a real functor
     ident = textio.write_functor(FunctorTable.identity(arrow))
-    broken = ident.replace("send (2) = 2", "send (2) = 0")
-    with pytest.raises(FormatError, match="functor law broken"):
-        textio.read_functor(broken)
+    refused(ident.replace("send (2) = 2", "send (2) = 0"),
+            r"line 21: functor law broken: functor-typing: at \(2,\)$")
+    refused(ident.replace("send (0) = 0", "send (0) = 2"),
+            r"line 21: functor law broken: functor-identity: at \(0,\)$")
 
 
 def test_replay_rejections():

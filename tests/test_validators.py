@@ -32,6 +32,21 @@ from relmonad.presheaf import (
 # -- malformed tables ------------------------------------------------------------
 
 
+def test_malformed_categories_are_typing_violations():
+    point = {(0, 0): 0}
+    assert validate_category(FinCategory("c", 1, [0], [0], [0], {**point, (5, 0): 0})) == (
+        "bad-typing", "comp(5,0) names an unknown morphism")
+    assert validate_category(FinCategory("c", 1, [0], [0], [0], {**point, (-1, 0): 0})) == (
+        "bad-typing", "comp(-1,0) names an unknown morphism")
+    # one identity for two objects; two targets for one morphism
+    assert validate_category(FinCategory("c", 2, [0, 1], [0, 1], [0], point)) == (
+        "bad-typing", "2 targets for 2 morphisms, 1 identities for 2 objects")
+    assert validate_category(FinCategory("c", 1, [0], [0, 0], [0], point)) == (
+        "bad-typing", "2 targets for 1 morphisms, 1 identities for 1 objects")
+    assert validate_category(FinCategory("c", 1, [0, 0], [0, 2], [0], {**point, (1, 0): 1})) == (
+        "bad-typing", "mor 1 : 0 -> 2 leaves the objects")
+
+
 def test_partial_or_overfull_functor_tables_are_typing_violations(arrow):
     # no image for morphism 2; no image for object 1; an image for a morphism 3
     # that arrow lacks
@@ -137,11 +152,26 @@ def _tampered_value(rng, size, out_of_range):
 
 
 def _category(rng, out_of_range):
+    # one entry of mor_src, mor_tgt or identity, or one composite's value or
+    # one of its key's factors; an out-of-range identity is a bad-identity
     c = gen.gen_category(rng, 3, 4)
-    key = rng.choice(sorted(c.comp))
-    comp = {**c.comp, key: _tampered_value(rng, c.n_morphisms, out_of_range)}
-    bad = FinCategory(c.name, c.n_objects, c.mor_src, c.mor_tgt, c.identity, comp)
-    return c, bad, (validate_category,), "bad-typing"
+    ends, identity, comp = [list(c.mor_src), list(c.mor_tgt)], list(c.identity), dict(c.comp)
+    which = rng.randrange(5)
+    if which < 2:
+        ends[which][rng.randrange(c.n_morphisms)] = _tampered_value(rng, c.n_objects, out_of_range)
+    elif which == 2:
+        identity[rng.randrange(c.n_objects)] = _tampered_value(rng, c.n_morphisms, out_of_range)
+    else:
+        key = rng.choice(sorted(comp))
+        value = comp.pop(key)
+        if which == 3:
+            value = _tampered_value(rng, c.n_morphisms, out_of_range)
+        else:
+            k = rng.randrange(2)
+            key = key[:k] + (_tampered_value(rng, c.n_morphisms, out_of_range),) + key[k + 1:]
+        comp[key] = value
+    bad = FinCategory(c.name, c.n_objects, *ends, identity, comp)
+    return c, bad, (validate_category,), "bad-identity" if which == 2 else "bad-typing"
 
 
 def _functor(rng, out_of_range):
