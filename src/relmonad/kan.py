@@ -16,10 +16,14 @@ colimit's loops run over the base category's objects and generators and
 over the elements, and it names each element (x, e, t): element t of
 f(x)(y) at p's element e over x.  Its class is classes[offsets[x] +
 e * sizes[x] + t] in the ColimitResult at y, one flat table per colimit,
-and each class is named by that flat index of its least member;
-ColimitResult.members() decodes those to (x, e, t), which is what a cocone
-map reads.  Every cell below reads classes in those coordinates, so no
-extension builds El(p).  The oracles that do build it
+and each class is named by that flat index of its least member.  A cocone
+map reads those a node block at a time (ColimitResult.blocks): each cell
+first looks up what depends only on (y, x), such as a component at x or
+the rows of p's action along hom(y, x), then fills the block in one
+comprehension, decoding each index to (e, t) by divmod.  Classes are read
+in class order, so memo fills and faults come in the order a class-by-class
+walk would meet them.  Every cell below reads classes in those
+coordinates, so no extension builds El(p).  The oracles that do build it
 (checker._colimit_certificate, fubini) keep every non-identity, so they
 stay independent of this shortcut.
 
@@ -80,14 +84,19 @@ class ExtensionData:
     colims: tuple  # ColimitResult per codomain object, flat over (x, e, t)
 
 
-def _cocone_map(data: ExtensionData, dst: Presheaf, leg) -> PresheafMorphism:
-    """The map out of an extension's value fixed by a cocone into dst: each
-    class goes where leg(y, x, e, t) sends its representative, element t of
-    f(x)(y) at the argument's element e over x."""
-    return PresheafMorphism(data.presheaf, dst, [
-        [leg(y, x, e, t) for x, e, t in colim.members()]
-        for y, colim in enumerate(data.colims)
-    ])
+def _cocone_map(data: ExtensionData, dst: Presheaf, block) -> PresheafMorphism:
+    """The map out of an extension's value fixed by a cocone into dst, read
+    a node block at a time (ColimitResult.blocks): block(y, x, off, n, reps)
+    lists where the classes whose least members lie over x go, in order.
+    Each i in reps is element t of f(x)(y) at the argument's element e over
+    x, for e, t = divmod(i - off, n)."""
+    comps = []
+    for y, colim in enumerate(data.colims):
+        row = []
+        for x, off, n, reps in colim.blocks():
+            row += block(y, x, off, n, reps)
+        comps.append(row)
+    return PresheafMorphism(data.presheaf, dst, comps)
 
 
 class StrengthenMap(MultiMap):
@@ -163,11 +172,12 @@ class StrengthenMap(MultiMap):
             # action on a presheaf morphism phi: move each copy along phi
             dst = self.data(args[:j] + (m.dst,) + args[j + 1 :])
 
-            def leg(y, x, e, t):
+            def block(y, x, off, n, reps):
                 r = dst.colims[y]
-                return r.classes[r.offsets[x] + m.components[x][e] * r.sizes[x] + t]
+                classes, o, s, to = r.classes, r.offsets[x], r.sizes[x], m.components[x]
+                return [classes[o + to[e] * s + t] for i in reps for e, t in (divmod(i - off, n),)]
 
-            return _cocone_map(src, dst.presheaf, leg)
+            return _cocone_map(src, dst.presheaf, block)
         # action in another slot: apply inner's action in every copy
         slot = self.slots[k]
         tgt_k = slot.cat.tgt(m) if slot.kind == "fin" else m.dst
@@ -175,11 +185,12 @@ class StrengthenMap(MultiMap):
         step = {x: self.inner.morphism_at(args[:j] + (x,) + args[j + 1 :], k, m)
                 for x in args[j].base.objects if args[j].at[x]}
 
-        def leg(y, x, e, t):
+        def block(y, x, off, n, reps):
             r = dst.colims[y]
-            return r.classes[r.offsets[x] + e * r.sizes[x] + step[x].components[y][t]]
+            classes, o, s, to = r.classes, r.offsets[x], r.sizes[x], step[x].components[y]
+            return [classes[o + e * s + to[t]] for i in reps for e, t in (divmod(i - off, n),)]
 
-        return _cocone_map(src, dst.presheaf, leg)
+        return _cocone_map(src, dst.presheaf, block)
 
 
 def strengthen(f: MultiMap, j: int) -> StrengthenMap:
@@ -223,14 +234,20 @@ def counit_cell(h: MultiMap, j: int) -> TwoCell:
         p = args[j]
         data = src.data(args)
 
-        def leg(y, x, e, t):
+        def along(x, e):
             chi = classify.get((p, x, e))
             if chi is None:
                 chi = classify[(p, x, e)] = classifying_morphism(p, x, e)
-            psi = h.morphism_at(args[:j] + (chi.src,) + args[j + 1 :], j, chi)
-            return psi.components[y][t]
+            return h.morphism_at(args[:j] + (chi.src,) + args[j + 1 :], j, chi)
 
-        return _cocone_map(data, h.evaluate(args), leg)
+        def block(y, x, off, n, reps):
+            # h's action along each element's classifying map, once per
+            # element, in the order the classes first reach it
+            elements = dict.fromkeys((i - off) // n for i in reps)
+            to = {e: along(x, e).components[y] for e in elements}
+            return [to[e][t] for i in reps for e, t in (divmod(i - off, n),)]
+
+        return _cocone_map(data, h.evaluate(args), block)
 
     return TwoCell(src, h, fn, name=f"sg[{h.name};{j}]")
 
@@ -250,11 +267,13 @@ def theta_cell(cat: FinCategory) -> TwoCell:
     def fn(args):
         (p,) = args
         data = src.data((p,))
+        act = p.act
 
-        def leg(y, x, e, t):
-            return p.act[homs[y, x][t]][e]
+        def block(y, x, off, n, reps):
+            rows = [act[h] for h in homs[y, x]]
+            return [rows[t][e] for i in reps for e, t in (divmod(i - off, n),)]
 
-        return _cocone_map(data, p, leg)
+        return _cocone_map(data, p, block)
 
     return TwoCell(src, dst, fn, name=f"th[{cat.name}]")
 
@@ -269,12 +288,13 @@ def strengthen_cell(cell: TwoCell, j: int) -> TwoCell:
         sdata = src.data(args)
         ddata = dst.data(args)
 
-        def leg(y, x, e, t):
-            phi = cell.component(args[:j] + (x,) + args[j + 1 :])
+        def block(y, x, off, n, reps):
+            to = cell.component(args[:j] + (x,) + args[j + 1 :]).components[y]
             r = ddata.colims[y]
-            return r.classes[r.offsets[x] + e * r.sizes[x] + phi.components[y][t]]
+            classes, o, s = r.classes, r.offsets[x], r.sizes[x]
+            return [classes[o + e * s + to[t]] for i in reps for e, t in (divmod(i - off, n),)]
 
-        return _cocone_map(sdata, ddata.presheaf, leg)
+        return _cocone_map(sdata, ddata.presheaf, block)
 
     return TwoCell(src, dst, fn, name=f"ext{j}[{cell.name}]")
 

@@ -18,21 +18,28 @@ e of node x is El(p)'s node (x, e), and no caller needs El(p) to read it.
 It keeps one flat class table per colimit, indexed by that enumeration:
 element (k, e, t) sits at offsets[k] + e * sizes[k] + t, with no tuple per
 copy.  A class is named by the flat index of its least member, one int per
-class; ColimitResult.members() decodes them all back to (k, e, t), in class
-order, and rep(c) decodes one.
+class.  Readers take the classes a node block at a time
+(ColimitResult.blocks): the slice of those indices that lies over one node,
+each decoded to (e, t) by one divmod inside the reader's own loop; rep(c)
+decodes one class, and members() all of them.
 A colimit presheaf's action is read through the nodes only at the base's
-generators; its identity rows are the identity, and each derived row
-composes its factors' rows (FinCategory.generation).  ElementsCategory
-keeps an arrow for every non-identity, because the oracles that walk it
-check the generator shortcut and must not share it.
+generators, block by block; its identity rows are the identity, and each
+derived row composes its factors' rows (FinCategory.generation).  Every
+colimit with n classes shares one tuple of class labels q0 .. q{n-1}, every
+identity row on n elements is one tuple, and representables share their
+m{id} labels, so a kept value holds no copy of any of them.  Presheaf and
+PresheafMorphism are slotted.  ElementsCategory keeps an arrow for every
+non-identity, because the oracles that walk it check the generator shortcut
+and must not share it.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetExceededError, SlotMismatchError
 from .fincat import FinCategory, Graph
@@ -74,6 +81,8 @@ class Presheaf:
 
     No __eq__ or __hash__: it hashes by identity, so memos key on the instance.
     """
+
+    __slots__ = ("base", "at", "act", "_elements", "__weakref__")
 
     def __init__(self, base: FinCategory, at, act):
         self.base = base
@@ -117,6 +126,8 @@ def validate_presheaf(p: Presheaf) -> tuple[str, str] | None:
 
 class PresheafMorphism:
     """Natural transformation between presheaves on the same base; hashes by identity."""
+
+    __slots__ = ("src", "dst", "components", "__weakref__")
 
     def __init__(self, src: Presheaf, dst: Presheaf, components):
         self.src = src
@@ -180,6 +191,33 @@ def validate_presheaf_morphism(phi: PresheafMorphism) -> tuple[str, str] | None:
     return None
 
 
+# -- shared labels and rows ---------------------------------------------------
+
+
+_CLASS_LABELS = []  # "q0", "q1", ...: every colimit's class labels
+_MORPHISM_LABELS = []  # "m0", "m1", ...: every representable's element labels
+
+
+def _numbered(labels: list, prefix: str, n: int) -> list:
+    """labels, grown to hold at least prefix0 .. prefix{n-1}; each string is
+    made once and shared by every caller."""
+    if len(labels) < n:
+        labels.extend(map(f"{prefix}{{}}".format, range(len(labels), n)))
+    return labels
+
+
+@lru_cache(maxsize=1024)
+def _class_labels(n: int) -> tuple:
+    """q0 .. q{n-1}: one tuple shared by every colimit with n classes."""
+    return tuple(_numbered(_CLASS_LABELS, "q", n)[:n])
+
+
+@lru_cache(maxsize=1024)
+def _identity_row(n: int) -> tuple:
+    """(0, .., n-1): one tuple shared by every identity action on n elements."""
+    return tuple(range(n))
+
+
 # -- representables ----------------------------------------------------------
 
 
@@ -193,7 +231,8 @@ def representable(c: FinCategory, a: int) -> Presheaf:
         homs = [c.hom(x, a) for x in c.objects]
         comp, pos = c.comp, c.hom_position
         act = [tuple(pos[comp[h, m]] for h in homs[b]) for m, b in enumerate(c.mor_tgt)]
-        y = c.representables[a] = Presheaf(c, [[f"m{m}" for m in h] for h in homs], act)
+        labels = _numbered(_MORPHISM_LABELS, "m", c.n_morphisms)
+        y = c.representables[a] = Presheaf(c, [[labels[m] for m in h] for h in homs], act)
     return y
 
 
@@ -237,9 +276,6 @@ class FinSetDiagram:
     lifts: tuple | None = None  # per shape arrow: target copy -> source copy
 
 
-_CLASS_LABELS = []  # q0, q1, ...: every colimit's class labels, made once
-
-
 @dataclass
 class ColimitResult:
     """A colimit's classes, flat over the (node, copy, element) enumeration.
@@ -247,8 +283,10 @@ class ColimitResult:
     Element (k, e, t), element t of copy e of node k, has index
     offsets[k] + e * sizes[k] + t, and classes[index] is its class.  A class
     is named by the index of its least member, reps[class], one int per
-    class; members() and rep(class) decode those back to (k, e, t).
-    row(k, e) slices out one whole copy.
+    class.  blocks() hands those out a node at a time, for readers that
+    decode them in their own loop; rep(class) decodes one back to (k, e, t),
+    and members() all of them.  row(k, e) slices out one whole copy.  The
+    labels in set are shared with every colimit of as many classes.
     """
 
     set: tuple  # labels of the classes
@@ -278,6 +316,25 @@ class ColimitResult:
                 k += 1
             e, t = divmod(i - offsets[k], sizes[k])
             yield k, e, t
+
+    def blocks(self) -> list:
+        """The classes a node at a time: (k, offsets[k], sizes[k], reps_k)
+        for each node k holding a class, in ascending node order, where
+        reps_k is the slice of reps inside node k's range of flat indices.
+        The slices concatenate to reps, and i in reps_k is element t of
+        copy e of node k for e, t = divmod(i - offsets[k], sizes[k]).
+        """
+        reps, offsets = self.reps, self.offsets
+        last, total = len(offsets) - 1, len(reps)
+        out, lo = [], 0
+        while lo < total:
+            # the node holding reps[lo], found as in rep(), ends where the
+            # next node starts
+            k = bisect_right(offsets, reps[lo]) - 1
+            hi = bisect_left(reps, offsets[k + 1], lo) if k < last else total
+            out.append((k, offsets[k], self.sizes[k], reps[lo:hi]))
+            lo = hi
+        return out
 
     def rep(self, c: int) -> tuple:
         """Class c's least member as (node, copy, element)."""
@@ -355,10 +412,8 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
         else:
             parent[i] = parent[p]
     merge_counter.value += total - len(reps)  # each merge joined two classes into one
-    if len(_CLASS_LABELS) < len(reps):
-        _CLASS_LABELS.extend(map("q{}".format, range(len(_CLASS_LABELS), len(reps))))
-    return ColimitResult(tuple(_CLASS_LABELS[:len(reps)]), tuple(parent), tuple(offsets),
-                         sizes, tuple(reps))
+    return ColimitResult(_class_labels(len(reps)), tuple(parent), tuple(offsets), sizes,
+                         tuple(reps))
 
 
 def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
@@ -433,19 +488,22 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
         ), budget)
         for x in base.objects
     )
-    # the action: read through the nodes at the generators only; an
-    # identity acts as itself, and a derived m = g after f as f's row
-    # after g's
+    # the action: read through the nodes at the generators only, a node
+    # block of classes at a time; an identity acts as itself, and a
+    # derived m = g after f as f's row after g's
     acts = [None if p is None else p.act for p in ps]
     act = [None] * base.n_morphisms
     for x, i in enumerate(base.identity):
-        act[i] = tuple(range(len(results[x].reps)))
+        act[i] = _identity_row(len(results[x].reps))
     generation = base.generation
     for m, a, b in zip(generation.generators, generation.mor_src, generation.mor_tgt):
         r = results[a]
         classes, offsets, sizes = r.classes, r.offsets, r.sizes
-        act[m] = tuple([classes[offsets[k] + e * sizes[k] + acts[k][m][t]]
-                        for k, e, t in results[b].members()])
+        row = []
+        for k, off, n, reps in results[b].blocks():
+            o, s, act_k = offsets[k], sizes[k], acts[k][m]
+            row += [classes[o + e * s + act_k[t]] for i in reps for e, t in (divmod(i - off, n),)]
+        act[m] = tuple(row)
     for m, g, f in generation.derivations:
         act[m] = tuple(map(act[f].__getitem__, act[g]))
     return Presheaf(base, [r.set for r in results], act), results

@@ -245,13 +245,16 @@ def _finish_category(draft, lineno, name):
         _fail(lineno, "morphism ids must be 0..m-1")
     if sorted(draft.ids) != list(range(n)):
         _fail(lineno, "every object needs exactly one id line")
-    # identity compositions may be left implicit; an endpoint outside the
-    # objects has no id line, and validate_category reports that endpoint
-    # before it reads the composite keyed by None
+    # identity compositions may be left implicit; they are filled only from
+    # id lines that name a known morphism, so validate_category reports an
+    # unknown identity, or an endpoint outside the objects, as itself
+    ids = {o: i for o, i in draft.ids.items() if i in draft.mors}
     comp = dict(draft.comp)
     for m, (a, b) in draft.mors.items():
-        comp.setdefault((draft.ids.get(b), m), m)
-        comp.setdefault((m, draft.ids.get(a)), m)
+        if b in ids:
+            comp.setdefault((ids[b], m), m)
+        if a in ids:
+            comp.setdefault((m, ids[a]), m)
     ends = [draft.mors[m] for m in range(mm)]
     c = FinCategory(name, n, [a for a, _ in ends], [b for _, b in ends],
                     [draft.ids[o] for o in range(n)], comp)

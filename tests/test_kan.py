@@ -29,6 +29,7 @@ from relmonad.multimap import (
     TableMap,
     identity_cell,
     inverse_cell,
+    plug,
     two_cell_equal,
     unit_map,
     vcomp,
@@ -40,6 +41,7 @@ from relmonad.presheaf import (
     Presheaf,
     PresheafMorphism,
     category_of_elements,
+    classifying_morphism,
     coproduct_presheaves,
     enumerate_nat_trans,
     merge_counter,
@@ -558,3 +560,141 @@ def test_an_extension_builds_no_elements_category(monkeypatch):
     strengthen(f, 0).evaluate((p,))
     assert theta_cell(c).component((p,)).is_bijection()
     assert built == []
+
+
+# -- block readers against a per-class reference ---------------------------------
+
+
+def _per_class(data, leg):
+    """A cocone map's rows read a class at a time: leg at each class's
+    representative, decoded by rep(c)."""
+    return tuple(
+        tuple(leg(y, *colim.rep(c)) for c in range(len(colim.reps)))
+        for y, colim in enumerate(data.colims)
+    )
+
+
+def _per_class_action(ext, args):
+    """An extension's action at the generators of its codomain, read a class
+    at a time: generator m : a -> b sends class c at b, represented by
+    (x, e, t), to the class at a of f's action on t inside copy e of f(x)."""
+    j, data = ext.j, ext.data(args)
+    generation = ext.cod.generation
+    rows = {}
+    for m, a, b in zip(generation.generators, generation.mor_src, generation.mor_tgt):
+        r = data.colims[a]
+
+        def leg(y, x, e, t):
+            act = ext.inner.evaluate(args[:j] + (x,) + args[j + 1:]).act[m]
+            return r.classes[r.offsets[x] + e * r.sizes[x] + act[t]]
+
+        rows[m] = tuple(leg(b, *data.colims[b].rep(c)) for c in range(len(data.colims[b].reps)))
+    return rows
+
+
+def _assert_action_per_class(ext, args):
+    act = ext.data(args).presheaf.act
+    for m, row in _per_class_action(ext, args).items():
+        assert act[m] == row
+
+
+def _assert_mor_at_per_class(ext, args, k, m):
+    """ext.morphism_at against the legs of both of _mor_at's branches."""
+    j, f = ext.j, ext.inner
+    if k == j:
+        dst = ext.data(args[:j] + (m.dst,) + args[j + 1:])
+
+        def leg(y, x, e, t):
+            r = dst.colims[y]
+            return r.classes[r.offsets[x] + m.components[x][e] * r.sizes[x] + t]
+    else:
+        dst = ext.data(args[:k] + (f.slots[k].cat.tgt(m),) + args[k + 1:])
+
+        def leg(y, x, e, t):
+            step = f.morphism_at(args[:j] + (x,) + args[j + 1:], k, m)
+            r = dst.colims[y]
+            return r.classes[r.offsets[x] + e * r.sizes[x] + step.components[y][t]]
+
+    got = ext.morphism_at(args, k, m)
+    assert got.components == _per_class(ext.data(args), leg)
+
+
+def _assert_strengthen_cell_per_class(cell, j, args):
+    sdata = strengthen(cell.src, j).data(args)
+    ddata = strengthen(cell.dst, j).data(args)
+
+    def leg(y, x, e, t):
+        phi = cell.component(args[:j] + (x,) + args[j + 1:])
+        r = ddata.colims[y]
+        return r.classes[r.offsets[x] + e * r.sizes[x] + phi.components[y][t]]
+
+    assert strengthen_cell(cell, j).component(args).components == _per_class(sdata, leg)
+
+
+def _assert_counit_per_class(h, j, args):
+    p = args[j]
+    data = strengthen(plug(h, j, unit_map(h.slots[j].cat)), j).data(args)
+
+    def leg(y, x, e, t):
+        chi = classifying_morphism(p, x, e)
+        psi = h.morphism_at(args[:j] + (chi.src,) + args[j + 1:], j, chi)
+        return psi.components[y][t]
+
+    assert counit_cell(h, j).component(args).components == _per_class(data, leg)
+
+
+def _opposite(c):
+    """c^op: its arrows run the other way, so a free dag's run from higher
+    objects to lower ones, and an extension's classes have least members
+    over more than one object."""
+    return FinCategory(f"{c.name}^op", c.n_objects, c.mor_tgt, c.mor_src, c.identity,
+                       {(f, g): h for (g, f), h in c.comp.items()})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_readers_match_a_per_class_reference(seed):
+    # every cocone map and every generator row of an extension's action,
+    # read a node block at a time, against the legs applied class by class
+    rng = random.Random(f"block-readers:{seed}")
+    c = _opposite(_large_dag(rng) if seed % 2 else gen.builtin_category("square"))
+    d = _opposite(gen.free_dag_category(rng, 4, 4))
+    f = _gen_map(rng, (c,), d, 24)
+    f2 = _gen_map(rng, (c, d), d, 24)
+    u = unit_map(c)
+    ps = list(_small_presheaves(rng, c))
+    blocks = [len(r.blocks()) for p in ps for ext in (strengthen(f, 0), strengthen(u, 0))
+              for r in ext.data((p,)).colims]
+    assert max(blocks) >= 2 and min(blocks) == 0
+    for p in ps:
+        for ext, args in ((strengthen(f, 0), (p,)), (strengthen(u, 0), (p,))):
+            _assert_action_per_class(ext, args)
+        homs = c.homs
+        assert theta_cell(c).component((p,)).components == _per_class(
+            strengthen(u, 0).data((p,)), lambda y, x, e, t: p.act[homs[y, x][t]][e])
+        _assert_counit_per_class(strengthen(f, 0), 0, (p,))
+        _assert_counit_per_class(IdentityMap(c), 0, (p,))
+        _assert_strengthen_cell_per_class(unit_cell(f, 0), 0, (p,))
+        for x in c.objects:
+            for e in range(len(p.at[x])):
+                _assert_mor_at_per_class(strengthen(f, 0), (representable(c, x),), 0,
+                                         classifying_morphism(p, x, e))
+        for w in d.objects:
+            _assert_action_per_class(strengthen(f2, 0), (p, w))
+            _assert_strengthen_cell_per_class(unit_cell(f2, 0), 0, (p, w))
+        for m in d.morphisms:
+            _assert_mor_at_per_class(strengthen(f2, 0), (p, d.src(m)), 1, m)
+    qs = list(_small_presheaves(rng, d))
+    for x in c.objects:
+        for q in qs:
+            _assert_action_per_class(strengthen(f2, 1), (x, q))
+            _assert_strengthen_cell_per_class(unit_cell(f2, 1), 1, (x, q))
+            _assert_counit_per_class(strengthen(f2, 1), 1, (x, q))
+            for m in c.morphisms:
+                if c.src(m) == x:
+                    _assert_mor_at_per_class(strengthen(f2, 1), (x, q), 0, m)
+
+
+def test_extension_records_take_weak_references(arrow, sum1_arrow):
+    # the benchmark's memo counters hold what StrengthenMap.data returns weakly
+    data = strengthen(sum1_arrow, 0).data((representable(arrow, 1),))
+    assert weakref.ref(data)() is data

@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -389,13 +390,84 @@ def test_members_decode_the_flat_reps(d):
         assert r.row(k, e)[t] == c
 
 
+def no_classes():
+    """Diagrams whose colimit has no class: no node, or only empty nodes and
+    nodes with no copies."""
+    return st.sampled_from([
+        FinSetDiagram(Graph(0, [], []), (), {}),
+        FinSetDiagram(Graph(2, [0], [1]), ((), ()), {0: ()}),
+        FinSetDiagram(Graph(2, [], []), (("a",), ()), {}, (0, 3), ()),
+    ])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(hollow_diagrams(), copied_diagrams(), finset_diagrams(), no_classes()))
+def test_blocks_split_the_reps_by_node(d):
+    # one block per node holding a class, in ascending node order; each
+    # block's reps lie in its node's range of flat indices, the blocks'
+    # reps concatenate to reps, and decoding them gives members()
+    r = colimit_finset(d)
+    blocks = r.blocks()
+    nodes = [k for k, _, _, _ in blocks]
+    assert nodes == sorted(set(nodes))
+    ends = r.offsets[1:] + (len(r.classes),)
+    for k, off, n, reps in blocks:
+        assert (off, n) == (r.offsets[k], r.sizes[k])
+        assert reps and all(off <= i < ends[k] for i in reps)
+    assert tuple(i for _, _, _, reps in blocks for i in reps) == r.reps
+    decoded = [(k, *divmod(i - off, n)) for k, off, n, reps in blocks for i in reps]
+    assert decoded == list(r.members())
+    assert bool(blocks) == bool(r.reps)
+
+
+def test_colimits_share_labels_and_identity_rows(arrow):
+    # two colimits with the same class count share one label tuple, and
+    # every identity row of one size is one tuple, within a colimit
+    # presheaf and across colimit presheaves
+    def diagram(n):
+        return FinSetDiagram(Graph(1, [], []), (tuple(range(n)),), {})
+
+    first, second = colimit_finset(diagram(7)), colimit_finset(diagram(7))
+    assert first.set is second.set and first.set == tuple(f"q{k}" for k in range(7))
+    assert colimit_finset(diagram(6)).set == first.set[:6]
+    y1 = representable(arrow, 1)  # one element at each object
+    one, _ = pointwise_colimit(Graph(1, [], []), [y1], {}, arrow)
+    other, _ = pointwise_colimit(Graph(2, [], []), [y1, y1], {}, arrow)
+    id0, id1 = arrow.identity
+    assert one.act[id0] is one.act[id1] and one.act[id0] == (0,)
+    assert other.act[id0] is other.act[id1] and other.act[id0] == (0, 1)
+    assert one.act[id0] is pointwise_colimit(Graph(1, [], []), [y1], {}, arrow)[0].act[id1]
+
+
+def test_representables_share_their_labels(arrow, square):
+    # every representable names its elements m0, m1, ... by morphism id,
+    # and equal labels are one string across objects and categories
+    labels = {}
+    for c in (arrow, square):
+        for a in c.objects:
+            for x, at in enumerate(representable(c, a).at):
+                for m, label in zip(c.hom(x, a), at):
+                    assert label == f"m{m}"
+                    assert labels.setdefault(m, label) is label
+
+
+def test_presheaf_values_have_slots(arrow):
+    # no per-instance __dict__, and a weak reference still works: the
+    # benchmark's memo counters hold results weakly
+    y1 = representable(arrow, 1)
+    phi = PresheafMorphism.identity(y1)
+    for obj in (y1, phi):
+        assert not hasattr(obj, "__dict__")
+        assert weakref.ref(obj)() is obj
+
+
 def test_colimit_allocates_no_tuple_per_class():
     # the net count of gc-tracked allocations in one colimit_finset call is
     # the same at 10 classes and at 100: no container is built per class
-    # or per element.  The class labels are made before counting.  A full
-    # collection empties the free lists, whose reused tuples the count
-    # misses, and the padding keeps the count clear of 0, below which a
-    # free is not counted
+    # or per element.  The class labels, one shared tuple per class count,
+    # are made before counting.  A full collection empties the free lists,
+    # whose reused tuples the count misses, and the padding keeps the count
+    # clear of 0, below which a free is not counted
     def diagram(n):
         shape = Graph(2, [0], [1])
         sets = (tuple(range(n)), tuple(range(n)))
@@ -411,6 +483,7 @@ def test_colimit_allocates_no_tuple_per_class():
         return r, delta
 
     small, large = diagram(5), diagram(50)
+    colimit_finset(small)
     colimit_finset(large)
     enabled = gc.isenabled()
     gc.disable()

@@ -147,7 +147,7 @@ def test_category_rejections():
     bad(ARROW.replace("id 1 = 1", "id 1 = 2"),
         "line 8: category law broken: bad-identity: obj 1 has identity 2")
     bad(ARROW.replace("id 1 = 1", "id 1 = 9"),
-        "line 8: category law broken: bad-typing: comp(9,1) names an unknown morphism")
+        "line 8: category law broken: bad-identity: obj 1 has identity 9")
     bad(ARROW + "comp 2 0 = 9\n",
         "line 9: category law broken: bad-typing: comp(2,0)=9 has wrong endpoints")
     bad(ARROW + "comp 1 0 = 2\n",
