@@ -276,13 +276,15 @@ def _wide_poset_category(rng):
 
 
 def _retry_gen(fn):
-    # random fibers can blow the size cap; redraw, 20 times at most, instead of failing
+    # random fibers can blow the size cap; redraw, 20 times at most, instead of
+    # failing.  The kept error drops its traceback, which would hold the
+    # failed draw's frames and half-built tables on a reference cycle.
     last = None
     for _ in range(20):
         try:
             return fn()
         except BudgetExceededError as exc:
-            last = exc
+            last = exc.with_traceback(None)
     raise last
 
 

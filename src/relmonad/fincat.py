@@ -8,11 +8,12 @@ functions of the tables, which the rest of the package relies on for
 bit-identical reruns.
 
 The memos that categories and maps keep (a category's unit map,
-representables and extension records, a map's extension and substitution
-nodes) point back at their owner, so an owner's graph is cyclic while they
-are full.  A session (session() below) frees them by reference count: it
-empties the memos of every owner born while it was open when it closes, and
-while open it shares the structural cells built from the same arguments.  It
+representables, extension records and the cocone maps between them, a
+map's extension and substitution nodes) point back at their owner, so an
+owner's graph is cyclic while they are full.  A session (session() below)
+frees them by reference count: it empties the memos of every owner born
+while it was open when it closes, and while open it shares the structural
+cells built from the same arguments.  It
 also holds the one fault table of the package: a fault named after a shared
 constructor replaces that constructor's build at every call site, so a defect
 injected there reaches the cells built inside other cells too.
@@ -177,11 +178,14 @@ class FinCategory(Graph):
         self.name = name
         self.identity = tuple(identity)
         self.comp = dict(comp)
+        self.objects = range(self.n_objects)
+        self.morphisms = range(self.n_morphisms)
         self._key = None
         self._hash = None
         self.unit = None  # UnitMap, built by multimap.unit_map; not in content_key
         self.representables = {}  # object -> Presheaf, filled by presheaf.representable
         self.colimits = {}  # extension input -> kan.ExtensionData, filled by kan
+        self.cocones = {}  # (record, record, kind, reads) -> cocone map, filled by kan
         own(self)
 
     def release_memos(self):
@@ -189,16 +193,9 @@ class FinCategory(Graph):
         self.unit = None
         self.representables.clear()
         self.colimits.clear()
+        self.cocones.clear()
 
     # -- accessors ---------------------------------------------------------
-
-    @property
-    def objects(self):
-        return range(self.n_objects)
-
-    @property
-    def morphisms(self):
-        return range(self.n_morphisms)
 
     def id_of(self, a):
         return self.identity[a]
@@ -401,17 +398,21 @@ def validate_functor(F: FunctorTable) -> tuple[str, str] | None:
         ids = tuple(s.id_of(a) for s, a in zip(F.slots, objs))
         if F.mor_map[ids] != F.dst.id_of(F.obj_map[objs]):
             return "functor-identity", f"at {objs}"
+    srcs = {ms: tuple(s.src(m) for s, m in zip(F.slots, ms)) for ms in F.mor_map}
+    tgts = {ms: tuple(s.tgt(m) for s, m in zip(F.slots, ms)) for ms in F.mor_map}
     for ms, m_img in F.mor_map.items():
-        srcs = tuple(s.src(m) for s, m in zip(F.slots, ms))
-        tgts = tuple(s.tgt(m) for s, m in zip(F.slots, ms))
-        if F.dst.src(m_img) != F.obj_map[srcs] or F.dst.tgt(m_img) != F.obj_map[tgts]:
+        if F.dst.src(m_img) != F.obj_map[srcs[ms]] or F.dst.tgt(m_img) != F.obj_map[tgts[ms]]:
             return "functor-typing", f"at {ms}"
+    # the tuples leaving each source tuple, in mor_map order (sorted is
+    # stable); each fs meets the gs composable after it in that order, as a
+    # scan of every pair would
+    leaving = {a: tuple(gs) for a, gs in itertools.groupby(sorted(F.mor_map, key=srcs.get),
+                                                           key=srcs.get)}
     for fs in F.mor_map:
-        for gs in F.mor_map:
-            if all(s.tgt(f) == s.src(g) for s, g, f in zip(F.slots, gs, fs)):
-                comp = tuple(s.compose(g, f) for s, g, f in zip(F.slots, gs, fs))
-                if F.mor_map[comp] != F.dst.compose(F.mor_map[gs], F.mor_map[fs]):
-                    return "functor-composition", f"g={gs} f={fs}"
+        for gs in leaving.get(tgts[fs], ()):
+            comp = tuple(s.compose(g, f) for s, g, f in zip(F.slots, gs, fs))
+            if F.mor_map[comp] != F.dst.compose(F.mor_map[gs], F.mor_map[fs]):
+                return "functor-composition", f"g={gs} f={fs}"
     return None
 
 

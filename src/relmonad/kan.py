@@ -42,10 +42,24 @@ The cells defined here are the generators of everything the checker verifies:
 mult_cell is not postulated: it is the untranspose of the whiskered unit,
 which is the shape every uniqueness argument downstream leans on.
 
-The memos here point back at their owners: an extension record on
-cod.colimits holds presheaves whose base is cod, and f.extensions holds the
-StrengthenMap whose inner is f.  A fincat.session() empties them when it
-closes, so what was built inside dies by reference count.  While one is
+Two memos here are keyed by content and kept on the codomain category:
+cod.colimits holds one extension record per colimit input, and cod.cocones
+one map between two records per (source record, destination record, kind,
+what the blocks read).  The three record-to-record maps go through it: the
+action in the extended slot (reading the presheaf morphism's components),
+the action in another slot (reading the inner map's action over each
+object) and strengthen_cell's components (reading the inner cell's
+components at the nodes the source record's blocks touch, evaluated in
+the order the blocks first touch them, as a class-by-class walk would).
+So map objects and cells that meet the same records share one map.
+counit_cell and theta_cell build theirs afresh: the first's key would cost
+more than it saves, and the second's maps out of fresh records never
+repeat.
+
+The memos point back at their owners: a record on cod.colimits and a map
+on cod.cocones hold presheaves whose base is cod, and f.extensions holds
+the StrengthenMap whose inner is f.  A fincat.session() empties them when
+it closes, so what was built inside dies by reference count.  While one is
 open, the cell constructors above (all but transpose and untranspose) hand
 back one shared cell per identity of their arguments, its component memo
 warm; untranspose therefore names its composite when building it.
@@ -54,6 +68,7 @@ warm; untranspose therefore names its composite when building it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SlotMismatchError
 from .fincat import FinCategory, shared
@@ -76,12 +91,22 @@ from .multimap import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class ExtensionData:
-    """One extension's value, kept once per input content in cod.colimits."""
+    """One extension's value, kept once per input content in cod.colimits.
+
+    It hashes by identity: cod.cocones keys the maps between records on
+    the records themselves.
+    """
 
     presheaf: Presheaf
     colims: tuple  # ColimitResult per codomain object, flat over (x, e, t)
+
+    @cached_property
+    def nodes(self) -> tuple:
+        """The nodes x holding a class at some codomain object, in the order
+        the blocks first meet them: y ascending, then x ascending."""
+        return tuple(dict.fromkeys(x for colim in self.colims for x, _, _, _ in colim.blocks()))
 
 
 def _cocone_map(data: ExtensionData, dst: Presheaf, block) -> PresheafMorphism:
@@ -99,6 +124,21 @@ def _cocone_map(data: ExtensionData, dst: Presheaf, block) -> PresheafMorphism:
     return PresheafMorphism(data.presheaf, dst, comps)
 
 
+def _record_map(src: ExtensionData, dst: ExtensionData, kind: str, reads, block) -> PresheafMorphism:
+    """_cocone_map between two records, shared on their codomain by content.
+
+    block may read only reads, which with the two records and the kind of
+    block fixes the map; so cod.cocones keeps one map per (src, dst, kind,
+    reads), and map objects that meet the same records share it.
+    """
+    memo = src.presheaf.base.cocones
+    key = (src, dst, kind, reads)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _cocone_map(src, dst.presheaf, block)
+    return hit
+
+
 class StrengthenMap(MultiMap):
     """The pointwise extension of f along the unit in fin slot j."""
 
@@ -113,21 +153,23 @@ class StrengthenMap(MultiMap):
         self._data_memo = {}
 
     def data(self, args) -> ExtensionData:
-        args = tuple(args)
+        if type(args) is not tuple:
+            args = tuple(args)
         hit = self._data_memo.get(args)
         if hit is not None:
             return hit
-        self.check_arity(args)
-        j = self.j
+        if len(args) != self.arity:
+            self.check_arity(args)
+        j, inner = self.j, self.inner
         p = args[j]
         c = p.base
-        inner_vals = {x: self.inner.evaluate(args[:j] + (x,) + args[j + 1 :])
-                      for x in c.objects if p.at[x]}
+        pre, post = args[:j], args[j + 1 :]
+        inner_vals = {x: inner.evaluate(pre + (x,) + post) for x in c.objects if p.at[x]}
         shape = c.generation
         arrow_mor = {}  # arrow i of shape, if its target fiber is non-empty -> f(generators[i])
         for i, m in enumerate(shape.generators):
             if p.at[c.mor_tgt[m]]:
-                arrow_mor[i] = self.inner.morphism_at(args, j, m)
+                arrow_mor[i] = inner.morphism_at(pre + (c.mor_src[m],) + post, j, m)
         # Distinct map objects often meet content-equal inputs, so the record
         # is memoized on the codomain by its whole input, by content.  The
         # colimit's shape depends only on the slot category and p.act (the
@@ -171,26 +213,28 @@ class StrengthenMap(MultiMap):
         if k == j:
             # action on a presheaf morphism phi: move each copy along phi
             dst = self.data(args[:j] + (m.dst,) + args[j + 1 :])
+            along = m.components
 
             def block(y, x, off, n, reps):
                 r = dst.colims[y]
-                classes, o, s, to = r.classes, r.offsets[x], r.sizes[x], m.components[x]
+                classes, o, s, to = r.classes, r.offsets[x], r.sizes[x], along[x]
                 return [classes[o + to[e] * s + t] for i in reps for e, t in (divmod(i - off, n),)]
 
-            return _cocone_map(src, dst.presheaf, block)
+            return _record_map(src, dst, "along", along, block)
         # action in another slot: apply inner's action in every copy
         slot = self.slots[k]
-        tgt_k = slot.cat.tgt(m) if slot.kind == "fin" else m.dst
+        tgt_k = slot.cat.mor_tgt[m] if slot.kind == "fin" else m.dst
         dst = self.data(args[:k] + (tgt_k,) + args[k + 1 :])
-        step = {x: self.inner.morphism_at(args[:j] + (x,) + args[j + 1 :], k, m)
-                for x in args[j].base.objects if args[j].at[x]}
+        pre, post, p = args[:j], args[j + 1 :], args[j]
+        step = {x: self.inner.morphism_at(pre + (x,) + post, k, m).components
+                for x in p.base.objects if p.at[x]}
 
         def block(y, x, off, n, reps):
             r = dst.colims[y]
-            classes, o, s, to = r.classes, r.offsets[x], r.sizes[x], step[x].components[y]
+            classes, o, s, to = r.classes, r.offsets[x], r.sizes[x], step[x][y]
             return [classes[o + e * s + to[t]] for i in reps for e, t in (divmod(i - off, n),)]
 
-        return _cocone_map(src, dst.presheaf, block)
+        return _record_map(src, dst, "slot", tuple(step.values()), block)
 
 
 def strengthen(f: MultiMap, j: int) -> StrengthenMap:
@@ -287,14 +331,17 @@ def strengthen_cell(cell: TwoCell, j: int) -> TwoCell:
     def fn(args):
         sdata = src.data(args)
         ddata = dst.data(args)
+        # the inner cell at each node the blocks touch, in the order they
+        # first touch it, as a class-by-class walk would evaluate it
+        pre, post = args[:j], args[j + 1 :]
+        inside = {x: cell.component(pre + (x,) + post).components for x in sdata.nodes}
 
         def block(y, x, off, n, reps):
-            to = cell.component(args[:j] + (x,) + args[j + 1 :]).components[y]
             r = ddata.colims[y]
-            classes, o, s = r.classes, r.offsets[x], r.sizes[x]
+            classes, o, s, to = r.classes, r.offsets[x], r.sizes[x], inside[x][y]
             return [classes[o + e * s + to[t]] for i in reps for e, t in (divmod(i - off, n),)]
 
-        return _cocone_map(sdata, ddata.presheaf, block)
+        return _record_map(sdata, ddata, "cell", tuple(inside.values()), block)
 
     return TwoCell(src, dst, fn, name=f"ext{j}[{cell.name}]")
 

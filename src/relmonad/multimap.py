@@ -76,6 +76,7 @@ class MultiMap:
 
     def __init__(self, slots, cod: FinCategory, name: str):
         self.slots = tuple(slots)
+        self.arity = len(self.slots)
         self.cod = cod
         self.name = name
         self._signature = None
@@ -89,10 +90,6 @@ class MultiMap:
         """Drop the nodes that point back at this map (fincat.Session.close)."""
         self.extensions.clear()
         self.composites.clear()
-
-    @property
-    def arity(self) -> int:
-        return len(self.slots)
 
     def signature(self):
         if self._signature is None:
@@ -109,12 +106,13 @@ class MultiMap:
             )
 
     def evaluate(self, args) -> Presheaf:
-        args = tuple(args)
+        if type(args) is not tuple:
+            args = tuple(args)
         hit = self._val_memo.get(args)
         if hit is None:
-            self.check_arity(args)
-            hit = self._value(args)
-            self._val_memo[args] = hit
+            if len(args) != self.arity:
+                self.check_arity(args)
+            hit = self._val_memo[args] = self._value(args)
         return hit
 
     def morphism_at(self, args, j, m) -> PresheafMorphism:
@@ -123,16 +121,18 @@ class MultiMap:
         args[j] is normalized to the source of m, so callers may pass either
         endpoint there.
         """
-        args = tuple(args)
+        if type(args) is not tuple:
+            args = tuple(args)
         slot = self.slots[j]
-        src = slot.cat.src(m) if slot.kind == "fin" else m.src
-        args = args[:j] + (src,) + args[j + 1 :]
+        src = slot.cat.mor_src[m] if slot.kind == "fin" else m.src
+        if j >= len(args) or args[j] != src:
+            args = args[:j] + (src,) + args[j + 1 :]
         key = (args, j, m)
         hit = self._mor_memo.get(key)
         if hit is None:
-            self.check_arity(args)
-            hit = self._mor_at(args, j, m)
-            self._mor_memo[key] = hit
+            if len(args) != self.arity:
+                self.check_arity(args)
+            hit = self._mor_memo[key] = self._mor_at(args, j, m)
         return hit
 
     def _value(self, args) -> Presheaf:
@@ -340,12 +340,13 @@ class TwoCell:
         self._memo = {}
 
     def component(self, args) -> PresheafMorphism:
-        args = tuple(args)
+        if type(args) is not tuple:
+            args = tuple(args)
         hit = self._memo.get(args)
         if hit is None:
-            self.src.check_arity(args)
-            hit = self._fn(args)
-            self._memo[args] = hit
+            if len(args) != self.src.arity:
+                self.src.check_arity(args)
+            hit = self._memo[args] = self._fn(args)
         return hit
 
     def __repr__(self):

@@ -417,10 +417,67 @@ def test_finished_run_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         run_suite(CheckConfig(seed=3, instances=5))
-        assert gc.collect() < 10_000
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("law, inject", [
+    ("braiding-words", ""), ("lift-composition", ""), ("interchange-extensions", ""),
+    ("extension-associative", "that-corrupt"),
+])
+def test_shared_cocone_maps_equal_maps_built_afresh(monkeypatch, law, inject):
+    # every map handed out between extension records, shared on cod.cocones
+    # or not, equals the map its request builds afresh; and the verdicts,
+    # failing ones under an injected defect included, match a run with that
+    # memo emptied before every request
+    def run(fresh):
+        requests, built = [], []
+        record_map, cocone_map = kan._record_map, kan._cocone_map
+
+        def requested(src, dst, kind, reads, block):
+            if fresh:
+                src.presheaf.base.cocones.clear()
+            phi = record_map(src, dst, kind, reads, block)
+            requests.append(phi.components == cocone_map(src, dst.presheaf, block).components)
+            return phi
+
+        def building(*args):
+            built.append(None)
+            return cocone_map(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kan, "_record_map", requested)
+            patch.setattr(kan, "_cocone_map", building)
+            outcomes = [run_suite(CheckConfig(seed=seed, laws=(law,), inject=inject)).outcomes
+                        for seed in range(1, 5)]
+        assert requests and all(requests)
+        return len(built), outcomes
+
+    shared_built, shared_outcomes = run(False)
+    fresh_built, fresh_outcomes = run(True)
+    assert shared_outcomes == fresh_outcomes
+    assert shared_built < fresh_built
+    assert all(o.ok for run in shared_outcomes for o in run) == (not inject)
+
+
+def test_braiding_words_builds_few_cocone_maps(monkeypatch, capsys):
+    # a deterministic gate on the shared cocone maps: at seed 42 braiding-words
+    # built 5,531 of them when each map object built its own, 1,109 shared
+    built = []
+    cocone_map = kan._cocone_map
+
+    def building(*args):
+        built.append(None)
+        return cocone_map(*args)
+
+    monkeypatch.setattr(kan, "_cocone_map", building)
+    rc = cli.main(["verify", "--seed", "42", "--laws", "braiding-words", "--format", "machine"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert rc == 0
+    assert digest == "31649ce1951cb41127fc00786d60f474e81d03953e4432f4ecbe74e3ed0c7052"
+    assert len(built) <= 1_109
 
 
 def test_wrong_arity_raises_slot_mismatch(arrow, sum1_arrow):

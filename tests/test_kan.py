@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import codiscrete, cyclic_group, hom_sum_map, isomorphic_pair, walking_arrow
 
-from relmonad import cli, gen, kan
+from relmonad import checker, cli, gen, kan
 from relmonad.errors import BudgetExceededError, SlotMismatchError
 from relmonad.fincat import FinCategory, FunctorTable, session
 from relmonad.kan import (
@@ -98,9 +98,11 @@ def test_closing_a_session_empties_its_owners_memos():
         c = walking_arrow()
         f = hom_sum_map(c, 1)
         unit_cell(f, 0).component((1,))
-        assert f.extensions and c.colimits and c.representables and c.unit is not None
+        strengthen_cell(identity_cell(f), 0).component((representable(c, 1),))
+        assert f.extensions and c.colimits and c.cocones and c.representables
+        assert c.unit is not None
     assert f.extensions == {} and f.composites == {}
-    assert c.colimits == {} and c.representables == {} and c.unit is None
+    assert c.colimits == {} and c.cocones == {} and c.representables == {} and c.unit is None
 
 
 def test_a_closed_sessions_graph_dies_by_reference_count():
@@ -692,6 +694,35 @@ def test_block_readers_match_a_per_class_reference(seed):
             for m in c.morphisms:
                 if c.src(m) == x:
                     _assert_mor_at_per_class(strengthen(f2, 1), (x, q), 0, m)
+
+
+def test_content_equal_requests_share_one_map_between_records(arrow, sum1_arrow):
+    # two map objects with one content meet the same records, so the map
+    # between them is built once, on the codomain
+    p = representable(arrow, 1)
+    phi = classifying_morphism(p, 1, 0)
+    a, b = strengthen(sum1_arrow, 0), strengthen(hom_sum_map(arrow, 1), 0)
+    assert a.data((p,)) is b.data((p,))
+    assert a.morphism_at((phi.src,), 0, phi) is b.morphism_at((phi.src,), 0, phi)
+    assert len(arrow.cocones) == 1
+
+
+def test_a_damaged_cell_after_its_honest_twin_gets_its_own_map():
+    # the twins meet the same records, and only the inner components they
+    # read tell their strengthened maps apart: the damaged one must not be
+    # handed the honest map built first
+    rng = random.Random("damaged-twin")
+    c = gen.builtin_category("z2")
+    honest = unit_cell(hom_sum_map(c, 1), 0)
+    damaged = checker._damaged(checker._swap_first_wide_row)(lambda: honest)
+    differing = 0
+    for p in _small_presheaves(rng, c):
+        before = strengthen_cell(honest, 0).component((p,))
+        assert strengthen(honest.src, 0).data((p,)) is strengthen(damaged.src, 0).data((p,))
+        _assert_strengthen_cell_per_class(damaged, 0, (p,))
+        differing += strengthen_cell(damaged, 0).component((p,)).components != before.components
+        _assert_strengthen_cell_per_class(honest, 0, (p,))
+    assert differing
 
 
 def test_extension_records_take_weak_references(arrow, sum1_arrow):

@@ -2,6 +2,7 @@
 witness) pair: they report malformed tables as typing violations, never
 raise on one, and check their phases in a fixed order."""
 
+import itertools
 import random
 import re
 
@@ -16,6 +17,7 @@ from relmonad.fincat import (
     FinCategory,
     FunctorTable,
     NatTransTable,
+    _table_gap,
     validate_category,
     validate_functor,
     validate_nat_trans,
@@ -233,3 +235,65 @@ def test_tampered_draws_report_a_documented_law(kind, seed, out_of_range):
     assert found is None or _names_a_law(found[0], *validators), found
     if out_of_range:
         assert found is not None and found[0] == typing, found
+
+
+# -- functoriality on composable pairs only ---------------------------------------
+
+
+def _functor_by_all_pairs(F):
+    """validate_functor as it was written before it bucketed the morphism
+    tuples by source: every pair of entries is scanned for composability."""
+    for table, factors, size in ((F.obj_map, [s.objects for s in F.slots], F.dst.n_objects),
+                                 (F.mor_map, [s.morphisms for s in F.slots], F.dst.n_morphisms)):
+        gap = _table_gap(table, factors, size)
+        if gap is not None:
+            return "functor-typing", f"at {gap}"
+    for objs in itertools.product(*(s.objects for s in F.slots)):
+        ids = tuple(s.id_of(a) for s, a in zip(F.slots, objs))
+        if F.mor_map[ids] != F.dst.id_of(F.obj_map[objs]):
+            return "functor-identity", f"at {objs}"
+    for ms, m_img in F.mor_map.items():
+        srcs = tuple(s.src(m) for s, m in zip(F.slots, ms))
+        tgts = tuple(s.tgt(m) for s, m in zip(F.slots, ms))
+        if F.dst.src(m_img) != F.obj_map[srcs] or F.dst.tgt(m_img) != F.obj_map[tgts]:
+            return "functor-typing", f"at {ms}"
+    for fs in F.mor_map:
+        for gs in F.mor_map:
+            if all(s.tgt(f) == s.src(g) for s, g, f in zip(F.slots, gs, fs)):
+                comp = tuple(s.compose(g, f) for s, g, f in zip(F.slots, gs, fs))
+                if F.mor_map[comp] != F.dst.compose(F.mor_map[gs], F.mor_map[fs]):
+                    return "functor-composition", f"g={gs} f={fs}"
+    return None
+
+
+def _retargeted_functor(rng):
+    """A functor out of one or two slots with up to three entries of mor_map
+    moved, mostly at non-identity tuples, to a parallel morphism or to any
+    morphism; a parallel move keeps the typing and breaks identities or
+    composites, when the hom allows."""
+    slots = tuple(gen.gen_category(rng, 3, 4) for _ in range(rng.randint(1, 2)))
+    d = gen.gen_category(rng, 3, 4)
+    f = gen.gen_functor(rng, slots, d)
+    mor_map = dict(f.mor_map)
+    keys = sorted(mor_map)
+    moving = [k for k in keys if not all(s.is_identity(m) for s, m in zip(slots, k))] or keys
+    for _ in range(rng.randint(1, 3)):
+        key = rng.choice(moving if rng.random() < 0.8 else keys)
+        m = mor_map[key]
+        parallel = d.hom(d.src(m), d.tgt(m))
+        mor_map[key] = rng.choice(parallel if rng.random() < 0.8 else d.morphisms)
+    return f, FunctorTable(f.slots, d, f.obj_map, mor_map)
+
+
+def test_functoriality_walks_composable_pairs_like_the_all_pairs_scan():
+    # same verdict and same witness as the quadratic scan, on draws that
+    # reach every phase of the check
+    laws = []
+    for seed in range(300):
+        good, bad = _retargeted_functor(random.Random(f"functor-pairs:{seed}"))
+        assert validate_functor(good) is _functor_by_all_pairs(good) is None
+        found = validate_functor(bad)
+        assert found == _functor_by_all_pairs(bad), seed
+        laws.append(found and found[0])
+    assert {"functor-composition", "functor-identity", "functor-typing", None} <= set(laws)
+    assert laws.count("functor-composition") >= 30
