@@ -11,6 +11,7 @@ no timing, so two runs at the same seed are byte-identical.
 """
 
 import argparse
+import functools
 import os
 import sys
 import textwrap
@@ -245,7 +246,11 @@ def cmd_explain(args):
 
 # -- argument wiring ----------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: argparse's parsers and
+    formatters point at each other, so each fresh build would be cyclic
+    garbage after every main call."""
     p = argparse.ArgumentParser(
         prog="relmonad",
         description="finite checker for the presheaf extension operation and its laws",

@@ -7,13 +7,14 @@ and all derived orderings (hom lists, slot enumeration) are deterministic
 functions of the tables, which the rest of the package relies on for
 bit-identical reruns.
 
-The memos that categories and maps keep (a category's unit map,
-representables, extension records and the cocone maps between them, a
-map's extension and substitution nodes) point back at their owner, so an
-owner's graph is cyclic while they are full.  A session (session() below)
-frees them by reference count: it empties the memos of every owner born
-while it was open when it closes, and while open it shares the structural
-cells built from the same arguments.  It
+Categories are the only memo owners: a category's representables,
+extension records and the cocone maps between them point back at it, so its
+graph is cyclic while they are full.  A session (session() below) frees them
+by reference count: it empties the memos of every category born while it was
+open when it closes.  While open it interns every shared constructor (the
+structural maps and cells, and categories of elements) by the identity of
+its arguments; outside any session those build afresh, so maps and cells
+hold no memo that points back at them and die by reference count.  It
 also holds the one fault table of the package: a fault named after a shared
 constructor replaces that constructor's build at every call site, so a defect
 injected there reaches the cells built inside other cells too.
@@ -37,16 +38,16 @@ class Session:
     """The memo owners born while a session is open, its shared cells, and
     its faults.
 
-    owners lists every FinCategory and MultiMap built inside, in order;
-    closing empties their back-pointing memos (release_memos), after which
-    their graph is acyclic and dies by reference count.  cells maps a
-    constructor and the identity of each of its arguments to the cell built
-    from them, kept with those arguments so that no id is reused while its
-    entry lives.  Identity, not content: FinCategory hashes by content, and
-    content-equal categories can carry different names.  faults maps the
-    name of a shared constructor to a fault: fault(build, *args) returns
-    what the session holds in place of build(*args), build being the
-    honest, unshared constructor.
+    owners lists every FinCategory built inside, in order; closing empties
+    their back-pointing memos (release_memos), after which their graph is
+    acyclic and dies by reference count.  cells maps a shared constructor
+    and the identity of each of its arguments to what it built from them,
+    kept with those arguments so that no id is reused while its entry
+    lives: it is the package's one identity-keyed memo.  Identity, not
+    content: FinCategory hashes by content, and content-equal categories can
+    carry different names.  faults maps the name of a shared constructor to
+    a fault: fault(build, *args) returns what the session holds in place of
+    build(*args), build being the honest, unshared constructor.
     """
 
     def __init__(self, faults=None):
@@ -69,8 +70,8 @@ def session(faults=None):
     Library callers that build many maps and cells should wrap that work in
     `with session():`, as checker.run_single does per law instance, so its
     memos are freed by reference count instead of by the cyclic collector.
-    Outside any session every memo stays on its owner until the cyclic
-    collector frees it.
+    Outside any session a category's memos stay on it until the cyclic
+    collector frees it, and shared constructors build afresh.
 
     faults (see Session) holds for this session only: a nested session has
     its own table, and once the block exits, by return or by exception,
@@ -83,12 +84,6 @@ def session(faults=None):
     finally:
         _sessions.pop()
         s.close()
-
-
-def own(owner):
-    """Register a memo owner with the innermost open session, if any."""
-    if _sessions:
-        _sessions[-1].owners.append(owner)
 
 
 def shared(build):
@@ -182,15 +177,14 @@ class FinCategory(Graph):
         self.morphisms = range(self.n_morphisms)
         self._key = None
         self._hash = None
-        self.unit = None  # UnitMap, built by multimap.unit_map; not in content_key
         self.representables = {}  # object -> Presheaf, filled by presheaf.representable
         self.colimits = {}  # extension input -> kan.ExtensionData, filled by kan
         self.cocones = {}  # (record, record, kind, reads) -> cocone map, filled by kan
-        own(self)
+        if _sessions:  # the innermost session empties these memos when it closes
+            _sessions[-1].owners.append(self)
 
     def release_memos(self):
         """Drop the memos that point back at this category (Session.close)."""
-        self.unit = None
         self.representables.clear()
         self.colimits.clear()
         self.cocones.clear()

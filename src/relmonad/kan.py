@@ -56,13 +56,13 @@ counit_cell and theta_cell build theirs afresh: the first's key would cost
 more than it saves, and the second's maps out of fresh records never
 repeat.
 
-The memos point back at their owners: a record on cod.colimits and a map
-on cod.cocones hold presheaves whose base is cod, and f.extensions holds
-the StrengthenMap whose inner is f.  A fincat.session() empties them when
-it closes, so what was built inside dies by reference count.  While one is
-open, the cell constructors above (all but transpose and untranspose) hand
-back one shared cell per identity of their arguments, its component memo
-warm; untranspose therefore names its composite when building it.
+Those memos point back at their owner: a record on cod.colimits and a map
+on cod.cocones hold presheaves whose base is cod.  A fincat.session()
+empties them when it closes, so what was built inside dies by reference
+count.  While one is open, strengthen and the cell constructors above (all
+but transpose and untranspose) hand back one shared node or cell per
+identity of their arguments, its memos warm; outside one they build afresh.
+untranspose therefore names its composite when building it.
 """
 
 from __future__ import annotations
@@ -237,11 +237,10 @@ class StrengthenMap(MultiMap):
         return _record_map(src, dst, "slot", tuple(step.values()), block)
 
 
+@shared
 def strengthen(f: MultiMap, j: int) -> StrengthenMap:
-    """Interned per (map, slot) on f: repeated requests reuse the same node."""
-    if j not in f.extensions:
-        f.extensions[j] = StrengthenMap(f, j)
-    return f.extensions[j]
+    """Extend f along the unit in slot j; a session keeps one node per (f, j)."""
+    return StrengthenMap(f, j)
 
 
 # -- generating cells ---------------------------------------------------------

@@ -5,13 +5,12 @@ codomain category.  A slot is either 'fin' (the argument is an object of a
 finite category, acted on by its morphisms) or 'psh' (the argument is itself a
 presheaf on a finite category, acted on by presheaf morphisms).  Maps form a
 substitution algebra with one node: ComposeMap plugs a map into a psh slot
-and a functor table into a fin slot.  plug(f, j, g) interns that node per
-(map, slot, inner) on the outer map, as kan.strengthen interns extensions,
-so every cell whiskered by the same inner object shares its endpoints' memos.
-Those nodes point back at the outer map (ComposeMap.f, StrengthenMap.inner),
-so a map with full memos sits on a reference cycle until the cyclic
-collector finds it; a map built inside a fincat.session() has them emptied
-when the session closes, and then dies by reference count.
+and a functor table into a fin slot.  Inside a fincat.session(), plug,
+unit_map and kan.strengthen hand back one node per identity of their
+arguments (fincat.shared), so every cell whiskered by the same inner object
+shares its endpoints' memos; outside one they build afresh.  No map keeps a
+memo of the nodes built from it, so a map holds no reference cycle and dies
+by reference count.
 
 A TwoCell is a family of presheaf morphisms between the evaluations of two
 parallel maps, one per argument tuple, built lazily and memoized.  Vertical
@@ -42,12 +41,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotInvertibleError, SlotMismatchError
-from .fincat import (
-    FinCategory,
-    FunctorTable,
-    own,
-    shared,
-)
+from .fincat import FinCategory, FunctorTable, shared
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
@@ -82,14 +76,6 @@ class MultiMap:
         self._signature = None
         self._val_memo = {}
         self._mor_memo = {}
-        self.extensions = {}  # slot -> StrengthenMap, filled by kan.strengthen
-        self.composites = {}  # (slot, inner) -> ComposeMap, filled by plug
-        own(self)
-
-    def release_memos(self):
-        """Drop the nodes that point back at this map (fincat.Session.close)."""
-        self.extensions.clear()
-        self.composites.clear()
 
     def signature(self):
         if self._signature is None:
@@ -205,11 +191,11 @@ class IdentityMap(MultiMap):
         return m
 
 
+@shared
 def unit_map(cat: FinCategory) -> UnitMap:
-    """The UnitMap kept on cat, so memo keys stay warm across cells."""
-    if cat.unit is None:
-        cat.unit = UnitMap(cat)
-    return cat.unit
+    """The unit on cat; a session keeps one per category, so memo keys stay
+    warm across cells."""
+    return UnitMap(cat)
 
 
 class ComposeMap(MultiMap):
@@ -252,17 +238,14 @@ class ComposeMap(MultiMap):
         return self.f.morphism_at(self._f_args(args), k - n + 1, m)
 
 
+@shared
 def plug(f: MultiMap, j: int, g) -> ComposeMap:
-    """Interned per (slot, inner) on f: repeated requests reuse the same node.
+    """Substitute g into slot j of f; a session keeps one node per (f, j, g).
 
-    The inner map or functor table is keyed by identity.  ComposeMap checks
-    the slot before the node is stored, so a bad plug raises every time.
+    ComposeMap checks the slot before the session stores the node, so a bad
+    plug raises every time.
     """
-    key = (j, g)
-    hit = f.composites.get(key)
-    if hit is None:
-        hit = f.composites[key] = ComposeMap(f, j, g)
-    return hit
+    return ComposeMap(f, j, g)
 
 
 def validate_multimap(m: MultiMap) -> tuple[str, str] | None:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError, SlotMismatchError
-from .fincat import FinCategory, Graph
+from .fincat import FinCategory, Graph, shared
 
 DEFAULT_BUDGET = 10**5
 
@@ -82,13 +82,12 @@ class Presheaf:
     No __eq__ or __hash__: it hashes by identity, so memos key on the instance.
     """
 
-    __slots__ = ("base", "at", "act", "_elements", "__weakref__")
+    __slots__ = ("base", "at", "act", "__weakref__")
 
     def __init__(self, base: FinCategory, at, act):
         self.base = base
         self.at = tuple(map(tuple, at))
         self.act = tuple(map(tuple, act))
-        self._elements = None  # ElementsCategory, built by category_of_elements
 
     def content_key(self):
         return (self.at, self.act)
@@ -537,10 +536,10 @@ class ElementsCategory(Graph):
         )
 
 
+@shared
 def category_of_elements(p: Presheaf) -> ElementsCategory:
-    if p._elements is None:
-        p._elements = ElementsCategory(p)
-    return p._elements
+    """El(p); a session keeps one per presheaf."""
+    return ElementsCategory(p)
 
 
 # -- enumeration of natural transformations -----------------------------------

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from relmonad import cli, kan, monad
+from relmonad import cli, kan, monad, presheaf
 from relmonad.checker import (
     INJECTORS,
     LAW_FAMILIES,
@@ -421,6 +421,27 @@ def test_finished_run_leaves_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_seed_42_suite_does_its_pinned_work(monkeypatch):
+    # the suite's deterministic work, as bench/run.py --trace counts it; a
+    # change that moves these re-pins them and says why
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(presheaf, "colimit_finset",
+                        counted("colimits", presheaf.colimit_finset))
+    monkeypatch.setattr(presheaf.ElementsCategory, "__init__",
+                        counted("elements", presheaf.ElementsCategory.__init__))
+    merges = presheaf.merge_counter.value
+    run_suite(CheckConfig(seed=42))
+    assert (counts["colimits"], counts["elements"], presheaf.merge_counter.value - merges) == (
+        7035, 80, 8119)
 
 
 @pytest.mark.parametrize("law, inject", [

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report formats, determinism, replay."""
 
+import gc
 import os
 import random
 import subprocess
@@ -317,6 +318,22 @@ def test_explain_survives_stripped_docstrings():
 def test_explain_unknown(capsys):
     rc, _, err = run(["explain", "wat"], capsys)
     assert rc == 2
+
+
+def test_a_later_main_call_leaves_no_cyclic_garbage(capsys):
+    # the parser is built once per process: a fresh argparse parser would
+    # be cyclic garbage after every call
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run(["explain"], capsys)
+        gc.collect()
+        for argv in (["explain"], ["verify", "--laws", "yoneda-count", "--format", "machine"]):
+            rc, _, _ = run(argv, capsys)
+            assert rc == 0 and gc.collect() == 0, argv
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_usage_error_exit_two():

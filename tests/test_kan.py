@@ -69,7 +69,8 @@ def el_components(el):
 
 
 def test_strengthen_interned(plus0_arrow):
-    assert strengthen(plus0_arrow, 0) is strengthen(plus0_arrow, 0)
+    with session():
+        assert strengthen(plus0_arrow, 0) is strengthen(plus0_arrow, 0)
 
 
 # -- sessions -------------------------------------------------------------------
@@ -94,15 +95,18 @@ def test_a_session_keeps_one_identity_functor_per_category(arrow):
 
 
 def test_closing_a_session_empties_its_owners_memos():
-    with session():
+    with session() as s:
         c = walking_arrow()
         f = hom_sum_map(c, 1)
         unit_cell(f, 0).component((1,))
         strengthen_cell(identity_cell(f), 0).component((representable(c, 1),))
-        assert f.extensions and c.colimits and c.cocones and c.representables
-        assert c.unit is not None
-    assert f.extensions == {} and f.composites == {}
-    assert c.colimits == {} and c.cocones == {} and c.representables == {} and c.unit is None
+        assert s.owners == [c]
+        assert strengthen(f, 0) is strengthen(f, 0)
+        assert s.cells and c.colimits and c.cocones and c.representables
+        assert unit_map(c) is unit_map(c)
+    assert s.owners == [] and s.cells == {}
+    assert c.colimits == {} and c.cocones == {} and c.representables == {}
+    assert unit_map(c) is not unit_map(c)
 
 
 def test_a_closed_sessions_graph_dies_by_reference_count():
@@ -115,7 +119,7 @@ def test_a_closed_sessions_graph_dies_by_reference_count():
             cell = unit_cell(f, 0)
             cell.component((1,))
             theta_cell(c).component((representable(c, 1),))
-            refs = [weakref.ref(x) for x in (c, f, c.unit, strengthen(f, 0), cell)]
+            refs = [weakref.ref(x) for x in (c, f, unit_map(c), strengthen(f, 0), cell)]
         del c, f, cell
         assert [r() for r in refs] == [None] * len(refs)
     finally:
@@ -129,22 +133,40 @@ def test_a_nested_session_restores_the_outer_one(arrow):
         cell = unit_cell(f, 0)
         with session() as inner:
             assert unit_cell(f, 0) is not cell
-            g = hom_sum_map(arrow, 1)
-            assert inner.owners == [g]
-            strengthen(g, 0)
-        assert g.extensions == {}
+            c = walking_arrow()
+            assert inner.owners == [c]
+            g = hom_sum_map(c, 1)
+            strengthen(g, 0).evaluate((representable(c, 1),))
+            assert inner.cells and c.colimits
+        assert inner.cells == {} and c.colimits == {}
         assert unit_cell(f, 0) is cell
-        h = hom_sum_map(arrow, 1)
-        assert outer.owners[-1] is h and g not in outer.owners
+        d = walking_arrow()
+        assert outer.owners[-1] is d and all(o is not c for o in outer.owners)
 
 
-def test_without_a_session_cells_are_built_afresh_and_memos_persist(arrow):
-    f = hom_sum_map(arrow, 1)
-    assert unit_cell(f, 0) is not unit_cell(f, 0)
-    ext = strengthen(f, 0)
-    ext.evaluate((representable(arrow, 1),))
-    assert f.extensions == {0: ext}
-    assert arrow.colimits and arrow.unit is unit_map(arrow)
+def test_without_a_session_cells_are_built_afresh_and_memos_persist():
+    # no map or cell keeps a memo that points back at it, so outside a
+    # session they die by reference count; only their categories keep memos
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        rng = random.Random(5)
+        c, cod = gen.builtin_category("arrow"), gen.builtin_category("square")
+        f = gen.gen_multimap(rng, [c], cod)
+        assert unit_cell(f, 0) is not unit_cell(f, 0)
+        assert strengthen(f, 0) is not strengthen(f, 0) and unit_map(c) is not unit_map(c)
+        ext = strengthen(f, 0)
+        ext.evaluate((representable(c, 1),))
+        phi = unit_cell(f, 0).component((1,))
+        refs = [weakref.ref(x) for x in (f, ext, phi)]
+        del f, ext, phi
+        assert [r() for r in refs] == [None] * len(refs)
+        assert cod.colimits and c.representables
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_extension_sizes_on_sum_map(arrow, plus0_arrow):

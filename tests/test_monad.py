@@ -121,6 +121,33 @@ def test_shared_cells_keep_the_names_they_were_built_with(sum1_arrow, sum2_arrow
         assert interchange(sum2_arrow, 0, 1) is sw
 
 
+def test_faults_reach_the_node_constructors(sum1_arrow, sum2_arrow):
+    # strengthen and plug are shared constructors, so a session's fault
+    # table reaches them, once per identity of their arguments
+    fired = {"strengthen": [], "plug": []}
+
+    def counting(calls):
+        def fault(build, *args):
+            calls.append(tuple(map(id, args)))
+            return build(*args)
+        return fault
+
+    def build():
+        interchange(sum2_arrow, 0, 1)
+        mult_cell(sum1_arrow, 0, sum2_arrow, 1)
+        strengthen(strengthen(sum2_arrow, 1), 0)
+
+    with session({name: counting(calls) for name, calls in fired.items()}):
+        build()
+        for name, calls in fired.items():
+            assert calls and len(set(calls)) == len(calls), name
+        seen = {name: list(calls) for name, calls in fired.items()}
+        build()
+        assert fired == seen
+    build()
+    assert fired == seen
+
+
 def test_transpose_compares_at_representables_without_new_cells(arrow, sum2_arrow,
                                                                 monkeypatch):
     cell = interchange(sum2_arrow, 0, 1)
@@ -159,15 +186,16 @@ def test_swap_cells_keep_their_own_endpoints(arrow, sum2_arrow, monkeypatch):
         raise AssertionError("a swap cell re-declared its endpoints")
 
     monkeypatch.setattr(monad, "retree", no_retree)
-    for j, k in ((0, 1), (1, 0)):
-        cell = interchange(sum2_arrow, j, k)
-        assert cell.src is strengthen(strengthen(sum2_arrow, k), j)
-        assert cell.dst is strengthen(strengthen(sum2_arrow, j), k)
-    sum3 = hom_sum_map(arrow, 3)
-    for strategy in ("left", "right"):
-        cell = interchange_perm(sum3, (0, 1, 2), (2, 1, 0), strategy)
-        assert cell.src is strengthen(strengthen(strengthen(sum3, 0), 1), 2)
-        assert cell.dst is strengthen(strengthen(strengthen(sum3, 2), 1), 0)
+    with session():
+        for j, k in ((0, 1), (1, 0)):
+            cell = interchange(sum2_arrow, j, k)
+            assert cell.src is strengthen(strengthen(sum2_arrow, k), j)
+            assert cell.dst is strengthen(strengthen(sum2_arrow, j), k)
+        sum3 = hom_sum_map(arrow, 3)
+        for strategy in ("left", "right"):
+            cell = interchange_perm(sum3, (0, 1, 2), (2, 1, 0), strategy)
+            assert cell.src is strengthen(strengthen(strengthen(sum3, 0), 1), 2)
+            assert cell.dst is strengthen(strengthen(strengthen(sum3, 2), 1), 0)
 
 
 def test_reorder_factorisations_agree(arrow):

@@ -1,7 +1,7 @@
 import pytest
 
 from relmonad.errors import SlotMismatchError
-from relmonad.fincat import FunctorTable, NatTransTable
+from relmonad.fincat import FunctorTable, NatTransTable, session
 from relmonad.multimap import (
     ComposeMap,
     IdentityMap,
@@ -46,7 +46,8 @@ def test_unit_map_is_representable(arrow):
 
 
 def test_unit_map_interned(arrow):
-    assert unit_map(arrow) is unit_map(arrow)
+    with session():
+        assert unit_map(arrow) is unit_map(arrow)
 
 
 def test_identity_map_passes_through(arrow):
@@ -98,41 +99,48 @@ def test_compose_fin_slot_mismatch(arrow, square, sum1_arrow):
 def test_plug_interns_per_slot_and_inner(arrow, sum1_arrow):
     from relmonad.kan import strengthen
 
-    ext = strengthen(sum1_arrow, 0)  # psh slot 0 over arrow
-    u = unit_map(arrow)
-    assert plug(ext, 0, u) is plug(ext, 0, u)
-    ident = FunctorTable.identity(arrow)
-    assert plug(sum1_arrow, 0, ident) is plug(sum1_arrow, 0, ident)
-    # the inner object is keyed by identity, not by content
-    assert plug(sum1_arrow, 0, FunctorTable.identity(arrow)) is not plug(sum1_arrow, 0, ident)
+    ident = FunctorTable.identity(arrow)  # outside the session: not its identity functor
+    with session():
+        ext = strengthen(sum1_arrow, 0)  # psh slot 0 over arrow
+        u = unit_map(arrow)
+        assert plug(ext, 0, u) is plug(ext, 0, u)
+        assert plug(sum1_arrow, 0, ident) is plug(sum1_arrow, 0, ident)
+        # the inner object is keyed by identity, not by content
+        assert plug(sum1_arrow, 0, FunctorTable.identity(arrow)) is not plug(sum1_arrow, 0, ident)
 
 
 def test_lifted_functor_is_one_chain(arrow, square):
     from relmonad.monad import apply_functor, base_map
 
     f = FunctorTable.unary(square, arrow, [0, 0, 1, 1], [0, 0, 1, 1, 0, 2, 2, 1, 2], name="f")
-    assert base_map(f) is base_map(f)
-    assert apply_functor(f) is apply_functor(f)
+    with session():
+        assert base_map(f) is base_map(f)
+        assert apply_functor(f) is apply_functor(f)
 
 
 def test_bad_plug_raises_every_time_and_stores_nothing(arrow, square, sum1_arrow):
-    wrong_kind = unit_map(arrow)  # a map, but slot 0 of sum1 is a fin slot
-    wrong_cod = FunctorTable.identity(square)  # lands in square, not arrow
-    for g in (wrong_kind, wrong_cod):
-        for _ in range(2):
-            with pytest.raises(SlotMismatchError):
-                plug(sum1_arrow, 0, g)
-    assert sum1_arrow.composites == {}
+    with session() as s:
+        wrong_kind = unit_map(arrow)  # a map, but slot 0 of sum1 is a fin slot
+        wrong_cod = FunctorTable.identity(square)  # lands in square, not arrow
+        stored = dict(s.cells)
+        for g in (wrong_kind, wrong_cod):
+            for _ in range(2):
+                with pytest.raises(SlotMismatchError):
+                    plug(sum1_arrow, 0, g)
+        assert s.cells == stored
 
 
 def test_whiskered_cells_share_endpoints(arrow, sum1_arrow):
     from relmonad.kan import strengthen
 
-    cell = identity_cell(strengthen(sum1_arrow, 0))
-    u = unit_map(arrow)
-    a, b = whisker_inner(cell, 0, u), whisker_inner(cell, 0, u)
-    assert a is not b
-    assert a.src is b.src and a.dst is b.dst
+    with session():
+        ext = strengthen(sum1_arrow, 0)
+        u = unit_map(arrow)
+        # two cells on the same map: the session shares whisker_inner per cell
+        a = whisker_inner(identity_cell(ext), 0, u)
+        b = whisker_inner(identity_cell(ext), 0, u)
+        assert a is not b
+        assert a.src is b.src and a.dst is b.dst
 
 
 def test_two_cell_requires_parallel(arrow, sum1_arrow):

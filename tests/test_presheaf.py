@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import codiscrete, cyclic_group, isomorphic_pair
 from relmonad.errors import BudgetExceededError
-from relmonad.fincat import FinCategory, validate_category
+from relmonad.fincat import FinCategory, session, validate_category
 from relmonad.gen import builtin_category, free_dag_category, gen_presheaf
 from relmonad.presheaf import (
     FinSetDiagram,
@@ -526,7 +526,8 @@ def test_category_of_elements(arrow):
 
 def test_category_of_elements_cached(arrow):
     p = representable(arrow, 1)
-    assert category_of_elements(p) is category_of_elements(p)
+    with session():
+        assert category_of_elements(p) is category_of_elements(p)
 
 
 def test_elements_of_square_corner(square):

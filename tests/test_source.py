@@ -102,21 +102,40 @@ def test_one_union_find():
     assert owners == {"presheaf.py:colimit_finset"}, f"path halving found in {sorted(owners)}"
 
 
+# each interned node class and the one shared constructor that builds it
+NODE_CONSTRUCTORS = {
+    "ComposeMap": "multimap.py:plug",
+    "StrengthenMap": "kan.py:strengthen",
+    "UnitMap": "multimap.py:unit_map",
+    "ElementsCategory": "presheaf.py:category_of_elements",
+}
+
+
 def test_one_substitution_constructor():
-    # ComposeMap is built only inside plug, so every substitution node is
-    # interned on its outer map and no call site bypasses the shared memos
-    owners = set()
+    # each node class is built only inside its constructor, which the session
+    # interns (@shared), so no call site bypasses the session's cells; and
+    # categories are the only memo owners, so only FinCategory releases memos
+    owners = {cls: set() for cls in NODE_CONSTRUCTORS}
+    shared, releasers = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
         functions = [n for n in nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for call in nodes:
-            callee = getattr(call, "func", None)
-            if isinstance(call, ast.Call) and "ComposeMap" in (
-                    getattr(callee, "id", None), getattr(callee, "attr", None)):
-                inside = [f for f in functions if f.lineno <= call.lineno <= f.end_lineno]
+        for node in nodes:
+            callee = getattr(node, "func", None)
+            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            if isinstance(node, ast.Call) and name in owners:
+                inside = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 owner = max(inside, key=lambda f: f.lineno).name if inside else "<module>"
-                owners.add(f"{path.name}:{owner}")
-    assert owners == {"multimap.py:plug"}, f"ComposeMap built in {sorted(owners)}"
+                owners[name].add(f"{path.name}:{owner}")
+            if isinstance(node, ast.FunctionDef) and any(
+                    getattr(d, "id", None) == "shared" for d in node.decorator_list):
+                shared.add(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef) and f.name == "release_memos" for f in node.body):
+                releasers.add(node.name)
+    assert owners == {cls: {where} for cls, where in NODE_CONSTRUCTORS.items()}, owners
+    assert set(NODE_CONSTRUCTORS.values()) <= shared, "a node constructor is not @shared"
+    assert releasers == {"FinCategory"}, f"release_memos defined on {sorted(releasers)}"
 
 
 def _laws(tree):
