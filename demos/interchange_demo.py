@@ -4,7 +4,8 @@
 A binary map can be extended in slot 0 then slot 1, or the other way
 around.  The two results are genuinely different tables, but the kernel
 produces an invertible cell between them, and that cell agrees with the
-bijection you get by flattening both double sums by hand.
+bijection you get by following every element of the double sum into both
+results.
 """
 
 import random
@@ -37,7 +38,8 @@ comp = cell.component((p, q))
 print("interchange component is",
       "a bijection" if comp.is_bijection() else "NOT a bijection")
 
-# independent check: flatten both iterated sums directly and match them up
+# independent check: route every element of the double sum into both
+# results and match up the classes it lands in
 tables = tuple(gamma_tables(f, 0, 1, (p, q)))
-print("matches the brute-force double-sum bijection:",
+print("matches the element-routed double-sum bijection:",
       tuple(comp.components) == tables)

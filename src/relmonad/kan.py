@@ -23,9 +23,10 @@ the rows of p's action along hom(y, x), then fills the block in one
 comprehension, decoding each index to (e, t) by divmod.  Classes are read
 in class order, so memo fills and faults come in the order a class-by-class
 walk would meet them.  Every cell below reads classes in those
-coordinates, so no extension builds El(p).  The oracles that do build it
-(checker._colimit_certificate, fubini) keep every non-identity, so they
-stay independent of this shortcut.
+coordinates, so no extension builds El(p).  The oracle that does build it,
+checker._colimit_certificate, keeps every non-identity, so it stays
+independent of this shortcut.  The interchange reference (fubini) builds
+none: it routes elements through the iterated extensions' records.
 
 All quotients go through pointwise_colimit, so representatives are canonical
 and reruns are bit-identical.

@@ -20,8 +20,9 @@ element (k, e, t) sits at offsets[k] + e * sizes[k] + t, with no tuple per
 copy.  A class is named by the flat index of its least member, one int per
 class.  Readers take the classes a node block at a time
 (ColimitResult.blocks): the slice of those indices that lies over one node,
-each decoded to (e, t) by one divmod inside the reader's own loop; rep(c)
-decodes one class, and members() all of them.
+each decoded to (e, t) by one divmod inside the reader's own loop, or a
+whole copy at a time (ColimitResult.row).  Those two are the only readers
+of a colimit's classes.
 A colimit presheaf's action is read through the nodes only at the base's
 generators, block by block; its identity rows are the identity, and each
 derived row composes its factors' rows (FinCategory.generation).  Every
@@ -29,8 +30,8 @@ colimit with n classes shares one tuple of class labels q0 .. q{n-1}, every
 identity row on n elements is one tuple, and representables share their
 m{id} labels, so a kept value holds no copy of any of them.  Presheaf and
 PresheafMorphism are slotted.  ElementsCategory keeps an arrow for every
-non-identity, because the oracles that walk it check the generator shortcut
-and must not share it.
+non-identity, because the oracle that walks it (the Kan certificate in the
+checker) checks the generator shortcut and must not share it.
 """
 
 from __future__ import annotations
@@ -283,9 +284,9 @@ class ColimitResult:
     offsets[k] + e * sizes[k] + t, and classes[index] is its class.  A class
     is named by the index of its least member, reps[class], one int per
     class.  blocks() hands those out a node at a time, for readers that
-    decode them in their own loop; rep(class) decodes one back to (k, e, t),
-    and members() all of them.  row(k, e) slices out one whole copy.  The
-    labels in set are shared with every colimit of as many classes.
+    decode them in their own loop, and row(k, e) slices out one whole copy;
+    no other reader decodes a class.  The labels in set are shared with
+    every colimit of as many classes.
     """
 
     set: tuple  # labels of the classes
@@ -300,22 +301,6 @@ class ColimitResult:
         i = self.offsets[k] + e * n
         return self.classes[i:i + n]
 
-    def members(self):
-        """Each class's least member as (node, copy, element), in class order.
-
-        reps ascend, so one walk along the offsets finds each one's node:
-        it steps past every node starting at or below the next rep, so
-        past the nodes with no elements.
-        """
-        offsets, sizes = self.offsets, self.sizes
-        last = len(offsets) - 1
-        k = 0
-        for i in self.reps:
-            while k < last and offsets[k + 1] <= i:
-                k += 1
-            e, t = divmod(i - offsets[k], sizes[k])
-            yield k, e, t
-
     def blocks(self) -> list:
         """The classes a node at a time: (k, offsets[k], sizes[k], reps_k)
         for each node k holding a class, in ascending node order, where
@@ -327,22 +312,14 @@ class ColimitResult:
         last, total = len(offsets) - 1, len(reps)
         out, lo = [], 0
         while lo < total:
-            # the node holding reps[lo], found as in rep(), ends where the
-            # next node starts
+            # the node holding reps[lo] is the last one starting at or below
+            # it (a node with no element shares its offset with the next
+            # one), and it ends where the next node starts
             k = bisect_right(offsets, reps[lo]) - 1
             hi = bisect_left(reps, offsets[k + 1], lo) if k < last else total
             out.append((k, offsets[k], self.sizes[k], reps[lo:hi]))
             lo = hi
         return out
-
-    def rep(self, c: int) -> tuple:
-        """Class c's least member as (node, copy, element)."""
-        i = self.reps[c]
-        # the last node starting at or below i: empty nodes share their
-        # offset with the next node, which is the one holding i
-        k = bisect_right(self.offsets, i) - 1
-        e, t = divmod(i - self.offsets[k], self.sizes[k])
-        return k, e, t
 
 
 def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult:

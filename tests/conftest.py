@@ -121,6 +121,19 @@ def hom_sum_map(c: FinCategory, n_slots: int, name="sum") -> TableMap:
     return TableMap([c] * n_slots, c, sets, cod_act, slot_act, name=name)
 
 
+def members(r) -> list:
+    """Each class's least member in a ColimitResult as (node, copy, element),
+    in class order: a reference decoding, one class at a time by linear
+    search, independent of ColimitResult.blocks.  The node holding a flat
+    index is the last one starting at or below it, since a node with no
+    element shares its offset with the next one."""
+    out = []
+    for i in r.reps:
+        k = max(k for k, start in enumerate(r.offsets) if start <= i)
+        out.append((k, *divmod(i - r.offsets[k], r.sizes[k])))
+    return out
+
+
 @pytest.fixture
 def arrow():
     return walking_arrow()

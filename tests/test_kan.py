@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import codiscrete, cyclic_group, hom_sum_map, isomorphic_pair, walking_arrow
+from conftest import codiscrete, cyclic_group, hom_sum_map, isomorphic_pair, members, walking_arrow
 
 from relmonad import checker, cli, gen, kan
 from relmonad.errors import BudgetExceededError, SlotMismatchError
@@ -372,7 +372,7 @@ def assert_matches_uncached(ext, args):
     assert data.colims == tuple(by_element(args[ext.j], r) for r in colims)
     el_objs = category_of_elements(args[ext.j]).el_objs
     for r, colim in zip(data.colims, colims):
-        assert list(r.members()) == [el_objs[n] + (t,) for n, _, t in colim.members()]
+        assert members(r) == [el_objs[n] + (t,) for n, _, t in members(colim)]
 
 
 def test_content_equal_maps_share_one_colimit(arrow, sum1_arrow):
@@ -591,9 +591,9 @@ def test_an_extension_builds_no_elements_category(monkeypatch):
 
 def _per_class(data, leg):
     """A cocone map's rows read a class at a time: leg at each class's
-    representative, decoded by rep(c)."""
+    representative, decoded one class at a time."""
     return tuple(
-        tuple(leg(y, *colim.rep(c)) for c in range(len(colim.reps)))
+        tuple(leg(y, *rep) for rep in members(colim))
         for y, colim in enumerate(data.colims)
     )
 
@@ -612,7 +612,7 @@ def _per_class_action(ext, args):
             act = ext.inner.evaluate(args[:j] + (x,) + args[j + 1:]).act[m]
             return r.classes[r.offsets[x] + e * r.sizes[x] + act[t]]
 
-        rows[m] = tuple(leg(b, *data.colims[b].rep(c)) for c in range(len(data.colims[b].reps)))
+        rows[m] = tuple(leg(b, *rep) for rep in members(data.colims[b]))
     return rows
 
 

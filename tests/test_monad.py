@@ -1,8 +1,9 @@
 """Structure cells: functor lifting, comparison cells, interchange.
 
-The interchange cell is checked against the flat two-variable extension
-(relmonad.fubini), which computes the same bijection by a single colimit
-over El(p) x El(q) and never touches the cell machinery.
+The interchange cell is checked against relmonad.fubini, which routes every
+element of f over El(p) x El(q) through both iterated extensions' records
+and reads the bijection off the class pairs, without touching the cell
+machinery.
 """
 
 import itertools

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import codiscrete, cyclic_group, isomorphic_pair
+from conftest import codiscrete, cyclic_group, isomorphic_pair, members
 from relmonad.errors import BudgetExceededError
 from relmonad.fincat import FinCategory, session, validate_category
 from relmonad.gen import builtin_category, free_dag_category, gen_presheaf
@@ -152,7 +152,7 @@ def test_colimit_reps_are_least(arrow):
     d = FinSetDiagram(shape, (tuple("ab"), tuple("cd")), {0: (0, 1), 1: (0, 1)})
     r = colimit_finset(d)
     assert r.reps == (0, 1, 2, 3)
-    assert list(r.members()) == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]
+    assert members(r) == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]
     assert len(r.classes) - len(r.reps) == 0
     assert r.set == ("q0", "q1", "q2", "q3")
 
@@ -191,7 +191,7 @@ def test_colimit_partitions_random_spans(vals):
     for i in range(3):
         seen.update(r.row(i, 0))
     assert seen == set(range(len(r.set)))
-    for k, (i, e, t) in enumerate(r.members()):
+    for k, (i, e, t) in enumerate(members(r)):
         assert e == 0 and r.row(i, e)[t] == k
         assert r.reps[k] == r.offsets[i] + t
     generated = colimit_finset(FinSetDiagram(shape, sets, legs))
@@ -259,7 +259,7 @@ def test_colimit_matches_component_reference(d):
     before = merge_counter.value
     r = colimit_finset(d)
     reps, classes = reference_colimit(d)
-    assert tuple(r.members()) == reps
+    assert tuple(members(r)) == reps
     assert r.classes == classes
     assert (r.offsets, r.sizes) == layout(d)
     assert r.reps == tuple(r.offsets[a] + t for a, _, t in reps)
@@ -299,14 +299,14 @@ def expand_copies(d):
     return FinSetDiagram(Graph(len(sets), src, tgt), sets, maps)
 
 
-def regroup(members, copies):
+def regroup(reps, copies):
     """Representatives of the one-copy expansion of a diagram with these
     copies, read in the copied diagram's (node, copy, element) coordinates.
     The expansion enumerates its elements in the same order, node per copy,
     so the classes and the flat representatives carry over, and only the
     decoded representatives change their names."""
     nodes = [(k, e) for k, c in enumerate(copies) for e in range(c)]
-    return tuple(nodes[n] + (t,) for n, _, t in members)
+    return tuple(nodes[n] + (t,) for n, _, t in reps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -322,9 +322,9 @@ def test_copies_match_their_expansion(d):
     assert r.set == expanded.set
     assert (r.offsets, r.sizes) == layout(d)
     assert (r.reps, r.classes) == (expanded.reps, expanded.classes)
-    assert tuple(r.members()) == regroup(expanded.members(), d.copies)
+    assert tuple(members(r)) == regroup(members(expanded), d.copies)
     reps, classes = reference_colimit(expand_copies(d))
-    assert (tuple(r.members()), r.classes) == (regroup(reps, d.copies), classes)
+    assert (tuple(members(r)), r.classes) == (regroup(reps, d.copies), classes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -341,7 +341,7 @@ def test_flat_classes_follow_the_enumeration(d):
         first.setdefault(c, i)
     assert list(first) == list(range(len(r.reps)))
     assert list(r.reps) == list(first.values())
-    assert [r.offsets[k] + e * r.sizes[k] + t for k, e, t in r.members()] == list(first.values())
+    assert [r.offsets[k] + e * r.sizes[k] + t for k, e, t in members(r)] == list(first.values())
     for k, c in enumerate(copies):
         for e in range(c):
             start = r.offsets[k] + e * r.sizes[k]
@@ -378,13 +378,13 @@ def hollow_diagrams(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(hollow_diagrams(), copied_diagrams(), finset_diagrams()))
 def test_members_decode_the_flat_reps(d):
-    # members() and rep(c) agree, skip the nodes with no element, and each
+    # the reference decoding skips the nodes with no element, and each
     # decoded (node, copy, element) indexes back to reps[c]
     r = colimit_finset(d)
     copies = d.copies or (1,) * len(d.sets)
-    members = list(r.members())
-    assert members == [r.rep(c) for c in range(len(r.set))]
-    for c, (k, e, t) in enumerate(members):
+    decoded = members(r)
+    assert len(decoded) == len(r.set)
+    for c, (k, e, t) in enumerate(decoded):
         assert 0 <= e < copies[k] and 0 <= t < r.sizes[k]
         assert r.offsets[k] + e * r.sizes[k] + t == r.reps[c]
         assert r.row(k, e)[t] == c
@@ -405,7 +405,8 @@ def no_classes():
 def test_blocks_split_the_reps_by_node(d):
     # one block per node holding a class, in ascending node order; each
     # block's reps lie in its node's range of flat indices, the blocks'
-    # reps concatenate to reps, and decoding them gives members()
+    # reps concatenate to reps, and decoding them gives the reference
+    # decoding, one class at a time
     r = colimit_finset(d)
     blocks = r.blocks()
     nodes = [k for k, _, _, _ in blocks]
@@ -416,7 +417,7 @@ def test_blocks_split_the_reps_by_node(d):
         assert reps and all(off <= i < ends[k] for i in reps)
     assert tuple(i for _, _, _, reps in blocks for i in reps) == r.reps
     decoded = [(k, *divmod(i - off, n)) for k, off, n, reps in blocks for i in reps]
-    assert decoded == list(r.members())
+    assert decoded == members(r)
     assert bool(blocks) == bool(r.reps)
 
 
@@ -576,7 +577,7 @@ def _direct_action(base, ps, results):
     identities and derived arrows included."""
     return tuple(
         tuple(results[base.src(m)].row(k, e)[ps[k].act[m][t]]
-              for k, e, t in results[base.tgt(m)].members())
+              for k, e, t in members(results[base.tgt(m)]))
         for m in base.morphisms
     )
 

@@ -102,6 +102,32 @@ def test_one_union_find():
     assert owners == {"presheaf.py:colimit_finset"}, f"path halving found in {sorted(owners)}"
 
 
+def _qualified_functions(tree, prefix=""):
+    """(qualified name, node) of every function in tree, methods as Class.name."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _qualified_functions(node, prefix + node.name + ".")
+
+
+def test_only_the_constructions_take_colimits():
+    # pointwise_colimit is called where a value is built as a quotient, and
+    # nowhere else: so no oracle recomputes a colimit beside the one it checks
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = list(_qualified_functions(tree))
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and "pointwise_colimit" in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                inside = [(f.lineno, name) for name, f in functions
+                          if f.lineno <= call.lineno <= f.end_lineno]
+                owners.add(f"{path.stem}.{max(inside)[1] if inside else '<module>'}")
+    assert owners == {"kan.StrengthenMap.data", "gen.presheaf_quotient",
+                      "presheaf.sample_presheaves"}, f"pointwise_colimit called in {sorted(owners)}"
+
+
 # each interned node class and the one shared constructor that builds it
 NODE_CONSTRUCTORS = {
     "ComposeMap": "multimap.py:plug",
