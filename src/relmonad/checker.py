@@ -728,7 +728,7 @@ def _colimit_certificate(f, p, data, b):
     # starts[a][i]: where El(p) node i's copy of f(x)(a) starts in the (x, e, t) order
     starts = [list(itertools.accumulate((len(v.at[a]) for v in vals), initial=0))
               for a in f.cod.objects]
-    here, classes, n = starts[b], data.colims[b].classes, len(data.presheaf.at[b])
+    here, classes, n = starts[b], data.colims[b].classes, len(data.at[b])
     if len(classes) != here[-1] or set(classes) != set(range(n)):
         return f"the {len(classes)} elements at object {b} do not cover its {n} classes"
     links = [[] for _ in classes]
@@ -752,7 +752,7 @@ def _colimit_certificate(f, p, data, b):
     if components != n:
         return f"{components} zigzag components vs {n} classes at object {b}"
     for u in f.cod.morphisms:
-        a, row = f.cod.src(u), data.presheaf.act[u]
+        a, row = f.cod.src(u), data.act[u]
         if f.cod.tgt(u) == b and (len(row) != n or any(
                 row[classes[here[i] + t]] != data.colims[a].classes[starts[a][i] + t2]
                 for i, v in enumerate(vals) for t, t2 in enumerate(v.act[u]))):

@@ -178,8 +178,8 @@ class FinCategory(Graph):
         self._key = None
         self._hash = None
         self.representables = {}  # object -> Presheaf, filled by presheaf.representable
-        self.colimits = {}  # extension input -> kan.ExtensionData, filled by kan
-        self.cocones = {}  # (record, record, kind, reads) -> cocone map, filled by kan
+        self.colimits = {}  # extension input -> its value, a presheaf.Colimit, filled by kan
+        self.cocones = {}  # (record, record, kind, reads) -> map between them, filled by kan
         if _sessions:  # the innermost session empties these memos when it closes
             _sessions[-1].owners.append(self)
 

@@ -157,7 +157,7 @@ def presheaf_quotient(p: Presheaf, pairs) -> Presheaf:
         maps[2 * k] = classifying_morphism(p, x, a)
         maps[2 * k + 1] = classifying_morphism(p, x, b)
     shape = Graph(len(ps), [1 + m // 2 for m in maps], [0] * len(maps))
-    q, _ = pointwise_colimit(shape, ps, maps, p.base)
+    q = pointwise_colimit(shape, ps, maps, p.base)
     return Presheaf(p.base, [[f"c{c}" for c in range(len(s))] for s in q.at], q.act)
 
 

@@ -43,16 +43,16 @@ The cells defined here are the generators of everything the checker verifies:
 mult_cell is not postulated: it is the untranspose of the whiskered unit,
 which is the shape every uniqueness argument downstream leans on.
 
-Two memos here are keyed by content and kept on the codomain category:
-cod.colimits holds one extension record per colimit input, and cod.cocones
-one map between two records per (source record, destination record, kind,
-what the blocks read).  The three record-to-record maps go through it: the
-action in the extended slot (reading the presheaf morphism's components),
-the action in another slot (reading the inner map's action over each
-object) and strengthen_cell's components (reading the inner cell's
-components at the nodes the source record's blocks touch, evaluated in
-the order the blocks first touch them, as a class-by-class walk would).
-So map objects and cells that meet the same records share one map.
+An extension's value is its record, a Colimit holding its ColimitResult at
+each codomain object, and data names that memoized evaluation.  Two memos
+are keyed by content and kept on the codomain category: cod.colimits holds
+one record per colimit input, and cod.cocones one map between two records
+per (source record, destination record, kind, what the blocks read).  Two
+kinds of map go through it: the action in the extended slot, and _inside,
+which applies the inner map's action (the action in another slot) or the
+inner cell's components (strengthen_cell) in every copy.  _inside reads them
+only at the nodes the source record's blocks first touch, in that order, so
+map objects and cells that meet the same records share one map.
 counit_cell and theta_cell build theirs afresh: the first's key would cost
 more than it saves, and the second's maps out of fresh records never
 repeat.
@@ -68,12 +68,10 @@ untranspose therefore names its composite when building it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .errors import SlotMismatchError
 from .fincat import FinCategory, shared
 from .presheaf import (
+    Colimit,
     Presheaf,
     PresheafMorphism,
     classifying_morphism,
@@ -92,52 +90,52 @@ from .multimap import (
 )
 
 
-@dataclass(eq=False)
-class ExtensionData:
-    """One extension's value, kept once per input content in cod.colimits.
-
-    It hashes by identity: cod.cocones keys the maps between records on
-    the records themselves.
-    """
-
-    presheaf: Presheaf
-    colims: tuple  # ColimitResult per codomain object, flat over (x, e, t)
-
-    @cached_property
-    def nodes(self) -> tuple:
-        """The nodes x holding a class at some codomain object, in the order
-        the blocks first meet them: y ascending, then x ascending."""
-        return tuple(dict.fromkeys(x for colim in self.colims for x, _, _, _ in colim.blocks()))
-
-
-def _cocone_map(data: ExtensionData, dst: Presheaf, block) -> PresheafMorphism:
+def _cocone_map(src: Colimit, dst: Presheaf, block) -> PresheafMorphism:
     """The map out of an extension's value fixed by a cocone into dst, read
     a node block at a time (ColimitResult.blocks): block(y, x, off, n, reps)
     lists where the classes whose least members lie over x go, in order.
     Each i in reps is element t of f(x)(y) at the argument's element e over
     x, for e, t = divmod(i - off, n)."""
     comps = []
-    for y, colim in enumerate(data.colims):
+    for y, colim in enumerate(src.colims):
         row = []
         for x, off, n, reps in colim.blocks():
             row += block(y, x, off, n, reps)
         comps.append(row)
-    return PresheafMorphism(data.presheaf, dst, comps)
+    return PresheafMorphism(src, dst, comps)
 
 
-def _record_map(src: ExtensionData, dst: ExtensionData, kind: str, reads, block) -> PresheafMorphism:
+def _record_map(src: Colimit, dst: Colimit, kind: str, reads, block) -> PresheafMorphism:
     """_cocone_map between two records, shared on their codomain by content.
 
     block may read only reads, which with the two records and the kind of
     block fixes the map; so cod.cocones keeps one map per (src, dst, kind,
     reads), and map objects that meet the same records share it.
     """
-    memo = src.presheaf.base.cocones
+    memo = src.base.cocones
     key = (src, dst, kind, reads)
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = _cocone_map(src, dst.presheaf, block)
+        hit = memo[key] = _cocone_map(src, dst, block)
     return hit
+
+
+def _inside(src: Colimit, dst: Colimit, at) -> PresheafMorphism:
+    """The map between two records that applies at(x), a component tuple
+    per codomain object, inside every copy of node x.
+
+    at is read at src.nodes alone, in the order the blocks first touch them,
+    as a class-by-class walk would evaluate it; so what it reads is a
+    function of the map, whoever asks.
+    """
+    inside = {x: at(x) for x in src.nodes}
+
+    def block(y, x, off, n, reps):
+        r = dst.colims[y]
+        classes, o, s, to = r.classes, r.offsets[x], r.sizes[x], inside[x][y]
+        return [classes[o + e * s + to[t]] for i in reps for e, t in (divmod(i - off, n),)]
+
+    return _record_map(src, dst, "inside", tuple(inside.values()), block)
 
 
 class StrengthenMap(MultiMap):
@@ -151,16 +149,10 @@ class StrengthenMap(MultiMap):
         super().__init__(slots, inner.cod, f"ext{j}[{inner.name}]")
         self.inner = inner
         self.j = j
-        self._data_memo = {}
 
-    def data(self, args) -> ExtensionData:
-        if type(args) is not tuple:
-            args = tuple(args)
-        hit = self._data_memo.get(args)
-        if hit is not None:
-            return hit
-        if len(args) != self.arity:
-            self.check_arity(args)
+    data = MultiMap.evaluate
+
+    def _value(self, args) -> Colimit:
         j, inner = self.j, self.inner
         p = args[j]
         c = p.base
@@ -188,25 +180,21 @@ class StrengthenMap(MultiMap):
             tuple(v.act for v in inner_vals.values()),
             tuple(phi.components for phi in arrow_mor.values()),
         )
-        data = self.cod.colimits.get(key)
-        if data is None:
+        record = self.cod.colimits.get(key)
+        if record is None:
             # the coend layout over p's base's generating graph: object x
             # stands for |p(x)| copies of f(x), copy e for p's element e, and
             # generator m for |p(tgt m)| copies of f(m), copy e2 at its
             # target fed from copy p.act[m][e2] at its source
-            data = self.cod.colimits[key] = ExtensionData(*pointwise_colimit(
+            record = self.cod.colimits[key] = pointwise_colimit(
                 shape,
                 [inner_vals.get(x) for x in c.objects],
                 arrow_mor,
                 self.cod,
                 tuple(len(s) for s in p.at),
                 [p.act[m] for m in shape.generators],
-            ))
-        self._data_memo[args] = data
-        return data
-
-    def _value(self, args):
-        return self.data(args).presheaf
+            )
+        return record
 
     def _mor_at(self, args, k, m):
         j = self.j
@@ -225,17 +213,9 @@ class StrengthenMap(MultiMap):
         # action in another slot: apply inner's action in every copy
         slot = self.slots[k]
         tgt_k = slot.cat.mor_tgt[m] if slot.kind == "fin" else m.dst
-        dst = self.data(args[:k] + (tgt_k,) + args[k + 1 :])
-        pre, post, p = args[:j], args[j + 1 :], args[j]
-        step = {x: self.inner.morphism_at(pre + (x,) + post, k, m).components
-                for x in p.base.objects if p.at[x]}
-
-        def block(y, x, off, n, reps):
-            r = dst.colims[y]
-            classes, o, s, to = r.classes, r.offsets[x], r.sizes[x], step[x][y]
-            return [classes[o + e * s + to[t]] for i in reps for e, t in (divmod(i - off, n),)]
-
-        return _record_map(src, dst, "slot", tuple(step.values()), block)
+        pre, post, inner = args[:j], args[j + 1 :], self.inner
+        return _inside(src, self.data(args[:k] + (tgt_k,) + args[k + 1 :]),
+                       lambda x: inner.morphism_at(pre + (x,) + post, k, m).components)
 
 
 @shared
@@ -257,10 +237,10 @@ def unit_cell(f: MultiMap, j: int) -> TwoCell:
     def fn(args):
         x = args[j]
         p = u.evaluate((x,))
-        data = ext.data(args[:j] + (p,) + args[j + 1 :])
+        record = ext.data(args[:j] + (p,) + args[j + 1 :])
         e = u.element_of_identity(x)
-        return PresheafMorphism(f.evaluate(args), data.presheaf,
-                                [colim.row(x, e) for colim in data.colims])
+        return PresheafMorphism(f.evaluate(args), record,
+                                [colim.row(x, e) for colim in record.colims])
 
     return TwoCell(f, dst, fn, name=f"u~[{f.name};{j}]")
 
@@ -276,7 +256,6 @@ def counit_cell(h: MultiMap, j: int) -> TwoCell:
 
     def fn(args):
         p = args[j]
-        data = src.data(args)
 
         def along(x, e):
             chi = classify.get((p, x, e))
@@ -291,7 +270,7 @@ def counit_cell(h: MultiMap, j: int) -> TwoCell:
             to = {e: along(x, e).components[y] for e in elements}
             return [to[e][t] for i in reps for e, t in (divmod(i - off, n),)]
 
-        return _cocone_map(data, h.evaluate(args), block)
+        return _cocone_map(src.data(args), h.evaluate(args), block)
 
     return TwoCell(src, h, fn, name=f"sg[{h.name};{j}]")
 
@@ -310,14 +289,13 @@ def theta_cell(cat: FinCategory) -> TwoCell:
 
     def fn(args):
         (p,) = args
-        data = src.data((p,))
         act = p.act
 
         def block(y, x, off, n, reps):
             rows = [act[h] for h in homs[y, x]]
             return [rows[t][e] for i in reps for e, t in (divmod(i - off, n),)]
 
-        return _cocone_map(data, p, block)
+        return _cocone_map(src.data(args), p, block)
 
     return TwoCell(src, dst, fn, name=f"th[{cat.name}]")
 
@@ -329,19 +307,9 @@ def strengthen_cell(cell: TwoCell, j: int) -> TwoCell:
     dst = strengthen(cell.dst, j)
 
     def fn(args):
-        sdata = src.data(args)
-        ddata = dst.data(args)
-        # the inner cell at each node the blocks touch, in the order they
-        # first touch it, as a class-by-class walk would evaluate it
         pre, post = args[:j], args[j + 1 :]
-        inside = {x: cell.component(pre + (x,) + post).components for x in sdata.nodes}
-
-        def block(y, x, off, n, reps):
-            r = ddata.colims[y]
-            classes, o, s, to = r.classes, r.offsets[x], r.sizes[x], inside[x][y]
-            return [classes[o + e * s + to[t]] for i in reps for e, t in (divmod(i - off, n),)]
-
-        return _record_map(sdata, ddata, "cell", tuple(inside.values()), block)
+        return _inside(src.data(args), dst.data(args),
+                       lambda x: cell.component(pre + (x,) + post).components)
 
     return TwoCell(src, dst, fn, name=f"ext{j}[{cell.name}]")
 

@@ -22,7 +22,7 @@ class.  Readers take the classes a node block at a time
 (ColimitResult.blocks): the slice of those indices that lies over one node,
 each decoded to (e, t) by one divmod inside the reader's own loop, or a
 whole copy at a time (ColimitResult.row).  Those two are the only readers
-of a colimit's classes.
+of a colimit's classes; pointwise_colimit returns them in its Colimit.
 A colimit presheaf's action is read through the nodes only at the base's
 generators, block by block; its identity rows are the identity, and each
 derived row composes its factors' rows (FinCategory.generation).  Every
@@ -392,6 +392,27 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
                          tuple(reps))
 
 
+class Colimit(Presheaf):
+    """A colimit presheaf with its ColimitResult at each base object, flat
+    over the diagram's (node, copy, element) order; it hashes by identity."""
+
+    __slots__ = ("colims", "_nodes")
+
+    def __init__(self, base: FinCategory, at, act, colims: tuple):
+        super().__init__(base, at, act)
+        self.colims = colims
+        self._nodes = None
+
+    @property
+    def nodes(self) -> tuple:
+        """The nodes holding a class at some base object, in the order the
+        blocks first meet them: base object ascending, then node ascending."""
+        if self._nodes is None:
+            self._nodes = tuple(dict.fromkeys(k for colim in self.colims
+                                              for k, _, _, _ in colim.blocks()))
+        return self._nodes
+
+
 def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
     """Pointwise disjoint union; returns the sum and the injections.
 
@@ -434,7 +455,7 @@ def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
 
 
 def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
-                      copies=None, lifts=None) -> tuple[Presheaf, tuple]:
+                      copies=None, lifts=None) -> Colimit:
     """Colimit of a diagram of presheaves on base, computed objectwise.
 
     This is the one route to a quotient.  ps: a presheaf per shape node;
@@ -444,11 +465,12 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
     FinSetDiagram; ps[k] may then be None where copies[k] is 0.  base is
     given because ps may be empty.  An arrow whose row is empty at an
     object (its source set is empty there) merges nothing, so it is left
-    out of that object's maps.  Returns the colimit presheaf and the
-    ColimitResult at each base object.  The budget is read once and bounds
-    each object's colimit on its own.  The result's action is read through
-    the nodes at base's generators and composed at its derived arrows
-    (FinCategory.generation), which needs ps and maps to be functorial.
+    out of that object's maps.  Returns a Colimit, the colimit presheaf with
+    its ColimitResult at each base object.  The budget is read once and
+    bounds each object's colimit on its own.  The result's action is read
+    through the nodes at base's generators and composed at its derived
+    arrows (FinCategory.generation), which needs ps and maps to be
+    functorial.
     """
     budget = element_budget()
     nothing = ((),) * base.n_objects
@@ -482,7 +504,7 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
         act[m] = tuple(row)
     for m, g, f in generation.derivations:
         act[m] = tuple(map(act[f].__getitem__, act[g]))
-    return Presheaf(base, [r.set for r in results], act), results
+    return Colimit(base, [r.set for r in results], act, results)
 
 
 # -- category of elements ----------------------------------------------------
@@ -576,6 +598,5 @@ def sample_presheaves(c: FinCategory):
         left = right = representable(c, c.tgt(m))
         l = r = yoneda_action(c, m)
     span = Graph(3, [0, 0], [1, 2])
-    colim, _ = pointwise_colimit(span, [mid, left, right], {0: l, 1: r}, c)
-    family.append(colim)
+    family.append(pointwise_colimit(span, [mid, left, right], {0: l, 1: r}, c))
     return family

@@ -32,6 +32,7 @@ from relmonad.multimap import (
     plug,
     two_cell_equal,
     unit_map,
+    validate_multimap,
     vcomp,
     whisker_inner,
     whisker_outer,
@@ -361,17 +362,17 @@ def assert_matches_uncached(ext, args):
     args = tuple(args)
     uncached_extension(ext.inner, ext.j, args)  # evaluate f's values first
     before = merge_counter.value
-    presheaf, colims = uncached_extension(ext.inner, ext.j, args)
+    uncached = uncached_extension(ext.inner, ext.j, args)
     el_merges = merge_counter.value - before
     memoized = len(ext.cod.colimits)
     before = merge_counter.value
     data = ext.data(args)
     computed = len(ext.cod.colimits) > memoized
     assert merge_counter.value - before == (el_merges if computed else 0)
-    assert data.presheaf.content_key() == presheaf.content_key()
-    assert data.colims == tuple(by_element(args[ext.j], r) for r in colims)
+    assert data.content_key() == uncached.content_key()
+    assert data.colims == tuple(by_element(args[ext.j], r) for r in uncached.colims)
     el_objs = category_of_elements(args[ext.j]).el_objs
-    for r, colim in zip(data.colims, colims):
+    for r, colim in zip(data.colims, uncached.colims):
         assert members(r) == [el_objs[n] + (t,) for n, _, t in members(colim)]
 
 
@@ -617,7 +618,7 @@ def _per_class_action(ext, args):
 
 
 def _assert_action_per_class(ext, args):
-    act = ext.data(args).presheaf.act
+    act = ext.data(args).act
     for m, row in _per_class_action(ext, args).items():
         assert act[m] == row
 
@@ -716,6 +717,76 @@ def test_block_readers_match_a_per_class_reference(seed):
             for m in c.morphisms:
                 if c.src(m) == x:
                     _assert_mor_at_per_class(strengthen(f2, 1), (x, q), 0, m)
+
+
+def _crossed_map():
+    """A two-slot map on two points and the walking arrow whose value at
+    (x, w) is one element over the other point, 1 - x: so the classes of its
+    extension in slot 0 lie over node 1 at codomain object 0 and over node 0
+    at object 1, and a class-by-class walk meets node 1 first."""
+    pts = FinCategory("pts", 2, [0, 1], [0, 1], [0, 1], {(0, 0): 0, (1, 1): 1})
+    arrow = walking_arrow()
+
+    def row(x, y):
+        return (0,) if y == 1 - x else ()
+
+    sets, cod_act, slot_act = {}, {}, {}
+    for x, w, y in itertools.product(pts.objects, arrow.objects, pts.objects):
+        sets[x, w, y] = ("*",) * len(row(x, y))
+        cod_act[x, w, y] = row(x, y)  # pts's morphism y is the identity on y
+        slot_act[0, x, w, y] = row(x, y)
+        for m in arrow.morphisms:
+            slot_act[1, x, m, y] = row(x, y)
+    f = TableMap([pts, arrow], pts, sets, cod_act, slot_act, name="crossed")
+    assert validate_multimap(f) is None
+    p, _ = coproduct_presheaves([representable(pts, 0), representable(pts, 1)])
+    return f, [p]
+
+
+def test_inside_reads_the_source_nodes_in_first_touch_order(monkeypatch):
+    # both callers of kan._inside, the action in a non-extended slot and a
+    # strengthen_cell component, read the inner map at exactly the source
+    # record's nodes, once each, in the order a class-by-class walk first
+    # meets them, so never at a copy that holds no class; the maps still
+    # match their per-class references
+    reads = []
+    inside = kan._inside
+
+    def recording(src, dst, at):
+        seen = []
+
+        def reading(x):
+            seen.append(x)
+            return at(x)
+
+        reads.append((at.__qualname__.split(".")[0], src, seen))
+        return inside(src, dst, reading)
+
+    monkeypatch.setattr(kan, "_inside", recording)
+    cases = [_crossed_map()]
+    for seed in range(4):
+        rng = random.Random(f"inside-reads:{seed}")
+        c = _opposite(_large_dag(rng) if seed % 2 else gen.builtin_category("square"))
+        d = _opposite(gen.free_dag_category(rng, 4, 4))
+        cases.append((_gen_map(rng, (c, d), d, 24), list(_small_presheaves(rng, c))))
+    skipped = unsorted = 0
+    for f, ps in cases:
+        d = f.slots[1].cat
+        for p in ps:
+            del reads[:]
+            for m in d.morphisms:
+                _assert_mor_at_per_class(strengthen(f, 0), (p, d.src(m)), 1, m)
+            for w in d.objects:
+                _assert_strengthen_cell_per_class(unit_cell(f, 0), 0, (p, w))
+            assert {caller for caller, _, _ in reads} == {"StrengthenMap", "strengthen_cell"}
+            for _, src, seen in reads:
+                walk = dict.fromkeys(x for colim in src.colims for x, _, _ in members(colim))
+                assert seen == list(walk) == list(src.nodes)
+                copies = [x for x in p.base.objects if p.at[x]]
+                assert set(seen) <= set(copies)
+                skipped += len(seen) < len(copies)
+                unsorted += seen != sorted(seen)
+    assert skipped and unsorted
 
 
 def test_content_equal_requests_share_one_map_between_records(arrow, sum1_arrow):

@@ -132,7 +132,7 @@ def test_pushout_of_arrow_codomain(arrow):
     y0, y1 = representable(arrow, 0), representable(arrow, 1)
     leg = yoneda_action(arrow, 2)
     ps = [y0, y1, y1]
-    colim, results = pointwise_colimit(
+    colim = pointwise_colimit(
         span,
         ps,
         {0: PresheafMorphism.identity(y0), 1: PresheafMorphism.identity(y1),
@@ -143,7 +143,7 @@ def test_pushout_of_arrow_codomain(arrow):
     assert colim.act[2] == (0, 0)  # both glued points restrict to the same element
     assert validate_presheaf(colim) is None
     for i, p in enumerate(ps):
-        copr = PresheafMorphism(p, colim, [r.row(i, 0) for r in results])
+        copr = PresheafMorphism(p, colim, [r.row(i, 0) for r in colim.colims])
         assert validate_presheaf_morphism(copr) is None
 
 
@@ -432,12 +432,12 @@ def test_colimits_share_labels_and_identity_rows(arrow):
     assert first.set is second.set and first.set == tuple(f"q{k}" for k in range(7))
     assert colimit_finset(diagram(6)).set == first.set[:6]
     y1 = representable(arrow, 1)  # one element at each object
-    one, _ = pointwise_colimit(Graph(1, [], []), [y1], {}, arrow)
-    other, _ = pointwise_colimit(Graph(2, [], []), [y1, y1], {}, arrow)
+    one = pointwise_colimit(Graph(1, [], []), [y1], {}, arrow)
+    other = pointwise_colimit(Graph(2, [], []), [y1, y1], {}, arrow)
     id0, id1 = arrow.identity
     assert one.act[id0] is one.act[id1] and one.act[id0] == (0,)
     assert other.act[id0] is other.act[id1] and other.act[id0] == (0, 1)
-    assert one.act[id0] is pointwise_colimit(Graph(1, [], []), [y1], {}, arrow)[0].act[id1]
+    assert one.act[id0] is pointwise_colimit(Graph(1, [], []), [y1], {}, arrow).act[id1]
 
 
 def test_representables_share_their_labels(arrow, square):
@@ -505,7 +505,7 @@ def test_pointwise_colimit_budget_bounds_each_object(arrow, monkeypatch):
     assert tuple(len(x) for x in s.at) == (3, 2)
     args = (Graph(2, [0], [1]), [s, s], {0: PresheafMorphism.identity(s)}, arrow)
     monkeypatch.setenv("RELMONAD_BUDGET", "8")
-    colim, _ = pointwise_colimit(*args)
+    colim = pointwise_colimit(*args)
     assert tuple(len(x) for x in colim.at) == (3, 2)
     monkeypatch.setenv("RELMONAD_BUDGET", "5")
     with pytest.raises(BudgetExceededError, match="6 elements exceeds budget 5"):
@@ -593,8 +593,8 @@ def test_colimit_action_matches_the_rows_read_through_the_nodes(seed):
     shapes += [cyclic_group(3), isomorphic_pair(), codiscrete(3), free_dag_category(rng, 5, 6)]
     c = rng.choice(shapes)
     ps = [gen_presheaf(rng, c) for _ in range(rng.randint(1, 3))]
-    colim, results = pointwise_colimit(Graph(len(ps), [], []), ps, {}, c)
-    assert colim.act == _direct_action(c, ps, results)
+    colim = pointwise_colimit(Graph(len(ps), [], []), ps, {}, c)
+    assert colim.act == _direct_action(c, ps, colim.colims)
     total, _ = coproduct_presheaves(ps)
     nodes, maps = [total], {}
     for _ in range(rng.randint(1, 3)):
@@ -607,6 +607,6 @@ def test_colimit_action_matches_the_rows_read_through_the_nodes(seed):
         maps[len(maps)] = classifying_morphism(total, x, a)
         maps[len(maps)] = classifying_morphism(total, x, b)
     shape = Graph(len(nodes), [1 + m // 2 for m in maps], [0] * len(maps))
-    quotient, results = pointwise_colimit(shape, nodes, maps, c)
-    assert quotient.act == _direct_action(c, nodes, results)
+    quotient = pointwise_colimit(shape, nodes, maps, c)
+    assert quotient.act == _direct_action(c, nodes, quotient.colims)
     assert validate_presheaf(quotient) is None

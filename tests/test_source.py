@@ -124,8 +124,26 @@ def test_only_the_constructions_take_colimits():
                 inside = [(f.lineno, name) for name, f in functions
                           if f.lineno <= call.lineno <= f.end_lineno]
                 owners.add(f"{path.stem}.{max(inside)[1] if inside else '<module>'}")
-    assert owners == {"kan.StrengthenMap.data", "gen.presheaf_quotient",
+    assert owners == {"kan.StrengthenMap._value", "gen.presheaf_quotient",
                       "presheaf.sample_presheaves"}, f"pointwise_colimit called in {sorted(owners)}"
+
+
+def test_one_memo_per_evaluation():
+    # a map memoizes its values and actions, and a cell its components, in
+    # the attributes their base classes set up; no subclass keeps a second
+    # memo beside them, so an evaluation is looked up in one place
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, function in _qualified_functions(tree):
+            for node in ast.walk(function):
+                targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and any(
+                        isinstance(t, ast.Attribute) and t.attr.endswith("_memo")
+                        for t in targets):
+                    owners.add(f"{path.stem}.{name}")
+    assert owners == {"multimap.MultiMap.__init__", "multimap.TwoCell.__init__"}, (
+        f"*_memo attributes assigned in {sorted(owners)}")
 
 
 # each interned node class and the one shared constructor that builds it
