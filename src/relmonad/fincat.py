@@ -10,8 +10,15 @@ bit-identical reruns.
 Categories are the only memo owners: a category's representables,
 extension records and the cocone maps between them point back at it, so its
 graph is cyclic while they are full.  A session (session() below) frees them
-by reference count: it empties the memos of every category born while it was
-open when it closes.  While open it interns every shared constructor (the
+by reference count: when it closes it empties the memos of every category
+born while it was open, and of every category whose content memos it handed
+out (content_memo) while no open session owned it, whenever that category
+was born.  The content memos, the extension records and the maps between
+them, are filled and read only while a session is open; outside one,
+content_memo hands out no memo and its callers build afresh, as shared
+does, so what an evaluation builds lives on the map that asked for it and
+dies with that map.  Only representables stay on their category outside a
+session.  While open a session also interns every shared constructor (the
 structural maps and cells, and categories of elements) by the identity of
 its arguments; outside any session those build afresh, so maps and cells
 hold no memo that points back at them and die by reference count.  It
@@ -35,17 +42,18 @@ _sessions = []  # the open sessions, innermost last
 
 
 class Session:
-    """The memo owners born while a session is open, its shared cells, and
-    its faults.
+    """The memo owners of a session, its shared cells, and its faults.
 
-    owners lists every FinCategory built inside, in order; closing empties
-    their back-pointing memos (release_memos), after which their graph is
-    acyclic and dies by reference count.  cells maps a shared constructor
-    and the identity of each of its arguments to what it built from them,
-    kept with those arguments so that no id is reused while its entry
-    lives: it is the package's one identity-keyed memo.  Identity, not
-    content: FinCategory hashes by content, and content-equal categories can
-    carry different names.  faults maps the name of a shared constructor to
+    owners lists, in order, every FinCategory built inside and every one
+    whose content memos content_memo handed out inside while no open
+    session owned it; each points back at the session (FinCategory.session).
+    Closing empties their back-pointing memos (release_memos) and drops
+    that pointer, after which their graph is acyclic and dies by reference
+    count.  cells maps a shared constructor and the identity of each of its
+    arguments to what it built from them, kept with those arguments so that
+    no id is reused while its entry lives: it is the package's one
+    identity-keyed memo.  Identity, not content: FinCategory hashes by
+    content, and content-equal categories can carry different names.  faults maps the name of a shared constructor to
     a fault: fault(build, *args) returns what the session holds in place of
     build(*args), build being the honest, unshared constructor.
     """
@@ -55,9 +63,14 @@ class Session:
         self.cells = {}
         self.faults = faults or {}
 
+    def own(self, owner):
+        owner.session = self
+        self.owners.append(owner)
+
     def close(self):
         for owner in self.owners:
             owner.release_memos()
+            owner.session = None
         self.owners.clear()
         self.cells.clear()
 
@@ -68,10 +81,12 @@ def session(faults=None):
     on exit.
 
     Library callers that build many maps and cells should wrap that work in
-    `with session():`, as checker.run_single does per law instance, so its
-    memos are freed by reference count instead of by the cyclic collector.
-    Outside any session a category's memos stay on it until the cyclic
-    collector frees it, and shared constructors build afresh.
+    `with session():`, as checker.run_single does per law instance: content
+    memos and shared cells are kept only while a session is open, and it
+    frees them by reference count when it closes.  Outside any session
+    content memos and shared constructors build afresh, and only a
+    category's representables stay on it, until the cyclic collector frees
+    it.
 
     faults (see Session) holds for this session only: a nested session has
     its own table, and once the block exits, by return or by exception,
@@ -110,6 +125,23 @@ def shared(build):
         return hit[0]
 
     return constructor
+
+
+def content_memo(owner, name):
+    """owner's content memo `name` while a session is open; with no session
+    open, None, and the caller builds afresh and keys nothing.
+
+    This is the one reader of the content memos (FinCategory.colimits and
+    .cocones).  If no open session owns owner, the innermost one takes it as
+    one of its owners, so a session empties every memo it hands out when it
+    closes, whenever owner was born.  Outside a session nothing would empty
+    the memo, and it would keep every value on its category.
+    """
+    if owner.session is None:
+        if not _sessions:
+            return None
+        _sessions[-1].own(owner)
+    return getattr(owner, name)
 
 
 class Graph:
@@ -178,10 +210,12 @@ class FinCategory(Graph):
         self._key = None
         self._hash = None
         self.representables = {}  # object -> Presheaf, filled by presheaf.representable
+        # content memos, read only through content_memo, inside a session
         self.colimits = {}  # extension input -> its value, a presheaf.Colimit, filled by kan
         self.cocones = {}  # (record, record, kind, reads) -> map between them, filled by kan
+        self.session = None  # the open session that empties these memos, if any
         if _sessions:  # the innermost session empties these memos when it closes
-            _sessions[-1].owners.append(self)
+            _sessions[-1].own(self)
 
     def release_memos(self):
         """Drop the memos that point back at this category (Session.close)."""

@@ -44,32 +44,37 @@ mult_cell is not postulated: it is the untranspose of the whiskered unit,
 which is the shape every uniqueness argument downstream leans on.
 
 An extension's value is its record, a Colimit holding its ColimitResult at
-each codomain object, and data names that memoized evaluation.  Two memos
-are keyed by content and kept on the codomain category: cod.colimits holds
-one record per colimit input, and cod.cocones one map between two records
-per (source record, destination record, kind, what the blocks read).  Two
-kinds of map go through it: the action in the extended slot, and _inside,
-which applies the inner map's action (the action in another slot) or the
-inner cell's components (strengthen_cell) in every copy.  _inside reads them
-only at the nodes the source record's blocks first touch, in that order, so
-map objects and cells that meet the same records share one map.
-counit_cell and theta_cell build theirs afresh: the first's key would cost
-more than it saves, and the second's maps out of fresh records never
-repeat.
+each codomain object, and data names that memoized evaluation.  While a
+fincat.session() is open, two memos keyed by content are kept on the
+codomain category, each read through fincat.content_memo: cod.colimits
+holds one record per colimit input, and cod.cocones one map between two
+records per (source record, destination record, kind, what the blocks
+read).  Two kinds of map go through it: the action in the extended slot,
+and _inside, which applies the inner map's action (the action in another
+slot) or the inner cell's components (strengthen_cell) in every copy.
+_inside reads them only at the nodes the source record's blocks first
+touch, in that order, so map objects and cells that meet the same records
+share one map.  counit_cell and theta_cell build theirs afresh: the first's
+key would cost more than it saves, and the second's maps out of fresh
+records never repeat.  Outside a session neither memo is read or filled:
+no key is built, a record lives only in its map's evaluation memo, and a
+map between records only in the memo of the map or cell that asked for it,
+so both die with their owner by reference count.
 
 Those memos point back at their owner: a record on cod.colimits and a map
-on cod.cocones hold presheaves whose base is cod.  A fincat.session()
-empties them when it closes, so what was built inside dies by reference
-count.  While one is open, strengthen and the cell constructors above (all
-but transpose and untranspose) hand back one shared node or cell per
-identity of their arguments, its memos warm; outside one they build afresh.
+on cod.cocones hold presheaves whose base is cod.  The session that owns
+cod empties them when it closes: the one cod was born in, or else the one
+that first filled them.  So what was built inside dies by reference count.
+While one is open, strengthen and the cell constructors above (all but
+transpose and untranspose) hand back one shared node or cell per identity
+of their arguments, its memos warm; outside one they build afresh.
 untranspose therefore names its composite when building it.
 """
 
 from __future__ import annotations
 
 from .errors import SlotMismatchError
-from .fincat import FinCategory, shared
+from .fincat import FinCategory, content_memo, shared
 from .presheaf import (
     Colimit,
     Presheaf,
@@ -106,13 +111,16 @@ def _cocone_map(src: Colimit, dst: Presheaf, block) -> PresheafMorphism:
 
 
 def _record_map(src: Colimit, dst: Colimit, kind: str, reads, block) -> PresheafMorphism:
-    """_cocone_map between two records, shared on their codomain by content.
+    """_cocone_map between two records, shared on their codomain by content
+    while a session is open.
 
     block may read only reads, which with the two records and the kind of
     block fixes the map; so cod.cocones keeps one map per (src, dst, kind,
     reads), and map objects that meet the same records share it.
     """
-    memo = src.base.cocones
+    memo = content_memo(src.base, "cocones")
+    if memo is None:
+        return _cocone_map(src, dst, block)
     key = (src, dst, kind, reads)
     hit = memo.get(key)
     if hit is None:
@@ -163,37 +171,42 @@ class StrengthenMap(MultiMap):
         for i, m in enumerate(shape.generators):
             if p.at[c.mor_tgt[m]]:
                 arrow_mor[i] = inner.morphism_at(pre + (c.mor_src[m],) + post, j, m)
-        # Distinct map objects often meet content-equal inputs, so the record
-        # is memoized on the codomain by its whole input, by content.  The
-        # colimit's shape depends only on the slot category and p.act (the
-        # identity rows fix each fiber's size), and p.act fixes the order in
-        # which inner_vals and arrow_mor are filled.  pointwise_colimit reads
-        # only the sizes and actions of the node presheaves and the
-        # components of the arrow maps, and labels its classes q0, q1, ...;
-        # so labels stay out of the key, and so do f's values at derived
-        # arrows, which functoriality fixes from the generators'.  p.base
-        # stays in: equal act tuples on two categories can still give the
-        # colimit different shapes.
-        key = (
-            c,
-            p.act,
-            tuple(v.act for v in inner_vals.values()),
-            tuple(phi.components for phi in arrow_mor.values()),
-        )
-        record = self.cod.colimits.get(key)
-        if record is None:
-            # the coend layout over p's base's generating graph: object x
-            # stands for |p(x)| copies of f(x), copy e for p's element e, and
-            # generator m for |p(tgt m)| copies of f(m), copy e2 at its
-            # target fed from copy p.act[m][e2] at its source
-            record = self.cod.colimits[key] = pointwise_colimit(
-                shape,
-                [inner_vals.get(x) for x in c.objects],
-                arrow_mor,
-                self.cod,
-                tuple(len(s) for s in p.at),
-                [p.act[m] for m in shape.generators],
+        # Distinct map objects often meet content-equal inputs, so inside a
+        # session the record is memoized on the codomain by its whole input,
+        # by content.  The colimit's shape depends only on the slot category
+        # and p.act (the identity rows fix each fiber's size), and p.act
+        # fixes the order in which inner_vals and arrow_mor are filled.
+        # pointwise_colimit reads only the sizes and actions of the node
+        # presheaves and the components of the arrow maps, and labels its
+        # classes q0, q1, ...; so labels stay out of the key, and so do f's
+        # values at derived arrows, which functoriality fixes from the
+        # generators'.  p.base stays in: equal act tuples on two categories
+        # can still give the colimit different shapes.
+        memo = content_memo(self.cod, "colimits")
+        if memo is not None:
+            key = (
+                c,
+                p.act,
+                tuple(v.act for v in inner_vals.values()),
+                tuple(phi.components for phi in arrow_mor.values()),
             )
+            record = memo.get(key)
+            if record is not None:
+                return record
+        # the coend layout over p's base's generating graph: object x stands
+        # for |p(x)| copies of f(x), copy e for p's element e, and generator m
+        # for |p(tgt m)| copies of f(m), copy e2 at its target fed from copy
+        # p.act[m][e2] at its source
+        record = pointwise_colimit(
+            shape,
+            [inner_vals.get(x) for x in c.objects],
+            arrow_mor,
+            self.cod,
+            tuple(len(s) for s in p.at),
+            [p.act[m] for m in shape.generators],
+        )
+        if memo is not None:
+            memo[key] = record
         return record
 
     def _mor_at(self, args, k, m):

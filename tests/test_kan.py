@@ -163,11 +163,27 @@ def test_without_a_session_cells_are_built_afresh_and_memos_persist():
         refs = [weakref.ref(x) for x in (f, ext, phi)]
         del f, ext, phi
         assert [r() for r in refs] == [None] * len(refs)
-        assert cod.colimits and c.representables
+        assert cod.colimits == {} and c.representables
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_session_empties_the_memos_it_fills_on_older_categories():
+    # the categories are born before the session opens, so it does not own
+    # them at birth; it still empties the content memos it filled
+    rng = random.Random(5)
+    c, cod = gen.builtin_category("arrow"), gen.builtin_category("square")
+    f = gen.gen_multimap(rng, [c], cod)
+    p = representable(c, 1)
+    with session() as s:
+        strengthen(f, 0).evaluate((p,))
+        phi = classifying_morphism(p, 0, 0)
+        strengthen(f, 0).morphism_at((phi.src,), 0, phi)
+        assert len(cod.colimits) == 2 and len(cod.cocones) == 1
+        assert any(o is cod for o in s.owners)
+    assert cod.colimits == {} and cod.cocones == {}
 
 
 def test_extension_sizes_on_sum_map(arrow, plus0_arrow):
@@ -377,43 +393,46 @@ def assert_matches_uncached(ext, args):
 
 
 def test_content_equal_maps_share_one_colimit(arrow, sum1_arrow):
-    twin = TableMap([arrow], arrow, sum1_arrow.sets, sum1_arrow.cod_act,
-                    sum1_arrow.slot_act, name="twin")
-    p = representable(arrow, 1)
-    before = merge_counter.value
-    first = strengthen(sum1_arrow, 0).evaluate((p,))
-    merged = merge_counter.value
-    assert merged > before
-    assert strengthen(twin, 0).evaluate((p,)) is first
-    assert merge_counter.value == merged
-    assert strengthen(twin, 0).data((p,)) is strengthen(sum1_arrow, 0).data((p,))
+    with session():
+        twin = TableMap([arrow], arrow, sum1_arrow.sets, sum1_arrow.cod_act,
+                        sum1_arrow.slot_act, name="twin")
+        p = representable(arrow, 1)
+        before = merge_counter.value
+        first = strengthen(sum1_arrow, 0).evaluate((p,))
+        merged = merge_counter.value
+        assert merged > before
+        assert strengthen(twin, 0).evaluate((p,)) is first
+        assert merge_counter.value == merged
+        assert strengthen(twin, 0).data((p,)) is strengthen(sum1_arrow, 0).data((p,))
 
 
 def test_equal_actions_on_reversed_arrows_stay_apart():
     # 0 -> 1 and 1 -> 0: one act tuple is a presheaf on both, with El shapes
     # that quotient differently, over the same codomain
-    point = FinCategory("pt", 1, [0], [0], [0], {(0, 0): 0})
-    act = ((0, 1), (0, 1), (0, 0))
-    for src, tgt in ((0, 1), (1, 0)):
-        c = FinCategory("c", 2, [0, 1, src], [0, 1, tgt], [0, 1],
-                        {(0, 0): 0, (1, 1): 1, (2, src): 2, (tgt, 2): 2})
-        const = TableMap(
-            [c], point,
-            {(x, 0): ("u",) for x in c.objects},
-            {(x, 0): (0,) for x in c.objects},
-            {(0, m, 0): (0,) for m in c.morphisms},
-        )
-        assert_matches_uncached(strengthen(const, 0), (Presheaf(c, [("a", "b")] * 2, act),))
-    assert len(point.colimits) == 2
+    with session():
+        point = FinCategory("pt", 1, [0], [0], [0], {(0, 0): 0})
+        act = ((0, 1), (0, 1), (0, 0))
+        for src, tgt in ((0, 1), (1, 0)):
+            c = FinCategory("c", 2, [0, 1, src], [0, 1, tgt], [0, 1],
+                            {(0, 0): 0, (1, 1): 1, (2, src): 2, (tgt, 2): 2})
+            const = TableMap(
+                [c], point,
+                {(x, 0): ("u",) for x in c.objects},
+                {(x, 0): (0,) for x in c.objects},
+                {(0, m, 0): (0,) for m in c.morphisms},
+            )
+            assert_matches_uncached(strengthen(const, 0), (Presheaf(c, [("a", "b")] * 2, act),))
+        assert len(point.colimits) == 2
 
 
 def test_labels_stay_out_of_the_colimit_key(arrow, sum1_arrow):
-    ext = strengthen(sum1_arrow, 0)
-    p = sample_presheaves(arrow)[3]
-    q = Presheaf(arrow, [[f"other{l}" for l in at] for at in p.at], p.act)
-    assert ext.evaluate((q,)) is ext.evaluate((p,))
-    assert len(arrow.colimits) == 1
-    assert_matches_uncached(ext, (q,))
+    with session():
+        ext = strengthen(sum1_arrow, 0)
+        p = sample_presheaves(arrow)[3]
+        q = Presheaf(arrow, [[f"other{l}" for l in at] for at in p.at], p.act)
+        assert ext.evaluate((q,)) is ext.evaluate((p,))
+        assert len(arrow.colimits) == 1
+        assert_matches_uncached(ext, (q,))
 
 
 # -- the coend layout against the El(p) route ----------------------------------
@@ -450,26 +469,27 @@ def _small_presheaves(rng, c):
 def test_extension_matches_the_el_route():
     # one-slot maps, the unit behind theta_cell, and a two-slot map extended
     # in either slot, over builtin shapes and free dags
-    rng = random.Random("coend-vs-el")
-    empty_fibers = empty_values = 0
-    for c in _small_categories(rng):
-        d = gen.free_dag_category(rng, 3, 3)
-        f = _gen_map(rng, (c,), d, 24)
-        f2 = _gen_map(rng, (c, d), c, 24)
-        ps = list(_small_presheaves(rng, c))
-        qs = list(_small_presheaves(rng, d))
-        for p in ps:
-            assert_matches_uncached(strengthen(f, 0), (p,))
-            assert_matches_uncached(strengthen(unit_map(c), 0), (p,))
-            for w in d.objects:
-                assert_matches_uncached(strengthen(f2, 0), (p, w))
-            empty_fibers += not all(p.at)
-            empty_values += any(p.at[x] and not f.evaluate((x,)).at[y]
-                                for x in c.objects for y in d.objects)
-        for x in c.objects:
-            for q in qs:
-                assert_matches_uncached(strengthen(f2, 1), (x, q))
-    assert empty_fibers and empty_values
+    with session():
+        rng = random.Random("coend-vs-el")
+        empty_fibers = empty_values = 0
+        for c in _small_categories(rng):
+            d = gen.free_dag_category(rng, 3, 3)
+            f = _gen_map(rng, (c,), d, 24)
+            f2 = _gen_map(rng, (c, d), c, 24)
+            ps = list(_small_presheaves(rng, c))
+            qs = list(_small_presheaves(rng, d))
+            for p in ps:
+                assert_matches_uncached(strengthen(f, 0), (p,))
+                assert_matches_uncached(strengthen(unit_map(c), 0), (p,))
+                for w in d.objects:
+                    assert_matches_uncached(strengthen(f2, 0), (p, w))
+                empty_fibers += not all(p.at)
+                empty_values += any(p.at[x] and not f.evaluate((x,)).at[y]
+                                    for x in c.objects for y in d.objects)
+            for x in c.objects:
+                for q in qs:
+                    assert_matches_uncached(strengthen(f2, 1), (x, q))
+        assert empty_fibers and empty_values
 
 
 @settings(max_examples=60, deadline=None)
@@ -477,11 +497,12 @@ def test_extension_matches_the_el_route():
 def test_generated_extensions_match_every_el_arrow(seed):
     # the record's diagram has an arrow per generator of the slot category;
     # the reference has one per El(p) arrow, derived arrows included
-    rng = random.Random(seed)
-    c = rng.choice([gen.gen_category(rng, 4, 5), cyclic_group(3), isomorphic_pair(),
-                    codiscrete(3)])
-    f = _gen_map(rng, (c,), gen.gen_category(rng, 3, 3), 24)
-    assert_matches_uncached(strengthen(f, 0), (gen.gen_presheaf(rng, c),))
+    with session():
+        rng = random.Random(seed)
+        c = rng.choice([gen.gen_category(rng, 4, 5), cyclic_group(3), isomorphic_pair(),
+                        codiscrete(3)])
+        f = _gen_map(rng, (c,), gen.gen_category(rng, 3, 3), 24)
+        assert_matches_uncached(strengthen(f, 0), (gen.gen_presheaf(rng, c),))
 
 
 def test_an_extension_missing_a_generator_is_caught(monkeypatch, capsys):
@@ -542,6 +563,65 @@ def test_large_extensions_are_pinned():
         digest.update(repr((value.content_key(), collapse.content_key())).encode())
     assert digest.hexdigest() == (
         "67d2a9f73c650a97327c3b7d2db1a39ed18d3b8cddc21eba317e08b2f0f4346f")
+
+
+def test_evaluating_outside_a_session_retains_nothing():
+    # no key is built and no memo filled: each record lives on the map that
+    # asked for it, so dropping the map and the cell frees both records by
+    # reference count, with nothing left on either category
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        rng = random.Random("outside-a-session")
+        c = _large_dag(rng)
+        f = _gen_map(rng, (c,), _large_dag(rng), 64, 3)
+        p = _large_presheaf(rng, c, 120)
+        ext, collapse = strengthen(f, 0), theta_cell(c)
+        value = ext.evaluate((p,))
+        phi = collapse.component((p,))
+        assert phi.is_bijection()
+        records = [weakref.ref(value), weakref.ref(phi.src)]
+        for cat in (f.cod, c):
+            assert cat.colimits == {} and cat.cocones == {}
+        del ext, collapse, value, phi
+        assert [r() for r in records] == [None, None]
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _session_agreement_keys(f, f2, p):
+    """Content keys of what evaluating f and f2 at p builds: the value, the
+    collapse cell, f2's action in its fin slot 1 (a map between records by
+    _inside) and the strengthened unit cell of f2."""
+    c, d = p.base, f2.slots[1].cat
+    keys = [strengthen(f, 0).evaluate((p,)).content_key(),
+            theta_cell(c).component((p,)).content_key()]
+    for m in d.morphisms:
+        keys.append(strengthen(f2, 0).morphism_at((p, d.src(m)), 1, m).content_key())
+    for w in d.objects:
+        keys.append(strengthen_cell(unit_cell(f2, 0), 0).component((p, w)).content_key())
+    return keys
+
+
+def test_evaluation_agrees_inside_and_outside_a_session():
+    # outside a session every record and map between records is built
+    # afresh; inside one they come from the content memos, read twice
+    rng = random.Random("session-agreement")
+    for i in range(30):
+        c = _large_dag(rng) if i % 3 else gen.builtin_category("square")
+        d = gen.free_dag_category(rng, 3, 3)
+        f = _gen_map(rng, (c,), _large_dag(rng), 24, 1 + i % 4)
+        f2 = _gen_map(rng, (c, d), d, 24)
+        p = _large_presheaf(rng, c, 10 + 2 * i)
+        outside = _session_agreement_keys(f, f2, p)
+        assert d.colimits == {} and d.cocones == {}
+        with session():
+            assert _session_agreement_keys(f, f2, p) == outside
+            assert d.colimits and d.cocones
+            assert _session_agreement_keys(f, f2, p) == outside
 
 
 def test_budget_counts_every_copy(monkeypatch):
@@ -792,30 +872,32 @@ def test_inside_reads_the_source_nodes_in_first_touch_order(monkeypatch):
 def test_content_equal_requests_share_one_map_between_records(arrow, sum1_arrow):
     # two map objects with one content meet the same records, so the map
     # between them is built once, on the codomain
-    p = representable(arrow, 1)
-    phi = classifying_morphism(p, 1, 0)
-    a, b = strengthen(sum1_arrow, 0), strengthen(hom_sum_map(arrow, 1), 0)
-    assert a.data((p,)) is b.data((p,))
-    assert a.morphism_at((phi.src,), 0, phi) is b.morphism_at((phi.src,), 0, phi)
-    assert len(arrow.cocones) == 1
+    with session():
+        p = representable(arrow, 1)
+        phi = classifying_morphism(p, 1, 0)
+        a, b = strengthen(sum1_arrow, 0), strengthen(hom_sum_map(arrow, 1), 0)
+        assert a.data((p,)) is b.data((p,))
+        assert a.morphism_at((phi.src,), 0, phi) is b.morphism_at((phi.src,), 0, phi)
+        assert len(arrow.cocones) == 1
 
 
 def test_a_damaged_cell_after_its_honest_twin_gets_its_own_map():
     # the twins meet the same records, and only the inner components they
     # read tell their strengthened maps apart: the damaged one must not be
     # handed the honest map built first
-    rng = random.Random("damaged-twin")
-    c = gen.builtin_category("z2")
-    honest = unit_cell(hom_sum_map(c, 1), 0)
-    damaged = checker._damaged(checker._swap_first_wide_row)(lambda: honest)
-    differing = 0
-    for p in _small_presheaves(rng, c):
-        before = strengthen_cell(honest, 0).component((p,))
-        assert strengthen(honest.src, 0).data((p,)) is strengthen(damaged.src, 0).data((p,))
-        _assert_strengthen_cell_per_class(damaged, 0, (p,))
-        differing += strengthen_cell(damaged, 0).component((p,)).components != before.components
-        _assert_strengthen_cell_per_class(honest, 0, (p,))
-    assert differing
+    with session():
+        rng = random.Random("damaged-twin")
+        c = gen.builtin_category("z2")
+        honest = unit_cell(hom_sum_map(c, 1), 0)
+        damaged = checker._damaged(checker._swap_first_wide_row)(lambda: honest)
+        differing = 0
+        for p in _small_presheaves(rng, c):
+            before = strengthen_cell(honest, 0).component((p,))
+            assert strengthen(honest.src, 0).data((p,)) is strengthen(damaged.src, 0).data((p,))
+            _assert_strengthen_cell_per_class(damaged, 0, (p,))
+            differing += strengthen_cell(damaged, 0).component((p,)).components != before.components
+            _assert_strengthen_cell_per_class(honest, 0, (p,))
+        assert differing
 
 
 def test_extension_records_take_weak_references(arrow, sum1_arrow):

@@ -182,6 +182,37 @@ def test_one_substitution_constructor():
     assert releasers == {"FinCategory"}, f"release_memos defined on {sorted(releasers)}"
 
 
+CONTENT_MEMOS = ("colimits", "cocones")
+
+
+def test_content_memos_are_read_only_inside_a_session():
+    # FinCategory makes and releases its content memos; every other reader
+    # goes through fincat.content_memo, which hands out no memo when no
+    # session is open, so outside one no key is built and no value is kept
+    # on its category (test_kan checks that behaviour)
+    touched, named = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = list(_qualified_functions(tree))
+        names = {id(node.args[1]): node.args[1] for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "content_memo"}
+        named.update(getattr(node, "value", None) for node in names.values())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                memo = node.attr
+            elif isinstance(node, ast.Constant) and id(node) not in names:
+                memo = node.value
+            else:
+                continue
+            if memo in CONTENT_MEMOS:
+                inside = [(f.lineno, name) for name, f in functions
+                          if f.lineno <= node.lineno <= f.end_lineno]
+                touched.add(f"{path.stem}.{max(inside)[1] if inside else '<module>'}")
+    assert touched == {"fincat.FinCategory.__init__", "fincat.FinCategory.release_memos"}, (
+        f"content memos read in {sorted(touched)}")
+    assert named == set(CONTENT_MEMOS), f"content_memo asked for {sorted(named, key=str)}"
+
+
 def _laws(tree):
     """The functions that @_law registers, in a parsed checker.py."""
     return [node for node in tree.body if isinstance(node, ast.FunctionDef)
