@@ -9,6 +9,7 @@ name the exact seed that rebuilds any instance.
 import hashlib
 import itertools
 import random
+from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .fincat import (
@@ -22,6 +23,7 @@ from .multimap import TableMap
 from .presheaf import (
     Graph,
     Presheaf,
+    _numbered,
     classifying_morphism,
     coproduct_presheaves,
     pointwise_colimit,
@@ -97,12 +99,15 @@ def free_dag_category(rng: random.Random, max_objects: int, max_edges: int) -> F
 
     Edges run from lower to higher vertex index, so paths never cycle and
     the morphism list is identities first, then paths ordered by length
-    and edge tuple.  Composition is path concatenation, tabled only on the
+    and edge tuple.  The breadth-first search yields the paths in that
+    order as they are, with no sort: each level extends the level before
+    it, already in order, by the edges leaving its end in ascending
+    order.  Composition is path concatenation, tabled only on the
     composable pairs: for each g, the f ending where g starts, in
     ascending order.
     """
     n = rng.randint(1, max_objects)
-    pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pool = list(itertools.combinations(range(n), 2))
     rng.shuffle(pool)
     edges = sorted(pool[: rng.randint(0, min(max_edges, len(pool)))])
 
@@ -114,7 +119,6 @@ def free_dag_category(rng: random.Random, max_objects: int, max_edges: int) -> F
     while frontier:
         paths.extend(frontier)
         frontier = [p + (ei,) for p in frontier for ei in out[edges[p[-1]][1]]]
-    paths.sort(key=lambda p: (len(p), p))
 
     mor_src = list(range(n)) + [edges[p[0]][0] for p in paths]
     mor_tgt = list(range(n)) + [edges[p[-1]][1] for p in paths]
@@ -144,12 +148,22 @@ def gen_category(rng: random.Random, max_objects: int, max_edges: int) -> FinCat
 
 # -- presheaves ----------------------------------------------------------------
 
+_QUOTIENT_LABELS = []  # "c0", "c1", ...: every quotient's element labels
+
+
+@lru_cache(maxsize=1024)
+def _quotient_labels(n: int) -> tuple:
+    """c0 .. c{n-1}: one tuple shared by every quotient fiber of n elements."""
+    return tuple(_numbered(_QUOTIENT_LABELS, "c", n)[:n])
+
+
 def presheaf_quotient(p: Presheaf, pairs) -> Presheaf:
     """Quotient by the congruence generated by (object, elem, elem) pairs.
 
     This is the pointwise coequalizer of each pair's two classifying maps
     y_x => p, with p as shape node 0, so every class keeps its least-index
-    member of p as representative.
+    member of p as representative.  A fiber of n classes is labelled
+    c0 .. c{n-1}, one tuple shared by every such fiber.
     """
     ps, maps = [p], {}
     for k, (x, a, b) in enumerate(pairs):
@@ -158,7 +172,7 @@ def presheaf_quotient(p: Presheaf, pairs) -> Presheaf:
         maps[2 * k + 1] = classifying_morphism(p, x, b)
     shape = Graph(len(ps), [1 + m // 2 for m in maps], [0] * len(maps))
     q = pointwise_colimit(shape, ps, maps, p.base)
-    return Presheaf(p.base, [[f"c{c}" for c in range(len(s))] for s in q.at], q.act)
+    return Presheaf(p.base, [_quotient_labels(len(s)) for s in q.at], q.act)
 
 
 def gen_presheaf(rng: random.Random, c: FinCategory, max_values: int = 24) -> Presheaf:
@@ -195,19 +209,25 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
     Sum of `generator` summands: a generator is a choice of one object per
     slot and one of the target; its fiber at (b1..bn; y) is the product
     hom(c1,b1) x ... x hom(cn,bn) x hom(y,d), acted on by post- and
-    pre-composition.  Degenerate hom sets just make empty summands.
+    pre-composition.  Degenerate hom sets just make empty summands.  There
+    are n_generators of them, or 1-2 drawn when it is None; 0 gives the
+    empty map.
 
     So the value at args = (b1..bn) is a sum of representables of cod: one
     y_d per generator (c1..cn; d) and tuple (h1..hn) in hom(c1,b1) x ... x
     hom(cn,bn), in that lex order, with element h of y_d labelled
-    (generator, h1, ..., hn, h).  The tables are offset arithmetic on those
-    summands, as in coproduct_presheaves.  cod acts inside each summand as
-    on y_d, by hom positions, so the fibers' offsets and the cod_act rows
+    str((generator, h1, ..., hn, h)).  Each label is built as its summand's
+    prefix "(generator, h1, .., hn, ", made once per summand, followed by
+    h's end "h)", made once per morphism of cod.  The tables are offset
+    arithmetic on those summands, with the sum's offsets kept as
+    coproduct_presheaves keeps them.  cod acts inside each summand as on
+    y_d, by hom positions, so the fibers' offsets and the cod_act rows
     depend only on the summands' d's, and are built once per such list.  A
     slot morphism m at slot j moves each summand (.., hj, ..) to the one
-    labelled (.., m hj, ..), and each element keeps its place in it.
+    labelled (.., m hj, ..), and each element keeps its place in it; an
+    args with no summand has only empty rows.
     """
-    k = n_generators or rng.randint(1, 2)
+    k = rng.randint(1, 2) if n_generators is None else n_generators
     gens = []
     for _ in range(k):
         cs = tuple(rng.randrange(s.n_objects) for s in slot_cats)
@@ -221,6 +241,9 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
         d: [tuple([pos[cod.comp[h, u]] for h in homs_to[b][d]]) for u, b in enumerate(cod.mor_tgt)]
         for d in {d for _, d in gens}
     }
+    # ends[d][y]: the label ends of y_d's elements at y, "h)" for h in hom(y, d)
+    end = [f"{h})" for h in cod.morphisms]
+    ends = {d: [tuple([end[h] for h in homs[d]]) for homs in homs_to] for d in y_act}
 
     # per args: its summands' label prefixes (generator, h1, .., hn), each
     # mapped to its index, and its layout, shared by every args whose
@@ -242,29 +265,41 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
             layout = by_ds[ds] = sizes, starts, rows
         place[args] = {key: i for i, key in enumerate(keys)}
         layouts[args] = layout
+        prefixes = [f"({', '.join(map(str, key))}, " for key in keys]
         for y, offs in enumerate(layout[1]):
             if offs[-1] > max_values:
                 raise BudgetExceededError("generated fiber too large")
             sets[args + (y,)] = tuple(
-                [str(key + (h,)) for key, d in zip(keys, ds) for h in homs_to[y][d]]
+                [pre + e for pre, d in zip(prefixes, ds) for e in ends[d][y]]
             ) if offs[-1] else ()
 
+    # per slot, per object: the morphisms leaving it, ascending
+    leaving = []
+    for cj in slot_cats:
+        out = [[] for _ in cj.objects]
+        for m, a in enumerate(cj.mor_src):
+            out[a].append(m)
+        leaving.append(out)
     for args in grids:
         sizes, starts, rows = layouts[args]
         for u, row in enumerate(rows):
             cod_act[args + (u,)] = row
+        here = place[args]
         for j, cj in enumerate(slot_cats):
-            for m in cj.morphisms:
-                if cj.src(m) != args[j]:
+            comp = cj.comp
+            for m in leaving[j][args[j]]:
+                marked = (j,) + args[:j] + (m,) + args[j + 1:]
+                if not here:
+                    for y in cod.objects:
+                        slot_act[marked + (y,)] = ()
                     continue
-                tgt_args = args[:j] + (cj.tgt(m),) + args[j + 1:]
+                tgt_args = args[:j] + (cj.mor_tgt[m],) + args[j + 1:]
                 where = place[tgt_args]
-                moved = [where[key[:1 + j] + (cj.comp[m, key[1 + j]],) + key[2 + j:]]
-                         for key in place[args]]
+                moved = [where[key[:1 + j] + (comp[m, key[1 + j]],) + key[2 + j:]] for key in here]
                 tgt_starts = layouts[tgt_args][1]
                 for y, n_y in enumerate(sizes):
                     offs = tgt_starts[y]
-                    slot_act[(j,) + args[:j] + (m,) + args[j + 1:] + (y,)] = tuple(
+                    slot_act[marked + (y,)] = tuple(
                         [t for i, n in zip(moved, n_y) for t in range(offs[i], offs[i] + n)]
                     ) if starts[y][-1] else ()
 

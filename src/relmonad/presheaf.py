@@ -414,14 +414,14 @@ class Colimit(Presheaf):
 
 
 def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
-    """Pointwise disjoint union; returns the sum and the injections.
+    """Pointwise disjoint union; returns the sum and its offsets.
 
-    Summand i sits at offset offs[x][i] of the sum's fiber at x, the total
-    size of the summands before it there, and its labels get the prefix
-    "i:".  So each label column is one pass over the prefixed labels, each
-    act row one pass over the summands' rows shifted by their offsets at
-    the morphism's source, and injection i is the range from offs[x][i]
-    at every object x.
+    offsets[x][i] is where summand i starts in the sum's fiber at x, the
+    total size of the summands before it there, and summand i's labels get
+    the prefix "i:".  So each label column is one pass over the prefixed
+    labels, each act row one pass over the summands' rows shifted by their
+    offsets at the morphism's source, and injection i, which is not built,
+    is the range from offsets[x][i] at every object x.
     """
     ps = list(ps)
     base = ps[0].base
@@ -436,22 +436,13 @@ def coproduct_presheaves(ps) -> tuple[Presheaf, tuple]:
         for p_at in ats:
             off.append(n)
             n += len(p_at[x])
-        offs.append(off)
-        at.append(tuple([l for pre, p_at in zip(prefixes, ats) for l in map(pre.__add__, p_at[x])]))
+        offs.append(tuple(off))
+        at.append(tuple([pre + l for pre, p_at in zip(prefixes, ats) for l in p_at[x]]))
     act = tuple(
-        tuple([v for off, p_act in zip(offs[a], acts) for v in map(off.__add__, p_act[m])])
+        tuple([off + v for off, p_act in zip(offs[a], acts) for v in p_act[m]])
         for m, a in enumerate(base.mor_src)
     )
-    total = Presheaf(base, at, act)
-    injections = tuple(
-        PresheafMorphism(
-            p,
-            total,
-            [tuple(range(off[i], off[i] + len(s))) for off, s in zip(offs, p.at)],
-        )
-        for i, p in enumerate(ps)
-    )
-    return total, injections
+    return Presheaf(base, at, act), tuple(offs)
 
 
 def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
@@ -494,11 +485,12 @@ def pointwise_colimit(shape: Graph, ps, maps, base: FinCategory,
     for x, i in enumerate(base.identity):
         act[i] = _identity_row(len(results[x].reps))
     generation = base.generation
+    blocks = {b: results[b].blocks() for b in set(generation.mor_tgt)}
     for m, a, b in zip(generation.generators, generation.mor_src, generation.mor_tgt):
         r = results[a]
         classes, offsets, sizes = r.classes, r.offsets, r.sizes
         row = []
-        for k, off, n, reps in results[b].blocks():
+        for k, off, n, reps in blocks[b]:
             o, s, act_k = offsets[k], sizes[k], acts[k][m]
             row += [classes[o + e * s + act_k[t]] for i in reps for e, t in (divmod(i - off, n),)]
         act[m] = tuple(row)

@@ -4,6 +4,7 @@ import pytest
 
 from relmonad.fincat import FinCategory
 from relmonad.multimap import TableMap
+from relmonad.presheaf import PresheafMorphism
 
 
 def walking_arrow() -> FinCategory:
@@ -119,6 +120,17 @@ def hom_sum_map(c: FinCategory, n_slots: int, name="sum") -> TableMap:
                         for i, h in elems(src, y)
                     )
     return TableMap([c] * n_slots, c, sets, cod_act, slot_act, name=name)
+
+
+def coproduct_injections(ps, total, offsets) -> tuple:
+    """The injections of ps into their sum total, built from the offsets that
+    coproduct_presheaves returns: summand i goes onto the range from
+    offsets[x][i] at every object x."""
+    return tuple(
+        PresheafMorphism(p, total, [tuple(range(off[i], off[i] + len(s)))
+                                    for off, s in zip(offsets, p.at)])
+        for i, p in enumerate(ps)
+    )
 
 
 def members(r) -> list:

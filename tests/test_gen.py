@@ -1,10 +1,14 @@
 """Generated instances are valid, bounded, and reproducible from seeds."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import codiscrete, coproduct_injections
 from relmonad.errors import BudgetExceededError
 from relmonad.fincat import FunctorTable, validate_category, validate_functor
 from relmonad.gen import (
@@ -119,6 +123,54 @@ def test_generated_binary_multimap_validates():
     assert validate_multimap(m) is None
 
 
+def test_no_generators_give_the_empty_map():
+    rng = random.Random(0)
+    arrow, square = builtin_category("arrow"), builtin_category("square")
+    for slots in ((), (arrow,), (square, arrow)):
+        m = gen_multimap(rng, slots, square, n_generators=0)
+        assert validate_multimap(m) is None
+        assert m.sets and all(fiber == () for fiber in m.sets.values())
+
+
+def _reference_labels(rng, slot_cats, cod, n_generators):
+    """gen_multimap's labels built element by element, str((generator, h1,
+    .., hn, h)) each, after the same generator draws."""
+    k = rng.randint(1, 2) if n_generators is None else n_generators
+    gens = [(tuple(rng.randrange(s.n_objects) for s in slot_cats), rng.randrange(cod.n_objects))
+            for _ in range(k)]
+    return {
+        args + (y,): tuple(
+            str((gi,) + hs + (h,))
+            for gi, (cs, d) in enumerate(gens)
+            for hs in itertools.product(*(s.hom(c, b) for s, c, b in zip(slot_cats, cs, args)))
+            for h in cod.hom(y, d)
+        )
+        for args in itertools.product(*(s.objects for s in slot_cats))
+        for y in cod.objects
+    }
+
+
+# morphism ids up to 15 in codiscrete(4), and paths in the free dag
+_LABEL_CATS = [builtin_category(n) for n in ("arrow", "z2", "square")] + [
+    codiscrete(4), free_dag_category(random.Random(5), 5, 6)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.integers(0, 4), max_size=2), st.integers(0, 4),
+       st.sampled_from([None, 1, 2, 3]))
+@example(0, [], 3, 2)  # no slot: one-element keys, labels "(g, h)"
+@example(0, [3], 3, 3)  # ids of 10 or more in the slot and at the end
+@example(0, [3, 4], 3, 3)
+def test_multimap_labels_match_the_element_by_element_reference(seed, slots, cod, k):
+    slot_cats, cod = tuple(_LABEL_CATS[i] for i in slots), _LABEL_CATS[cod]
+    rng = random.Random(seed)
+    m = gen_multimap(rng, slot_cats, cod, 10**4, n_generators=k)
+    after = rng.getstate()
+    rng = random.Random(seed)
+    assert m.sets == _reference_labels(rng, slot_cats, cod, k)
+    assert rng.getstate() == after
+
+
 def test_multimap_budget_guard():
     rng = random.Random(0)
     square = builtin_category("square")
@@ -223,8 +275,9 @@ def _generated_tables():
         rng = random.Random(s)
         c = rng.choice(dags)
         k = rng.randint(3, 40)
-        total, inj = coproduct_presheaves(
-            [representable(c, rng.randrange(c.n_objects)) for _ in range(k)])
+        summands = [representable(c, rng.randrange(c.n_objects)) for _ in range(k)]
+        total, offsets = coproduct_presheaves(summands)
+        inj = coproduct_injections(summands, total, offsets)
         sums.append((total.at, total.act, [i.components for i in inj]))
         pairs = []
         sized = [x for x in c.objects if len(total.at[x]) >= 2]

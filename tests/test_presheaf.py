@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import codiscrete, cyclic_group, isomorphic_pair, members
+from conftest import codiscrete, coproduct_injections, cyclic_group, isomorphic_pair, members
 from relmonad.errors import BudgetExceededError
 from relmonad.fincat import FinCategory, session, validate_category
 from relmonad.gen import builtin_category, free_dag_category, gen_presheaf
@@ -96,7 +96,8 @@ def test_morphism_compose_and_inverse(arrow):
 
 def test_coproduct_sizes_and_labels(arrow):
     y0, y1 = representable(arrow, 0), representable(arrow, 1)
-    s, (i0, i1) = coproduct_presheaves([y0, y1])
+    s, offsets = coproduct_presheaves([y0, y1])
+    i0, i1 = coproduct_injections([y0, y1], s, offsets)
     assert tuple(len(x) for x in s.at) == (2, 1)
     assert s.at[0] == ("0:m0", "1:m2")
     assert validate_presheaf(s) is None
@@ -111,7 +112,8 @@ def test_coproduct_injections_partition_the_sum(seed, picks):
     c = free_dag_category(random.Random(seed), 5, 6)
     family = sample_presheaves(c)
     ps = [family[i % len(family)] for i in picks]
-    s, injections = coproduct_presheaves(ps)
+    s, offsets = coproduct_presheaves(ps)
+    injections = coproduct_injections(ps, s, offsets)
     assert validate_presheaf(s) is None
     assert len(injections) == len(ps)
     for p, inj in zip(ps, injections):
@@ -120,6 +122,27 @@ def test_coproduct_injections_partition_the_sum(seed, picks):
     for x in c.objects:
         images = [v for inj in injections for v in inj.components[x]]
         assert sorted(images) == list(range(len(s.at[x])))
+
+
+def test_coproduct_builds_no_morphism(arrow, square, monkeypatch):
+    # the sum is built from offsets: no injection, nor any other presheaf
+    # morphism, is constructed, however many summands there are
+    built = []
+    honest = PresheafMorphism.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        honest(self, *args)
+
+    monkeypatch.setattr(PresheafMorphism, "__init__", counting)
+    PresheafMorphism.identity(representable(arrow, 1))
+    assert len(built) == 1  # the counter sees a construction
+    for c in (arrow, square):
+        ps = [representable(c, a) for a in c.objects] * 3
+        s, offsets = coproduct_presheaves(ps)
+        assert validate_presheaf(s) is None
+        assert len(offsets) == c.n_objects and all(len(off) == len(ps) for off in offsets)
+    assert len(built) == 1
 
 
 def test_pushout_of_arrow_codomain(arrow):
