@@ -9,7 +9,6 @@ name the exact seed that rebuilds any instance.
 import hashlib
 import itertools
 import random
-from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .fincat import (
@@ -23,9 +22,9 @@ from .multimap import TableMap
 from .presheaf import (
     Graph,
     Presheaf,
-    _numbered,
     classifying_morphism,
     coproduct_presheaves,
+    numbered_labels,
     pointwise_colimit,
     representable,
 )
@@ -107,7 +106,7 @@ def free_dag_category(rng: random.Random, max_objects: int, max_edges: int) -> F
     ascending order.
     """
     n = rng.randint(1, max_objects)
-    pool = list(itertools.combinations(range(n), 2))
+    pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
     rng.shuffle(pool)
     edges = sorted(pool[: rng.randint(0, min(max_edges, len(pool)))])
 
@@ -148,15 +147,6 @@ def gen_category(rng: random.Random, max_objects: int, max_edges: int) -> FinCat
 
 # -- presheaves ----------------------------------------------------------------
 
-_QUOTIENT_LABELS = []  # "c0", "c1", ...: every quotient's element labels
-
-
-@lru_cache(maxsize=1024)
-def _quotient_labels(n: int) -> tuple:
-    """c0 .. c{n-1}: one tuple shared by every quotient fiber of n elements."""
-    return tuple(_numbered(_QUOTIENT_LABELS, "c", n)[:n])
-
-
 def presheaf_quotient(p: Presheaf, pairs) -> Presheaf:
     """Quotient by the congruence generated by (object, elem, elem) pairs.
 
@@ -172,7 +162,7 @@ def presheaf_quotient(p: Presheaf, pairs) -> Presheaf:
         maps[2 * k + 1] = classifying_morphism(p, x, b)
     shape = Graph(len(ps), [1 + m // 2 for m in maps], [0] * len(maps))
     q = pointwise_colimit(shape, ps, maps, p.base)
-    return Presheaf(p.base, [_quotient_labels(len(s)) for s in q.at], q.act)
+    return Presheaf(p.base, [numbered_labels("c", len(s)) for s in q.at], q.act)
 
 
 def gen_presheaf(rng: random.Random, c: FinCategory, max_values: int = 24) -> Presheaf:
@@ -289,10 +279,6 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
             comp = cj.comp
             for m in leaving[j][args[j]]:
                 marked = (j,) + args[:j] + (m,) + args[j + 1:]
-                if not here:
-                    for y in cod.objects:
-                        slot_act[marked + (y,)] = ()
-                    continue
                 tgt_args = args[:j] + (cj.mor_tgt[m],) + args[j + 1:]
                 where = place[tgt_args]
                 moved = [where[key[:1 + j] + (comp[m, key[1 + j]],) + key[2 + j:]] for key in here]

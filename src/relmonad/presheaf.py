@@ -194,22 +194,17 @@ def validate_presheaf_morphism(phi: PresheafMorphism) -> tuple[str, str] | None:
 # -- shared labels and rows ---------------------------------------------------
 
 
-_CLASS_LABELS = []  # "q0", "q1", ...: every colimit's class labels
-_MORPHISM_LABELS = []  # "m0", "m1", ...: every representable's element labels
-
-
-def _numbered(labels: list, prefix: str, n: int) -> list:
-    """labels, grown to hold at least prefix0 .. prefix{n-1}; each string is
-    made once and shared by every caller."""
-    if len(labels) < n:
-        labels.extend(map(f"{prefix}{{}}".format, range(len(labels), n)))
-    return labels
+_NUMBERED = {}  # prefix -> [prefix0, prefix1, ...]: each label string made once
 
 
 @lru_cache(maxsize=1024)
-def _class_labels(n: int) -> tuple:
-    """q0 .. q{n-1}: one tuple shared by every colimit with n classes."""
-    return tuple(_numbered(_CLASS_LABELS, "q", n)[:n])
+def numbered_labels(prefix: str, n: int) -> tuple:
+    """prefix0 .. prefix{n-1}: one tuple shared by every caller that asks for
+    n labels with that prefix, over strings made once per prefix."""
+    labels = _NUMBERED.setdefault(prefix, [])
+    if len(labels) < n:
+        labels.extend(map(f"{prefix}{{}}".format, range(len(labels), n)))
+    return tuple(labels[:n])
 
 
 @lru_cache(maxsize=1024)
@@ -231,7 +226,7 @@ def representable(c: FinCategory, a: int) -> Presheaf:
         homs = [c.hom(x, a) for x in c.objects]
         comp, pos = c.comp, c.hom_position
         act = [tuple(pos[comp[h, m]] for h in homs[b]) for m, b in enumerate(c.mor_tgt)]
-        labels = _numbered(_MORPHISM_LABELS, "m", c.n_morphisms)
+        labels = numbered_labels("m", c.n_morphisms)
         y = c.representables[a] = Presheaf(c, [[labels[m] for m in h] for h in homs], act)
     return y
 
@@ -388,7 +383,7 @@ def colimit_finset(d: FinSetDiagram, budget: int | None = None) -> ColimitResult
         else:
             parent[i] = parent[p]
     merge_counter.value += total - len(reps)  # each merge joined two classes into one
-    return ColimitResult(_class_labels(len(reps)), tuple(parent), tuple(offsets), sizes,
+    return ColimitResult(numbered_labels("q", len(reps)), tuple(parent), tuple(offsets), sizes,
                          tuple(reps))
 
 
