@@ -214,12 +214,17 @@ def _descending_lift(build, f):
 
 def _swapped_action(build, m):
     # swap two entries in the first wide action row; breaks either the
-    # contravariant codomain action or a slot's covariance
+    # contravariant codomain action or a slot's covariance.  Row i of entry
+    # key is taken in the order of its flat key key + (i,) by repr: args +
+    # (u,) for a codomain row, (j,) + marked + (y,) for a slot component
     for act in (m.cod_act, m.slot_act):
-        for key in sorted(act, key=repr):
-            row = act[key]
+        flat = sorted((key + (i,) for key, rows in act.items() for i in range(len(rows))),
+                      key=repr)
+        for key, i in ((k[:-1], k[-1]) for k in flat):
+            rows = act[key]
+            row = rows[i]
             if len(row) >= 2:
-                act[key] = (row[1], row[0]) + row[2:]
+                act[key] = rows[:i] + ((row[1], row[0]) + row[2:],) + rows[i + 1:]
                 return m
     return m
 

@@ -212,10 +212,12 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
     arithmetic on those summands, with the sum's offsets kept as
     coproduct_presheaves keeps them.  cod acts inside each summand as on
     y_d, by hom positions, so the fibers' offsets and the cod_act rows
-    depend only on the summands' d's, and are built once per such list.  A
-    slot morphism m at slot j moves each summand (.., hj, ..) to the one
-    labelled (.., m hj, ..), and each element keeps its place in it; an
-    args with no summand has only empty rows.
+    depend only on the summands' d's, and are built once per such list:
+    every args with that list shares one tuple of rows as its cod_act
+    entry.  A slot morphism m at slot j moves each summand (.., hj, ..) to
+    the one labelled (.., m hj, ..), and each element keeps its place in
+    it; its slot_act entry holds one component per object of cod, built in
+    one pass.  An args with no summand has only empty fibers and rows.
     """
     k = rng.randint(1, 2) if n_generators is None else n_generators
     gens = []
@@ -238,7 +240,7 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
     # per args: its summands' label prefixes (generator, h1, .., hn), each
     # mapped to its index, and its layout, shared by every args whose
     # summands have the same d's: the summands' sizes and starts in each
-    # fiber, and the cod_act rows
+    # fiber, and the cod_act rows, stored as cod_act[args] itself
     place, layouts, by_ds = {}, {}, {}
     sets, cod_act, slot_act = {}, {}, {}
     grids = list(itertools.product(*(s.objects for s in slot_cats)))
@@ -250,18 +252,17 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
         if layout is None:
             sizes = [[len(homs_to[y][d]) for d in ds] for y in cod.objects]
             starts = [list(itertools.accumulate(n_y, initial=0)) for n_y in sizes]
-            rows = [tuple([o + t for o, d in zip(starts[a], ds) for t in y_act[d][u]])
-                    for u, a in enumerate(cod.mor_src)]
+            if any(offs[-1] > max_values for offs in starts):
+                raise BudgetExceededError("generated fiber too large")
+            rows = tuple([tuple([o + t for o, d in zip(starts[a], ds) for t in y_act[d][u]])
+                          for u, a in enumerate(cod.mor_src)])
             layout = by_ds[ds] = sizes, starts, rows
         place[args] = {key: i for i, key in enumerate(keys)}
         layouts[args] = layout
+        cod_act[args] = layout[2]
         prefixes = [f"({', '.join(map(str, key))}, " for key in keys]
-        for y, offs in enumerate(layout[1]):
-            if offs[-1] > max_values:
-                raise BudgetExceededError("generated fiber too large")
-            sets[args + (y,)] = tuple(
-                [pre + e for pre, d in zip(prefixes, ds) for e in ends[d][y]]
-            ) if offs[-1] else ()
+        sets[args] = tuple([tuple([pre + e for pre, d in zip(prefixes, ds) for e in ends[d][y]])
+                            for y in cod.objects])
 
     # per slot, per object: the morphisms leaving it, ascending
     leaving = []
@@ -271,23 +272,18 @@ def gen_multimap(rng: random.Random, slot_cats, cod: FinCategory,
             out[a].append(m)
         leaving.append(out)
     for args in grids:
-        sizes, starts, rows = layouts[args]
-        for u, row in enumerate(rows):
-            cod_act[args + (u,)] = row
+        sizes = layouts[args][0]
         here = place[args]
         for j, cj in enumerate(slot_cats):
             comp = cj.comp
             for m in leaving[j][args[j]]:
-                marked = (j,) + args[:j] + (m,) + args[j + 1:]
                 tgt_args = args[:j] + (cj.mor_tgt[m],) + args[j + 1:]
                 where = place[tgt_args]
                 moved = [where[key[:1 + j] + (comp[m, key[1 + j]],) + key[2 + j:]] for key in here]
-                tgt_starts = layouts[tgt_args][1]
-                for y, n_y in enumerate(sizes):
-                    offs = tgt_starts[y]
-                    slot_act[marked + (y,)] = tuple(
-                        [t for i, n in zip(moved, n_y) for t in range(offs[i], offs[i] + n)]
-                    ) if starts[y][-1] else ()
+                slot_act[(j,) + args[:j] + (m,) + args[j + 1:]] = tuple([
+                    tuple([t for i, n in zip(moved, n_y) for t in range(offs[i], offs[i] + n)])
+                    for n_y, offs in zip(sizes, layouts[tgt_args][1])
+                ])
 
     return TableMap(slot_cats, cod, sets, cod_act, slot_act, name="gen")
 

@@ -73,17 +73,14 @@ class MultiMap:
         self.arity = len(self.slots)
         self.cod = cod
         self.name = name
-        self._signature = None
         self._val_memo = {}
         self._mor_memo = {}
 
     def signature(self):
-        if self._signature is None:
-            self._signature = (
-                tuple((s.kind, s.cat.content_key()) for s in self.slots),
-                self.cod.content_key(),
-            )
-        return self._signature
+        """The slots' (kind, category) pairs and the codomain.  Categories
+        compare by identity before content, so endpoints that share their
+        categories build no content key."""
+        return self.slots, self.cod
 
     def check_arity(self, args):
         if len(args) != self.arity:
@@ -134,10 +131,12 @@ class MultiMap:
 class TableMap(MultiMap):
     """A map given by explicit tables; every slot is 'fin'.
 
-    sets[(b1,...,bn, y)] is the value's tuple of labels; cod_act[(b1,...,bn,
-    m)] is the contravariant action of the codomain morphism m; slot_act[(j,
-    args-with-m-at-slot-j, y)] is the covariant action of slot morphism m at
-    codomain object y.
+    Each table keeps one entry per argument tuple.  sets[(b1,...,bn)] is the
+    value's tuple of fibers, one tuple of labels per codomain object;
+    cod_act[(b1,...,bn)] is its tuple of action rows, one per codomain
+    morphism, each acting contravariantly by element index;
+    slot_act[(j, args-with-m-at-slot-j)] is the covariant action of slot
+    morphism m, one component per codomain object.
     """
 
     def __init__(self, slot_cats, cod, sets, cod_act, slot_act, name="F"):
@@ -147,16 +146,14 @@ class TableMap(MultiMap):
         self.slot_act = slot_act
 
     def _value(self, args):
-        at = [self.sets[args + (y,)] for y in self.cod.objects]
-        act = [self.cod_act[args + (m,)] for m in self.cod.morphisms]
-        return Presheaf(self.cod, at, act)
+        return Presheaf(self.cod, self.sets[args], self.cod_act[args])
 
     def _mor_at(self, args, j, m):
         cat = self.slots[j].cat
         dst_args = args[:j] + (cat.tgt(m),) + args[j + 1 :]
         marked = args[:j] + (m,) + args[j + 1 :]
-        comps = [self.slot_act[(j,) + marked + (y,)] for y in self.cod.objects]
-        return PresheafMorphism(self.evaluate(args), self.evaluate(dst_args), comps)
+        return PresheafMorphism(self.evaluate(args), self.evaluate(dst_args),
+                                self.slot_act[(j,) + marked])
 
 
 class UnitMap(MultiMap):

@@ -429,21 +429,22 @@ def _parse_indexed(rest, lineno, tail_sep, what):
     return _ints(m.group(2), lineno, "slot id") + (y,), m.group(3)
 
 
-def _fiber_keys(cats, cod):
-    grids = itertools.product(*(c.objects for c in cats))
-    return [args + (y,) for args in grids for y in cod.objects]
+def _grid(cats):
+    return itertools.product(*(c.objects for c in cats))
 
 
-def _map_rows(cats, cod, cod_act, slot_act):
+def _map_rows(cats, cod):
     """Every action row of an all-fin map, target actions first.
 
-    Yields (line head, row table, row key, source fiber, target fiber,
-    whether the row acts by an identity); fibers are keyed args + (y,).
+    Yields (line head, side, entry key, row index, source fiber, target
+    fiber, whether the row acts by an identity).  The row is entry key's
+    row index in cod_act for side "target", in slot_act for "source", and
+    an entry's rows come in index order; a fiber (args, y) is sets[args][y].
     """
-    for args in itertools.product(*(c.objects for c in cats)):
+    for args in _grid(cats):
         for u in cod.morphisms:
-            yield (f"act {_indexed(args + (u,))}", cod_act, args + (u,),
-                   args + (cod.tgt(u),), args + (cod.src(u),), cod.is_identity(u))
+            yield (f"act {_indexed(args + (u,))}", "target", args, u,
+                   (args, cod.tgt(u)), (args, cod.src(u)), cod.is_identity(u))
     for j, c in enumerate(cats):
         others = [s.objects for s in cats]
         others[j] = c.morphisms
@@ -452,8 +453,8 @@ def _map_rows(cats, cod, cod_act, slot_act):
             src = marked[:j] + (c.src(m),) + marked[j + 1 :]
             dst = marked[:j] + (c.tgt(m),) + marked[j + 1 :]
             for y in cod.objects:
-                yield (f"act[{j}] {_indexed(marked + (y,))}", slot_act, (j,) + marked + (y,),
-                       src + (y,), dst + (y,), c.is_identity(m))
+                yield (f"act[{j}] {_indexed(marked + (y,))}", "source", (j,) + marked, y,
+                       (src, y), (dst, y), c.is_identity(m))
 
 
 def read_multimap(text, name="parsed"):
@@ -480,20 +481,25 @@ def read_multimap(text, name="parsed"):
             a, b = _scan_arrow_pair(tail, lineno)
             _put(pairs.setdefault(head, {}), a, b, lineno, f"{head} line at {a!r}")
     sets, index = {}, {}
-    for key in _fiber_keys(slot_cats, cod):
-        if key not in at:
-            _fail(last, f"missing at line for {_indexed(key)}")
-        sets[key] = tuple(at.pop(key))
-        index[key] = _fiber_index(sets[key], last, _indexed(key))
+    for args in _grid(slot_cats):
+        fibers = []
+        for y in cod.objects:
+            key = args + (y,)
+            if key not in at:
+                _fail(last, f"missing at line for {_indexed(key)}")
+            fibers.append(tuple(at.pop(key)))
+            index[args, y] = _fiber_index(fibers[-1], last, _indexed(key))
+        sets[args] = tuple(fibers)
     if at:
         _fail(last, f"at line for unknown tuple {_indexed(next(iter(at)))}")
-    cod_act, slot_act = {}, {}
-    for head, table, key, src, dst, is_id in _map_rows(slot_cats, cod, cod_act, slot_act):
-        side = "target" if table is cod_act else "source"
-        table[key] = _fill_row(pairs.pop(head, {}), sets[src], index[dst], is_id, last,
-                               f"{head} line", side)
+    rows = {"target": {}, "source": {}}
+    for head, side, key, _, (sa, sy), dst, is_id in _map_rows(slot_cats, cod):
+        rows[side].setdefault(key, []).append(_fill_row(
+            pairs.pop(head, {}), sets[sa][sy], index[dst], is_id, last, f"{head} line", side))
     if pairs:
         _fail(last, f"{next(iter(pairs))} line names an unknown tuple")
+    cod_act, slot_act = ({key: tuple(r) for key, r in rows[side].items()}
+                         for side in ("target", "source"))
     m = TableMap(slot_cats, cod, sets, cod_act, slot_act, name=name)
     return _checked(m, validate_multimap, last, "map")
 
@@ -503,10 +509,12 @@ def write_multimap(m):
         raise FormatError("only all-fin maps can be written")
     cats = [s.cat for s in m.slots]
     out = _blocks_lines(cats, m.cod)
-    out += [f"at {_indexed(key)} = {_braced(m.sets[key])}" for key in _fiber_keys(cats, m.cod)]
-    for head, table, key, src, dst, is_id in _map_rows(cats, m.cod, m.cod_act, m.slot_act):
+    out += [f"at {_indexed(args + (y,))} = {_braced(m.sets[args][y])}"
+            for args in _grid(cats) for y in m.cod.objects]
+    for head, side, key, i, (sa, sy), (da, dy), is_id in _map_rows(cats, m.cod):
         if not is_id:
-            out += _act_lines(head, m.sets[src], m.sets[dst], table[key])
+            row = (m.cod_act if side == "target" else m.slot_act)[key][i]
+            out += _act_lines(head, m.sets[sa][sy], m.sets[da][dy], row)
     return _text(out)
 
 

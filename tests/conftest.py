@@ -100,26 +100,40 @@ def hom_sum_map(c: FinCategory, n_slots: int, name="sum") -> TableMap:
     cod_act = {}
     slot_act = {}
     for bs in itertools.product(c.objects, repeat=n_slots):
-        for y in c.objects:
-            sets[bs + (y,)] = tuple(f"{i}:m{h}" for i, h in elems(bs, y))
+        sets[bs] = tuple(tuple(f"{i}:m{h}" for i, h in elems(bs, y)) for y in c.objects)
+        rows = []
         for u in c.morphisms:
             yy, y2 = c.src(u), c.tgt(u)
             ix = index(bs, yy)
-            cod_act[bs + (u,)] = tuple(
-                ix[(i, c.compose(h, u))] for i, h in elems(bs, y2)
-            )
+            rows.append(tuple(ix[(i, c.compose(h, u))] for i, h in elems(bs, y2)))
+        cod_act[bs] = tuple(rows)
         for j in range(n_slots):
             for m in c.morphisms:
                 marked = bs[:j] + (m,) + bs[j + 1 :]
                 dst = bs[:j] + (c.tgt(m),) + bs[j + 1 :]
                 src = bs[:j] + (c.src(m),) + bs[j + 1 :]
+                comps = []
                 for y in c.objects:
                     ix = index(dst, y)
-                    slot_act[(j,) + marked + (y,)] = tuple(
+                    comps.append(tuple(
                         ix[(i, c.compose(m, h) if i == j else h)]
                         for i, h in elems(src, y)
-                    )
+                    ))
+                slot_act[(j,) + marked] = tuple(comps)
     return TableMap([c] * n_slots, c, sets, cod_act, slot_act, name=name)
+
+
+def flat_rows(table) -> dict:
+    """A TableMap table with one entry per fiber or row, in the table's
+    order: item i of entry key under key + (i,), so args + (y,) in sets,
+    args + (u,) in cod_act and (j,) + marked + (y,) in slot_act."""
+    return {key + (i,): row for key, rows in table.items() for i, row in enumerate(rows)}
+
+
+def set_row(table, flat_key, row):
+    """Replace the row that flat_rows(table) keys flat_key."""
+    key, i = flat_key[:-1], flat_key[-1]
+    table[key] = table[key][:i] + (row,) + table[key][i + 1 :]
 
 
 def coproduct_injections(ps, total, offsets) -> tuple:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import codiscrete, coproduct_injections
+from conftest import codiscrete, coproduct_injections, flat_rows
 from relmonad.errors import BudgetExceededError
 from relmonad.fincat import FunctorTable, validate_category, validate_functor
 from relmonad.gen import (
@@ -129,7 +129,24 @@ def test_no_generators_give_the_empty_map():
     for slots in ((), (arrow,), (square, arrow)):
         m = gen_multimap(rng, slots, square, n_generators=0)
         assert validate_multimap(m) is None
-        assert m.sets and all(fiber == () for fiber in m.sets.values())
+        assert m.sets and all(fiber == () for fibers in m.sets.values() for fiber in fibers)
+
+
+def test_tables_hold_one_entry_per_argument_tuple():
+    rng = random.Random(4)
+    arrow, square = builtin_category("arrow"), builtin_category("square")
+    for slots in ((), (square,), (arrow, square), (square, arrow)):
+        m = gen_multimap(rng, slots, square, n_generators=3)
+        grid = list(itertools.product(*(c.objects for c in slots)))
+        assert len(m.sets) == len(m.cod_act) == len(grid)
+        marked = [(j,) + t for j, c in enumerate(slots) for t in itertools.product(
+            *(c.morphisms if i == j else s.objects for i, s in enumerate(slots)))]
+        assert sorted(m.slot_act) == sorted(marked)
+        assert all(len(comps) == square.n_objects for comps in m.slot_act.values())
+        for args in grid:
+            assert len(m.sets[args]) == square.n_objects
+            value = m.evaluate(args)
+            assert all(value.act[u] is row for u, row in enumerate(m.cod_act[args]))
 
 
 def _reference_labels(rng, slot_cats, cod, n_generators):
@@ -139,14 +156,16 @@ def _reference_labels(rng, slot_cats, cod, n_generators):
     gens = [(tuple(rng.randrange(s.n_objects) for s in slot_cats), rng.randrange(cod.n_objects))
             for _ in range(k)]
     return {
-        args + (y,): tuple(
-            str((gi,) + hs + (h,))
-            for gi, (cs, d) in enumerate(gens)
-            for hs in itertools.product(*(s.hom(c, b) for s, c, b in zip(slot_cats, cs, args)))
-            for h in cod.hom(y, d)
+        args: tuple(
+            tuple(
+                str((gi,) + hs + (h,))
+                for gi, (cs, d) in enumerate(gens)
+                for hs in itertools.product(*(s.hom(c, b) for s, c, b in zip(slot_cats, cs, args)))
+                for h in cod.hom(y, d)
+            )
+            for y in cod.objects
         )
         for args in itertools.product(*(s.objects for s in slot_cats))
-        for y in cod.objects
     }
 
 
@@ -263,8 +282,9 @@ def _generated_tables():
         for slots, budget, k in (((a,), 64, 1 + s % 6), ((b, a), 6, None)):
             try:
                 m = gen_multimap(rng, slots, b, budget, n_generators=k)
-                maps.append((list(m.sets.items()), list(m.cod_act.items()),
-                             list(m.slot_act.items())))
+                # flattened to one entry per fiber or row, the layout pinned
+                maps.append(tuple(list(flat_rows(t).items())
+                                  for t in (m.sets, m.cod_act, m.slot_act)))
             except BudgetExceededError:
                 maps.append("budget")
             maps.append(rng.getrandbits(32))

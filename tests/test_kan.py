@@ -110,6 +110,16 @@ def test_closing_a_session_empties_its_owners_memos():
     assert unit_map(c) is not unit_map(c)
 
 
+def test_a_cell_whose_endpoints_share_categories_builds_no_content_key():
+    # signatures hold the categories themselves, which compare by identity
+    # before content, so theta_cell's endpoint check leaves no key on c
+    c = walking_arrow()
+    theta_cell(c).component((representable(c, 1),))
+    assert c._key is None
+    # content-equal copies still give equal signatures
+    assert unit_map(c).signature() == unit_map(walking_arrow()).signature()
+
+
 def test_a_closed_sessions_graph_dies_by_reference_count():
     enabled = gc.isenabled()
     gc.disable()
@@ -417,9 +427,9 @@ def test_equal_actions_on_reversed_arrows_stay_apart():
                             {(0, 0): 0, (1, 1): 1, (2, src): 2, (tgt, 2): 2})
             const = TableMap(
                 [c], point,
-                {(x, 0): ("u",) for x in c.objects},
-                {(x, 0): (0,) for x in c.objects},
-                {(0, m, 0): (0,) for m in c.morphisms},
+                {(x,): (("u",),) for x in c.objects},
+                {(x,): ((0,),) for x in c.objects},
+                {(0, m): ((0,),) for m in c.morphisms},
             )
             assert_matches_uncached(strengthen(const, 0), (Presheaf(c, [("a", "b")] * 2, act),))
         assert len(point.colimits) == 2
@@ -811,12 +821,13 @@ def _crossed_map():
         return (0,) if y == 1 - x else ()
 
     sets, cod_act, slot_act = {}, {}, {}
-    for x, w, y in itertools.product(pts.objects, arrow.objects, pts.objects):
-        sets[x, w, y] = ("*",) * len(row(x, y))
-        cod_act[x, w, y] = row(x, y)  # pts's morphism y is the identity on y
-        slot_act[0, x, w, y] = row(x, y)
+    for x, w in itertools.product(pts.objects, arrow.objects):
+        rows = tuple(row(x, y) for y in pts.objects)
+        sets[x, w] = tuple(("*",) * len(r) for r in rows)
+        cod_act[x, w] = rows  # pts's morphism y is the identity on y
+        slot_act[0, x, w] = rows
         for m in arrow.morphisms:
-            slot_act[1, x, m, y] = row(x, y)
+            slot_act[1, x, m] = rows
     f = TableMap([pts, arrow], pts, sets, cod_act, slot_act, name="crossed")
     assert validate_multimap(f) is None
     p, _ = coproduct_presheaves([representable(pts, 0), representable(pts, 1)])

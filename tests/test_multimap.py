@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import flat_rows, set_row
 from relmonad.errors import SlotMismatchError
 from relmonad.fincat import FunctorTable, NatTransTable, session
 from relmonad.multimap import (
@@ -28,9 +29,9 @@ def test_hand_maps_validate(sum1_arrow, sum2_arrow, sum2_z2):
 def test_validation_catches_tampered_slot_action(arrow, sum2_arrow):
     bad_slot = dict(sum2_arrow.slot_act)
     key = (0, 2, 1, 0)  # slot 0 acting by the arrow, other argument 1, at object 0
-    row = bad_slot[key]
+    row = flat_rows(bad_slot)[key]
     assert len(row) >= 2
-    bad_slot[key] = (row[1], row[0]) + row[2:]
+    set_row(bad_slot, key, (row[1], row[0]) + row[2:])
     bad = TableMap([arrow, arrow], arrow, sum2_arrow.sets, sum2_arrow.cod_act, bad_slot)
     assert validate_multimap(bad) is not None
 

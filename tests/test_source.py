@@ -313,3 +313,18 @@ def test_validators_stop_at_the_first_violation():
                   if "ValidationReport" in source or "ValidationFailure" in source]
     assert not collecting, f"validators that collect violations: {collecting}"
     assert not named, f"report classes named at {named}"
+
+
+def test_the_table_layout_stays_inside_four_modules():
+    # TableMap's tables are keyed one entry per argument tuple; only the map
+    # itself, the generator, the text format and the checker's tamper name
+    # them, so a change of layout stays a change to these four modules
+    tables = {"cod_act", "slot_act"}
+    naming = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if tables & {getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "arg", None)}:
+                naming.add(path.name)
+    assert naming == {"multimap.py", "gen.py", "textio.py", "checker.py"}, (
+        f"cod_act or slot_act named in {sorted(naming)}")

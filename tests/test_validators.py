@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import hom_sum_map
+from conftest import flat_rows, hom_sum_map, set_row
 from relmonad import gen
 from relmonad.errors import BudgetExceededError
 from relmonad.fincat import (
@@ -132,8 +132,8 @@ def test_presheaf_morphism_checks_typing_before_naturality(lz3):
 def test_multimap_checks_values_before_slot_actions(arrow):
     good = hom_sum_map(arrow, 2, name="sum2")
     cod_act, slot_act = dict(good.cod_act), dict(good.slot_act)
-    cod_act[(1, 1, 0)] = (1, 0)  # the identity of object 0 swaps y_1 + y_1 at 0
-    slot_act[(0, 2, 1, 0)] = (1, 0)  # slot 0's arrow lands in the wrong summand
+    set_row(cod_act, (1, 1, 0), (1, 0))  # the identity of object 0 swaps y_1 + y_1 at 0
+    set_row(slot_act, (0, 2, 1, 0), (1, 0))  # slot 0's arrow lands in the wrong summand
     both = TableMap([arrow, arrow], arrow, good.sets, cod_act, slot_act)
     assert validate_multimap(both) == ("broken-identity-action", "args=(1, 1): act[id_0]")
     only = TableMap([arrow, arrow], arrow, good.sets, good.cod_act, slot_act)
@@ -209,11 +209,12 @@ def _one_slot_map(rng, out_of_range):
     m = gen.gen_multimap(rng, (c,), d, 24, n_generators=1)
     cod_act, slot_act = dict(m.cod_act), dict(m.slot_act)
     table, typing = rng.choice([(cod_act, "presheaf-typing"), (slot_act, "morphism-typing")])
-    key = rng.choice(sorted(k for k, row in table.items() if row))
-    row = list(table[key])
+    flat = flat_rows(table)
+    key = rng.choice(sorted(k for k, row in flat.items() if row))
+    row = list(flat[key])
     # every fiber has at most 24 elements, so 24 is out of range
     row[rng.randrange(len(row))] = _tampered_value(rng, 24, out_of_range)
-    table[key] = tuple(row)
+    set_row(table, key, tuple(row))
     bad = TableMap((c,), d, m.sets, cod_act, slot_act)
     return m, bad, (validate_multimap, validate_presheaf, validate_presheaf_morphism), typing
 
