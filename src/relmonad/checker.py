@@ -20,8 +20,6 @@ so it flows into the same composites an honest run would build.
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 from .errors import BudgetExceededError, RelmonadError
 from .fincat import (
@@ -106,31 +104,44 @@ __all__ = [
 ]
 
 
-@dataclass
 class CheckConfig:
-    policies: ClassVar[tuple] = ("transpose", "sample")
+    """One run's settings.  The defaults are class attributes, which the CLI
+    reads as its option defaults; equal settings compare equal, so a replay
+    file reads back the config it was written from."""
 
-    seed: int = 0
-    instances: int = 0  # 0 keeps each law's own default
-    max_objects: int = 3
-    max_edges: int = 3
-    max_values: int = 24
-    laws: tuple = ()  # empty = every law
-    policy: str = "transpose"
-    inject: str = ""
+    policies = ("transpose", "sample")
 
-    def __post_init__(self):
+    seed = 0
+    instances = 0  # 0 keeps each law's own default
+    max_objects = 3
+    max_edges = 3
+    max_values = 24
+    laws = ()  # empty = every law
+    policy = "transpose"
+    inject = ""
+
+    def __init__(self, seed=seed, instances=instances, max_objects=max_objects,
+                 max_edges=max_edges, max_values=max_values, laws=laws, policy=policy,
+                 inject=inject):
         """Refuse a policy, injector, law or group the checker does not have,
         and caps the generators cannot draw from; ValueError names the field as
         the CLI option and the replay key spell it."""
-        if self.policy not in self.policies:
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.inject and self.inject not in INJECTORS:
-            raise ValueError(f"unknown injector {self.inject!r}")
-        if isinstance(self.laws, str):
-            raise ValueError(f"laws must be a tuple of names, got {self.laws!r}")
+        self.seed = seed
+        self.instances = instances
+        self.max_objects = max_objects
+        self.max_edges = max_edges
+        self.max_values = max_values
+        self.laws = laws
+        self.policy = policy
+        self.inject = inject
+        if policy not in self.policies:
+            raise ValueError(f"unknown policy {policy!r}")
+        if inject and inject not in INJECTORS:
+            raise ValueError(f"unknown injector {inject!r}")
+        if isinstance(laws, str):
+            raise ValueError(f"laws must be a tuple of names, got {laws!r}")
         try:
-            expand_laws(self.laws)
+            expand_laws(laws)
         except KeyError as e:
             raise ValueError(f"unknown law or group {e.args[0]!r}") from None
         for name, least in (("instances", 0), ("max_objects", 1),
@@ -140,30 +151,43 @@ class CheckConfig:
                 raise ValueError(
                     f"{name.replace('_', '-')} must be {least} or more, got {value}")
 
+    def __eq__(self, other):
+        if type(other) is not CheckConfig:
+            return NotImplemented
+        return vars(self) == vars(other)
 
-@dataclass
+
 class LawOutcome:
-    law: str
-    index: int
-    ok: bool
-    policy: str
-    checked: int
-    seed: int
-    witness: str = ""
+    """One law instance's verdict; equal verdicts compare equal."""
+
+    def __init__(self, law: str, index: int, ok: bool, policy: str, checked: int, seed: int,
+                 witness: str = ""):
+        self.law = law
+        self.index = index
+        self.ok = ok
+        self.policy = policy
+        self.checked = checked
+        self.seed = seed
+        self.witness = witness
+
+    def __eq__(self, other):
+        if type(other) is not LawOutcome:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
 class LawSummary:
-    law: str
-    instances: int
-    passed: int
-    failed: int
+    def __init__(self, law: str, instances: int, passed: int, failed: int):
+        self.law = law
+        self.instances = instances
+        self.passed = passed
+        self.failed = failed
 
 
-@dataclass
 class CheckReport:
-    config: CheckConfig
-    outcomes: list = field(default_factory=list)
+    def __init__(self, config: CheckConfig):
+        self.config = config
+        self.outcomes = []
 
     @property
     def ok(self):
@@ -716,11 +740,11 @@ def _law_braiding_words(rng, cfg):
         left = interchange_perm(f, (0, 1, 2), sigma, "left")
         right = interchange_perm(f, (0, 1, 2), sigma, "right")
         v = two_cell_equal(left, right, cfg.policy)
-        yield v if v.equal else replace(v, witness=f"word mismatch for {sigma}: {v.witness}")
+        yield v if v.equal else v.with_witness(f"word mismatch for {sigma}: {v.witness}")
         back = interchange_perm(f, sigma, (0, 1, 2), "left")
         v = two_cell_equal(vcomp(left, back), identity_cell(left.src), cfg.policy)
-        yield v if v.equal else replace(
-            v, witness=f"round trip not identity for {sigma}: {v.witness}")
+        yield v if v.equal else v.with_witness(
+            f"round trip not identity for {sigma}: {v.witness}")
 
 
 def _colimit_certificate(f, p, data, b):

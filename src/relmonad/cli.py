@@ -4,6 +4,10 @@ Four subcommands: `verify` runs the coherence suite and reports, `compute`
 evaluates a map read from text files, `replay` re-runs stored instances,
 and `explain` prints what each law compares.
 
+Each process pays at start-up for what it imports, so textio is imported
+only by the paths that read or write text files (`compute`, `replay` and
+`verify --replay-dir`) and textwrap only by `explain`.
+
 Exit codes are a stable contract: 0 all pass, 1 at least one law failed,
 2 usage, parse, or resource-budget trouble.  The machine report format is
 line-oriented with a fixed field order and a version header, and carries
@@ -14,9 +18,7 @@ import argparse
 import functools
 import os
 import sys
-import textwrap
 
-from . import textio
 from .checker import (
     CheckConfig,
     INJECTORS,
@@ -140,6 +142,8 @@ def cmd_verify(args):
     render = render_machine if args.format == "machine" else render_text
     _emit(render(report), args.out)
     if args.replay_dir:
+        from . import textio
+
         for o in report.outcomes:
             if not o.ok:
                 path = os.path.join(args.replay_dir, f"{o.law}-{o.index}.replay")
@@ -148,6 +152,8 @@ def cmd_verify(args):
 
 
 def cmd_replay(args):
+    from . import textio
+
     outcomes = []
     for path in args.files:
         law, index, cfg = _read_file(path, lambda text, name: textio.read_replay(text))
@@ -187,6 +193,8 @@ def _print_presheaf(p):
 
 
 def cmd_compute(args):
+    from . import textio
+
     if args.op == "apply-t":
         if not args.paths:
             raise UsageError("apply-t needs a functor file and one presheaf per slot")
@@ -233,6 +241,8 @@ def cmd_compute(args):
 
 
 def cmd_explain(args):
+    import textwrap
+
     laws = _expand_laws(tuple(args.laws))
     lines = []
     for law in laws:

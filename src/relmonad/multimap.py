@@ -38,7 +38,6 @@ of probe presheaves instead, as an independent cross-check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import NotInvertibleError, SlotMismatchError
 from .fincat import FinCategory, FunctorTable, shared
@@ -53,10 +52,23 @@ from .presheaf import (
 )
 
 
-@dataclass(frozen=True)
 class Slot:
-    kind: str  # 'fin' or 'psh'
-    cat: FinCategory
+    """A map's slot: its kind and its category.  Slots compare and hash by
+    value."""
+
+    __slots__ = ("kind", "cat")
+
+    def __init__(self, kind: str, cat: FinCategory):
+        self.kind = kind  # 'fin' or 'psh'
+        self.cat = cat
+
+    def __eq__(self, other):
+        if type(other) is not Slot:
+            return NotImplemented
+        return self.kind == other.kind and self.cat == other.cat
+
+    def __hash__(self):
+        return hash((self.kind, self.cat))
 
 
 class MultiMap:
@@ -460,12 +472,22 @@ def plug_many(f: MultiMap, inners: dict) -> MultiMap:
 # -- deciding equality of parallel cells --------------------------------------
 
 
-@dataclass(frozen=True)
 class CellComparison:
-    equal: bool
-    policy: str
-    checked: int  # argument tuples compared
-    witness: tuple | None  # (args, object, element, lhs, rhs) on failure
+    """One comparison's verdict: whether the cells are equal, the policy,
+    how many argument tuples were compared, and on failure a witness,
+    (args, object, element, lhs, rhs)."""
+
+    __slots__ = ("equal", "policy", "checked", "witness")
+
+    def __init__(self, equal: bool, policy: str, checked: int, witness: tuple | None):
+        self.equal = equal
+        self.policy = policy
+        self.checked = checked
+        self.witness = witness
+
+    def with_witness(self, witness) -> CellComparison:
+        """The same verdict with its witness replaced."""
+        return CellComparison(self.equal, self.policy, self.checked, witness)
 
 
 def _compare_exhaustive(a: TwoCell, b: TwoCell, spaces, policy, feed) -> CellComparison:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError, SlotMismatchError
@@ -249,7 +248,6 @@ def classifying_morphism(p: Presheaf, x: int, e: int) -> PresheafMorphism:
 # -- colimits ----------------------------------------------------------------
 
 
-@dataclass
 class FinSetDiagram:
     """Diagram of finite sets in which a shape node may stand for copies of one set.
 
@@ -264,14 +262,17 @@ class FinSetDiagram:
     colimit is taken over the arrows it names.
     """
 
-    shape: Graph
-    sets: tuple  # per shape node: a tuple of labels
-    maps: dict  # per named shape arrow: element at its source -> element at its target
-    copies: tuple | None = None  # per shape node: how many copies of its set; None: one each
-    lifts: tuple | None = None  # per shape arrow: target copy -> source copy
+    __slots__ = ("shape", "sets", "maps", "copies", "lifts")
+
+    def __init__(self, shape: Graph, sets: tuple, maps: dict, copies: tuple | None = None,
+                 lifts: tuple | None = None):
+        self.shape = shape
+        self.sets = sets  # per shape node: a tuple of labels
+        self.maps = maps  # per named shape arrow: element at its source -> element at its target
+        self.copies = copies  # per shape node: how many copies of its set; None: one each
+        self.lifts = lifts  # per shape arrow: target copy -> source copy
 
 
-@dataclass
 class ColimitResult:
     """A colimit's classes, flat over the (node, copy, element) enumeration.
 
@@ -281,14 +282,22 @@ class ColimitResult:
     class.  blocks() hands those out a node at a time, for readers that
     decode them in their own loop, and row(k, e) slices out one whole copy;
     no other reader decodes a class.  The labels in set are shared with
-    every colimit of as many classes.
+    every colimit of as many classes.  Equal tables compare equal.
     """
 
-    set: tuple  # labels of the classes
-    classes: tuple  # per element, in enumeration order: its class index
-    offsets: tuple  # per node: the index of its first element
-    sizes: tuple  # per node: the size of its set, so of each copy
-    reps: tuple  # per class, ascending: the index of its least member
+    __slots__ = ("set", "classes", "offsets", "sizes", "reps")
+
+    def __init__(self, set: tuple, classes: tuple, offsets: tuple, sizes: tuple, reps: tuple):
+        self.set = set  # labels of the classes
+        self.classes = classes  # per element, in enumeration order: its class index
+        self.offsets = offsets  # per node: the index of its first element
+        self.sizes = sizes  # per node: the size of its set, so of each copy
+        self.reps = reps  # per class, ascending: the index of its least member
+
+    def __eq__(self, other):
+        if type(other) is not ColimitResult:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def row(self, k: int, e: int) -> tuple:
         """Copy e of node k: its element -> class map."""

@@ -11,11 +11,10 @@ import gc
 import hashlib
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
-from relmonad import cli, kan, monad, presheaf
+from relmonad import checker, cli, kan, monad, presheaf, textio
 from relmonad.checker import (
     INJECTORS,
     LAW_FAMILIES,
@@ -30,8 +29,8 @@ from relmonad.checker import (
 from relmonad.errors import BudgetExceededError, SlotMismatchError
 from relmonad.fincat import FunctorTable, session
 from relmonad.gen import derive_seed, gen_category, gen_multimap, gen_presheaf
-from relmonad.multimap import CellComparison, TwoCell, identity_cell, unit_map
-from relmonad.presheaf import Colimit, Presheaf, PresheafMorphism
+from relmonad.multimap import CellComparison, TwoCell, identity_cell, two_cell_equal, unit_map
+from relmonad.presheaf import Colimit, ColimitResult, Presheaf, PresheafMorphism
 
 
 def test_registry_order_matches_families():
@@ -243,21 +242,56 @@ def test_injection_does_not_leak_between_runs(inject, law):
     assert rep.ok
 
 
+def _one_bad_swap(build, g, j, k):
+    # corrupt one adjacent swap only: the two words for a permutation then disagree
+    if (j, k) == (2, 0):
+        return _damaged(_swap_first_wide_row)(build, g, j, k)
+    return build(g, j, k)
+
+
 def test_braiding_words_mismatch_is_a_failure():
-    # corrupt one adjacent swap only: the two words for a permutation then
-    # disagree, and the law must report that as a FAIL, not raise
-    corrupt = _damaged(_swap_first_wide_row)
-
-    def one_bad_swap(build, g, j, k):
-        return corrupt(build, g, j, k) if (j, k) == (2, 0) else build(g, j, k)
-
-    outcomes = [run_single("braiding-words", i, CheckConfig(seed=42), {"interchange": one_bad_swap})
+    # the law must report the disagreement as a FAIL, not raise
+    outcomes = [run_single("braiding-words", i, CheckConfig(seed=42), {"interchange": _one_bad_swap})
                 for i in range(3)]
     fails = [o for o in outcomes if not o.ok]
     assert fails
     for o in fails:
         assert o.policy == "transpose" and o.checked > 0
         assert o.witness.startswith(("word mismatch for", "round trip not identity for"))
+
+
+def test_braiding_words_prefixes_its_witness_and_keeps_the_verdict(monkeypatch):
+    compared = []
+
+    def recording(a, b, policy):
+        compared.append(two_cell_equal(a, b, policy))
+        return compared[-1]
+
+    monkeypatch.setattr(checker, "two_cell_equal", recording)
+    law = LAW_FAMILIES["braiding-words"][0]
+    for i in range(3):
+        rng = random.Random(derive_seed(42, "braiding-words", i))
+        with session({"interchange": _one_bad_swap}):
+            for v in law(rng, CheckConfig(seed=42)):
+                if not v.equal:
+                    honest = compared[-1]
+                    assert (v.equal, v.policy, v.checked) == (honest.equal, honest.policy, honest.checked)
+                    assert v.witness.startswith(("word mismatch for (", "round trip not identity for ("))
+                    assert v.witness.endswith(f"): {honest.witness}")
+                    return
+    pytest.fail("no braiding word disagreed")
+
+
+def test_check_config_is_a_value():
+    kw = dict(seed=9, max_objects=4, max_edges=2, max_values=7, policy="sample", inject="theta-corrupt")
+    cfg = CheckConfig(**kw)
+    assert cfg == CheckConfig(**kw)
+    assert cfg != CheckConfig(**dict(kw, seed=10))
+    assert CheckConfig() == CheckConfig(seed=CheckConfig.seed, laws=CheckConfig.laws)
+    with pytest.raises(TypeError):
+        CheckConfig(sed=9)
+    assert textio.read_replay(textio.write_replay("extension-unit", 3, cfg)) == (
+        "extension-unit", 3, cfg)
 
 
 def _drawn_record():
@@ -288,7 +322,8 @@ def _damaged_record(data, b, classes, n, rows):
     """data with class table `classes` and n classes at b, and the action
     row at u replaced by rows(u, row)."""
     colims = list(data.colims)
-    colims[b] = replace(colims[b], classes=tuple(classes))
+    r = colims[b]
+    colims[b] = ColimitResult(r.set, tuple(classes), r.offsets, r.sizes, r.reps)
     at = list(data.at)
     at[b] = tuple(f"q{c}" for c in range(n))
     act = [rows(u, row) for u, row in enumerate(data.act)]

@@ -298,21 +298,40 @@ def test_explain_group(capsys):
     assert "square-unit-compat" in out and "extension-associative" not in out
 
 
-def test_explain_survives_stripped_docstrings():
-    # python -OO strips docstrings; explain must print the same text without them
+def _python(*argv):
+    """A fresh interpreter that imports this checkout's relmonad."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
 
+
+def test_explain_survives_stripped_docstrings():
+    # python -OO strips docstrings; explain must print the same text without them
     def explain(*flags):
-        proc = subprocess.run([sys.executable, *flags, "-m", "relmonad.cli", "explain"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = _python(*flags, "-m", "relmonad.cli", "explain")
         assert proc.returncode == 0, proc.stderr[-2000:]
         return proc.stdout
 
     plain = explain()
     assert all(law in plain for law in LAW_ORDER)
     assert explain("-OO") == plain
+
+
+def test_verify_loads_only_what_it_runs():
+    # every verify process pays at start-up for what it imports: dataclasses
+    # pulls in inspect, and textio and textwrap serve only the other commands
+    proc = _python("-c", "\n".join([
+        "import sys",
+        "from relmonad import cli",
+        "rc = cli.main(['verify', '--laws', 'extension-unit', '--instances', '1',"
+        " '--format', 'machine'])",
+        "unused = ('dataclasses', 'inspect', 'relmonad.textio', 'textwrap')",
+        "print(rc, [m for m in unused if m in sys.modules])",
+    ]))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_explain_unknown(capsys):

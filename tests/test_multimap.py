@@ -6,6 +6,7 @@ from relmonad.fincat import FunctorTable, NatTransTable, session
 from relmonad.multimap import (
     ComposeMap,
     IdentityMap,
+    Slot,
     TableMap,
     TwoCell,
     identity_cell,
@@ -198,3 +199,10 @@ def test_whisker_outer_nat_table(arrow, square, sum1_arrow):
     cell = whisker_outer(sum1_arrow, 0, eta)
     for o in square.objects:
         assert validate_presheaf_morphism(cell.component((o,))) is None
+
+
+def test_slots_compare_and_hash_by_value(arrow, square):
+    a, b = Slot("fin", arrow), Slot("fin", arrow)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Slot("psh", arrow) and a != Slot("fin", square)

@@ -328,3 +328,15 @@ def test_the_table_layout_stays_inside_four_modules():
                 naming.add(path.name)
     assert naming == {"multimap.py", "gen.py", "textio.py", "checker.py"}, (
         f"cod_act or slot_act named in {sorted(naming)}")
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses pulls in inspect, ast and dis, and each decorated
+    # class execs generated code, so every process would pay for it at start-up
+    importers = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    )
+    assert not importers, f"dataclasses imported in {importers}"
