@@ -42,6 +42,7 @@ from .gen import (
 )
 from .kan import (
     counit_cell,
+    extend,
     mult_cell,
     strengthen,
     strengthen_cell,
@@ -230,10 +231,7 @@ def _damaged(damage):
 
 def _descending_lift(build, f):
     # apply_functor with its extensions folded highest slot first
-    m = base_map(f)
-    for r in range(f.arity - 1, -1, -1):
-        m = strengthen(m, r)
-    return m
+    return extend(base_map(f), range(f.arity - 1, -1, -1))
 
 
 def _swapped_action(build, m):

@@ -42,6 +42,9 @@ The cells defined here are the generators of everything the checker verifies:
 
 mult_cell is not postulated: it is the untranspose of the whiskered unit,
 which is the shape every uniqueness argument downstream leans on.
+extend(f, slots) and extend_cell(a, slots) apply strengthen and
+strengthen_cell at each listed slot in turn, the first slot innermost:
+the one home of that order for every iterated extension.
 
 An extension's value is its record, a Colimit holding its ColimitResult at
 each codomain object, and data names that memoized evaluation.  While a
@@ -237,6 +240,13 @@ def strengthen(f: MultiMap, j: int) -> StrengthenMap:
     return StrengthenMap(f, j)
 
 
+def extend(f: MultiMap, slots) -> MultiMap:
+    """f extended at each slot in turn, the first slot innermost."""
+    for j in slots:
+        f = strengthen(f, j)
+    return f
+
+
 # -- generating cells ---------------------------------------------------------
 
 
@@ -261,24 +271,25 @@ def unit_cell(f: MultiMap, j: int) -> TwoCell:
 @shared
 def counit_cell(h: MultiMap, j: int) -> TwoCell:
     """strengthen(h o_j unit, j) => h: evaluate along classifying morphisms."""
-    if h.slots[j].kind != "psh":
+    if not (0 <= j < h.arity) or h.slots[j].kind != "psh":
         raise SlotMismatchError(f"{h.name}: slot {j} is not a psh slot")
     u = unit_map(h.slots[j].cat)
     src = strengthen(plug(h, j, u), j)
-    classify = {}  # (p, x, e) -> classifying map out of u's y_x
 
     def fn(args):
         p = args[j]
+        acts = {}  # (x, e) -> h's action along e's classifying map
 
         def along(x, e):
-            chi = classify.get((p, x, e))
-            if chi is None:
-                chi = classify[(p, x, e)] = classifying_morphism(p, x, e)
-            return h.morphism_at(args[:j] + (chi.src,) + args[j + 1 :], j, chi)
+            act = acts.get((x, e))
+            if act is None:
+                chi = classifying_morphism(p, x, e)
+                act = acts[x, e] = h.morphism_at(args[:j] + (chi.src,) + args[j + 1 :], j, chi)
+            return act
 
         def block(y, x, off, n, reps):
             # h's action along each element's classifying map, once per
-            # element, in the order the classes first reach it
+            # element and component, in the order the classes first reach it
             elements = dict.fromkeys((i - off) // n for i in reps)
             to = {e: along(x, e).components[y] for e in elements}
             return [to[e][t] for i in reps for e, t in (divmod(i - off, n),)]
@@ -325,6 +336,13 @@ def strengthen_cell(cell: TwoCell, j: int) -> TwoCell:
                        lambda x: cell.component(pre + (x,) + post).components)
 
     return TwoCell(src, dst, fn, name=f"ext{j}[{cell.name}]")
+
+
+def extend_cell(cell: TwoCell, slots) -> TwoCell:
+    """cell extended at each slot in turn, the first slot innermost."""
+    for j in slots:
+        cell = strengthen_cell(cell, j)
+    return cell
 
 
 def transpose(cell: TwoCell) -> TwoCell:

@@ -9,8 +9,9 @@ checks of the construction, not of hand-filled tables.
 
 Conventions that the composites below rely on:
 
-  * `apply_functor` folds extensions over slots in ascending order, so the
-    highest slot's extension is outermost in the resulting tree.
+  * `apply_functor` extends over slots in ascending order (`kan.extend`,
+    first slot innermost), so the highest slot's extension is outermost in
+    the resulting tree.
   * substitution and extension at distinct slots commute table-for-table,
     as do two substitutions at distinct slots; `retree` converts between
     such bracketings and re-checks every component against the declared
@@ -19,6 +20,8 @@ Conventions that the composites below rely on:
 
 from .fincat import FunctorTable, compose_functor, shared
 from .kan import (
+    extend,
+    extend_cell,
     mult_cell,
     strengthen,
     strengthen_cell,
@@ -31,6 +34,7 @@ from .multimap import (
     identity_cell,
     inverse_cell,
     plug,
+    plug_many,
     retree,
     unit_map,
     vcomp,
@@ -63,18 +67,12 @@ def apply_functor(f: FunctorTable) -> MultiMap:
     The result takes one presheaf per source factor and returns a presheaf
     on the target.
     """
-    m = base_map(f)
-    for r in range(f.arity):
-        m = strengthen(m, r)
-    return m
+    return extend(base_map(f), range(f.arity))
 
 
 def functor_on_nat(psi) -> TwoCell:
     """Lift a natural transformation to a cell between lifted functors."""
-    c = psi.dst.dst
-    cell = whisker_outer(unit_map(c), 0, psi)
-    for r in range(psi.src.arity):
-        cell = strengthen_cell(cell, r)
+    cell = extend_cell(whisker_outer(unit_map(psi.dst.dst), 0, psi), range(psi.src.arity))
     return retree(
         cell,
         apply_functor(psi.src),
@@ -101,22 +99,14 @@ def functor_comp_cell(f: FunctorTable, i: int, g: FunctorTable) -> TwoCell:
     n, m = f.arity, g.arity
     total = n + m - 1
 
-    a = base_map(f)
-    for r in range(i):
-        a = strengthen(a, r)
+    a = extend(base_map(f), range(i))
     # restriction of the outer chain at slot i, under the inner functor:
     # turns  (chain o_i unit) o_i g  into  chain o_i base(g)
-    cell = whisker_inner(unit_cell(a, i), i, g)
-    for s in range(i, total):
-        cell = strengthen_cell(cell, s)
-    steps = [cell]
+    steps = [extend_cell(whisker_inner(unit_cell(a, i), i, g), range(i, total))]
 
     b = base_map(g)
     for r in range(m):
-        step = mult_cell(a, i, b, r)
-        for s in range(i + r + 1, total):
-            step = strengthen_cell(step, s)
-        steps.append(step)
+        steps.append(extend_cell(mult_cell(a, i, b, r), range(i + r + 1, total)))
         b = strengthen(b, r)
 
     src = apply_functor(compose_functor(f, i, g))
@@ -143,9 +133,7 @@ def unit_naturality_square(f: FunctorTable) -> TwoCell:
         cur = strengthen(cur, r)
     if not steps:
         return identity_cell(a)
-    dst = apply_functor(f)
-    for s in range(f.arity):
-        dst = plug(dst, s, unit_map(f.slots[s]))
+    dst = plug_many(apply_functor(f), {s: unit_map(c) for s, c in enumerate(f.slots)})
     return retree(vcomp(*steps), a, dst, name=f"i~[{f.name}]")
 
 
@@ -168,34 +156,21 @@ def interchange(g: MultiMap, j: int, k: int) -> TwoCell:
 def interchange_perm(g: MultiMap, order_src, order_dst, strategy="left") -> TwoCell:
     """Reorder a chain of extensions from one application order to another.
 
-    Orders list slot indices innermost-first.  The cell is a composite of
-    adjacent swaps; `strategy` picks which factorisation is used ("left"
-    settles the innermost target position first, "right" the outermost),
-    giving two genuinely different words in the swap generators for the
-    same permutation.
+    Orders list slot indices innermost-first, as `kan.extend` reads them.
+    The cell is a composite of adjacent swaps; `strategy` picks which
+    factorisation is used ("left" settles the innermost target position
+    first, "right" the outermost), giving two genuinely different words in
+    the swap generators for the same permutation.
     """
     if sorted(order_src) != sorted(order_dst):
         raise ValueError("orders must contain the same slots")
     n = len(order_src)
-
-    def chain(order):
-        m = g
-        for s in order:
-            m = strengthen(m, s)
-        return m
-
     cur = list(order_src)
     steps = []
 
     def swap_at(p):
         # swap application positions p, p+1 in the current order
-        v = g
-        for s in cur[:p]:
-            v = strengthen(v, s)
-        c = interchange(v, cur[p + 1], cur[p])
-        for s in cur[p + 2:]:
-            c = strengthen_cell(c, s)
-        steps.append(c)
+        steps.append(extend_cell(interchange(extend(g, cur[:p]), cur[p + 1], cur[p]), cur[p + 2:]))
         cur[p], cur[p + 1] = cur[p + 1], cur[p]
 
     positions = range(n) if strategy == "left" else range(n - 1, -1, -1)
@@ -211,7 +186,7 @@ def interchange_perm(g: MultiMap, order_src, order_dst, strategy="left") -> TwoC
                 swap_at(q)
                 q += 1
     if not steps:
-        return identity_cell(chain(order_src))
+        return identity_cell(extend(g, order_src))
     return vcomp(*steps)
 
 
@@ -237,22 +212,13 @@ def extend_square(alpha: TwoCell, h: MultiMap, f: FunctorTable, fprime: FunctorT
     for r in range(n):
         bs.append(strengthen(bs[-1], r))
     for r in range(n - 1, -1, -1):
-        step = inverse_cell(mult_cell(h, 0, bs[r], r))
-        for s in range(r + 1, n):
-            step = strengthen_cell(step, s)
-        steps.append(step)
+        steps.append(extend_cell(inverse_cell(mult_cell(h, 0, bs[r], r)), range(r + 1, n)))
 
     # phase 2: cancel h against its restriction, under f, at every slot
-    step = inverse_cell(whisker_inner(unit_cell(h, 0), 0, f))
-    for s in range(n):
-        step = strengthen_cell(step, s)
-    steps.append(step)
+    steps.append(extend_cell(inverse_cell(whisker_inner(unit_cell(h, 0), 0, f)), range(n)))
 
     # phase 3: alpha, extended at every slot
-    step = alpha
-    for s in range(n):
-        step = strengthen_cell(step, s)
-    steps.append(step)
+    steps.append(extend_cell(alpha, range(n)))
 
     # phase 4: absorb each slot's outer extension into the plugged g,
     # outermost slot first; earlier conversions are whiskered over
@@ -260,11 +226,7 @@ def extend_square(alpha: TwoCell, h: MultiMap, f: FunctorTable, fprime: FunctorT
     for r in range(n):
         chains.append(strengthen(chains[-1], r))
     for r in range(n - 1, -1, -1):
-        fr = chains[r]
-        for i in range(r):
-            fr = plug(fr, i, gs[i])
-        for i in range(r):
-            fr = strengthen(fr, i)
+        fr = extend(plug_many(chains[r], dict(enumerate(gs[:r]))), range(r))
         step = mult_cell(fr, r, gs[r], 0)
         for i in range(r + 1, n):
             step = strengthen_cell(step, i)
@@ -272,7 +234,5 @@ def extend_square(alpha: TwoCell, h: MultiMap, f: FunctorTable, fprime: FunctorT
         steps.append(step)
 
     src = plug(strengthen(h, 0), 0, apply_functor(f))
-    dst = apply_functor(fprime)
-    for i in range(n):
-        dst = plug(dst, i, strengthen(gs[i], 0))
+    dst = plug_many(apply_functor(fprime), {i: strengthen(g, 0) for i, g in enumerate(gs)})
     return retree(vcomp(*steps), src, dst, name=f"ext2[{alpha.name}]")

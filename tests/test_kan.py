@@ -15,6 +15,8 @@ from relmonad.errors import BudgetExceededError, SlotMismatchError
 from relmonad.fincat import FinCategory, FunctorTable, session
 from relmonad.kan import (
     counit_cell,
+    extend,
+    extend_cell,
     mult_cell,
     strengthen,
     strengthen_cell,
@@ -72,6 +74,15 @@ def el_components(el):
 def test_strengthen_interned(plus0_arrow):
     with session():
         assert strengthen(plus0_arrow, 0) is strengthen(plus0_arrow, 0)
+
+
+def test_extend_strengthens_each_slot_in_turn_first_slot_innermost(sum2_arrow):
+    c = identity_cell(sum2_arrow)
+    with session():
+        assert extend(sum2_arrow, (1, 0)) is strengthen(strengthen(sum2_arrow, 1), 0)
+        assert extend(sum2_arrow, ()) is sum2_arrow
+        assert extend_cell(c, ()) is c
+        assert extend_cell(c, (0, 1)) is strengthen_cell(strengthen_cell(c, 0), 1)
 
 
 # -- sessions -------------------------------------------------------------------
@@ -285,6 +296,17 @@ def test_counit_triangle_on_units(arrow, plus0_arrow):
     left = vcomp(unit_cell(h_unit, 0), whisker_inner(counit_cell(ext, 0), 0, u))
     cmp = two_cell_equal(left, identity_cell(h_unit))
     assert cmp.equal
+
+
+@pytest.mark.parametrize("j", [1, 5])
+def test_counit_rejects_a_slot_past_the_maps_arity(arrow, j):
+    # h has one slot; a cell with j + 1 fin slots strengthens at j, so
+    # untranspose reaches the counit's own check
+    h = strengthen(hom_sum_map(arrow, 1), 0)
+    with pytest.raises(SlotMismatchError):
+        counit_cell(h, j)
+    with pytest.raises(SlotMismatchError):
+        untranspose(identity_cell(hom_sum_map(arrow, j + 1)), j, h)
 
 
 def test_transpose_of_identity_is_unit(arrow, plus0_arrow):

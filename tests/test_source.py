@@ -111,6 +111,38 @@ def _qualified_functions(tree, prefix=""):
             yield from _qualified_functions(node, prefix + node.name + ".")
 
 
+def _rebinds_through(statement, names):
+    """Whether statement is `v = name(...)` for a name in names, with v read
+    among the call's arguments."""
+    if not (isinstance(statement, ast.Assign) and len(statement.targets) == 1
+            and isinstance(statement.targets[0], ast.Name)
+            and isinstance(statement.value, ast.Call)):
+        return False
+    call = statement.value
+    if (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) not in names:
+        return False
+    read = {n.id for arg in call.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+    return statement.targets[0].id in read
+
+
+def test_iterated_extensions_go_through_extend():
+    # a loop that only re-binds through strengthen or strengthen_cell writes
+    # out kan.extend or kan.extend_cell again; chains of extensions go
+    # through those two, so "first slot innermost" has one home
+    owners = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = list(_qualified_functions(tree))
+        for loop in ast.walk(tree):
+            if (isinstance(loop, ast.For) and len(loop.body) == 1
+                    and _rebinds_through(loop.body[0], {"strengthen", "strengthen_cell"})):
+                inside = [(f.lineno, name) for name, f in functions
+                          if f.lineno <= loop.lineno <= f.end_lineno]
+                owners.append(f"{path.stem}.{max(inside)[1] if inside else '<module>'}")
+    assert sorted(owners) == ["kan.extend", "kan.extend_cell"], (
+        f"strengthen loops in {sorted(owners)}")
+
+
 def test_only_the_constructions_take_colimits():
     # pointwise_colimit is called where a value is built as a quotient, and
     # nowhere else: so no oracle recomputes a colimit beside the one it checks
